@@ -16,11 +16,11 @@ use crate::preprocess::Baseline;
 use crate::route_equiv::deny_next_hop;
 use crate::Error;
 use confmask_config::patch::Patcher;
-use confmask_net_types::{HostId, Ipv4Prefix, PrefixAllocator};
+use confmask_net_types::{HostId, Ipv4Addr, Ipv4Prefix, PrefixAllocator, RouterId};
 use confmask_sim::dataplane::reachable_hosts_from_router;
-use confmask_sim::{simulate_control_plane, NextHop};
+use confmask_sim::{NextHop, WarmControlPlane};
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Outcome of the route-anonymization stage.
 #[derive(Debug, Clone, Default)]
@@ -31,7 +31,8 @@ pub struct RouteAnonOutcome {
     pub filters_kept: usize,
     /// Filters rolled back because they broke reachability.
     pub filters_rolled_back: usize,
-    /// Control-plane simulations performed.
+    /// Control-plane solves performed, warm refreshes and cold builds
+    /// alike (one per re-simulation of the paper's Algorithm 2).
     pub sim_calls: usize,
 }
 
@@ -76,32 +77,30 @@ pub fn anonymize_routes<R: Rng>(
     }
 
     // --- Randomized filtering (lines 1–7 of Algorithm 2) --------------------
-    let (mut net, mut fibs) = simulate_control_plane(patcher.network())?;
+    // One warm control plane for the whole loop: a round edits only r̃'s
+    // filters, so only r̃'s RIB is refreshed (DESIGN.md §17).
+    let mut cp = WarmControlPlane::new(patcher.network())?;
     out.sim_calls += 1;
 
     // Fake-host LAN prefixes and the hosts on them.
-    let fake_prefixes: BTreeMap<Ipv4Prefix, HostId> = net
+    let fake_hosts: Vec<(HostId, Ipv4Prefix, Ipv4Addr)> = cp
+        .net()
         .hosts_iter()
         .filter(|(_, h)| h.added)
-        .map(|(hid, h)| (h.prefix, hid))
+        .map(|(hid, h)| (hid, h.prefix, h.addr))
         .collect();
+    let fake_prefixes: BTreeSet<Ipv4Prefix> = fake_hosts.iter().map(|&(_, p, _)| p).collect();
 
-    let router_names: Vec<String> = net.routers.iter().map(|r| r.name.clone()).collect();
-    for rname in router_names {
-        let rid = net.router_id(&rname).expect("router exists");
-
-        // DstH_old[r̃]: fake hosts reachable from r̃ before this round.
-        let old_reach: BTreeSet<HostId> = reachable_hosts_from_router(&net, &fibs, rid)
-            .into_iter()
-            .filter(|h| net.host(*h).added)
-            .collect();
+    for rid in (0..cp.net().router_count() as u32).map(RouterId) {
+        let rname = cp.net().router(rid).name.clone();
 
         // Randomly deny fake-host FIB entries.
         let mut added_this_round: Vec<(Ipv4Prefix, NextHop)> = Vec::new();
-        let entries: Vec<(Ipv4Prefix, Vec<NextHop>)> = fibs
+        let entries: Vec<(Ipv4Prefix, Vec<NextHop>)> = cp
+            .fibs()
             .of(rid)
             .entries()
-            .filter(|e| fake_prefixes.contains_key(&e.prefix))
+            .filter(|e| fake_prefixes.contains(&e.prefix))
             .map(|e| (e.prefix, e.next_hops.clone()))
             .collect();
         for (prefix, next_hops) in entries {
@@ -109,7 +108,8 @@ pub fn anonymize_routes<R: Rng>(
                 if matches!(nh, NextHop::Deliver { .. }) {
                     continue; // the ingress router delivers directly
                 }
-                if rng.gen::<f64>() < noise_p && deny_next_hop(patcher, &net, &rname, &nh, prefix)?
+                if rng.gen::<f64>() < noise_p
+                    && deny_next_hop(patcher, cp.net(), &rname, &nh, prefix)?
                 {
                     added_this_round.push((prefix, nh));
                 }
@@ -119,23 +119,29 @@ pub fn anonymize_routes<R: Rng>(
             continue;
         }
 
-        // Re-simulate and roll back filters that broke reachability.
-        let (net2, fibs2) = simulate_control_plane(patcher.network())?;
-        out.sim_calls += 1;
-        let new_reach: BTreeSet<HostId> = reachable_hosts_from_router(&net2, &fibs2, rid)
-            .into_iter()
-            .filter(|h| net2.host(*h).added)
+        // DstH_old[r̃] vs DstH_new[r̃], scoped to the fake hosts the round's
+        // filters can affect: those whose address a filtered prefix covers.
+        // A deny entry matches only prefixes inside it and every protocol
+        // routes prefixes independently, so no other host's lookups change.
+        let scope: Vec<HostId> = fake_hosts
+            .iter()
+            .filter(|(_, _, addr)| added_this_round.iter().any(|(p, _)| p.contains_addr(*addr)))
+            .map(|&(hid, _, _)| hid)
             .collect();
+        let old_reach = reachable_hosts_from_router(cp.net(), cp.fibs(), rid, &scope);
+        cp.refresh(patcher.network(), &[rid])?;
+        out.sim_calls += 1;
+        let new_reach = reachable_hosts_from_router(cp.net(), cp.fibs(), rid, &scope);
 
+        // Roll back filters that broke reachability.
         let lost: BTreeSet<Ipv4Prefix> = old_reach
             .difference(&new_reach)
-            .map(|h| net2.host(*h).prefix)
+            .map(|h| cp.net().host(*h).prefix)
             .collect();
-
         let mut rolled_back = 0;
         for (prefix, nh) in &added_this_round {
             if lost.contains(prefix) {
-                remove_filter(patcher, &net2, &rname, nh, *prefix)?;
+                remove_filter(patcher, cp.net(), &rname, nh, *prefix)?;
                 rolled_back += 1;
             }
         }
@@ -143,13 +149,8 @@ pub fn anonymize_routes<R: Rng>(
         out.filters_kept += added_this_round.len() - rolled_back;
 
         if rolled_back > 0 {
-            let (net3, fibs3) = simulate_control_plane(patcher.network())?;
+            cp.refresh(patcher.network(), &[rid])?;
             out.sim_calls += 1;
-            net = net3;
-            fibs = fibs3;
-        } else {
-            net = net2;
-            fibs = fibs2;
         }
     }
 

@@ -9,7 +9,9 @@
 //! `(r̃, nxt)` is not an original link, adds an inbound route filter on `r̃`
 //! denying `h̃_d` from `nxt`. Re-simulation follows, because routers choose
 //! next hops without a global view (and BGP re-equilibrates, §4.3); the
-//! iteration count is bounded by the number of fake links (§5.4).
+//! iteration count is bounded by the number of fake links (§5.4). The
+//! re-simulation is a warm refresh of the filtered routers, which on
+//! OSPF-only networks recomputes just their RIBs (DESIGN.md §17).
 //!
 //! Filters use one prefix list per attachment point (`Rej-<iface>` /
 //! `Rej-<neighbor>`), so a list bound at one point never leaks route
@@ -18,8 +20,8 @@
 use crate::preprocess::Baseline;
 use crate::Error;
 use confmask_config::patch::Patcher;
-use confmask_net_types::Ipv4Prefix;
-use confmask_sim::{simulate_control_plane, Fibs, NextHop, SimNetwork};
+use confmask_net_types::{Ipv4Prefix, RouterId};
+use confmask_sim::{Fibs, NextHop, SimNetwork, WarmControlPlane};
 use std::collections::BTreeSet;
 
 /// Outcome of the route-equivalence stage.
@@ -27,7 +29,8 @@ use std::collections::BTreeSet;
 pub struct EquivOutcome {
     /// Iterations of the fixpoint loop (the paper's convergence metric).
     pub iterations: usize,
-    /// Control-plane simulations performed.
+    /// Control-plane solves performed, warm refreshes and cold builds
+    /// alike (one per fixpoint iteration).
     pub sim_calls: usize,
     /// Filters added.
     pub filters_added: usize,
@@ -97,14 +100,21 @@ pub fn enforce_route_equivalence_with_budget(
 ) -> Result<EquivOutcome, Error> {
     let bound = fake_link_count + 5 + extra_budget;
     let mut out = EquivOutcome::default();
+    // The first iteration solves the control plane cold; later ones
+    // refresh only the routers the previous scan filtered.
+    let mut cp = WarmControlPlane::new(patcher.network())?;
+    let mut touched: Vec<RouterId> = Vec::new();
 
     for iter in 0..bound {
         out.iterations = iter + 1;
         confmask_obs::counter_add("core.route_equiv.iterations", 1);
-        let (net, fibs) = simulate_control_plane(patcher.network())?;
+        if iter > 0 {
+            cp.refresh(patcher.network(), &touched)?;
+        }
         out.sim_calls += 1;
 
-        let changes = scan_and_filter(patcher, base, &net, &fibs)?;
+        let (changes, filtered) = scan_and_filter(patcher, base, cp.net(), cp.fibs())?;
+        touched = filtered;
         out.filters_added += changes;
         confmask_obs::counter_add("core.route_equiv.filters_added", changes as u64);
         if changes == 0 {
@@ -121,14 +131,15 @@ pub fn enforce_route_equivalence_with_budget(
 }
 
 /// One Algorithm 1 iteration body: scan all routing-table entries, filter
-/// wrong next hops on fake links. Returns the number of filters added.
+/// wrong next hops on fake links. Returns the number of filters added and
+/// the routers that received filter edits.
 fn scan_and_filter(
     patcher: &mut Patcher,
     base: &Baseline,
     net: &SimNetwork,
     fibs: &Fibs,
-) -> Result<usize, Error> {
-    let mut pending: Vec<(String, NextHop, Ipv4Prefix)> = Vec::new();
+) -> Result<(usize, Vec<RouterId>), Error> {
+    let mut pending: Vec<(RouterId, NextHop, Ipv4Prefix)> = Vec::new();
 
     // Algorithm 1's destinations range over the *original* hosts; fake
     // hosts (e.g. the liveness hosts of fake routers from scale
@@ -183,18 +194,20 @@ fn scan_and_filter(
                 if base.has_edge(&router.name, &nxt_name) {
                     continue; // (r̃, nxt) ∈ E — original link, leave it
                 }
-                pending.push((router.name.clone(), *nh, *prefix));
+                pending.push((rid, *nh, *prefix));
             }
         }
     }
 
     let mut changes = 0;
-    for (router, nh, prefix) in pending {
-        if deny_next_hop(patcher, net, &router, &nh, prefix)? {
+    let mut filtered = BTreeSet::new();
+    for (rid, nh, prefix) in pending {
+        if deny_next_hop(patcher, net, &net.router(rid).name, &nh, prefix)? {
             changes += 1;
         }
+        filtered.insert(rid);
     }
-    Ok(changes)
+    Ok((changes, filtered.into_iter().collect()))
 }
 
 #[cfg(test)]

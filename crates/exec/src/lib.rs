@@ -427,9 +427,22 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The [`configure_threads`] override is process-global and the test
+    /// harness runs tests concurrently: every test that sets or reads it
+    /// holds this lock, so none sees another's override.
+    static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+
+    fn lock_override() -> MutexGuard<'static, ()> {
+        OVERRIDE_LOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn maps_in_index_order() {
+        let _guard = lock_override();
         configure_threads(4);
         let items: Vec<usize> = (0..1000).collect();
         let out = par_map(&items, |&x| x * 2);
@@ -439,6 +452,7 @@ mod tests {
 
     #[test]
     fn streams_in_global_order_with_bounded_windows() {
+        let _guard = lock_override();
         configure_threads(4);
         let mut seen = Vec::new();
         let mut max_window_spread = 0usize;
@@ -483,6 +497,7 @@ mod tests {
 
     #[test]
     fn override_wins_and_resets() {
+        let _guard = lock_override();
         let default = thread_count();
         configure_threads(3);
         assert_eq!(thread_count(), 3);

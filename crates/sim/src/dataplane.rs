@@ -405,13 +405,19 @@ fn dfs(net: &SimNetwork, fibs: &Fibs, dst: HostId, walk: &mut Vec<RouterId>, out
     }
 }
 
-/// The set of hosts reachable (cleanly) from a given router — used by the
-/// route-anonymization algorithm (Algorithm 2) to check it never breaks
-/// reachability.
-pub fn reachable_hosts_from_router(net: &SimNetwork, fibs: &Fibs, r: RouterId) -> BTreeSet<HostId> {
+/// The hosts among `hosts` reachable (cleanly) from router `r` — used by
+/// the route-anonymization algorithm (Algorithm 2) to check that a round of
+/// filters breaks no reachability, scoped to the hosts those filters can
+/// affect.
+pub fn reachable_hosts_from_router(
+    net: &SimNetwork,
+    fibs: &Fibs,
+    r: RouterId,
+    hosts: &[HostId],
+) -> BTreeSet<HostId> {
     let mut reachable = BTreeSet::new();
     let mut out = PathArena::default();
-    for (hid, _h) in net.hosts_iter() {
+    for &hid in hosts {
         out.clear();
         let mut walk = vec![r];
         dfs(net, fibs, hid, &mut walk, &mut out);
@@ -523,9 +529,16 @@ mod tests {
     #[test]
     fn reachability_from_each_router() {
         let sim = simulate(&two_net()).unwrap();
+        let all: Vec<HostId> = sim.net.hosts_iter().map(|(hid, _)| hid).collect();
         for (rid, _) in sim.net.routers_iter() {
-            let reach = reachable_hosts_from_router(&sim.net, &sim.fibs, rid);
+            let reach = reachable_hosts_from_router(&sim.net, &sim.fibs, rid, &all);
             assert_eq!(reach.len(), 2, "every router reaches both hosts");
+            let first = reachable_hosts_from_router(&sim.net, &sim.fibs, rid, &all[..1]);
+            assert_eq!(
+                first.into_iter().collect::<Vec<_>>(),
+                all[..1],
+                "only the asked hosts"
+            );
         }
     }
 

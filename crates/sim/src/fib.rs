@@ -2,7 +2,6 @@
 //! longest-prefix-match lookup.
 
 use crate::bgp;
-use crate::error::SimError;
 use crate::network::SimNetwork;
 use crate::ospf;
 use crate::rip;
@@ -128,7 +127,7 @@ impl Fib {
 }
 
 /// All routers' forwarding tables, indexed by [`RouterId`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Fibs {
     /// Per-router tables.
     pub per_router: Vec<Fib>,
@@ -141,33 +140,12 @@ impl Fibs {
     }
 }
 
-/// Runs every protocol and merges RIBs into FIBs by administrative distance.
-pub fn compute_fibs(net: &SimNetwork) -> Result<Fibs, SimError> {
-    let ospf_routes = ospf::compute(net);
-    let rip_routes = rip::compute(net);
-    let bgp_routes = compute_bgp_routes(net)?;
-    Ok(merge_fibs(net, &ospf_routes, &rip_routes, &bgp_routes))
-}
-
-/// Runs BGP (resolving iBGP through the IGP) when any router speaks it.
-/// The router-to-router IGP matrix is only needed as BGP input, so pure
-/// IGP networks skip its `n` Dijkstras entirely.
-pub(crate) fn compute_bgp_routes(
-    net: &SimNetwork,
-) -> Result<Vec<BTreeMap<Ipv4Prefix, bgp::BgpFibRoute>>, SimError> {
-    if net.routers.iter().any(|r| r.asn.is_some()) {
-        let igp = ospf::router_paths(net);
-        bgp::compute(net, &igp)
-    } else {
-        Ok(vec![BTreeMap::new(); net.router_count()])
-    }
-}
-
 /// Merges per-protocol RIB contributions into FIBs by administrative
 /// distance. This is the *only* merge implementation — the incremental
 /// engine feeds it spliced (partly reused, partly recomputed) protocol
-/// tables, so cold and delta simulations go through byte-identical merge
-/// logic.
+/// tables and the warm control plane re-merges single routers through
+/// [`merge_router_fib`], so cold, delta and warm simulations go through
+/// byte-identical merge logic.
 pub fn merge_fibs(
     net: &SimNetwork,
     ospf_routes: &ospf::IgpRoutes,

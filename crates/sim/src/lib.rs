@@ -19,7 +19,10 @@
 //!      and deterministic tie-breaking; iterated to a stable state (BGP
 //!      converges to a *local equilibrium*, which is why ConfMask must
 //!      re-simulate after adding filters, §4.3).
-//! 3. **Data-plane extraction** ([`dataplane`]): per-router FIBs with
+//! 3. **Warm refresh** ([`WarmControlPlane`]): after inbound-filter edits
+//!    on a few routers of an OSPF-only network, only those routers' RIBs
+//!    and FIBs are recomputed, from the cached distance vectors.
+//! 4. **Data-plane extraction** ([`dataplane`]): per-router FIBs with
 //!    longest-prefix match and administrative distance, exhaustive
 //!    host-to-host forwarding-path enumeration with ECMP branching, loop and
 //!    black-hole detection, and traceroute.
@@ -38,6 +41,7 @@ mod network;
 pub mod ospf;
 pub mod rip;
 pub mod sweep;
+mod warm;
 
 pub use bgp::BgpFibRoute;
 pub use dataplane::{DataPlane, PairBits, PathArena, PathSet};
@@ -52,6 +56,7 @@ pub use fib::{
 pub use network::{BgpSession, HostNode, IfaceNode, Peer, RouterNode, SimNetwork};
 pub use ospf::{IgpRoutes, OspfDist, RouterPaths};
 pub use rip::{RipDist, RipRoutes};
+pub use warm::WarmControlPlane;
 
 use confmask_config::NetworkConfigs;
 use confmask_net_types::Ipv4Prefix;
@@ -110,6 +115,8 @@ pub fn register_metrics() {
         "sim.bgp.rounds",
         "sim.dataplane.pairs",
         "sim.fault.scenarios",
+        "sim.warm.refreshes",
+        "sim.warm.full_fallbacks",
     ] {
         confmask_obs::counter_add(name, 0);
     }
@@ -124,7 +131,9 @@ pub fn register_metrics() {
 /// incremental engine (`confmask-sim-delta`) can cache what each protocol
 /// converged *to* — per-prefix OSPF/RIP distance vectors, the IGP
 /// router-to-router matrix, and the BGP RIB contributions — and later
-/// recompute only what a perturbation actually touched.
+/// recompute only what a perturbation actually touched. A
+/// [`WarmControlPlane`] holds the same state to refresh single routers
+/// after filter edits.
 #[derive(Debug, Clone)]
 pub struct ControlState {
     /// OSPF candidate next-hops per (router, prefix).
@@ -145,29 +154,12 @@ pub struct ControlState {
 /// Like [`simulate`], but also returns the converged [`ControlState`].
 ///
 /// The `Simulation` half is byte-identical to what [`simulate`] produces:
-/// both run the same protocol implementations and the same
-/// [`merge_fibs`] / dataplane extraction.
+/// both take the one cold control-plane path ([`WarmControlPlane::new`])
+/// and the same dataplane extraction.
 pub fn simulate_with_state(
     configs: &NetworkConfigs,
 ) -> Result<(Simulation, ControlState), SimError> {
-    let sp = confmask_obs::span("sim.control_plane");
-    confmask_obs::counter_add("sim.simulations", 1);
-    for name in ["sim.ospf.spf_runs", "sim.rip.rounds", "sim.bgp.rounds"] {
-        confmask_obs::counter_add(name, 0);
-    }
-    let net = SimNetwork::build(configs)?;
-    let (ospf_routes, ospf_dist) = ospf::compute_with_state(&net);
-    let (rip_routes, rip_dist) = rip::compute_with_state(&net, None);
-    let any_bgp = net.routers.iter().any(|r| r.asn.is_some());
-    let (router_paths, bgp_routes) = if any_bgp {
-        let rp = ospf::router_paths(&net);
-        let routes = bgp::compute(&net, &rp)?;
-        (Some(rp), routes)
-    } else {
-        (None, vec![BTreeMap::new(); net.router_count()])
-    };
-    let fibs = merge_fibs(&net, &ospf_routes, &rip_routes, &bgp_routes);
-    sp.finish();
+    let (net, fibs, state) = WarmControlPlane::new(configs)?.into_parts();
     let sp = confmask_obs::span("sim.dataplane");
     let dataplane = dataplane::extract_dataplane(&net, &fibs)?;
     sp.finish();
@@ -177,37 +169,15 @@ pub fn simulate_with_state(
         fibs,
         dataplane,
     };
-    let state = ControlState {
-        ospf_routes,
-        ospf_dist,
-        rip_routes,
-        rip_dist,
-        router_paths,
-        bgp_routes,
-    };
     Ok((sim, state))
 }
 
 /// Control-plane-only simulation: model extraction and FIB computation
 /// without the (comparatively expensive) exhaustive data-plane enumeration.
-/// The anonymization pipeline's inner fixpoint loops only inspect FIBs, so
-/// they use this entry point and reserve [`simulate`] for verification.
+/// Verification uses [`simulate`]; the anonymization pipeline's fixpoint
+/// loops, which only inspect FIBs and edit a few routers' filters per
+/// round, hold a [`WarmControlPlane`] instead.
 pub fn simulate_control_plane(configs: &NetworkConfigs) -> Result<(SimNetwork, Fibs), SimError> {
-    let sp = confmask_obs::span("sim.control_plane");
-    confmask_obs::counter_add("sim.simulations", 1);
-    // Register the protocol counters at zero so the metric set is stable
-    // across protocol mixes (an OSPF-only network still reports
-    // `sim.bgp.rounds` = 0 rather than omitting the key).
-    for name in ["sim.ospf.spf_runs", "sim.rip.rounds", "sim.bgp.rounds"] {
-        confmask_obs::counter_add(name, 0);
-    }
-    let net = SimNetwork::build(configs)?;
-    let fibs = fib::compute_fibs(&net)?;
-    sp.finish();
-    if confmask_obs::enabled() {
-        for fib in &fibs.per_router {
-            confmask_obs::observe("sim.fib.size", fib.len() as u64);
-        }
-    }
+    let (net, fibs, _) = WarmControlPlane::new(configs)?.into_parts();
     Ok((net, fibs))
 }

@@ -312,7 +312,7 @@ impl SimNetwork {
     }
 }
 
-fn build_router(rc: &RouterConfig) -> Result<RouterNode, SimError> {
+pub(crate) fn build_router(rc: &RouterConfig) -> Result<RouterNode, SimError> {
     let ospf_nets: Vec<Ipv4Prefix> = rc
         .ospf
         .iter()

@@ -13,7 +13,7 @@
 //!   this is exactly the "equal-cost fake edge is rejected" behaviour of the
 //!   link-state SFE conditions.
 
-use crate::network::{Peer, SimNetwork};
+use crate::network::{Peer, RouterNode, SimNetwork};
 use confmask_net_types::{Ipv4Prefix, RouterId};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -29,37 +29,41 @@ pub type IgpRoutes = Vec<BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>>>;
 /// decide whether a failed edge lies on any shortest-path DAG.
 pub type OspfDist = BTreeMap<Ipv4Prefix, Vec<u64>>;
 
-/// Directed OSPF adjacency: for each router, `(iface_idx, neighbor,
+/// One directed OSPF adjacency out of a router: `(iface_idx, neighbor,
 /// neighbor_iface, cost_of_our_iface)`.
-fn adjacency(net: &SimNetwork) -> Vec<Vec<(usize, RouterId, usize, u32)>> {
-    let mut adj = vec![Vec::new(); net.router_count()];
-    for (rid, r) in net.routers_iter() {
-        for (ii, iface) in r.ifaces.iter().enumerate() {
-            if !iface.ospf_active {
-                continue;
-            }
-            for peer in &iface.peers {
-                if let Peer::Router { router, iface: pi } = peer {
-                    if net.router(*router).ifaces[*pi].ospf_active {
-                        adj[rid.0 as usize].push((ii, *router, *pi, iface.cost));
-                    }
+pub(crate) type OspfEdge = (usize, RouterId, usize, u32);
+
+/// Directed OSPF adjacency of every router.
+fn adjacency(net: &SimNetwork) -> Vec<Vec<OspfEdge>> {
+    net.routers_iter()
+        .map(|(rid, _)| router_adjacency(net, rid))
+        .collect()
+}
+
+/// Directed OSPF adjacency out of one router: both ends of a link must be
+/// OSPF-active.
+pub(crate) fn router_adjacency(net: &SimNetwork, rid: RouterId) -> Vec<OspfEdge> {
+    let mut edges = Vec::new();
+    for (ii, iface) in net.router(rid).ifaces.iter().enumerate() {
+        if !iface.ospf_active {
+            continue;
+        }
+        for peer in &iface.peers {
+            if let Peer::Router { router, iface: pi } = peer {
+                if net.router(*router).ifaces[*pi].ospf_active {
+                    edges.push((ii, *router, *pi, iface.cost));
                 }
             }
         }
     }
-    adj
-}
-
-/// Computes OSPF candidate next-hops for every (router, host-LAN prefix).
-///
-/// Destination prefixes are independent, so the per-prefix multi-source
-/// Dijkstras fan out over scoped threads on larger networks.
-pub fn compute(net: &SimNetwork) -> IgpRoutes {
-    compute_subset(net, &net.destinations).0
+    edges
 }
 
 /// Computes OSPF candidate next-hops plus the converged per-prefix distance
-/// vectors for every destination (the state the incremental engine caches).
+/// vectors for every destination (the state the incremental engine and the
+/// warm control plane cache). Destination prefixes are independent, so the
+/// per-prefix multi-source Dijkstras fan out over the shared executor on
+/// larger networks.
 pub fn compute_with_state(net: &SimNetwork) -> (IgpRoutes, OspfDist) {
     compute_subset(net, &net.destinations)
 }
@@ -125,7 +129,7 @@ type PrefixSpf = Option<(Vec<(usize, Vec<(usize, RouterId)>)>, Vec<u64>)>;
 /// The multi-source Dijkstra for a single destination prefix.
 fn compute_one(
     net: &SimNetwork,
-    adj: &[Vec<(usize, RouterId, usize, u32)>],
+    adj: &[Vec<OspfEdge>],
     rev: &[Vec<(usize, u32)>],
     prefix: &Ipv4Prefix,
 ) -> PrefixSpf {
@@ -161,34 +165,52 @@ fn compute_one(
         }
     }
 
-    // Candidate next-hops: equal-cost first edges, minus filtered ones.
     let mut hops_by_router = Vec::new();
     for (rid, r) in net.routers_iter() {
         let u = rid.0 as usize;
-        if dist[u] == u64::MAX {
-            continue;
-        }
-        // Advertisers use their connected route; skip.
-        if r.ifaces.iter().any(|i| i.prefix == *prefix) {
-            continue;
-        }
-        let mut hops = Vec::new();
-        for &(ii, v, _pi, cost) in &adj[u] {
-            let dv = dist[v.0 as usize];
-            if dv == u64::MAX {
-                continue;
-            }
-            if u64::from(cost).saturating_add(dv) == dist[u] && !r.ifaces[ii].igp_denies(prefix) {
-                hops.push((ii, v));
-            }
-        }
+        let hops = candidate_hops(r, &adj[u], &dist, u, prefix);
         if !hops.is_empty() {
-            hops.sort();
-            hops.dedup();
             hops_by_router.push((u, hops));
         }
     }
     Some((hops_by_router, dist))
+}
+
+/// The candidate-hop rule: router `u`'s OSPF next hops toward `prefix`,
+/// given the prefix's converged distance vector and `u`'s out-edges. An
+/// edge `u → v` is a candidate when `cost + dist[v] == dist[u]` and no
+/// inbound IGP filter on its interface denies `prefix`; the result is
+/// sorted and deduplicated. Empty when `u` cannot reach the prefix or
+/// advertises it (advertisers use their connected route).
+///
+/// The filters enter here and nowhere else — the distance vector does not
+/// depend on them — which is what lets the warm control plane
+/// ([`crate::WarmControlPlane`]) re-apply one router's edited filters
+/// against cached distances. The cold SPF and the warm refresh both call
+/// this, so they cannot disagree on the rule.
+pub(crate) fn candidate_hops(
+    r: &RouterNode,
+    adj_u: &[OspfEdge],
+    dist: &[u64],
+    u: usize,
+    prefix: &Ipv4Prefix,
+) -> Vec<(usize, RouterId)> {
+    if dist[u] == u64::MAX || r.ifaces.iter().any(|i| i.prefix == *prefix) {
+        return Vec::new();
+    }
+    let mut hops = Vec::new();
+    for &(ii, v, _pi, cost) in adj_u {
+        let dv = dist[v.0 as usize];
+        if dv == u64::MAX {
+            continue;
+        }
+        if u64::from(cost).saturating_add(dv) == dist[u] && !r.ifaces[ii].igp_denies(prefix) {
+            hops.push((ii, v));
+        }
+    }
+    hops.sort();
+    hops.dedup();
+    hops
 }
 
 /// Router-to-router IGP shortest paths (used for iBGP egress resolution).
@@ -324,7 +346,7 @@ mod tests {
     #[test]
     fn picks_cheapest_path() {
         let net = SimNetwork::build(&diamond()).unwrap();
-        let routes = compute(&net);
+        let routes = compute_with_state(&net).0;
         let r1 = net.router_id("r1").unwrap();
         let r2 = net.router_id("r2").unwrap();
         let lan4: Ipv4Prefix = "10.1.4.0/24".parse().unwrap();
@@ -345,7 +367,7 @@ mod tests {
             }
         }
         let net = SimNetwork::build(&cfgs).unwrap();
-        let routes = compute(&net);
+        let routes = compute_with_state(&net).0;
         let r1 = net.router_id("r1").unwrap();
         let lan4: Ipv4Prefix = "10.1.4.0/24".parse().unwrap();
         let hops = &routes[r1.0 as usize][&lan4];
@@ -381,7 +403,7 @@ mod tests {
             );
         }
         let net = SimNetwork::build(&cfgs).unwrap();
-        let routes = compute(&net);
+        let routes = compute_with_state(&net).0;
         let r1 = net.router_id("r1").unwrap();
         let r3 = net.router_id("r3").unwrap();
         let lan4: Ipv4Prefix = "10.1.4.0/24".parse().unwrap();
@@ -414,7 +436,7 @@ mod tests {
             );
         }
         let net = SimNetwork::build(&cfgs).unwrap();
-        let routes = compute(&net);
+        let routes = compute_with_state(&net).0;
         let r1 = net.router_id("r1").unwrap();
         let lan4: Ipv4Prefix = "10.1.4.0/24".parse().unwrap();
         // Link-state: cost structure unchanged; sole min-cost candidate
@@ -443,7 +465,7 @@ mod tests {
             added: false,
         }];
         let net = SimNetwork::build(&cfgs).unwrap();
-        let routes = compute(&net);
+        let routes = compute_with_state(&net).0;
         let r1 = net.router_id("r1").unwrap();
         let lan4: Ipv4Prefix = "10.1.4.0/24".parse().unwrap();
         assert!(!routes[r1.0 as usize].contains_key(&lan4));

@@ -27,11 +27,6 @@ pub type RipRoutes = Vec<BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>>>;
 /// these to warm-start the Bellman–Ford fixpoint after a failure.
 pub type RipDist = BTreeMap<Ipv4Prefix, Vec<u32>>;
 
-/// Computes RIP routes for every (router, host-LAN prefix).
-pub fn compute(net: &SimNetwork) -> RipRoutes {
-    compute_with_state(net, None).0
-}
-
 /// Computes RIP routes plus the converged distance vectors, optionally
 /// warm-starting the Bellman–Ford iteration from a previously converged
 /// state.
@@ -220,7 +215,7 @@ mod tests {
     #[test]
     fn hop_count_routing() {
         let net = SimNetwork::build(&line()).unwrap();
-        let routes = compute(&net);
+        let routes = compute_with_state(&net, None).0;
         let r1 = net.router_id("r1").unwrap();
         let r2 = net.router_id("r2").unwrap();
         let lan3: Ipv4Prefix = "10.1.3.0/24".parse().unwrap();
@@ -271,7 +266,7 @@ mod tests {
             );
         }
         let net = SimNetwork::build(&cfgs).unwrap();
-        let routes = compute(&net);
+        let routes = compute_with_state(&net, None).0;
         let r1 = net.router_id("r1").unwrap();
         let r3 = net.router_id("r3").unwrap();
         let lan4: Ipv4Prefix = "10.1.4.0/24".parse().unwrap();
@@ -306,7 +301,7 @@ mod tests {
         };
         let cfgs = NetworkConfigs::new(routers, [h]);
         let net = SimNetwork::build(&cfgs).unwrap();
-        let routes = compute(&net);
+        let routes = compute_with_state(&net, None).0;
         let far: Ipv4Prefix = "10.9.9.0/24".parse().unwrap();
         let r00 = net.router_id("r00").unwrap();
         let r10 = net.router_id("r10").unwrap();

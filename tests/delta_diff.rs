@@ -8,60 +8,17 @@
 //! The sweep is seeded and deterministic. `DELTA_DIFF_SEEDS` controls how
 //! many random networks are generated (default 8; CI runs more).
 
-use confmask_netgen::{synthesize, IgpProtocol, TopoSpec};
+use confmask_netgen::synthesize;
 use confmask_sim::fault::{enumerate_single_link_failures, FailureScenario, Fault};
 use confmask_sim::sweep::{PairTable, ScenarioDigest};
 use confmask_sim::{simulate, Simulation};
 use confmask_sim_delta::{DeltaEngine, ScenarioScratch};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-/// A random connected network of 4–10 routers: random spanning tree plus
-/// random extra links with optional costs, random host placement, and the
-/// protocol flavor picked by `flavor` (0 = OSPF, 1 = RIP, 2 = BGP+OSPF).
-fn random_spec(rng: &mut StdRng, flavor: u8) -> TopoSpec {
-    let n = rng.gen_range(4usize..=10);
-    let igp = if flavor == 1 {
-        IgpProtocol::Rip
-    } else {
-        IgpProtocol::Ospf
-    };
-    let mut spec = TopoSpec::new("diff", (0..n).map(|i| format!("d{i}")).collect(), igp);
-    for i in 1..n {
-        let parent = rng.gen_range(0..i);
-        spec.links.push((parent, i, None));
-    }
-    for _ in 0..rng.gen_range(0..8) {
-        let a = rng.gen_range(0..n);
-        let b = rng.gen_range(0..n);
-        let cost = if rng.gen_bool(0.5) {
-            Some(rng.gen_range(1u32..20))
-        } else {
-            None
-        };
-        if a != b
-            && !spec
-                .links
-                .iter()
-                .any(|&(x, y, _)| (x, y) == (a.min(b), a.max(b)))
-        {
-            spec.links.push((a.min(b), a.max(b), cost));
-        }
-    }
-    for i in 0..rng.gen_range(2usize..5) {
-        spec.hosts.push((format!("dh{i}"), rng.gen_range(0..n)));
-    }
-    if flavor == 2 {
-        let cut = n / 2;
-        spec.asn_of = Some(
-            (0..n)
-                .map(|i| if i < cut { 65001 } else { 65002 })
-                .collect(),
-        );
-    }
-    spec.boilerplate = false;
-    spec
-}
+#[path = "support/random_net.rs"]
+mod random_net;
+use random_net::random_spec;
 
 /// Byte-level equality of two simulations: every router's FIB entries in
 /// order, and the full data plane (paths, flags) for every host pair.
