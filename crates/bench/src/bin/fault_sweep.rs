@@ -6,18 +6,14 @@
 //! (the healthy baseline converges once and each scenario folds into a
 //! `ScenarioDigest`), and once with the streaming sweep fanned out across
 //! the shared executor in bounded windows. Every digest is asserted equal
-//! to the digest folded from the cold sweep's outcome before any timing is
-//! reported, so speedups are only ever measured on matching results.
+//! to the cold sweep's digest before any timing is reported, so speedups
+//! are only ever measured on matching results.
 //!
-//! Two memory numbers accompany every row: `batch_bytes` estimates what
-//! the retired collect-then-reduce sweep retained (every cold
-//! `ScenarioOutcome` alive at once), and `peak_bytes` is the streaming
-//! sweep's measured peak of live digests — the ratio is the point of the
-//! streaming refactor. Optionally a k = 2 row exhausts (or samples, with
-//! `--k2-limit`) the double-link failure space through the streaming
-//! sweep alone; at k = 2 the cold sweep would take hours and the batch
-//! sweep would not fit in memory, which is why only the streaming engine
-//! runs there.
+//! `peak_bytes` is the streaming sweep's measured peak of live digests.
+//! Optionally a k = 2 row exhausts (or samples, with `--k2-limit`) the
+//! double-link failure space through the streaming sweep alone; at k = 2
+//! the cold sweep would take hours, which is why only the streaming
+//! engine runs there.
 //!
 //! ```text
 //! fault_sweep [--networks D,F,H] [--limit N] [--reps N]
@@ -48,8 +44,7 @@ use confmask_sim::fault::{
     enumerate_double_link_failures, enumerate_single_link_failures, run_scenario,
 };
 use confmask_sim::simulate;
-use confmask_sim::sweep::{DigestList, PairTable, ScenarioDigest, SweepSummary};
-use confmask_sim::ScenarioOutcome;
+use confmask_sim::sweep::{DigestList, PairTable, SweepSummary};
 use confmask_sim_delta::{DeltaEngine, ScenarioScratch, ScenarioSweep};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -76,7 +71,6 @@ struct Row {
     cold_secs: f64,
     incremental_secs: f64,
     parallel_secs: f64,
-    batch_bytes: usize,
     peak_bytes: usize,
     k2: Option<K2Row>,
 }
@@ -100,23 +94,22 @@ fn ratio(num: f64, den: f64) -> f64 {
     }
 }
 
-/// Estimated heap retention of one cold outcome — what the retired
-/// collect-then-reduce sweep kept alive per scenario: the per-pair
-/// `BTreeMap` with two owned `String` keys per entry plus amortized node
-/// overhead. An estimate (allocator slack is invisible), but a faithful
-/// one, and the committed pre-refactor baseline `peak_bytes` is compared
-/// against.
-fn outcome_retained_bytes(out: &ScenarioOutcome) -> usize {
-    use std::mem::size_of;
-    let mut bytes = size_of::<ScenarioOutcome>();
-    for (s, d) in out.classes.keys() {
-        bytes += s.capacity()
-            + d.capacity()
-            + 2 * size_of::<String>()
-            + size_of::<confmask_sim::DegradationClass>()
-            + 16;
-    }
-    bytes
+/// Parses a comma-separated list of evaluation-network ids (`D,F,H`);
+/// a blank entry is a usage error.
+fn network_ids(flag: &str, v: &str) -> Vec<char> {
+    v.split(',')
+        .filter(|s| !s.is_empty())
+        .map(|s| {
+            s.trim()
+                .chars()
+                .next()
+                .unwrap_or_else(|| {
+                    eprintln!("{flag}: blank network id in '{v}'");
+                    std::process::exit(2);
+                })
+                .to_ascii_uppercase()
+        })
+        .collect()
 }
 
 fn main() {
@@ -142,13 +135,7 @@ fn main() {
                 .clone()
         };
         match flag.as_str() {
-            "--networks" => {
-                networks = value(flag)
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|s| s.trim().chars().next().unwrap().to_ascii_uppercase())
-                    .collect();
-            }
+            "--networks" => networks = network_ids(flag, &value(flag)),
             "--limit" => {
                 limit = Some(value(flag).parse().unwrap_or_else(|_| {
                     eprintln!("--limit expects an integer");
@@ -185,10 +172,7 @@ fn main() {
                 k2_networks = if v.eq_ignore_ascii_case("none") {
                     vec![]
                 } else {
-                    v.split(',')
-                        .filter(|s| !s.is_empty())
-                        .map(|s| s.trim().chars().next().unwrap().to_ascii_uppercase())
-                        .collect()
+                    network_ids(flag, &v)
                 };
             }
             "--k2-limit" => {
@@ -228,26 +212,17 @@ fn main() {
         );
 
         // Cold sweep: a full simulation of the healthy network, then a full
-        // simulation per scenario (what `run_scenario` does internally).
-        // Only the engine work is timed — digest folding and memory
-        // accounting (bench artifacts) stay outside the clock. The folded
+        // simulation per scenario through the cold `run_scenario` loop. Its
         // digests become the differential reference for both streaming
-        // sweeps, and the outcome sizes sum to `batch_bytes`: what the
-        // retired collect-then-reduce sweep would have held live at once.
+        // sweeps.
         let t0 = Instant::now();
         let baseline = simulate(configs).expect("healthy network must simulate");
-        let mut cold_time = t0.elapsed();
+        let cold: Vec<_> = scenarios
+            .iter()
+            .map(|s| run_scenario(configs, &baseline.dataplane, s).expect("cold scenario"))
+            .collect();
+        let cold_secs = t0.elapsed().as_secs_f64();
         let table = Arc::new(PairTable::from_baseline(&baseline.dataplane));
-        let mut cold = Vec::with_capacity(scenarios.len());
-        let mut batch_bytes = 0usize;
-        for s in &scenarios {
-            let t = Instant::now();
-            let outcome = run_scenario(configs, &baseline.dataplane, s).expect("cold scenario");
-            cold_time += t.elapsed();
-            batch_bytes += outcome_retained_bytes(&outcome);
-            cold.push(ScenarioDigest::from_outcome(&outcome, &table));
-        }
-        let cold_secs = cold_time.as_secs_f64();
 
         // Incremental and parallel-streaming sweeps, interleaved: each rep
         // measures the sequential per-scenario digest loop and the streaming
@@ -364,7 +339,6 @@ fn main() {
             cold_secs,
             incremental_secs,
             parallel_secs,
-            batch_bytes,
             peak_bytes,
             k2,
         };
@@ -378,12 +352,7 @@ fn main() {
             row.parallel_speedup(),
             confmask_exec::thread_count()
         );
-        println!(
-            "net {id}: batch {} B retained pre-refactor, streaming peak {} B ({:.0}x smaller)",
-            row.batch_bytes,
-            row.peak_bytes,
-            ratio(row.batch_bytes as f64, row.peak_bytes as f64)
-        );
+        println!("net {id}: streaming peak {} B", row.peak_bytes);
         if let Some(k2) = &row.k2 {
             println!(
                 "net {id}: k=2 {}{} scenario(s) in {:.2}s ({:.1}/s), {} error(s), worst histogram {:?}",
@@ -431,7 +400,7 @@ fn main() {
             "    {{\"id\": \"{}\", \"name\": \"{}\", \"scenarios\": {}, \
              \"cold_secs\": {:.3}, \"incremental_secs\": {:.3}, \"speedup\": {:.2}, \
              \"parallel_secs\": {:.3}, \"parallel_speedup\": {:.2}, \
-             \"batch_bytes\": {}, \"peak_bytes\": {}, \
+             \"peak_bytes\": {}, \
              \"mismatches\": 0, \"k2\": {}}}",
             r.id,
             r.name,
@@ -441,7 +410,6 @@ fn main() {
             r.speedup(),
             r.parallel_secs,
             r.parallel_speedup(),
-            r.batch_bytes,
             r.peak_bytes,
             k2
         );

@@ -35,9 +35,6 @@ pub enum Command {
         verify: Option<usize>,
         /// How many k = 2 scenarios to sample when k ≥ 2.
         k2_sample: usize,
-        /// Bypass the incremental simulation engine: every scenario runs a
-        /// full cold simulation (the pre-delta behaviour).
-        cold_sim: bool,
         /// Configuration dialect (`None` = auto-detect).
         vendor: Option<Vendor>,
         /// Anonymization strategy used by `--verify-failures` (default:
@@ -175,7 +172,7 @@ USAGE:
   confmask failures  [--input <dir>] [--k N] [--verify-failures K]
                      [--k2-sample N] [--seed N] [--k-r N] [--k-h N]
                      [--fake-routers N] [--max-retries N]
-                     [--stage-deadline-secs S] [--cold-sim]
+                     [--stage-deadline-secs S]
                      [--vendor auto|ios|junos-set|eos]
                      [--strategy confmask|nethide|netcloak]
   confmask simulate  --input <dir> [--trace <src> <dst>]
@@ -219,8 +216,9 @@ input network itself, or — with --verify-failures — anonymizes it first
 and checks that original and anonymized degrade identically; it uses the
 bundled university network when --input is omitted. Sweeps reuse the
 converged baseline and recompute only what each fault touched (results
-are byte-identical to cold simulation); --cold-sim fully re-simulates
-every scenario instead.
+are byte-identical to cold simulation). --k and --verify-failures take
+a failure order of 1 (every single-link failure) or 2 (plus a seeded
+sample of --k2-sample double-link failures).
 
 `serve` runs the anonymization-as-a-service daemon (default address
 127.0.0.1:7077): POST /v1/jobs, GET /v1/jobs/{id}[/artifacts],
@@ -274,6 +272,15 @@ fn parse_value<'a, T: std::str::FromStr>(
     take_value(args, flag)?
         .parse()
         .map_err(|_| ArgError(format!("{flag} expects {expects}")))
+}
+
+/// Parses a failure order (`--k`, `--verify-failures`): only single- and
+/// double-link failure sweeps exist.
+fn failure_order<'a>(args: &mut impl Iterator<Item = &'a str>, flag: &str) -> Result<usize, ArgError> {
+    match parse_value(args, flag, "a failure order of 1 or 2")? {
+        k @ 1..=2 => Ok(k),
+        k => Err(ArgError(format!("{flag} expects a failure order of 1 or 2, got {k}"))),
+    }
 }
 
 /// Parses a `--vendor` value: `auto` means sniff the input.
@@ -364,9 +371,7 @@ fn parse_command(argv: &[&str]) -> Result<Command, ArgError> {
                     "--input" => input = Some(PathBuf::from(take_value(&mut it, flag)?)),
                     "--output" => output = Some(PathBuf::from(take_value(&mut it, flag)?)),
                     "--pii" => pii = true,
-                    "--verify-failures" => {
-                        verify_failures = Some(parse_value(&mut it, flag, "an integer")?)
-                    }
+                    "--verify-failures" => verify_failures = Some(failure_order(&mut it, flag)?),
                     "--vendor" => vendor = vendor_value(&mut it)?,
                     "--strategy" => strategy = strategy_value(&mut it)?,
                     other => return Err(ArgError(format!("unknown flag '{other}'"))),
@@ -388,7 +393,6 @@ fn parse_command(argv: &[&str]) -> Result<Command, ArgError> {
             let mut k = 1;
             let mut verify = None;
             let mut k2_sample = 5;
-            let mut cold_sim = false;
             let mut vendor = None;
             let mut strategy = Strategy::ConfMask;
             while let Some(flag) = it.next() {
@@ -397,12 +401,9 @@ fn parse_command(argv: &[&str]) -> Result<Command, ArgError> {
                 }
                 match flag {
                     "--input" => input = Some(PathBuf::from(take_value(&mut it, flag)?)),
-                    "--k" => k = parse_value(&mut it, flag, "an integer")?,
-                    "--verify-failures" => {
-                        verify = Some(parse_value(&mut it, flag, "an integer")?)
-                    }
+                    "--k" => k = failure_order(&mut it, flag)?,
+                    "--verify-failures" => verify = Some(failure_order(&mut it, flag)?),
                     "--k2-sample" => k2_sample = parse_value(&mut it, flag, "an integer")?,
-                    "--cold-sim" => cold_sim = true,
                     "--vendor" => vendor = vendor_value(&mut it)?,
                     "--strategy" => strategy = strategy_value(&mut it)?,
                     other => return Err(ArgError(format!("unknown flag '{other}'"))),
@@ -414,7 +415,6 @@ fn parse_command(argv: &[&str]) -> Result<Command, ArgError> {
                 k,
                 verify,
                 k2_sample,
-                cold_sim,
                 vendor,
                 strategy,
             })
@@ -674,17 +674,15 @@ mod tests {
                 k,
                 verify,
                 k2_sample,
-                cold_sim,
                 ..
             } => {
                 assert_eq!(input, None);
                 assert_eq!((k, verify, k2_sample), (1, None, 5));
-                assert!(!cold_sim, "incremental engine is the default");
             }
             other => panic!("{other:?}"),
         }
         match parse_cmd(&argv(
-            "failures --input net --verify-failures 2 --k2-sample 3 --seed 9 --max-retries 0 --cold-sim",
+            "failures --input net --verify-failures 2 --k2-sample 3 --seed 9 --max-retries 0",
         ))
         .unwrap()
         {
@@ -693,7 +691,6 @@ mod tests {
                 params,
                 verify,
                 k2_sample,
-                cold_sim,
                 ..
             } => {
                 assert_eq!(input, Some(PathBuf::from("net")));
@@ -701,12 +698,28 @@ mod tests {
                 assert_eq!(k2_sample, 3);
                 assert_eq!(params.seed, 9);
                 assert_eq!(params.max_retries, 0);
-                assert!(cold_sim);
             }
             other => panic!("{other:?}"),
         }
         assert!(parse_cmd(&argv("failures --verify-failures")).is_err());
         assert!(parse_cmd(&argv("failures --k nope")).is_err());
+    }
+
+    #[test]
+    fn failure_orders_outside_one_and_two_are_rejected() {
+        for cmd in [
+            "failures --k",
+            "failures --verify-failures",
+            "anonymize --input in --output out --verify-failures",
+        ] {
+            for k in ["0", "3"] {
+                let err = parse_cmd(&argv(&format!("{cmd} {k}"))).unwrap_err();
+                assert!(err.0.contains("1 or 2"), "{cmd} {k}: {err}");
+            }
+            for k in ["1", "2"] {
+                assert!(parse_cmd(&argv(&format!("{cmd} {k}"))).is_ok(), "{cmd} {k}");
+            }
+        }
     }
 
     #[test]

@@ -296,7 +296,6 @@ pub fn run(cmd: Command) -> Result<String, CmdError> {
             k,
             verify,
             k2_sample,
-            cold_sim,
             vendor,
             strategy,
         } => {
@@ -314,21 +313,13 @@ pub fn run(cmd: Command) -> Result<String, CmdError> {
             match verify {
                 // Plain sweep: degrade the input network itself. The sweep
                 // converges the healthy network once and folds each scenario
-                // into a compact digest incrementally (byte-identical
-                // classifications) unless `--cold-sim` asked for a full
-                // simulation per scenario. Either way the scenarios stream
-                // through the shared executor in bounded windows, and only
-                // the report lines are retained — never the simulations.
+                // into a compact digest incrementally (byte-identical to cold
+                // simulation). The scenarios stream through the shared
+                // executor in bounded windows, and only the report lines are
+                // retained — never the simulations.
                 None => {
-                    let base = if cold_sim {
-                        None
-                    } else {
-                        confmask_sim_delta::DeltaEngine::global().converged(&net).ok()
-                    };
-                    let baseline = match &base {
-                        Some(conv) => conv.sim.dataplane.clone(),
-                        None => confmask::simulate(&net).map_err(|e| e.to_string())?.dataplane,
-                    };
+                    let engine = confmask_sim_delta::DeltaEngine::global();
+                    let conv = engine.converged(&net).map_err(|e| e.to_string())?;
                     let scenarios = enumerate_scenarios(&net, k, params.seed, k2_sample);
                     let _ = writeln!(
                         report,
@@ -336,8 +327,7 @@ pub fn run(cmd: Command) -> Result<String, CmdError> {
                         scenarios.len()
                     );
                     // Digests arrive at the reducer in scenario order, so
-                    // the report reads identically at any thread count —
-                    // and identically on the warm and cold paths.
+                    // the report reads identically at any thread count.
                     struct ReportReducer<'a> {
                         report: &'a mut String,
                         scenarios: &'a [confmask_sim::FailureScenario],
@@ -382,23 +372,9 @@ pub fn run(cmd: Command) -> Result<String, CmdError> {
                         report: &mut report,
                         scenarios: &scenarios,
                     };
-                    match &base {
-                        Some(conv) => {
-                            let engine = confmask_sim_delta::DeltaEngine::global();
-                            let sweep = engine.sweep(conv, &baseline);
-                            sweep.run(scenarios.iter(), &mut reducer);
-                        }
-                        None => {
-                            let table = confmask_sim::PairTable::from_baseline(&baseline);
-                            confmask_sim::sweep::stream_scenarios(
-                                &net,
-                                &baseline,
-                                &table,
-                                scenarios.iter(),
-                                &mut reducer,
-                            );
-                        }
-                    }
+                    engine
+                        .sweep(&conv, &conv.sim.dataplane)
+                        .run(scenarios.iter(), &mut reducer);
                     Ok(report)
                 }
                 // Anonymize, then verify equivalence under failure.
@@ -837,26 +813,12 @@ mod tests {
             k: 1,
             verify: None,
             k2_sample: 0,
-            cold_sim: false,
             vendor: None,
             strategy: confmask::Strategy::ConfMask,
         })
         .unwrap();
         assert!(out.contains("failure sweep"), "{out}");
         assert!(out.contains("link-down"), "{out}");
-        // The cold path must produce the identical report.
-        let cold = run(Command::Failures {
-            input: Some(dir.clone()),
-            params: Params::default(),
-            k: 1,
-            verify: None,
-            k2_sample: 0,
-            cold_sim: true,
-            vendor: None,
-            strategy: confmask::Strategy::ConfMask,
-        })
-        .unwrap();
-        assert_eq!(out, cold, "incremental and cold sweeps must agree");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -870,7 +832,6 @@ mod tests {
             k: 1,
             verify: Some(1),
             k2_sample: 0,
-            cold_sim: false,
             vendor: None,
             strategy: confmask::Strategy::ConfMask,
         })

@@ -33,8 +33,8 @@
 use crate::pipeline::Anonymized;
 use confmask_config::NetworkConfigs;
 use confmask_sim::fault::{enumerate_scenarios, DegradationClass, FailureScenario, Fault};
-use confmask_sim::sweep::{stream_scenarios, DigestList, PairTable, ScenarioDigest};
-use confmask_sim::DataPlane;
+use confmask_sim::sweep::{DigestList, PairTable, ScenarioDigest};
+use confmask_sim::{DataPlane, SimError};
 use confmask_sim_delta::{DeltaEngine, ScenarioSweep};
 use std::sync::Arc;
 
@@ -198,6 +198,8 @@ pub fn mask_fake_elements(configs: &NetworkConfigs) -> NetworkConfigs {
 ///
 /// Per-scenario simulation failures are captured in the report rather than
 /// aborting the sweep, so one pathological scenario cannot hide the rest.
+/// A healthy network that fails to converge fails closed: its error is
+/// recorded on every scenario of its sweep, so the report cannot hold.
 pub fn verify_failure_equivalence(
     original: &NetworkConfigs,
     result: &Anonymized,
@@ -221,8 +223,9 @@ pub fn verify_failure_equivalence(
     // every scenario is a shutdown perturbation of one of three converged
     // baselines (original / masked / anonymized), exactly the workload the
     // delta recomputation is built for. Results are byte-identical to cold
-    // simulation; a baseline that fails to converge downgrades its
-    // scenarios to the cold path rather than aborting the sweep.
+    // simulation. All three baselines already converged through this engine
+    // when the pipeline ran; one that fails to converge here fails closed:
+    // every scenario of its sweep records the error.
     let engine = DeltaEngine::global();
 
     // The masked network's healthy data plane must equal the original's on
@@ -251,25 +254,16 @@ pub fn verify_failure_equivalence(
     //    digests — two digest lists are all that is ever retained, not two
     //    per-pair maps per scenario. Digests arrive in scenario order, so
     //    the report is byte-identical to the sequential sweep.
-    let orig_conv = engine.converged(original).ok();
     let scenarios = enumerate_scenarios(original, k, result.params.seed, k2_sample);
     let orig_table = Arc::new(PairTable::from_baseline(&orig_base));
     let mut orig_list = DigestList::default();
-    match &orig_conv {
-        Some(conv) => {
-            let sweep = ScenarioSweep::with_table(engine, conv, &orig_base, Arc::clone(&orig_table))
+    match engine.converged(original) {
+        Ok(conv) => {
+            let sweep = ScenarioSweep::with_table(engine, &conv, &orig_base, Arc::clone(&orig_table))
                 .expect("table interned from this baseline always matches it");
             sweep.run(scenarios.iter(), &mut orig_list);
         }
-        None => {
-            stream_scenarios(
-                original,
-                &orig_base,
-                &orig_table,
-                scenarios.iter(),
-                &mut orig_list,
-            );
-        }
+        Err(e) => orig_list.results = vec![Err(baseline_failed("original", e)); scenarios.len()],
     }
     // The masked sweep reuses the original's pair table when the two
     // baselines cover the same real pairs (the usual case — both are
@@ -369,23 +363,16 @@ pub fn verify_failure_equivalence(
         FailureScenario::single(Fault::RouterDown { router: r.clone() })
     }));
 
-    let anon_conv = engine.converged(&result.configs).ok();
     let fake_table = Arc::new(PairTable::from_baseline(&anon_base));
     let mut fake_list = DigestList::default();
-    match &anon_conv {
-        Some(conv) => {
-            let sweep = ScenarioSweep::with_table(engine, conv, &anon_base, Arc::clone(&fake_table))
+    match engine.converged(&result.configs) {
+        Ok(conv) => {
+            let sweep = ScenarioSweep::with_table(engine, &conv, &anon_base, Arc::clone(&fake_table))
                 .expect("table interned from this baseline always matches it");
             sweep.run(fake_scenarios.iter(), &mut fake_list);
         }
-        None => {
-            stream_scenarios(
-                &result.configs,
-                &anon_base,
-                &fake_table,
-                fake_scenarios.iter(),
-                &mut fake_list,
-            );
+        Err(e) => {
+            fake_list.results = vec![Err(baseline_failed("anonymized", e)); fake_scenarios.len()]
         }
     }
     report.fake = fake_scenarios
@@ -414,11 +401,18 @@ pub fn verify_failure_equivalence(
     report
 }
 
+/// The error every scenario of a sweep records when its healthy network
+/// fails to converge. The wording keeps it distinct from any per-scenario
+/// simulation error, so the two sides of a comparison never match on it.
+fn baseline_failed(network: &str, e: SimError) -> SimError {
+    SimError::BadConfig(format!("healthy {network} network does not converge ({e})"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{anonymize, Params};
-    use confmask_netgen::smallnets::example_network;
+    use confmask_netgen::smallnets::{bad_gadget, example_network};
 
     #[test]
     fn example_network_degrades_equivalently() {
@@ -456,5 +450,26 @@ mod tests {
             "fake-router scenarios must be present"
         );
         assert!(report.holds(), "violations: {:#?}", report.violations());
+    }
+
+    #[test]
+    fn non_converging_original_fails_closed() {
+        let net = example_network();
+        let result = anonymize(&net, &Params::new(3, 2)).unwrap();
+        let report = verify_failure_equivalence(&bad_gadget(), &result, 1, 0);
+        assert!(!report.real.is_empty(), "the original's links are still swept");
+        assert!(!report.holds());
+        assert!(report.real.iter().all(|s| s
+            .original_error
+            .as_deref()
+            .is_some_and(|e| e.contains("BGP did not converge"))));
+        assert!(
+            report
+                .violations()
+                .iter()
+                .any(|v| v.contains("BGP did not converge")),
+            "violations: {:#?}",
+            report.violations()
+        );
     }
 }

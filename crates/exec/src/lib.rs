@@ -163,40 +163,9 @@ where
     region(items, || (), |(), _i, item| f(item))
 }
 
-/// Runs `f(index, &items[index])` for every item, in parallel, for its
-/// side effects. A task panic is resumed on the caller after all sibling
-/// workers have joined.
-pub fn par_for_indexed<T, F>(items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(usize, &T) + Sync,
-{
-    if let Err(p) = region(items, || (), |(), i, item| f(i, item)) {
-        p.resume()
-    }
-}
-
-/// [`par_map`] with per-worker scratch state: `init` runs once on each
-/// worker (and once for an inline run) and the resulting state is threaded
-/// through every task that worker claims — the shape fault sweeps need for
-/// reusable scratch configurations. The scratch must not influence results
-/// (it is a cache, not an accumulator), or determinism is forfeit.
-pub fn par_map_init<T, R, S, I, F>(items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    match region(items, init, f) {
-        Ok(out) => out,
-        Err(p) => p.resume(),
-    }
-}
-
 /// Streaming fan-out over a lazily-produced sequence: pulls `window` items
 /// at a time from the iterator, maps them in parallel with per-worker
-/// scratch state (as [`par_map_init`]), and hands each result to `sink` in
+/// scratch state, and hands each result to `sink` in
 /// **global item order** before the next window is pulled. At most one
 /// window of items and results is ever materialized, so a multi-million
 /// item sweep runs in memory bounded by `window` — the map-reduce shape

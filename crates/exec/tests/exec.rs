@@ -5,7 +5,7 @@
 //! so each case controls its own fan-out; tests that change the count are
 //! serialized behind a lock because the override is process-global.
 
-use confmask_exec::{configure_threads, par_for_indexed, par_map, par_map_init, try_par_map};
+use confmask_exec::{configure_threads, par_map, try_par_map};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -34,7 +34,6 @@ fn empty_input_yields_empty_output() {
         let out: Vec<u64> = par_map(&[] as &[u64], |&x| x);
         assert!(out.is_empty());
         assert!(try_par_map(&[] as &[u64], |&x| x).unwrap().is_empty());
-        par_for_indexed(&[] as &[u64], |_, _| panic!("must not run"));
     }
 }
 
@@ -131,40 +130,4 @@ fn nested_par_map_does_not_deadlock() {
         .map(|&i| (0..32).map(|j| i * 100 + j).sum())
         .collect();
     assert_eq!(out, expected);
-}
-
-#[test]
-fn par_for_indexed_sees_every_index_once() {
-    let _guard = threads_lock();
-    let _restore = Restore;
-    configure_threads(4);
-    let seen: Vec<AtomicUsize> = (0..200).map(|_| AtomicUsize::new(0)).collect();
-    let items: Vec<usize> = (0..200).collect();
-    par_for_indexed(&items, |i, &item| {
-        assert_eq!(i, item, "index must match the item's position");
-        seen[i].fetch_add(1, Ordering::Relaxed);
-    });
-    assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-}
-
-#[test]
-fn par_map_init_threads_worker_state_without_affecting_results() {
-    let _guard = threads_lock();
-    let _restore = Restore;
-    let items: Vec<u64> = (0..300).collect();
-    let mut outputs = Vec::new();
-    for threads in [1, 6] {
-        configure_threads(threads);
-        // The scratch counts tasks per worker; results must not depend on it.
-        outputs.push(par_map_init(
-            &items,
-            || 0u64,
-            |scratch, i, &x| {
-                *scratch += 1;
-                debug_assert!(*scratch as usize <= items.len());
-                x * 3 + i as u64
-            },
-        ));
-    }
-    assert_eq!(outputs[0], outputs[1]);
 }

@@ -133,19 +133,6 @@ pub(crate) fn simulate_delta(
     }
 }
 
-/// [`simulate_delta`] for a perturbation the caller has itself produced by
-/// applying shutdowns to the base configs (the scenario runner): the
-/// config-diff walk is skipped because its answer is known by construction.
-pub(crate) fn simulate_delta_shutdowns(
-    base: &ConvergedSim,
-    perturbed: &NetworkConfigs,
-) -> Result<(Simulation, DeltaStats), SimError> {
-    match delta_shutdowns(base, perturbed)? {
-        Some(out) => Ok(out),
-        None => full_fallback(perturbed),
-    }
-}
-
 fn full_fallback(perturbed: &NetworkConfigs) -> Result<(Simulation, DeltaStats), SimError> {
     let sim = simulate(perturbed)?;
     Ok((sim, DeltaStats::full()))

@@ -15,9 +15,9 @@
 //!   Results are **byte-identical** to a cold [`confmask_sim::simulate`]:
 //!   any perturbation outside the supported class falls back to a full
 //!   simulation, explicitly and observably (`sim.delta.full_fallbacks`).
-//! * [`DeltaEngine::run_scenario`] is a drop-in replacement for
-//!   [`confmask_sim::fault::run_scenario`] that routes the post-failure
-//!   simulation through the delta engine.
+//! * [`ScenarioSweep`] streams failure scenarios over a cached baseline,
+//!   classifying each one straight off the delta plan into a
+//!   [`confmask_sim::ScenarioDigest`].
 //!
 //! The engine is `Sync`; one [`DeltaEngine::global`] instance is shared
 //! per process so the serve daemon's workers and a pipeline's retry
@@ -37,15 +37,10 @@ pub use sweep::ScenarioSweep;
 use confmask_config::NetworkConfigs;
 use confmask_net_types::{Ipv4Prefix, RouterId};
 use confmask_sim::dataplane::DataPlane;
-use confmask_sim::fault::{
-    classify_pair_with, physical_components, revert_shutdowns, DegradationClass, FailureScenario,
-    ScenarioOutcome,
-};
-use confmask_sim::{ControlState, PathSet, SimError, Simulation};
-use std::cell::OnceCell;
+use confmask_sim::{ControlState, SimError, Simulation};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Default capacity of the per-process global cache: big enough for every
 /// baseline a verification job juggles (original, anonymized, masked — per
@@ -76,8 +71,8 @@ pub struct ConvergedSim {
     /// pair reusability against a bool mask instead of re-walking path
     /// name lists.
     pub(crate) pair_meta: Vec<Option<Vec<u32>>>,
-    /// Process-unique id, the identity key of the engine's scenario
-    /// scratch buffer (never reused, unlike a structural hash).
+    /// Process-unique id, the identity key of a sweep worker's
+    /// [`ScenarioScratch`] (never reused, unlike a structural hash).
     pub(crate) uid: u64,
 }
 
@@ -149,7 +144,7 @@ impl DeltaStats {
     }
 }
 
-/// Reusable per-worker scratch for fault sweeps: one baseline's configs,
+/// Reusable per-worker scratch for [`ScenarioSweep`]: one baseline's configs,
 /// kept around so consecutive scenarios against the same baseline apply
 /// and revert shutdown flags in place instead of cloning the full
 /// [`NetworkConfigs`] each time. Keyed by [`ConvergedSim`]'s
@@ -163,9 +158,6 @@ pub struct ScenarioScratch(Option<(u64, NetworkConfigs)>);
 /// recomputation entry points.
 pub struct DeltaEngine {
     cache: SimCache,
-    /// Shared scenario scratch for [`DeltaEngine::run_scenario`] callers
-    /// without their own; contended access falls back to cloning.
-    scratch: Mutex<ScenarioScratch>,
 }
 
 static GLOBAL: OnceLock<DeltaEngine> = OnceLock::new();
@@ -175,7 +167,6 @@ impl DeltaEngine {
     pub fn new(capacity: usize) -> Self {
         DeltaEngine {
             cache: SimCache::new(capacity),
-            scratch: Mutex::new(ScenarioScratch::default()),
         }
     }
 
@@ -267,150 +258,23 @@ impl DeltaEngine {
         base: &ConvergedSim,
         perturbed: &NetworkConfigs,
     ) -> Result<(Simulation, DeltaStats), SimError> {
-        self.simulate_perturbed_inner(base, perturbed, false)
-    }
-
-    /// [`DeltaEngine::simulate_perturbed`], optionally skipping the
-    /// config-diff walk when the caller itself produced `perturbed` by
-    /// applying shutdowns to `base.configs` (the scenario runner), which
-    /// proves the diff class by construction.
-    fn simulate_perturbed_inner(
-        &self,
-        base: &ConvergedSim,
-        perturbed: &NetworkConfigs,
-        known_shutdowns: bool,
-    ) -> Result<(Simulation, DeltaStats), SimError> {
         let sp = confmask_obs::span("sim.delta.sim");
         confmask_obs::counter_add("sim.delta.sims", 1);
-        let (sim, stats) = if known_shutdowns {
-            delta::simulate_delta_shutdowns(base, perturbed)?
-        } else {
-            delta::simulate_delta(base, perturbed)?
-        };
+        let (sim, stats) = delta::simulate_delta(base, perturbed)?;
         sp.finish();
         record_stats(&stats);
         Ok((sim, stats))
     }
 
-    /// Drop-in replacement for [`confmask_sim::fault::run_scenario`] that
-    /// simulates the failed network through the delta engine. Produces the
-    /// identical [`ScenarioOutcome`] (same classification over the same
-    /// baseline pairs), since the post-failure simulation is byte-identical.
-    pub fn run_scenario(
-        &self,
-        base: &ConvergedSim,
-        baseline: &DataPlane,
-        scenario: &FailureScenario,
-    ) -> Result<ScenarioOutcome, SimError> {
-        // Fast path: flip shutdown flags on the engine's scratch copy of
-        // the baseline configs and revert them afterwards, instead of
-        // cloning the whole NetworkConfigs per scenario. Contention (or a
-        // poisoned lock) falls back to the plain clone.
-        if let Ok(mut slot) = self.scratch.try_lock() {
-            return self.run_scenario_scratch(base, baseline, scenario, &mut slot);
-        }
-        let _sp = confmask_obs::span("sim.fault.scenario");
-        confmask_obs::counter_add("sim.fault.scenarios", 1);
-        confmask_obs::debug!("sim.delta", "injecting scenario {scenario}");
-        let failed_configs = scenario.apply(&base.configs)?;
-        self.scenario_outcome(base, baseline, scenario, &failed_configs)
-    }
-
-    /// [`DeltaEngine::run_scenario`] with a caller-owned scratch buffer, so
-    /// each worker of a parallel sweep reuses its own configs copy instead
-    /// of contending on the engine's shared one. The outcome is identical
-    /// to [`DeltaEngine::run_scenario`] for any scratch state.
-    pub fn run_scenario_scratch(
-        &self,
-        base: &ConvergedSim,
-        baseline: &DataPlane,
-        scenario: &FailureScenario,
-        scratch: &mut ScenarioScratch,
-    ) -> Result<ScenarioOutcome, SimError> {
-        let _sp = confmask_obs::span("sim.fault.scenario");
-        confmask_obs::counter_add("sim.fault.scenarios", 1);
-        confmask_obs::debug!("sim.delta", "injecting scenario {scenario}");
-        if scratch.0.as_ref().is_none_or(|(uid, _)| *uid != base.uid) {
-            scratch.0 = Some((base.uid, base.configs.clone()));
-        }
-        let configs = &mut scratch.0.as_mut().expect("scratch was just filled").1;
-        let flipped = scenario.apply_in_place(configs)?;
-        let out = self.scenario_outcome(base, baseline, scenario, configs);
-        revert_shutdowns(configs, &flipped);
-        out
-    }
-
     /// The streaming sweep over a cached baseline: scenarios fan out
     /// across the shared executor, each folding into a
-    /// [`confmask_sim::ScenarioDigest`] — see [`ScenarioSweep`]. This is
-    /// the replacement for the removed collect-then-reduce
-    /// `run_scenarios`, which retained a full [`ScenarioOutcome`] per
-    /// scenario for the whole batch.
+    /// [`confmask_sim::ScenarioDigest`] — see [`ScenarioSweep`].
     pub fn sweep<'a>(
         &'a self,
         base: &'a ConvergedSim,
-        baseline: &DataPlane,
+        baseline: &'a DataPlane,
     ) -> ScenarioSweep<'a> {
         ScenarioSweep::new(self, base, baseline)
-    }
-
-    /// Simulates the already-failed configs through the delta engine and
-    /// classifies every baseline pair against the result.
-    fn scenario_outcome(
-        &self,
-        base: &ConvergedSim,
-        baseline: &DataPlane,
-        scenario: &FailureScenario,
-        failed_configs: &NetworkConfigs,
-    ) -> Result<ScenarioOutcome, SimError> {
-        let (sim, _stats) = self.simulate_perturbed_inner(base, failed_configs, true)?;
-        // Physical connectivity only arbitrates dropped traffic, so the
-        // component flood fill runs lazily — scenarios where no baseline
-        // pair drops skip it entirely.
-        let comp: OnceCell<BTreeMap<String, usize>> = OnceCell::new();
-        let empty = PathSet {
-            blackhole: true,
-            ..PathSet::default()
-        };
-        // Merge-join against the perturbed data plane: both iterate in
-        // (src, dst) order and the baseline's pairs are a subset, so the
-        // per-pair map lookups of the cold path collapse into one pass.
-        // Comparing shared handles lets every pair whose path set the
-        // delta run reused from this very baseline classify as Unchanged
-        // without a deep path comparison.
-        let mut after_pairs = sim.dataplane.shared_pairs().peekable();
-        let mut rows = Vec::with_capacity(baseline.len());
-        for ((src, dst), before) in baseline.shared_pairs() {
-            let after = loop {
-                match after_pairs.peek() {
-                    Some((k, _)) if (&k.0, &k.1) < (src, dst) => {
-                        after_pairs.next();
-                    }
-                    Some((k, ps)) if (&k.0, &k.1) == (src, dst) => break Some(*ps),
-                    _ => break None,
-                }
-            };
-            let class = match after {
-                Some(after) if Arc::ptr_eq(after, before) => DegradationClass::Unchanged,
-                _ => {
-                    let after = after.map_or(&empty, |a| a.as_ref());
-                    classify_pair_with(before, after, || {
-                        let comp = comp.get_or_init(|| physical_components(failed_configs));
-                        match (comp.get(src.as_str()), comp.get(dst.as_str())) {
-                            (Some(a), Some(b)) => a == b,
-                            _ => false,
-                        }
-                    })
-                }
-            };
-            rows.push(((src.clone(), dst.clone()), class));
-        }
-        Ok(ScenarioOutcome {
-            scenario: scenario.clone(),
-            // `rows` is already (src, dst)-sorted: bulk-build the map
-            // instead of 3k rebalancing inserts.
-            classes: BTreeMap::from_iter(rows),
-        })
     }
 }
 
@@ -487,7 +351,7 @@ pub fn register_metrics() {
 mod tests {
     use super::*;
     use confmask_config::{parse_router, HostConfig};
-    use confmask_sim::fault::{enumerate_single_link_failures, run_scenario, Fault};
+    use confmask_sim::fault::{enumerate_single_link_failures, FailureScenario, Fault};
     use confmask_sim::simulate;
 
     fn host(name: &str, addr: &str, gw: &str) -> HostConfig {
@@ -570,19 +434,6 @@ mod tests {
                 "{scenario}: shutdowns must not fall back"
             );
             assert_sims_equal(&deltaed, &cold);
-        }
-    }
-
-    #[test]
-    fn run_scenario_matches_the_cold_engine() {
-        let engine = DeltaEngine::new(4);
-        let cfgs = triangle();
-        let base = engine.converged(&cfgs).unwrap();
-        let baseline = base.sim.dataplane.clone();
-        for scenario in enumerate_single_link_failures(&cfgs) {
-            let cold = run_scenario(&cfgs, &baseline, &scenario).unwrap();
-            let warm = engine.run_scenario(&base, &baseline, &scenario).unwrap();
-            assert_eq!(cold, warm, "{scenario}");
         }
     }
 

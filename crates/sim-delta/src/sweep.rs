@@ -16,20 +16,21 @@
 //!   [`PathArena`] and compares against the baseline allocation-free
 //!   ([`PathArena::matches`]) — no `PathSet` is ever built.
 //!
-//! The result is byte-identical to folding the cold
-//! [`confmask_sim::fault::run_scenario`] outcome through
-//! [`ScenarioDigest::from_outcome`] (the differential gate in
+//! The result is byte-identical to the cold
+//! [`confmask_sim::fault::run_scenario`] digest (the differential gate in
 //! `tests/delta_diff.rs` asserts encode-level equality), but a swept
 //! scenario allocates nothing that outlives its digest — the memory
 //! profile that makes exhaustive k = 2 enumeration and parallel sweeps on
-//! a single core viable.
+//! a single core viable. When planning declines a scenario, the sweep
+//! falls back to that same cold loop
+//! ([`confmask_sim::fault::classify_failed`]).
 
 use crate::{delta, record_stats, ConvergedSim, DeltaEngine, DeltaStats, ScenarioScratch};
 use confmask_config::NetworkConfigs;
 use confmask_net_types::HostId;
 use confmask_sim::dataplane::{trace_into, DataPlane, PathArena};
 use confmask_sim::fault::{
-    classify_pair, classify_pair_with, physical_components, revert_shutdowns, DegradationClass,
+    classify_failed, classify_pair_with, physical_components, revert_shutdowns, DegradationClass,
     FailureScenario,
 };
 use confmask_sim::sweep::{PairTable, ScenarioDigest, SweepMeter, SweepReducer, SweepStats};
@@ -65,10 +66,11 @@ struct PairBinding {
 /// through the shared executor in bounded windows, feeding a
 /// [`SweepReducer`] in scenario order.
 pub struct ScenarioSweep<'a> {
-    /// Held so a sweep cannot outlive the engine whose cache owns `base`
-    /// (and to leave room for engine-level knobs later).
+    /// Held so a sweep cannot outlive the engine whose cache owns `base`.
     _engine: &'a DeltaEngine,
     base: &'a ConvergedSim,
+    /// The data plane digests classify against; `table` interns its pairs.
+    baseline: &'a DataPlane,
     table: Arc<PairTable>,
     binding: Vec<PairBinding>,
     /// The base data plane's key order disagreed with the host
@@ -83,7 +85,7 @@ impl<'a> ScenarioSweep<'a> {
     pub fn new(
         engine: &'a DeltaEngine,
         base: &'a ConvergedSim,
-        baseline: &DataPlane,
+        baseline: &'a DataPlane,
     ) -> ScenarioSweep<'a> {
         let table = Arc::new(PairTable::from_baseline(baseline));
         Self::with_table(engine, base, baseline, table)
@@ -97,7 +99,7 @@ impl<'a> ScenarioSweep<'a> {
     pub fn with_table(
         engine: &'a DeltaEngine,
         base: &'a ConvergedSim,
-        baseline: &DataPlane,
+        baseline: &'a DataPlane,
         table: Arc<PairTable>,
     ) -> Option<ScenarioSweep<'a>> {
         if table.len() != baseline.len() {
@@ -186,6 +188,7 @@ impl<'a> ScenarioSweep<'a> {
         Some(ScenarioSweep {
             _engine: engine,
             base,
+            baseline,
             table,
             binding,
             force_cold,
@@ -197,11 +200,11 @@ impl<'a> ScenarioSweep<'a> {
         Arc::clone(&self.table)
     }
 
-    /// Folds one scenario into its digest, reusing the worker's scratch
-    /// configs (same apply/revert discipline as
-    /// [`DeltaEngine::run_scenario_scratch`]). Byte-identical to folding
-    /// the cold `run_scenario` outcome through
-    /// [`ScenarioDigest::from_outcome`] with this sweep's table.
+    /// Folds one scenario into its digest, applying and reverting its
+    /// shutdowns on the worker's scratch copy of the baseline configs.
+    /// Byte-identical to the cold
+    /// [`run_scenario`](confmask_sim::fault::run_scenario) digest over this
+    /// sweep's baseline.
     pub fn digest(
         &self,
         scenario: &FailureScenario,
@@ -225,7 +228,7 @@ impl<'a> ScenarioSweep<'a> {
     }
 
     /// Digests the already-failed configs: plan the delta, classify every
-    /// bound pair off the plan, fall back to a cold run when planning
+    /// bound pair off the plan, fall back to the cold loop when planning
     /// declines.
     fn digest_failed(&self, failed: &NetworkConfigs) -> Result<ScenarioDigest, SimError> {
         let sp = confmask_obs::span("sim.delta.sim");
@@ -237,7 +240,7 @@ impl<'a> ScenarioSweep<'a> {
         };
         let (digest, stats) = match plan {
             Some(plan) => self.digest_plan(failed, &plan),
-            None => (self.digest_cold(failed)?, DeltaStats::full()),
+            None => (classify_failed(failed, self.baseline)?, DeltaStats::full()),
         };
         sp.finish();
         record_stats(&stats);
@@ -314,28 +317,6 @@ impl<'a> ScenarioSweep<'a> {
         (digest, plan.stats(self.binding.len(), recomputed))
     }
 
-    /// Cold fallback: full re-simulation, classified per table pair —
-    /// exactly `run_scenario`'s loop, folded straight into a digest.
-    fn digest_cold(&self, failed: &NetworkConfigs) -> Result<ScenarioDigest, SimError> {
-        let sim = confmask_sim::simulate(failed)?;
-        let comp = physical_components(failed);
-        let empty = PathSet {
-            blackhole: true,
-            ..PathSet::default()
-        };
-        let mut digest = ScenarioDigest::new(self.table.len());
-        for (i, b) in self.binding.iter().enumerate() {
-            let (src, dst) = self.table.pair(i);
-            let after = sim.dataplane.between(src, dst).unwrap_or(&empty);
-            let connected = match (comp.get(src), comp.get(dst)) {
-                (Some(a), Some(b)) => a == b,
-                _ => false,
-            };
-            digest.record(i, classify_pair(&b.baseline, after, connected));
-        }
-        Ok(digest)
-    }
-
     /// Sweeps a scenario sequence: windows of scenarios fan out across
     /// the shared executor with per-worker scratch configs, and each
     /// digest is folded into `reducer` in scenario order while the window
@@ -369,25 +350,13 @@ impl<'a> ScenarioSweep<'a> {
         );
         meter.finish()
     }
-
-    /// The most severe class in a single ad-hoc scenario (convenience for
-    /// callers that probe one compound failure).
-    pub fn worst_of(
-        &self,
-        scenario: &FailureScenario,
-        scratch: &mut ScenarioScratch,
-    ) -> Result<DegradationClass, SimError> {
-        self.digest(scenario, scratch).map(|d| d.worst)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use confmask_config::{parse_router, HostConfig, NetworkConfigs};
-    use confmask_sim::fault::{
-        enumerate_single_link_failures, run_scenario, Fault,
-    };
+    use confmask_sim::fault::{enumerate_single_link_failures, run_scenario, Fault};
     use confmask_sim::sweep::DigestList;
     use confmask_sim::simulate;
 
@@ -442,10 +411,7 @@ mod tests {
         let mut scratch = ScenarioScratch::default();
         for sc in scenarios(&cfgs) {
             let warm = sweep.digest(&sc, &mut scratch).unwrap();
-            let cold = ScenarioDigest::from_outcome(
-                &run_scenario(&cfgs, &base.sim.dataplane, &sc).unwrap(),
-                &sweep.table(),
-            );
+            let cold = run_scenario(&cfgs, &base.sim.dataplane, &sc).unwrap();
             assert_eq!(warm, cold, "{sc}");
             assert_eq!(warm.encode(), cold.encode(), "{sc}");
         }
@@ -464,11 +430,9 @@ mod tests {
         let mut scratch = ScenarioScratch::default();
         for sc in scenarios(&cfgs) {
             let warm = sweep.digest(&sc, &mut scratch).unwrap();
-            let cold = ScenarioDigest::from_outcome(
-                &run_scenario(&cfgs, &baseline, &sc).unwrap(),
-                &sweep.table(),
-            );
+            let cold = run_scenario(&cfgs, &baseline, &sc).unwrap();
             assert_eq!(warm, cold, "{sc}");
+            assert_eq!(warm.encode(), cold.encode(), "{sc}");
         }
     }
 

@@ -22,6 +22,7 @@
 use crate::dataplane::{DataPlane, PathSet};
 use crate::error::SimError;
 use crate::simulate;
+use crate::sweep::ScenarioDigest;
 use confmask_config::NetworkConfigs;
 use confmask_net_types::Ipv4Prefix;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -627,86 +628,66 @@ pub fn physical_components(configs: &NetworkConfigs) -> BTreeMap<String, usize> 
     comp
 }
 
-/// The outcome of one failure scenario: per-host-pair degradation classes
-/// against the supplied healthy baseline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScenarioOutcome {
-    /// The scenario that was injected.
-    pub scenario: FailureScenario,
-    /// Degradation class for every ordered host pair in the baseline.
-    pub classes: BTreeMap<(String, String), DegradationClass>,
-}
-
-impl ScenarioOutcome {
-    /// Counts of pairs per degradation class, least-severe-first.
-    pub fn histogram(&self) -> BTreeMap<DegradationClass, usize> {
-        let mut h = BTreeMap::new();
-        for c in self.classes.values() {
-            *h.entry(*c).or_insert(0) += 1;
-        }
-        h
-    }
-
-    /// The most severe class any pair reached ([`DegradationClass`] order).
-    pub fn worst(&self) -> DegradationClass {
-        self.classes
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(DegradationClass::Unchanged)
-    }
-
-    /// Whether every pair was unaffected.
-    pub fn all_unchanged(&self) -> bool {
-        self.classes
-            .values()
-            .all(|c| *c == DegradationClass::Unchanged)
-    }
-}
-
 /// Injects `scenario` into `configs`, re-simulates every protocol to a new
 /// fixpoint, and classifies each host pair of `baseline` against the
 /// post-failure data plane.
 ///
 /// `baseline` decides which pairs are reported — pass a data plane
 /// restricted to real hosts to ignore anonymization-added fake hosts.
+/// Digest index `i` is `baseline`'s i-th pair, the order
+/// [`PairTable::from_baseline`](crate::sweep::PairTable::from_baseline)
+/// interns.
 pub fn run_scenario(
     configs: &NetworkConfigs,
     baseline: &DataPlane,
     scenario: &FailureScenario,
-) -> Result<ScenarioOutcome, SimError> {
+) -> Result<ScenarioDigest, SimError> {
     let _sp = confmask_obs::span("sim.fault.scenario");
     confmask_obs::counter_add("sim.fault.scenarios", 1);
     confmask_obs::debug!("sim.fault", "injecting scenario {scenario}");
-    let failed_configs = scenario.apply(configs)?;
-    let sim = simulate(&failed_configs)?;
-    let comp = physical_components(&failed_configs);
+    classify_failed(&scenario.apply(configs)?, baseline)
+}
+
+/// The cold classification loop: fully simulates already-failed configs
+/// and classifies every pair of `baseline` against the result, in
+/// baseline order. The incremental sweep's fallback and every oracle test
+/// run exactly this loop.
+pub fn classify_failed(
+    failed: &NetworkConfigs,
+    baseline: &DataPlane,
+) -> Result<ScenarioDigest, SimError> {
+    let sim = simulate(failed)?;
+    let comp = physical_components(failed);
     let empty = PathSet {
         blackhole: true,
         ..PathSet::default()
     };
-    let mut classes = BTreeMap::new();
-    for ((src, dst), before) in baseline.pairs() {
+    let mut digest = ScenarioDigest::new(baseline.len());
+    for (i, ((src, dst), before)) in baseline.pairs().enumerate() {
         let after = sim.dataplane.between(src, dst).unwrap_or(&empty);
         let connected = match (comp.get(src), comp.get(dst)) {
             (Some(a), Some(b)) => a == b,
             _ => false,
         };
-        classes.insert(
-            (src.clone(), dst.clone()),
-            classify_pair(before, after, connected),
-        );
+        digest.record(i, classify_pair(before, after, connected));
     }
-    Ok(ScenarioOutcome {
-        scenario: scenario.clone(),
-        classes,
-    })
+    Ok(digest)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::PairTable;
     use confmask_config::{parse_router, HostConfig};
+
+    /// The class a digest recorded for the named pair.
+    fn class_of(digest: &ScenarioDigest, table: &PairTable, src: &str, dst: &str) -> DegradationClass {
+        let i = table.index_of(src, dst).expect("pair is in the table");
+        digest
+            .changed_classes()
+            .find(|&(j, _)| j == i)
+            .map_or(DegradationClass::Unchanged, |(_, c)| c)
+    }
 
     fn host(name: &str, addr: &str, gw: &str) -> HostConfig {
         HostConfig {
@@ -824,12 +805,10 @@ mod tests {
             b: "r2".into(),
             added: false,
         });
+        let table = PairTable::from_baseline(&baseline);
         let out = run_scenario(&cfgs, &baseline, &sc).unwrap();
-        assert_eq!(
-            out.classes[&("h1".to_string(), "h2".to_string())],
-            DegradationClass::Rerouted
-        );
-        assert_eq!(out.worst(), DegradationClass::Rerouted);
+        assert_eq!(class_of(&out, &table, "h1", "h2"), DegradationClass::Rerouted);
+        assert_eq!(out.worst, DegradationClass::Rerouted);
         assert!(!out.all_unchanged());
     }
 
@@ -840,16 +819,11 @@ mod tests {
         let sc = FailureScenario::single(Fault::RouterDown {
             router: "r2".into(),
         });
+        let table = PairTable::from_baseline(&baseline);
         let out = run_scenario(&cfgs, &baseline, &sc).unwrap();
         // h2 hangs off r2: both directions are physically partitioned.
-        assert_eq!(
-            out.classes[&("h1".to_string(), "h2".to_string())],
-            DegradationClass::Partitioned
-        );
-        assert_eq!(
-            out.classes[&("h2".to_string(), "h1".to_string())],
-            DegradationClass::Partitioned
-        );
+        assert_eq!(class_of(&out, &table, "h1", "h2"), DegradationClass::Partitioned);
+        assert_eq!(class_of(&out, &table, "h2", "h1"), DegradationClass::Partitioned);
     }
 
     #[test]
@@ -922,6 +896,7 @@ mod tests {
             added: false,
         });
         let out = run_scenario(&cfgs, &baseline, &sc).unwrap();
-        assert!(out.all_unchanged(), "{:?}", out.histogram());
+        assert!(out.all_unchanged(), "{:?}", out.histogram);
+        assert_eq!(out.pairs(), baseline.len());
     }
 }

@@ -46,7 +46,7 @@ mod warm;
 pub use bgp::BgpFibRoute;
 pub use dataplane::{DataPlane, PairBits, PathArena, PathSet};
 pub use error::SimError;
-pub use fault::{DegradationClass, FailureScenario, Fault, ScenarioOutcome};
+pub use fault::{DegradationClass, FailureScenario, Fault};
 pub use sweep::{
     DigestList, PairTable, ScenarioDigest, SweepReducer, SweepStats, SweepSummary,
 };

@@ -1,26 +1,22 @@
 //! Streaming fault sweeps: fold each scenario into a compact digest and
 //! drop the full simulation immediately.
 //!
-//! The collect-then-reduce sweep (`Vec<Result<ScenarioOutcome>>`) retains a
-//! `BTreeMap<(String, String), DegradationClass>` — plus whatever live
-//! FIB/path state produced it — for *every* scenario in a batch, which is
-//! what capped exhaustive k = 2 enumeration and made the parallel sweep
-//! path slower than sequential on one core. This module replaces it with a
-//! map-reduce shape borrowed from streamed model checking (Plankton,
-//! NSDI'20): workers classify a scenario against an interned host-pair
-//! table ([`PairTable`]), emit a [`ScenarioDigest`] of tens of bytes —
+//! A scenario's only product is a [`ScenarioDigest`] of tens of bytes —
 //! class histogram, worst class, violated-pair bitmap, packed non-unchanged
-//! classes — and the caller's [`SweepReducer`] folds digests in scenario
-//! order while the simulations behind them are already freed.
+//! classes — over an interned host-pair table ([`PairTable`]). This is the
+//! map-reduce shape of streamed model checking (Plankton, NSDI'20): workers
+//! classify scenarios, and the caller's [`SweepReducer`] folds digests in
+//! scenario order while the simulations behind them are already freed. No
+//! per-pair map is ever built.
 //!
-//! [`stream_scenarios`] is the cold (full re-simulation) driver; the warm
-//! incremental driver lives in `confmask-sim-delta` and produces
-//! byte-identical digests (gated by `tests/delta_diff.rs`).
+//! The sweep driver is the warm incremental `ScenarioSweep` in
+//! `confmask-sim-delta`. The cold loop, [`crate::fault::classify_failed`],
+//! is both that driver's fallback and the oracle its digests are checked
+//! against (`tests/delta_diff.rs`).
 
 use crate::dataplane::{DataPlane, PairBits};
 use crate::error::SimError;
-use crate::fault::{run_scenario, DegradationClass, FailureScenario, ScenarioOutcome};
-use confmask_config::NetworkConfigs;
+use crate::fault::DegradationClass;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -88,9 +84,8 @@ impl PairTable {
 /// Layout: a degradation-class histogram over all table pairs, the worst
 /// class reached, a violated-pair bitmap (bit `i` set iff table pair `i`
 /// is not `Unchanged`), and the non-unchanged classes packed two per byte
-/// in ascending pair order. Everything else about the scenario — the full
-/// per-pair map the old `ScenarioOutcome` retained — is reconstructible
-/// from these plus the shared [`PairTable`].
+/// in ascending pair order. Every pair's class is reconstructible from
+/// these plus the shared [`PairTable`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioDigest {
     /// Pair counts per class, indexed by [`DegradationClass::index`].
@@ -164,9 +159,7 @@ impl ScenarioDigest {
         })
     }
 
-    /// Histogram entries with non-zero counts, least-severe-first — the
-    /// precomputed replacement for `ScenarioOutcome::histogram()` in hot
-    /// report loops.
+    /// Histogram entries with non-zero counts, least-severe-first.
     pub fn histogram_nonzero(&self) -> impl Iterator<Item = (DegradationClass, usize)> + '_ {
         DegradationClass::ALL
             .iter()
@@ -200,36 +193,6 @@ impl ScenarioDigest {
         out.extend_from_slice(&(self.changed_n).to_le_bytes());
         out.extend_from_slice(&self.classes);
         out
-    }
-
-    /// Folds a cold [`ScenarioOutcome`] into digest form. The outcome's
-    /// pair set is merge-joined against the table (both are name-sorted);
-    /// table pairs the outcome does not mention fold as `Unchanged`.
-    pub fn from_outcome(outcome: &ScenarioOutcome, table: &PairTable) -> ScenarioDigest {
-        let mut digest = ScenarioDigest::new(table.len());
-        let mut it = outcome.classes.iter().peekable();
-        for (i, (src, dst)) in table.iter().enumerate() {
-            let key = (src, dst);
-            // Skip outcome pairs not in the table (shouldn't happen when
-            // the table was built from the same baseline, but stay total).
-            while let Some(((s, d), _)) = it.peek() {
-                if (s.as_str(), d.as_str()) < key {
-                    it.next();
-                } else {
-                    break;
-                }
-            }
-            let class = match it.peek() {
-                Some(((s, d), c)) if (s.as_str(), d.as_str()) == key => {
-                    let c = **c;
-                    it.next();
-                    c
-                }
-                _ => DegradationClass::Unchanged,
-            };
-            digest.record(i, class);
-        }
-        digest
     }
 }
 
@@ -328,9 +291,7 @@ pub struct SweepStats {
     /// Scenarios whose simulation failed.
     pub errors: usize,
     /// Peak bytes of digests live inside the streaming window at once —
-    /// the sweep engine's retained-memory high-water mark (what the old
-    /// engine's `Vec<ScenarioOutcome>` equivalent was, orders of magnitude
-    /// larger).
+    /// the sweep engine's retained-memory high-water mark.
     pub peak_digest_bytes: usize,
     /// Peak number of outcomes (digests) retained in the window at once.
     pub peak_retained: usize,
@@ -338,8 +299,8 @@ pub struct SweepStats {
     pub wall: Duration,
 }
 
-/// Shared `sim.sweep.*` instrumentation for streaming drivers (cold here,
-/// warm in `confmask-sim-delta`): scenario/error counters plus live- and
+/// `sim.sweep.*` instrumentation for the streaming driver in
+/// `confmask-sim-delta`: scenario/error counters plus live- and
 /// peak-memory gauges, updated per streaming window rather than per
 /// scenario so metrics cost nothing on multi-thousand-scenario sweeps.
 #[derive(Debug)]
@@ -439,53 +400,10 @@ pub fn register_metrics() {
     confmask_obs::gauge_set("sim.sweep.peak_retained_outcomes", 0.0);
 }
 
-/// The cold streaming driver: runs every scenario through the full
-/// re-simulating [`run_scenario`], folds each outcome into a digest
-/// against `table`, and feeds the reducer in scenario order. Workers fan
-/// out over the shared executor in bounded windows, so at most one
-/// window's worth of outcomes is ever live — the swept sequence itself is
-/// consumed lazily and never materialized.
-///
-/// `table` must be built from (or equal to) `baseline`'s pair set; pairs
-/// of `baseline` absent from `table` are ignored and table pairs absent
-/// from `baseline` classify as `Unchanged`.
-pub fn stream_scenarios<B: std::borrow::Borrow<FailureScenario> + Sync>(
-    configs: &NetworkConfigs,
-    baseline: &DataPlane,
-    table: &PairTable,
-    scenarios: impl IntoIterator<Item = B>,
-    reducer: &mut dyn SweepReducer,
-) -> SweepStats {
-    let window = (confmask_exec::thread_count() * 8).clamp(16, 256);
-    let mut meter = SweepMeter::new(window);
-    confmask_exec::par_stream_init(
-        scenarios,
-        window,
-        || (),
-        |_, _, sc: &B| {
-            let sc = sc.borrow();
-            run_scenario(configs, baseline, sc).map(|o| ScenarioDigest::from_outcome(&o, table))
-        },
-        |i, r| match r {
-            Ok(d) => {
-                meter.fold_ok(i, d.retained_bytes());
-                reducer.fold(i, d);
-            }
-            Err(e) => {
-                meter.fold_err(i);
-                reducer.fold_err(i, e);
-            }
-        },
-    );
-    meter.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{
-        enumerate_single_link_failures, run_scenario, Fault, FailureScenario,
-    };
+    use crate::fault::{enumerate_single_link_failures, run_scenario};
     use crate::simulate;
     use confmask_config::{parse_router, HostConfig, NetworkConfigs};
 
@@ -536,79 +454,25 @@ mod tests {
     }
 
     #[test]
-    fn digest_fold_matches_outcome() {
-        let cfgs = triangle();
-        let baseline = simulate(&cfgs).unwrap().dataplane;
-        let table = PairTable::from_baseline(&baseline);
-        let sc = FailureScenario::single(Fault::RouterDown {
-            router: "r2".into(),
-        });
-        let out = run_scenario(&cfgs, &baseline, &sc).unwrap();
-        let digest = ScenarioDigest::from_outcome(&out, &table);
-        assert_eq!(digest.worst, out.worst());
-        assert_eq!(digest.all_unchanged(), out.all_unchanged());
-        // Histogram agrees with the outcome's map-walking one.
-        let hist = out.histogram();
-        for (c, n) in digest.histogram_nonzero() {
-            assert_eq!(hist.get(&c), Some(&n));
-        }
-        assert_eq!(
-            digest.histogram.iter().map(|&n| n as usize).sum::<usize>(),
-            out.classes.len()
-        );
-        // Every changed pair round-trips through the table by name.
-        for (i, class) in digest.changed_classes() {
-            let (s, d) = table.pair(i);
-            assert_eq!(out.classes[&(s.to_string(), d.to_string())], class);
-            assert_ne!(class, DegradationClass::Unchanged);
-        }
-        assert_eq!(digest.changed_count(), digest.changed.count_ones());
-        // Encodings are stable and discriminate.
-        assert_eq!(digest.encode(), ScenarioDigest::from_outcome(&out, &table).encode());
-        let unchanged = ScenarioDigest::new(table.len());
-        assert_ne!(digest.encode(), unchanged.encode());
-    }
-
-    #[test]
-    fn stream_scenarios_matches_per_scenario_runs() {
-        let cfgs = triangle();
-        let baseline = simulate(&cfgs).unwrap().dataplane;
-        let table = PairTable::from_baseline(&baseline);
-        let scenarios = enumerate_single_link_failures(&cfgs);
-        let mut list = DigestList::default();
-        let stats = stream_scenarios(
-            &cfgs,
-            &baseline,
-            &table,
-            scenarios.iter(),
-            &mut list,
-        );
-        assert_eq!(stats.scenarios, scenarios.len());
-        assert_eq!(stats.errors, 0);
-        assert!(stats.peak_digest_bytes > 0);
-        assert!(stats.peak_retained >= 1);
-        assert_eq!(list.results.len(), scenarios.len());
-        for (sc, got) in scenarios.iter().zip(&list.results) {
-            let want =
-                ScenarioDigest::from_outcome(&run_scenario(&cfgs, &baseline, sc).unwrap(), &table);
-            assert_eq!(got.as_ref().unwrap(), &want, "{sc}");
-        }
-    }
-
-    #[test]
     fn sweep_summary_aggregates() {
         let cfgs = triangle();
         let baseline = simulate(&cfgs).unwrap().dataplane;
-        let table = PairTable::from_baseline(&baseline);
-        let scenarios = enumerate_single_link_failures(&cfgs);
+        let mut unchanged = ScenarioDigest::new(baseline.len());
+        for i in 0..baseline.len() {
+            unchanged.record(i, DegradationClass::Unchanged);
+        }
         let mut sum = SweepSummary::default();
-        stream_scenarios(
-            &cfgs,
-            &baseline,
-            &table,
-            scenarios.iter(),
-            &mut sum,
-        );
+        for (i, sc) in enumerate_single_link_failures(&cfgs).iter().enumerate() {
+            let digest = run_scenario(&cfgs, &baseline, sc).unwrap();
+            // Every baseline pair is classified exactly once.
+            assert_eq!(
+                digest.histogram.iter().map(|&n| n as usize).sum::<usize>(),
+                baseline.len()
+            );
+            assert_eq!(digest.changed_count(), digest.changed.count_ones());
+            assert_eq!(digest.all_unchanged(), digest.encode() == unchanged.encode());
+            sum.fold(i, digest);
+        }
         assert_eq!(sum.scenarios, 3);
         assert_eq!(sum.errors, 0);
         // r1–r2 down reroutes both directions; the other two links carry

@@ -10,7 +10,6 @@
 
 use confmask_netgen::synthesize;
 use confmask_sim::fault::{enumerate_single_link_failures, FailureScenario, Fault};
-use confmask_sim::sweep::{PairTable, ScenarioDigest};
 use confmask_sim::{simulate, Simulation};
 use confmask_sim_delta::{DeltaEngine, ScenarioScratch};
 use rand::rngs::StdRng;
@@ -111,42 +110,9 @@ fn delta_simulation_matches_cold_simulation_on_random_networks() {
     );
 }
 
-/// The engine's `run_scenario` façade must classify every pair exactly as
-/// the cold `fault::run_scenario` does (it is documented as a drop-in).
-#[test]
-fn run_scenario_facade_matches_cold_on_random_networks() {
-    let seeds: u64 = std::env::var("DELTA_DIFF_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .map(|n: u64| (n / 2).max(2))
-        .unwrap_or(4);
-    for i in 0..seeds {
-        let mut rng = StdRng::seed_from_u64(0x5CEA_0000 ^ i);
-        let spec = random_spec(&mut rng, (i % 3) as u8);
-        let configs = synthesize(&spec);
-        let Ok(sim) = simulate(&configs) else { continue };
-        let engine = DeltaEngine::new(4);
-        let base = engine.converged(&configs).expect("baseline converges");
-        for scenario in enumerate_single_link_failures(&configs) {
-            let cold = confmask_sim::fault::run_scenario(&configs, &sim.dataplane, &scenario);
-            let warm = engine.run_scenario(&base, &sim.dataplane, &scenario);
-            match (cold, warm) {
-                (Ok(c), Ok(w)) => assert_eq!(c, w, "seed {i}: {scenario}"),
-                (Err(c), Err(w)) => assert_eq!(c.to_string(), w.to_string()),
-                (c, w) => panic!(
-                    "seed {i}: {scenario}: outcome mismatch — cold {:?} vs warm {:?}",
-                    c.map(|_| "ok").map_err(|e| e.to_string()),
-                    w.map(|_| "ok").map_err(|e| e.to_string()),
-                ),
-            }
-        }
-    }
-}
-
 /// The streaming sweep's digests must be byte-identical (down to the wire
-/// encoding) to folding the cold `run_scenario` outcome through
-/// `ScenarioDigest::from_outcome` — for every k = 1 fault plus router-down
-/// faults, on random networks across protocol flavors.
+/// encoding) to the cold `run_scenario` digests — for every k = 1 fault
+/// plus router-down faults, on random networks across protocol flavors.
 #[test]
 fn streaming_digests_match_cold_folds_on_random_networks() {
     let seeds: u64 = std::env::var("DELTA_DIFF_SEEDS")
@@ -163,7 +129,6 @@ fn streaming_digests_match_cold_folds_on_random_networks() {
         let engine = DeltaEngine::new(4);
         let base = engine.converged(&configs).expect("baseline converges");
         let sweep = engine.sweep(&base, &sim.dataplane);
-        let table = PairTable::from_baseline(&sim.dataplane);
         let mut scratch = ScenarioScratch::default();
         let mut scenarios = enumerate_single_link_failures(&configs);
         for router in configs.routers.keys().take(2) {
@@ -177,10 +142,9 @@ fn streaming_digests_match_cold_folds_on_random_networks() {
             let warm = sweep.digest(&scenario, &mut scratch);
             match (cold, warm) {
                 (Ok(c), Ok(w)) => {
-                    let folded = ScenarioDigest::from_outcome(&c, &table);
-                    assert_eq!(folded, w, "seed {i}: {scenario}");
+                    assert_eq!(c, w, "seed {i}: {scenario}");
                     assert_eq!(
-                        folded.encode(),
+                        c.encode(),
                         w.encode(),
                         "seed {i}: {scenario}: wire encoding differs"
                     );
