@@ -9,7 +9,7 @@
 
 use crate::error::SimError;
 use crate::fib::{Fibs, NextHop};
-use crate::network::SimNetwork;
+use crate::network::{HostNode, SimNetwork};
 use confmask_net_types::{HostId, RouterId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -172,9 +172,16 @@ impl DataPlane {
     }
 
     /// Exact route equivalence on a host subset: identical path sets for
-    /// every pair (Definition 3.3's *route equivalence*).
+    /// every pair (Definition 3.3's *route equivalence*). Both maps are
+    /// walked in key order in place, so no key is cloned.
     pub fn equivalent_on(&self, other: &DataPlane, hosts: &BTreeSet<String>) -> bool {
-        self.restricted_to(hosts) == other.restricted_to(hosts)
+        let on = |((s, d), _): &(&(String, String), &Arc<PathSet>)| {
+            hosts.contains(s) && hosts.contains(d)
+        };
+        self.pairs
+            .iter()
+            .filter(on)
+            .eq(other.pairs.iter().filter(on))
     }
 
     /// Inserts a pair (used by the extractor and tests).
@@ -190,47 +197,294 @@ impl DataPlane {
 
 /// Extracts the complete data plane: every ordered host pair.
 ///
-/// Host pairs are independent, so tracing fans out pair-by-pair over the
-/// shared executor (dynamic chunk claiming — the dominant cost of repeated
-/// simulation in the anonymization pipeline, §5.4). Host names are
-/// resolved once into an indexed table instead of `net.host(id).name`
-/// lookups inside the hot pair loop, and the table is name-sorted so the
-/// traced rows come out already in key order and the map bulk-builds from
-/// a sorted sequence instead of rebalancing per insert. Results merge by
-/// pair index, so the data plane is byte-identical at any worker count.
+/// Extraction runs per destination, not per pair. A destination's FIB
+/// entry is looked up once at every router its traffic can reach, which
+/// gives the destination's next-hop graph over router ids ([`DestDag`]);
+/// every source then reads its gateway's paths and flags from that one
+/// graph. The per-pair DFS of [`trace_into`] runs only for a pair whose
+/// gateway the graph cannot answer exactly: one that reaches a forwarding
+/// loop or the [`MAX_PATHS_PER_PAIR`] cap, where the DFS's result depends
+/// on its visiting order. Everywhere else the two agree exactly (see
+/// [`DestDag`]).
 ///
-/// A panic inside one trace is contained: every sibling worker is still
-/// joined and the first payload surfaces as [`SimError::TracePanic`]
+/// Destinations are independent, so they fan out over the shared executor;
+/// so do sources when their rows of path sets are materialized from the
+/// graphs. Hosts are name-sorted once, so rows come out in (src, dst) name
+/// order and the map bulk-builds from a sorted sequence. The result is
+/// byte-identical at any worker count.
+///
+/// A panic inside either fan-out is contained: every sibling worker is
+/// still joined and the first payload surfaces as [`SimError::TracePanic`]
 /// instead of aborting the process.
 pub fn extract_dataplane(net: &SimNetwork, fibs: &Fibs) -> Result<DataPlane, SimError> {
+    let (dataplane, stats) = extract(net, fibs)?;
+    confmask_obs::counter_add("sim.dataplane.destinations", stats.destinations);
+    confmask_obs::counter_add("sim.dataplane.dag_nodes", stats.dag_nodes);
+    confmask_obs::counter_add("sim.dataplane.dfs_fallbacks", stats.dfs_fallbacks);
+    Ok(dataplane)
+}
+
+/// Work counts of one extraction.
+#[derive(Debug, Clone, Copy)]
+struct ExtractStats {
+    /// Destination hosts resolved.
+    destinations: u64,
+    /// Routers resolved, summed over destinations.
+    dag_nodes: u64,
+    /// Pairs decided by the per-pair DFS.
+    dfs_fallbacks: u64,
+}
+
+fn extract(net: &SimNetwork, fibs: &Fibs) -> Result<(DataPlane, ExtractStats), SimError> {
     let mut hosts: Vec<HostId> = net.hosts_iter().map(|(id, _)| id).collect();
     hosts.sort_by(|a, b| net.host(*a).name.cmp(&net.host(*b).name));
-    let names: Vec<Arc<str>> = hosts
-        .iter()
-        .map(|&id| Arc::from(net.host(id).name.as_str()))
-        .collect();
-    // Ordered pairs in (src, dst) index order == (src, dst) name order.
-    let mut pair_ids: Vec<(usize, usize)> = Vec::with_capacity(hosts.len() * hosts.len());
-    for s in 0..hosts.len() {
-        for d in 0..hosts.len() {
-            if s != d {
-                pair_ids.push((s, d));
+
+    let dags = confmask_exec::try_par_map(&hosts, |&dst| DestDag::build(net, fibs, &hosts, dst))
+        .map_err(|p| SimError::TracePanic(p.message()))?;
+    let stats = ExtractStats {
+        destinations: dags.len() as u64,
+        dag_nodes: dags.iter().map(|g| g.resolved).sum(),
+        dfs_fallbacks: dags.iter().map(|g| g.fallbacks.len() as u64).sum(),
+    };
+
+    // Rows are materialized per source on the executor, so the name paths
+    // are allocated on the workers: building them all on the calling
+    // thread raised peak RSS by about 1.5% on the two-thread
+    // verify-fattree workload. Rows in (src, dst) index order ==
+    // (src, dst) name order.
+    let n = hosts.len();
+    let sources: Vec<usize> = (0..n).collect();
+    let rows = confmask_exec::try_par_map(&sources, |&s| {
+        let dsts = (0..n).filter(|&d| d != s);
+        dsts.map(|d| dags[d].path_set(net, s, hosts[s], hosts[d]))
+            .collect::<Vec<_>>()
+    })
+    .map_err(|p| SimError::TracePanic(p.message()))?;
+    let name = |i: usize| net.host(hosts[i]).name.clone();
+    let rows = rows.into_iter().enumerate().flat_map(|(s, row)| {
+        let dsts = (0..n).filter(move |&d| d != s);
+        dsts.zip(row)
+            .map(move |(d, ps)| ((name(s), name(d)), Arc::new(ps)))
+    });
+    let dataplane = DataPlane {
+        pairs: BTreeMap::from_iter(rows),
+    };
+    Ok((dataplane, stats))
+}
+
+/// Where the per-pair DFS for `src → dst` starts.
+enum Start {
+    /// The source's gateway resolves to no router: a black hole.
+    Unattached,
+    /// Both hosts share a LAN segment: direct delivery.
+    SameLan,
+    /// The walk starts at this router.
+    Gateway(RouterId),
+}
+
+fn start(src: &HostNode, dst: &HostNode) -> Start {
+    match src.attachment {
+        None => Start::Unattached,
+        Some(_) if src.prefix == dst.prefix && src.attachment == dst.attachment => Start::SameLan,
+        Some((gw, _)) => Start::Gateway(gw),
+    }
+}
+
+/// DFS colour of a [`DagNode`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Visit {
+    #[default]
+    New,
+    OnStack,
+    Done,
+}
+
+/// One router's memoized answer toward one destination: what the per-pair
+/// DFS would report for a walk starting at this router.
+#[derive(Debug, Clone, Copy, Default)]
+struct DagNode {
+    visit: Visit,
+    /// Walks the DFS would push from here, with multiplicity (duplicate
+    /// next hops count twice), clamped at [`MAX_PATHS_PER_PAIR`].
+    count: usize,
+    /// Some router reachable from here has no route or delivers on an
+    /// interface the destination is not attached to.
+    blackhole: bool,
+    /// A cycle is reachable from here, or `count` reached the cap: the DFS
+    /// result depends on its visiting order, so pairs starting here take
+    /// the per-pair DFS.
+    inexact: bool,
+    /// This router delivers to the destination's attachment.
+    delivers: bool,
+    /// The sorted, distinct forward next hops: a span into [`DestDag::succ`].
+    succ: (u32, u32),
+}
+
+/// One destination's next-hop graph over router ids, resolved from the
+/// routers its sources' gateways can reach, plus the per-pair DFS results
+/// of the pairs it cannot answer.
+///
+/// **Why it is exact.** The FIB lookup at a router depends only on the
+/// (router, destination) pair, so every per-pair DFS toward this
+/// destination walks the same graph. From a router with no reachable
+/// cycle, the DFS never meets a router already on its walk, and with fewer
+/// than [`MAX_PATHS_PER_PAIR`] pushes its cap never fires. It then visits
+/// every reachable router and pushes every path of the graph, so its
+/// black-hole flag is the OR over the reachable routers and its sorted,
+/// deduplicated paths are the graph's paths. Walking the sorted distinct
+/// successors, with a delivering router's own path first, enumerates
+/// exactly that list in that order.
+struct DestDag {
+    nodes: Vec<DagNode>,
+    succ: Vec<u32>,
+    /// Reused buffer for sorting one router's next hops.
+    scratch: Vec<RouterId>,
+    /// Routers resolved.
+    resolved: u64,
+    /// `(source index, path set)` of the pairs whose gateway is inexact,
+    /// traced by the per-pair DFS, ascending by source index.
+    fallbacks: Vec<(usize, PathSet)>,
+}
+
+impl DestDag {
+    /// Resolves the graph from every source's gateway and traces the
+    /// pairs it cannot answer exactly.
+    fn build(net: &SimNetwork, fibs: &Fibs, hosts: &[HostId], dst: HostId) -> DestDag {
+        let mut dag = DestDag {
+            nodes: vec![DagNode::default(); net.router_count()],
+            succ: Vec::new(),
+            scratch: Vec::new(),
+            resolved: 0,
+            fallbacks: Vec::new(),
+        };
+        let dst_node = net.host(dst);
+        for (si, &src) in hosts.iter().enumerate() {
+            if src == dst {
+                continue;
             }
+            let Start::Gateway(gw) = start(net.host(src), dst_node) else {
+                continue;
+            };
+            let g = gw.0 as usize;
+            if dag.nodes[g].visit == Visit::New {
+                dag.resolve(fibs, dst_node, g);
+            }
+            if dag.nodes[g].inexact {
+                dag.fallbacks.push((si, trace(net, fibs, src, dst)));
+            }
+        }
+        dag
+    }
+
+    /// Memoized DFS: fills `nodes[r]` from one FIB lookup and its
+    /// successors' entries.
+    fn resolve(&mut self, fibs: &Fibs, dst: &HostNode, r: usize) {
+        self.nodes[r].visit = Visit::OnStack;
+        let mut node = DagNode {
+            visit: Visit::Done,
+            ..DagNode::default()
+        };
+        match fibs.of(RouterId(r as u32)).lookup(dst.addr) {
+            None => node.blackhole = true,
+            Some(entry) => {
+                for nh in &entry.next_hops {
+                    match *nh {
+                        NextHop::Deliver { iface } => {
+                            if dst.attachment == Some((RouterId(r as u32), iface)) {
+                                node.delivers = true;
+                                node.count = (node.count + 1).min(MAX_PATHS_PER_PAIR);
+                            } else {
+                                node.blackhole = true;
+                            }
+                        }
+                        NextHop::Forward { router, .. } => {
+                            let x = router.0 as usize;
+                            match self.nodes[x].visit {
+                                Visit::OnStack => {
+                                    node.inexact = true;
+                                    continue;
+                                }
+                                Visit::New => self.resolve(fibs, dst, x),
+                                Visit::Done => {}
+                            }
+                            let child = self.nodes[x];
+                            node.count = (node.count + child.count).min(MAX_PATHS_PER_PAIR);
+                            node.blackhole |= child.blackhole;
+                            node.inexact |= child.inexact;
+                        }
+                    }
+                }
+                let next = &mut self.scratch;
+                next.clear();
+                next.extend(entry.next_hops.iter().filter_map(|nh| nh.router()));
+                next.sort_unstable();
+                next.dedup();
+                let start = self.succ.len() as u32;
+                self.succ.extend(next.iter().map(|x| x.0));
+                node.succ = (start, self.succ.len() as u32);
+            }
+        }
+        node.inexact |= node.count >= MAX_PATHS_PER_PAIR;
+        self.nodes[r] = node;
+        self.resolved += 1;
+    }
+
+    /// The path set of `src → dst`, `src` being host `si` of the sorted
+    /// host table.
+    fn path_set(&self, net: &SimNetwork, si: usize, src: HostId, dst: HostId) -> PathSet {
+        let (src_node, dst_node) = (net.host(src), net.host(dst));
+        let gw = match start(src_node, dst_node) {
+            Start::Unattached => {
+                return PathSet {
+                    blackhole: true,
+                    ..PathSet::default()
+                }
+            }
+            Start::SameLan => {
+                return PathSet {
+                    paths: vec![vec![src_node.name.clone(), dst_node.name.clone()]],
+                    ..PathSet::default()
+                }
+            }
+            Start::Gateway(gw) => gw.0,
+        };
+        let node = self.nodes[gw as usize];
+        if node.inexact {
+            let i = self
+                .fallbacks
+                .binary_search_by_key(&si, |f| f.0)
+                .expect("every inexact pair was traced");
+            return self.fallbacks[i].1.clone();
+        }
+        let mut paths = Vec::with_capacity(node.count);
+        let mut walk = Vec::new();
+        self.paths_from(gw, &mut walk, &mut |walk| {
+            let mut p = Vec::with_capacity(walk.len() + 2);
+            p.push(src_node.name.clone());
+            p.extend(walk.iter().map(|&r| net.router(RouterId(r)).name.clone()));
+            p.push(dst_node.name.clone());
+            paths.push(p);
+        });
+        PathSet {
+            paths,
+            blackhole: node.blackhole,
+            has_loop: false,
         }
     }
 
-    let traced = confmask_exec::try_par_map(&pair_ids, |&(s, d)| {
-        trace(net, fibs, hosts[s], hosts[d])
-    })
-    .map_err(|p| SimError::TracePanic(p.message()))?;
-
-    let rows = pair_ids
-        .iter()
-        .zip(traced)
-        .map(|(&(s, d), ps)| ((names[s].to_string(), names[d].to_string()), Arc::new(ps)));
-    Ok(DataPlane {
-        pairs: BTreeMap::from_iter(rows),
-    })
+    /// Calls `emit` with every path from exact router `r`, in sorted order.
+    fn paths_from(&self, r: u32, walk: &mut Vec<u32>, emit: &mut impl FnMut(&[u32])) {
+        walk.push(r);
+        let node = &self.nodes[r as usize];
+        if node.delivers {
+            emit(walk);
+        }
+        let (a, b) = node.succ;
+        for &x in &self.succ[a as usize..b as usize] {
+            self.paths_from(x, walk, emit);
+        }
+        walk.pop();
+    }
 }
 
 /// An arena-backed path set over router *ids*: every enumerated path is a
@@ -350,21 +604,18 @@ pub fn trace(net: &SimNetwork, fibs: &Fibs, src: HostId, dst: HostId) -> PathSet
 /// entire sweep of pairs.
 pub fn trace_into(net: &SimNetwork, fibs: &Fibs, src: HostId, dst: HostId, out: &mut PathArena) {
     out.clear();
-    let src_node = net.host(src);
-    let dst_node = net.host(dst);
-
-    let Some((gw, _)) = src_node.attachment else {
-        out.blackhole = true;
-        return;
+    let gw = match start(net.host(src), net.host(dst)) {
+        Start::Unattached => {
+            out.blackhole = true;
+            return;
+        }
+        // Direct delivery: a zero-length span (no interior routers).
+        Start::SameLan => {
+            out.spans.push((out.hops.len() as u32, 0));
+            return;
+        }
+        Start::Gateway(gw) => gw,
     };
-
-    // Same-LAN special case: src and dst share a segment — direct delivery
-    // (a zero-length span: no interior routers).
-    if src_node.prefix == dst_node.prefix && src_node.attachment == dst_node.attachment {
-        out.spans.push((out.hops.len() as u32, 0));
-        return;
-    }
-
     let mut walk: Vec<RouterId> = vec![gw];
     dfs(net, fibs, dst, &mut walk, out);
     out.sort_dedup();
@@ -431,7 +682,7 @@ pub fn reachable_hosts_from_router(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulate;
+    use crate::{simulate, FibEntry, RouteSource};
     use confmask_config::{parse_router, HostConfig, NetworkConfigs};
 
     fn host(name: &str, addr: &str, gw: &str) -> HostConfig {
@@ -611,5 +862,250 @@ mod tests {
         let both: BTreeSet<String> = ["h1".to_string(), "h2".to_string()].into();
         assert_eq!(sim.dataplane.restricted_to(&both).len(), 2);
         assert!(sim.dataplane.equivalent_on(&sim.dataplane, &both));
+    }
+
+    fn hosts(names: &[&str]) -> BTreeSet<String> {
+        names.iter().map(|n| n.to_string()).collect()
+    }
+
+    #[test]
+    fn equivalent_on_sees_a_pair_present_on_one_side_only() {
+        let dp = simulate(&line_net(3)).unwrap().dataplane;
+        let mut fewer = DataPlane::default();
+        for ((s, d), ps) in dp.shared_pairs() {
+            if (s.as_str(), d.as_str()) != ("h1", "h3") {
+                fewer.insert_shared(s.clone(), d.clone(), ps.clone());
+            }
+        }
+        let all = hosts(&["h1", "h2", "h3"]);
+        assert!(!dp.equivalent_on(&fewer, &all));
+        assert!(!fewer.equivalent_on(&dp, &all));
+        // Outside the compared hosts the missing pair does not count.
+        assert!(dp.equivalent_on(&fewer, &hosts(&["h1", "h2"])));
+        assert!(dp.equivalent_on(&fewer, &hosts(&["h2", "h3"])));
+    }
+
+    #[test]
+    fn equivalent_on_compares_only_a_strict_host_subset() {
+        let dp = simulate(&line_net(3)).unwrap().dataplane;
+        let mut other = dp.clone();
+        let mut changed = dp.between("h1", "h3").unwrap().clone();
+        changed.blackhole = true;
+        other.insert("h1".into(), "h3".into(), changed);
+        other.insert("hz".into(), "h1".into(), PathSet::default());
+        assert!(!dp.equivalent_on(&other, &hosts(&["h1", "h2", "h3"])));
+        assert!(dp.equivalent_on(&other, &hosts(&["h1", "h2"])));
+        assert!(dp.equivalent_on(&other, &hosts(&["h2", "h3"])));
+        assert!(dp.equivalent_on(&other, &hosts(&[])));
+        // The subset answer is the restricted maps' equality.
+        for set in [hosts(&["h1", "h3"]), hosts(&["h1", "hz"]), hosts(&["h3"])] {
+            assert_eq!(
+                dp.equivalent_on(&other, &set),
+                dp.restricted_to(&set) == other.restricted_to(&set),
+                "{set:?}"
+            );
+        }
+    }
+
+    /// r1 — r2 — … — rn in a line, host `hi` on `ri`; OSPF everywhere.
+    fn line_net(n: usize) -> NetworkConfigs {
+        let routers = (1..=n).map(|i| {
+            let mut text = format!(
+                "hostname r{i}\n!\ninterface Ethernet1/0\n ip address 10.1.{i}.1 255.255.255.0\n!\n"
+            );
+            if i > 1 {
+                let l = i - 1;
+                text +=
+                    &format!("interface Ethernet0/0\n ip address 10.0.{l}.1 255.255.255.254\n!\n");
+            }
+            if i < n {
+                text +=
+                    &format!("interface Ethernet0/1\n ip address 10.0.{i}.0 255.255.255.254\n!\n");
+            }
+            text += "router ospf 1\n network 0.0.0.0 255.255.255.255 area 0\n!\n";
+            parse_router(&text).unwrap()
+        });
+        let lans = (1..=n).map(|i| {
+            host(
+                &format!("h{i}"),
+                &format!("10.1.{i}.100"),
+                &format!("10.1.{i}.1"),
+            )
+        });
+        let mut cfgs = NetworkConfigs::new(routers, lans);
+        for rc in cfgs.routers.values_mut() {
+            rc.ospf.as_mut().unwrap().networks[0].prefix = "0.0.0.0/0".parse().unwrap();
+        }
+        cfgs
+    }
+
+    /// Hand-edits FIBs of a simulated network, one destination at a time.
+    struct Craft {
+        sim: crate::Simulation,
+    }
+
+    impl Craft {
+        fn new(cfgs: &NetworkConfigs) -> Self {
+            Craft {
+                sim: simulate(cfgs).unwrap(),
+            }
+        }
+
+        fn router(&self, name: &str) -> RouterId {
+            self.sim.net.router_id(name).unwrap()
+        }
+
+        fn fwd(&self, name: &str) -> NextHop {
+            NextHop::Forward {
+                via_iface: 0,
+                router: self.router(name),
+                session_peer: None,
+            }
+        }
+
+        /// Delivery on `dst`'s attachment interface, or on `iface` when
+        /// given (a mismatch unless `at` is `dst`'s gateway on it).
+        fn deliver(&self, dst: &str, iface: Option<usize>) -> NextHop {
+            let hid = self.sim.net.host_id(dst).unwrap();
+            let (_, own) = self.sim.net.host(hid).attachment.unwrap();
+            NextHop::Deliver {
+                iface: iface.unwrap_or(own),
+            }
+        }
+
+        /// Replaces `at`'s route toward `dst`'s LAN.
+        fn route(&mut self, at: &str, dst: &str, next_hops: Vec<NextHop>) {
+            let prefix = self.sim.net.host(self.sim.net.host_id(dst).unwrap()).prefix;
+            let r = self.router(at);
+            self.sim.fibs.per_router[r.0 as usize].insert(FibEntry {
+                prefix,
+                source: RouteSource::Static,
+                next_hops,
+            });
+        }
+
+        /// Extracts, asserts every pair equals the per-pair DFS, and
+        /// returns the extraction's work counts.
+        fn check(&self) -> (DataPlane, ExtractStats) {
+            let (net, fibs) = (&self.sim.net, &self.sim.fibs);
+            let (dp, stats) = extract(net, fibs).unwrap();
+            let n = net.hosts.len();
+            assert_eq!(dp.len(), n * (n - 1));
+            for (s, sn) in net.hosts_iter() {
+                for (d, dn) in net.hosts_iter() {
+                    if s != d {
+                        let oracle = trace(net, fibs, s, d);
+                        assert_eq!(dp.between(&sn.name, &dn.name), Some(&oracle));
+                    }
+                }
+            }
+            assert_eq!(stats.destinations, n as u64);
+            (dp, stats)
+        }
+    }
+
+    #[test]
+    fn loop_reachable_from_some_gateways_falls_back_only_there() {
+        let mut c = Craft::new(&line_net(4));
+        // Toward h4, r2 keeps its path via r3 but also bounces to r1,
+        // which sends everything back: r1 and r2 reach the r1↔r2 loop,
+        // r3 does not.
+        c.route("r1", "h4", vec![c.fwd("r2")]);
+        c.route("r2", "h4", vec![c.fwd("r3"), c.fwd("r1")]);
+        let (dp, stats) = c.check();
+        assert_eq!(stats.dfs_fallbacks, 2, "h1→h4 and h2→h4");
+        for src in ["h1", "h2"] {
+            let ps = dp.between(src, "h4").unwrap();
+            assert!(ps.has_loop && !ps.paths.is_empty(), "{src}: {ps:?}");
+        }
+        assert!(dp.between("h3", "h4").unwrap().clean());
+        assert!(dp.between("h1", "h3").unwrap().clean());
+    }
+
+    #[test]
+    fn cap_overflow_falls_back_with_identical_truncation() {
+        let mut c = Craft::new(&line_net(5));
+        // Toward h4, r1 has 16 copies of r2 (each with 16 copies of r3)
+        // before a branch to r5, which delivers on the wrong interface.
+        // The DFS stops at 256 pushes inside the r2 branches and never
+        // sees r5's black hole; the graph's full answer would.
+        let mut r1 = vec![c.fwd("r2"); 16];
+        r1.push(c.fwd("r5"));
+        c.route("r1", "h4", r1);
+        c.route("r2", "h4", vec![c.fwd("r3"); 16]);
+        c.route("r5", "h4", vec![c.deliver("h4", Some(7))]);
+        let (dp, stats) = c.check();
+        assert_eq!(stats.dfs_fallbacks, 1, "only h1→h4 reaches the cap");
+        let ps = dp.between("h1", "h4").unwrap();
+        assert_eq!(ps.paths.len(), 1);
+        assert!(!ps.blackhole, "truncated before r5: {ps:?}");
+        assert!(dp.between("h5", "h4").unwrap().blackhole);
+        assert!(dp.between("h2", "h4").unwrap().clean());
+    }
+
+    #[test]
+    fn delivery_mismatch_is_a_black_hole_next_to_clean_paths() {
+        let mut c = Craft::new(&line_net(5));
+        // Toward h4, r3 splits between r4 (which delivers twice: on h4's
+        // interface and on another) and r5 (which delivers elsewhere).
+        c.route("r3", "h4", vec![c.fwd("r5"), c.fwd("r4")]);
+        c.route(
+            "r4",
+            "h4",
+            vec![c.deliver("h4", None), c.deliver("h4", Some(9))],
+        );
+        c.route("r5", "h4", vec![c.deliver("h4", Some(9))]);
+        let (dp, stats) = c.check();
+        assert_eq!(stats.dfs_fallbacks, 0);
+        let ps = dp.between("h1", "h4").unwrap();
+        assert!(ps.blackhole && !ps.has_loop);
+        assert_eq!(ps.paths, vec![vec!["h1", "r1", "r2", "r3", "r4", "h4"]]);
+    }
+
+    #[test]
+    fn unattached_source_is_a_black_hole_without_a_walk() {
+        let mut cfgs = line_net(3);
+        cfgs.hosts
+            .insert("hx".into(), host("hx", "10.1.1.50", "10.1.1.9"));
+        let (dp, stats) = Craft::new(&cfgs).check();
+        assert_eq!(stats.dfs_fallbacks, 0);
+        for dst in ["h1", "h2", "h3"] {
+            let ps = dp.between("hx", dst).unwrap();
+            assert!(ps.blackhole && ps.paths.is_empty(), "{ps:?}");
+            // Toward hx the LAN delivers, but not to hx's attachment.
+            assert!(dp.between(dst, "hx").unwrap().blackhole);
+        }
+    }
+
+    #[test]
+    fn same_lan_pairs_deliver_directly() {
+        let mut cfgs = line_net(3);
+        cfgs.hosts
+            .insert("h1b".into(), host("h1b", "10.1.1.101", "10.1.1.1"));
+        let (dp, stats) = Craft::new(&cfgs).check();
+        assert_eq!(stats.dfs_fallbacks, 0);
+        assert_eq!(
+            dp.between("h1b", "h1").unwrap().paths,
+            vec![vec!["h1b".to_string(), "h1".into()]]
+        );
+        assert!(dp.between("h1b", "h3").unwrap().clean());
+    }
+
+    #[test]
+    fn duplicate_next_hops_count_twice_but_yield_one_path() {
+        let mut c = Craft::new(&line_net(4));
+        c.route("r1", "h4", vec![c.fwd("r2"), c.fwd("r3"), c.fwd("r2")]);
+        c.route("r2", "h4", vec![c.fwd("r3"), c.fwd("r3")]);
+        let (dp, stats) = c.check();
+        assert_eq!(stats.dfs_fallbacks, 0);
+        let ps = dp.between("h1", "h4").unwrap();
+        assert!(ps.clean());
+        assert_eq!(
+            ps.paths,
+            vec![
+                vec!["h1", "r1", "r2", "r3", "r4", "h4"],
+                vec!["h1", "r1", "r3", "r4", "h4"],
+            ]
+        );
     }
 }

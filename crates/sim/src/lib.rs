@@ -23,9 +23,12 @@
 //!    on a few routers of an OSPF-only network, only those routers' RIBs
 //!    and FIBs are recomputed, from the cached distance vectors.
 //! 4. **Data-plane extraction** ([`dataplane`]): per-router FIBs with
-//!    longest-prefix match and administrative distance, exhaustive
+//!    longest-prefix match and administrative distance, and exhaustive
 //!    host-to-host forwarding-path enumeration with ECMP branching, loop and
-//!    black-hole detection, and traceroute.
+//!    black-hole detection. Extraction resolves each destination once per
+//!    router into a next-hop graph over router ids that every source
+//!    gateway reads; the per-pair DFS behind traceroute decides only the
+//!    pairs whose gateway reaches a loop or the path cap.
 //!
 //! The entry point is [`simulate`].
 
@@ -114,6 +117,9 @@ pub fn register_metrics() {
         "sim.rip.rounds",
         "sim.bgp.rounds",
         "sim.dataplane.pairs",
+        "sim.dataplane.destinations",
+        "sim.dataplane.dag_nodes",
+        "sim.dataplane.dfs_fallbacks",
         "sim.fault.scenarios",
         "sim.warm.refreshes",
         "sim.warm.full_fallbacks",
