@@ -96,12 +96,18 @@ impl SimCache {
 
     /// Inserts a converged simulation, evicting the least-recently-used
     /// entry of its shard when that shard is at capacity.
+    ///
+    /// The evicted (or replaced) entry is dropped only after the shard
+    /// lock is released: freeing the last reference to a large converged
+    /// simulation takes milliseconds, and workers probing the shard must
+    /// not wait behind it.
     pub fn insert(&self, value: Arc<ConvergedSim>) {
         let key = value.key;
-        {
+        let (evicted, replaced) = {
             let mut shard = self.shard(key).lock().expect("sim cache poisoned");
             shard.tick += 1;
             let tick = shard.tick;
+            let mut evicted = None;
             if !shard.map.contains_key(&key) && shard.map.len() >= shard.capacity {
                 if let Some(oldest) = shard
                     .map
@@ -109,18 +115,20 @@ impl SimCache {
                     .min_by_key(|(_, e)| e.last_used)
                     .map(|(k, _)| *k)
                 {
-                    shard.map.remove(&oldest);
+                    evicted = shard.map.remove(&oldest);
                     confmask_obs::counter_add("sim.cache.evictions", 1);
                 }
             }
-            shard.map.insert(
+            let replaced = shard.map.insert(
                 key,
                 Entry {
                     value,
                     last_used: tick,
                 },
             );
-        }
+            (evicted, replaced)
+        };
+        drop((evicted, replaced));
         confmask_obs::gauge_set("sim.cache.entries", self.len() as f64);
     }
 

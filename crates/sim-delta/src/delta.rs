@@ -57,6 +57,7 @@ use confmask_sim::{
     SimNetwork, Simulation,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// How the perturbed configs differ from the cached base.
 pub(crate) enum ConfigDiff {
@@ -164,6 +165,7 @@ pub(crate) struct ShutdownPlan {
     ospf_prefixes_recomputed: usize,
     rip_warm_started: bool,
     bgp_reused: bool,
+    fibs_shared: usize,
 }
 
 impl ShutdownPlan {
@@ -196,6 +198,8 @@ impl ShutdownPlan {
             ospf_prefixes_recomputed: self.ospf_prefixes_recomputed,
             rip_warm_started: self.rip_warm_started,
             bgp_reused: self.bgp_reused,
+            fibs_shared: self.fibs_shared,
+            fibs_merged: self.fibs.per_router.len() - self.fibs_shared,
             pairs_total,
             pairs_recomputed,
         }
@@ -386,17 +390,17 @@ pub(crate) fn plan_shutdowns(
     };
 
     // ---- FIB merge, incremental where provable. A router's FIB can be
-    // cloned from the base when every merge input is unchanged *and* its
-    // interface numbering is the identity: no removed interface (so
-    // connected routes and hop indices keep their bytes), no static routes
-    // (their resolution peeks at neighbors' interface tables), RIP silent
-    // on both sides, BGP absent or reused (identity-remapped = identical),
-    // and the recomputed OSPF rows for affected prefixes equal to the
-    // cached ones. Everything else goes through the same merge as a cold
-    // run. ----
+    // shared with the base (an `Arc` clone) when every merge input is
+    // unchanged *and* its interface numbering is the identity: no removed
+    // interface (so connected routes and hop indices keep their bytes), no
+    // static routes (their resolution peeks at neighbors' interface
+    // tables), RIP silent on both sides, BGP absent or reused
+    // (identity-remapped = identical), and the recomputed OSPF rows for
+    // affected prefixes equal to the cached ones. Everything else goes
+    // through the same merge as a cold run. ----
     let rip_silent = base.state.rip_dist.is_empty() && rip_routes.iter().all(|t| t.is_empty());
     let bgp_stable = !any_bgp || bgp_reused;
-    let mut fib_cloned = vec![false; n];
+    let mut fib_shared = vec![false; n];
     let fibs = Fibs {
         per_router: (0..n)
             .map(|r| {
@@ -410,10 +414,16 @@ pub(crate) fn plan_shutdowns(
                         .iter()
                         .all(|(p, _)| ospf_routes[r].get(p) == base.state.ospf_routes[r].get(p));
                 if reusable {
-                    fib_cloned[r] = true;
-                    base.sim.fibs.per_router[r].clone()
+                    fib_shared[r] = true;
+                    Arc::clone(&base.sim.fibs.per_router[r])
                 } else {
-                    merge_router_fib(&new_net, rid, &ospf_routes, &rip_routes, &bgp_routes)
+                    Arc::new(merge_router_fib(
+                        &new_net,
+                        rid,
+                        &ospf_routes,
+                        &rip_routes,
+                        &bgp_routes,
+                    ))
                 }
             })
             .collect(),
@@ -427,7 +437,7 @@ pub(crate) fn plan_shutdowns(
     // be compared by key and fall back to actual lookups below.
     let changed_prefixes: Vec<Option<BTreeSet<Ipv4Prefix>>> = (0..n)
         .map(|r| {
-            if fib_cloned[r] {
+            if fib_shared[r] {
                 return Some(BTreeSet::new());
             }
             let rid = RouterId(r as u32);
@@ -514,6 +524,7 @@ pub(crate) fn plan_shutdowns(
         ospf_prefixes_recomputed,
         rip_warm_started,
         bgp_reused,
+        fibs_shared: fib_shared.iter().filter(|&&shared| shared).count(),
     }))
 }
 

@@ -95,6 +95,10 @@ pub struct DeltaStats {
     pub rip_warm_started: bool,
     /// Whether the cached BGP routes were reused wholesale.
     pub bgp_reused: bool,
+    /// Routers whose FIB was shared with the base (an `Arc` clone).
+    pub fibs_shared: usize,
+    /// Routers whose FIB was re-merged.
+    pub fibs_merged: usize,
     /// Ordered host pairs in the network.
     pub pairs_total: usize,
     /// Ordered host pairs that were re-traced.
@@ -110,6 +114,8 @@ impl DeltaStats {
             ospf_prefixes_recomputed: 0,
             rip_warm_started: false,
             bgp_reused: false,
+            fibs_shared: 0,
+            fibs_merged: 0,
             pairs_total: 0,
             pairs_recomputed: 0,
         }
@@ -123,6 +129,8 @@ impl DeltaStats {
             ospf_prefixes_recomputed: 0,
             rip_warm_started: false,
             bgp_reused: false,
+            fibs_shared: 0,
+            fibs_merged: 0,
             pairs_total: 0,
             pairs_recomputed: 0,
         }
@@ -307,6 +315,8 @@ pub(crate) fn record_stats(stats: &DeltaStats) {
         "sim.delta.ospf_prefixes_reused",
         (stats.ospf_prefixes_total - stats.ospf_prefixes_recomputed) as u64,
     );
+    confmask_obs::counter_add("sim.delta.fibs_shared", stats.fibs_shared as u64);
+    confmask_obs::counter_add("sim.delta.fibs_merged", stats.fibs_merged as u64);
     confmask_obs::counter_add("sim.delta.pairs_recomputed", stats.pairs_recomputed as u64);
     confmask_obs::counter_add(
         "sim.delta.pairs_reused",
@@ -338,6 +348,8 @@ pub fn register_metrics() {
         "sim.delta.bgp_recomputes",
         "sim.delta.ospf_prefixes_recomputed",
         "sim.delta.ospf_prefixes_reused",
+        "sim.delta.fibs_shared",
+        "sim.delta.fibs_merged",
         "sim.delta.pairs_recomputed",
         "sim.delta.pairs_reused",
     ] {
@@ -456,6 +468,29 @@ mod tests {
     }
 
     #[test]
+    fn unchanged_router_fibs_are_shared_not_copied() {
+        let engine = DeltaEngine::new(4);
+        let cfgs = triangle();
+        let base = engine.converged(&cfgs).unwrap();
+        let failed = FailureScenario::single(Fault::LinkDown {
+            a: "r1".into(),
+            b: "r2".into(),
+            added: false,
+        })
+        .apply(&cfgs)
+        .unwrap();
+        let (deltaed, stats) = engine.simulate_perturbed(&base, &failed).unwrap();
+        assert_sims_equal(&deltaed, &simulate(&failed).unwrap());
+        // r1 and r2 lose an interface and re-merge; r3 keeps its routes
+        // to both LANs and shares the baseline's table.
+        assert_eq!((stats.fibs_shared, stats.fibs_merged), (1, 2));
+        let shared: Vec<bool> = (0..3)
+            .map(|r| Arc::ptr_eq(&deltaed.fibs.per_router[r], &base.sim.fibs.per_router[r]))
+            .collect();
+        assert_eq!(shared, [false, false, true]);
+    }
+
+    #[test]
     fn unsupported_perturbations_fall_back_to_full_simulation() {
         let engine = DeltaEngine::new(4);
         let cfgs = triangle();
@@ -479,6 +514,21 @@ mod tests {
         let down_base = engine.converged(&down).unwrap();
         let (_, stats) = engine.simulate_perturbed(&down_base, &cfgs).unwrap();
         assert!(stats.full_fallback);
+    }
+
+    #[test]
+    fn evicted_simulations_are_freed() {
+        let engine = DeltaEngine::new(1);
+        let a = triangle();
+        let mut b = triangle();
+        b.routers.get_mut("r1").unwrap().interfaces[0].ospf_cost = Some(2);
+        let weak = Arc::downgrade(&engine.converged(&a).unwrap());
+        engine.converged(&b).unwrap(); // evicts a, dropped after unlock
+        assert!(
+            weak.upgrade().is_none(),
+            "the cache held the last reference"
+        );
+        assert_eq!(engine.cached(), 1);
     }
 
     #[test]

@@ -977,7 +977,7 @@ mod tests {
         fn route(&mut self, at: &str, dst: &str, next_hops: Vec<NextHop>) {
             let prefix = self.sim.net.host(self.sim.net.host_id(dst).unwrap()).prefix;
             let r = self.router(at);
-            self.sim.fibs.per_router[r.0 as usize].insert(FibEntry {
+            Arc::make_mut(&mut self.sim.fibs.per_router[r.0 as usize]).insert(FibEntry {
                 prefix,
                 source: RouteSource::Static,
                 next_hops,

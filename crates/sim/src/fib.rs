@@ -7,6 +7,7 @@ use crate::ospf;
 use crate::rip;
 use confmask_net_types::{Ipv4Addr, Ipv4Prefix, RouterId};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Which protocol supplied a route (Cisco administrative distances).
 #[derive(
@@ -89,20 +90,39 @@ pub struct FibEntry {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Fib {
     entries: BTreeMap<Ipv4Prefix, FibEntry>,
+    /// Bit `l` is set when some entry has prefix length `l` (0–32).
+    lens: u64,
 }
 
 impl Fib {
-    /// Inserts an entry.
+    /// Inserts an entry (replacing any entry at the same prefix).
     pub fn insert(&mut self, entry: FibEntry) {
+        debug_assert!(
+            Ipv4Prefix::new(entry.prefix.network(), entry.prefix.len())
+                .is_ok_and(|p| p == entry.prefix),
+            "FIB keys are canonical prefixes"
+        );
+        self.lens |= 1 << entry.prefix.len();
         self.entries.insert(entry.prefix, entry);
     }
 
-    /// Longest-prefix-match lookup.
+    /// Longest-prefix-match lookup: probes the prefix lengths present,
+    /// longest first, and returns the first exact-key hit.
+    ///
+    /// This is the longest matching entry because `Ipv4Prefix::new`
+    /// clears the host bits, so at each length exactly one key can contain
+    /// `addr` — the probe key itself.
     pub fn lookup(&self, addr: Ipv4Addr) -> Option<&FibEntry> {
-        self.entries
-            .values()
-            .filter(|e| e.prefix.contains_addr(addr))
-            .max_by_key(|e| e.prefix.len())
+        let mut lens = self.lens;
+        while lens != 0 {
+            let len = 63 - lens.leading_zeros();
+            lens &= !(1 << len);
+            let key = Ipv4Prefix::new(addr, len as u8).expect("prefix lengths are at most 32");
+            if let Some(entry) = self.entries.get(&key) {
+                return Some(entry);
+            }
+        }
+        None
     }
 
     /// Exact-prefix entry.
@@ -127,10 +147,14 @@ impl Fib {
 }
 
 /// All routers' forwarding tables, indexed by [`RouterId`].
+///
+/// Each table sits behind an [`Arc`], so cloning a [`Fibs`] (and hence a
+/// `Simulation`) and reusing an unchanged router's table in a delta
+/// simulation cost a reference-count bump, not a deep copy.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Fibs {
     /// Per-router tables.
-    pub per_router: Vec<Fib>,
+    pub per_router: Vec<Arc<Fib>>,
 }
 
 impl Fibs {
@@ -155,14 +179,22 @@ pub fn merge_fibs(
     Fibs {
         per_router: net
             .routers_iter()
-            .map(|(rid, _)| merge_router_fib(net, rid, ospf_routes, rip_routes, bgp_routes))
+            .map(|(rid, _)| {
+                Arc::new(merge_router_fib(
+                    net,
+                    rid,
+                    ospf_routes,
+                    rip_routes,
+                    bgp_routes,
+                ))
+            })
             .collect(),
     }
 }
 
 /// Merges one router's RIB contributions into its FIB — the per-router
 /// body of [`merge_fibs`], exposed so the incremental engine can merge
-/// only the routers a perturbation touched (and clone the rest).
+/// only the routers a perturbation touched (and share the rest).
 pub fn merge_router_fib(
     net: &SimNetwork,
     rid: RouterId,
@@ -326,6 +358,23 @@ mod tests {
         let hit = fib.lookup("10.2.2.3".parse().unwrap()).unwrap();
         assert_eq!(hit.prefix, p("10.0.0.0/8"));
         assert!(fib.lookup("11.0.0.1".parse().unwrap()).is_none());
+    }
+
+    #[test]
+    fn lpm_reaches_default_and_host_routes() {
+        let mut fib = Fib::default();
+        for (prefix, iface) in [("0.0.0.0/0", 0), ("10.1.0.0/16", 1), ("10.1.2.3/32", 2)] {
+            fib.insert(FibEntry {
+                prefix: p(prefix),
+                source: RouteSource::Static,
+                next_hops: vec![NextHop::Deliver { iface }],
+            });
+        }
+        let at = |addr: &str| fib.lookup(addr.parse().unwrap()).unwrap().prefix;
+        assert_eq!(at("10.1.2.3"), p("10.1.2.3/32"));
+        assert_eq!(at("10.1.2.4"), p("10.1.0.0/16"));
+        assert_eq!(at("255.255.255.255"), p("0.0.0.0/0"));
+        assert_eq!(at("0.0.0.0"), p("0.0.0.0/0"));
     }
 
     #[test]

@@ -31,6 +31,7 @@ use crate::{bgp, ospf, rip, ControlState};
 use confmask_config::NetworkConfigs;
 use confmask_net_types::RouterId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A converged control plane that can be refreshed after filter edits.
 #[derive(Debug)]
@@ -191,13 +192,13 @@ impl WarmControlPlane {
                 routes.insert(*prefix, hops);
             }
         }
-        self.fibs.per_router[u] = merge_router_fib(
+        self.fibs.per_router[u] = Arc::new(merge_router_fib(
             &self.net,
             rid,
             &self.state.ospf_routes,
             &self.state.rip_routes,
             &self.state.bgp_routes,
-        );
+        ));
     }
 }
 
