@@ -409,22 +409,22 @@ pub fn run(cmd: Command) -> Result<String, CmdError> {
                         .between(&src, &dst)
                         .ok_or_else(|| format!("no such host pair {src} -> {dst}"))?;
                     let _ = writeln!(report, "traceroute {src} -> {dst}:");
-                    for p in &ps.paths {
+                    for p in ps.paths() {
                         let _ = writeln!(report, "  {}", p.join(" -> "));
                     }
-                    if ps.blackhole {
+                    if ps.blackhole() {
                         let _ = writeln!(report, "  (some branch black-holes)");
                     }
-                    if ps.has_loop {
+                    if ps.has_loop() {
                         let _ = writeln!(report, "  (some branch loops)");
                     }
                 }
                 None => {
                     let total = sim.dataplane.len();
-                    let clean = sim.dataplane.pairs().filter(|(_, ps)| ps.clean()).count();
+                    let clean = sim.dataplane.pairs().filter(|ps| ps.clean()).count();
                     let blackholes =
-                        sim.dataplane.pairs().filter(|(_, ps)| ps.blackhole).count();
-                    let loops = sim.dataplane.pairs().filter(|(_, ps)| ps.has_loop).count();
+                        sim.dataplane.pairs().filter(|ps| ps.blackhole()).count();
+                    let loops = sim.dataplane.pairs().filter(|ps| ps.has_loop()).count();
                     let _ = writeln!(
                         report,
                         "data plane: {total} host pairs — {clean} clean, {blackholes} with black holes, {loops} with loops"

@@ -163,13 +163,13 @@ pub fn dead_link_detection(sim: &Simulation) -> LinkTraffic {
     }
 
     let mut used: BTreeSet<(String, String)> = BTreeSet::new();
-    for (_pair, ps) in sim.dataplane.pairs() {
-        for path in &ps.paths {
+    for ps in sim.dataplane.pairs() {
+        for path in ps.paths() {
             for w in path.windows(2) {
                 // Only router-router hops (endpoints are hosts).
-                let (a, b) = (&w[0], &w[1]);
+                let (a, b) = (w[0], w[1]);
                 if sim.net.router_id(a).is_some() && sim.net.router_id(b).is_some() {
-                    used.insert((a.clone().min(b.clone()), a.clone().max(b.clone())));
+                    used.insert((a.min(b).to_string(), a.max(b).to_string()));
                 }
             }
         }

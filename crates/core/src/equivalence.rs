@@ -80,16 +80,16 @@ pub fn check_equivalence(
     // --- Route equivalence ---------------------------------------------------
     report.route_equivalent = anon_dp.equivalent_on(original_dp, &real_hosts);
     if !report.route_equivalent {
-        let real = |(s, d): &(String, String)| real_hosts.contains(s) && real_hosts.contains(d);
-        for (pair, orig_ps) in original_dp.pairs().filter(|(pair, _)| real(pair)) {
-            let anon_ps = anon_dp.between(&pair.0, &pair.1);
+        let real = |s: &str, d: &str| real_hosts.contains(s) && real_hosts.contains(d);
+        for orig_ps in original_dp.pairs().filter(|p| real(p.src, p.dst)) {
+            let anon_ps = anon_dp.between(orig_ps.src, orig_ps.dst);
             if anon_ps != Some(orig_ps) {
                 report.violations.push(format!(
                     "paths {}→{} differ: {:?} vs {:?}",
-                    pair.0,
-                    pair.1,
-                    orig_ps.paths,
-                    anon_ps.map(|p| &p.paths)
+                    orig_ps.src,
+                    orig_ps.dst,
+                    orig_ps.paths().collect::<Vec<_>>(),
+                    anon_ps.map(|p| p.paths().collect::<Vec<_>>())
                 ));
             }
         }

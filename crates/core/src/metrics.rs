@@ -33,22 +33,25 @@ impl RouteAnonymity {
 /// all host-to-host paths between them (Definition 3.2's `p ∼ p'`
 /// equivalence groups paths by ingress and egress router).
 pub fn route_anonymity(dp: &DataPlane) -> RouteAnonymity {
-    let mut groups: BTreeMap<(String, String), BTreeSet<Vec<String>>> = BTreeMap::new();
-    for (_pair, ps) in dp.pairs() {
-        for path in &ps.paths {
+    let mut groups: BTreeMap<(&str, &str), BTreeSet<Vec<&str>>> = BTreeMap::new();
+    for ps in dp.pairs() {
+        for path in ps.paths() {
             if path.len() < 3 {
                 continue; // same-LAN delivery has no routers
             }
             let routers = path[1..path.len() - 1].to_vec();
             let key = (
-                routers.first().expect("non-empty").clone(),
-                routers.last().expect("non-empty").clone(),
+                *routers.first().expect("non-empty"),
+                *routers.last().expect("non-empty"),
             );
             groups.entry(key).or_default().insert(routers);
         }
     }
     RouteAnonymity {
-        per_pair: groups.into_iter().map(|(k, v)| (k, v.len())).collect(),
+        per_pair: groups
+            .into_iter()
+            .map(|((a, b), v)| ((a.to_string(), b.to_string()), v.len()))
+            .collect(),
     }
 }
 
@@ -65,7 +68,7 @@ pub fn path_preservation(
     }
     let kept = orig
         .pairs()
-        .filter(|(pair, ps)| anonymized.between(&pair.0, &pair.1) == Some(*ps))
+        .filter(|ps| anonymized.between(ps.src, ps.dst) == Some(*ps))
         .count();
     kept as f64 / orig.len() as f64
 }
@@ -82,26 +85,18 @@ pub fn config_utility(total_lines: usize, added_lines: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use confmask_sim::PathSet;
+    use confmask_sim::DataPlaneBuilder;
 
     fn path(nodes: &[&str]) -> Vec<String> {
         nodes.iter().map(|s| s.to_string()).collect()
     }
 
     fn dp(entries: &[(&str, &str, Vec<Vec<String>>)]) -> DataPlane {
-        let mut dp = DataPlane::default();
+        let mut dp = DataPlaneBuilder::new();
         for (s, d, paths) in entries {
-            dp.insert(
-                s.to_string(),
-                d.to_string(),
-                PathSet {
-                    paths: paths.clone(),
-                    blackhole: false,
-                    has_loop: false,
-                },
-            );
+            dp.insert(s, d, paths, false, false);
         }
-        dp
+        dp.build()
     }
 
     #[test]

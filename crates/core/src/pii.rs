@@ -303,18 +303,13 @@ mod tests {
 
         // Translate the original data plane through the name map and
         // compare exactly.
-        let rename = |n: &String| report.name_map.get(n).cloned().unwrap_or_else(|| n.clone());
-        let mut translated = confmask_sim::DataPlane::default();
-        for ((s, d), ps) in before.dataplane.pairs() {
-            let mut ps = ps.clone();
-            for p in ps.paths.iter_mut() {
-                for node in p.iter_mut() {
-                    *node = rename(node);
-                }
-            }
-            translated.insert(rename(s), rename(d), ps);
+        let rename = |n: &str| report.name_map.get(n).cloned().unwrap_or_else(|| n.to_string());
+        let mut translated = confmask_sim::DataPlaneBuilder::new();
+        for ps in before.dataplane.pairs() {
+            let paths = ps.paths().map(|p| p.into_iter().map(rename).collect::<Vec<_>>());
+            translated.insert(&rename(ps.src), &rename(ps.dst), paths, ps.blackhole(), ps.has_loop());
         }
-        assert_eq!(translated, after.dataplane);
+        assert_eq!(translated.build(), after.dataplane);
     }
 
     #[test]

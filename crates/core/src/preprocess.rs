@@ -69,12 +69,18 @@ pub fn preprocess(configs: &NetworkConfigs) -> Result<Baseline, Error> {
 
 impl Baseline {
     /// Whether the original network has a router-router link `a – b`.
+    /// Answered from the topology by borrowed name, with no allocation:
+    /// `router_edges` holds exactly its router-router edges.
     pub fn has_edge(&self, a: &str, b: &str) -> bool {
-        let key = (
-            a.to_string().min(b.to_string()),
-            a.to_string().max(b.to_string()),
-        );
-        self.router_edges.contains(&key)
+        use confmask_topology::NodeKind;
+        match (self.topo.node(a), self.topo.node(b)) {
+            (Some(x), Some(y)) => {
+                self.topo.kind(x) == NodeKind::Router
+                    && self.topo.kind(y) == NodeKind::Router
+                    && self.topo.has_edge(x, y)
+            }
+            _ => false,
+        }
     }
 }
 

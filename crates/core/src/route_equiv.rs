@@ -187,11 +187,11 @@ fn scan_and_filter(
 
             for nh in &entry.next_hops {
                 let Some(nxt) = nh.router() else { continue };
-                let nxt_name = net.router(nxt).name.clone();
-                if orig_next.contains(&nxt_name) {
+                let nxt_name = &net.router(nxt).name;
+                if orig_next.contains(nxt_name) {
                     continue; // nxt ∈ DP[r̃, h̃_d]
                 }
-                if base.has_edge(&router.name, &nxt_name) {
+                if base.has_edge(&router.name, nxt_name) {
                     continue; // (r̃, nxt) ∈ E — original link, leave it
                 }
                 pending.push((rid, *nh, *prefix));

@@ -166,7 +166,7 @@ impl AnonymizedNetwork {
                     continue;
                 }
                 total += 1;
-                if self.dataplane.between(s, d).map(|p| &p.paths) == before.map(|p| &p.paths) {
+                if self.dataplane.between(s, d) == before {
                     kept += 1;
                 }
             }

@@ -101,7 +101,8 @@ pub fn strawman2(
         out.sim_calls += 1;
 
         let mut changes = 0;
-        for ((src, dst), new_ps) in sim.dataplane.pairs() {
+        for new_ps in sim.dataplane.pairs() {
+            let (src, dst) = (new_ps.src, new_ps.dst);
             if !base.real_hosts.contains(src) || !base.real_hosts.contains(dst) {
                 continue;
             }
@@ -114,7 +115,8 @@ pub fn strawman2(
                 continue;
             }
             // First new path that is not an original path.
-            let Some(bad) = new_ps.paths.iter().find(|p| !orig_ps.paths.contains(p)) else {
+            let orig_paths: Vec<Vec<&str>> = orig_ps.paths().collect();
+            let Some(bad) = new_ps.paths().find(|p| !orig_paths.contains(p)) else {
                 continue; // paths lost rather than added: upstream fix pending
             };
             let dst_prefix = sim
@@ -127,9 +129,9 @@ pub fn strawman2(
             // pair's correct routing. (The paper's description assumes the
             // first wrong hop is that hop; when the divergence merely
             // *transits* an original link, the real culprit is upstream.)
-            let start = first_wrong_hop_index(bad, &orig_ps.paths);
+            let start = first_wrong_hop_index(&bad, &orig_paths);
             for i in (1..=start).rev() {
-                let (r_i, r_next) = (&bad[i], &bad[i + 1]);
+                let (r_i, r_next) = (bad[i], bad[i + 1]);
                 if sim.net.router_id(r_next).is_none() {
                     continue; // r_next is the destination host
                 }
@@ -155,7 +157,7 @@ pub fn strawman2(
                 if let Some(entry) = sim.fibs.of(rid).entry(&dst_prefix) {
                     let hop = entry.next_hops.iter().find(|nh| {
                         nh.router()
-                            .map(|r| &sim.net.router(r).name == r_next)
+                            .map(|r| sim.net.router(r).name == r_next)
                             .unwrap_or(false)
                     });
                     if let Some(nh @ NextHop::Forward { .. }) = hop {
@@ -178,7 +180,7 @@ pub fn strawman2(
 /// Index `i` of the first wrong hop `r_i = path[i]` closest to the
 /// destination: walking backward, the first node of `path` that diverges
 /// from every original path's suffix.
-fn first_wrong_hop_index(path: &[String], originals: &[Vec<String>]) -> usize {
+fn first_wrong_hop_index<S: PartialEq>(path: &[S], originals: &[Vec<S>]) -> usize {
     // Longest suffix of `path` that is a suffix of some original path.
     let len = path.len();
     let mut k = 1; // the destination host always matches

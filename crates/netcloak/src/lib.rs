@@ -492,8 +492,8 @@ pub fn expand(
             .map(|(s, d)| {
                 format!(
                     "{s} -> {d}: {:?} became {:?}",
-                    sim.dataplane.between(s, d).map(|p| &p.paths),
-                    final_sim.dataplane.between(s, d).map(|p| &p.paths)
+                    sim.dataplane.between(s, d).map(|p| p.paths().collect::<Vec<_>>()),
+                    final_sim.dataplane.between(s, d).map(|p| p.paths().collect::<Vec<_>>())
                 )
             })
             .unwrap_or_else(|| "unknown pair".to_string());

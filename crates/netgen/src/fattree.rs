@@ -83,7 +83,7 @@ mod tests {
     fn fattree_is_fully_reachable() {
         let net = synthesize(&fattree_spec(4));
         let sim = confmask_sim::simulate(&net).unwrap();
-        for (_pair, ps) in sim.dataplane.pairs() {
+        for ps in sim.dataplane.pairs() {
             assert!(ps.clean(), "unreachable pair in fat-tree");
         }
     }
@@ -94,7 +94,7 @@ mod tests {
         let sim = confmask_sim::simulate(&net).unwrap();
         // Hosts in different pods have multiple equal-cost paths.
         let ps = sim.dataplane.between("h0-0-0", "h1-0-0").unwrap();
-        assert!(ps.paths.len() >= 2, "expected ECMP, got {:?}", ps.paths);
+        assert!(ps.path_count() >= 2, "expected ECMP, got {ps:?}");
     }
 
     #[test]

@@ -355,8 +355,8 @@ mod tests {
     fn rip_network_simulates_fully_reachable() {
         let net = synthesize(&branch_office_rip());
         let sim = confmask_sim::simulate(&net).unwrap();
-        for (pair, ps) in sim.dataplane.pairs() {
-            assert!(ps.clean(), "{pair:?}");
+        for ps in sim.dataplane.pairs() {
+            assert!(ps.clean(), "{ps:?}");
         }
         // It really is RIP.
         assert!(net.routers["d0"].rip.is_some());
@@ -372,8 +372,8 @@ mod tests {
             let bad: Vec<_> = sim
                 .dataplane
                 .pairs()
-                .filter(|(_, ps)| !ps.clean())
-                .map(|(p, _)| p.clone())
+                .filter(|ps| !ps.clean())
+                .map(|ps| (ps.src, ps.dst))
                 .collect();
             assert!(bad.is_empty(), "{}: unreachable pairs {bad:?}", spec.name);
         }
@@ -385,7 +385,7 @@ mod tests {
         let sim = confmask_sim::simulate(&net).unwrap();
         let ps = sim.dataplane.between("h1", "h4").unwrap();
         assert_eq!(
-            ps.paths,
+            ps.paths().collect::<Vec<_>>(),
             vec![vec![
                 "h1".to_string(),
                 "r1".into(),
@@ -416,9 +416,9 @@ mod tests {
         let ps = sim.dataplane.between("h3-1-0", "h1-0-0").unwrap();
         assert!(ps.clean());
         assert!(
-            ps.paths.iter().all(|p| p.iter().any(|n| n.starts_with("core"))),
+            ps.paths().all(|p| p.iter().any(|n| n.starts_with("core"))),
             "inter-pod traffic waypoints through a core: {:?}",
-            ps.paths
+            ps.paths().collect::<Vec<_>>()
         );
     }
 }

@@ -128,8 +128,8 @@ mod tests {
         let spec = wan_spec("mini", 12, 6, 24, 7);
         let net = synthesize(&spec);
         let sim = confmask_sim::simulate(&net).unwrap();
-        for (pair, ps) in sim.dataplane.pairs() {
-            assert!(ps.clean(), "unreachable {pair:?}");
+        for ps in sim.dataplane.pairs() {
+            assert!(ps.clean(), "unreachable {ps:?}");
         }
     }
 
@@ -137,7 +137,7 @@ mod tests {
     fn bics_simulates_clean() {
         let net = synthesize(&bics());
         let sim = confmask_sim::simulate(&net).unwrap();
-        let bad = sim.dataplane.pairs().filter(|(_, ps)| !ps.clean()).count();
+        let bad = sim.dataplane.pairs().filter(|ps| !ps.clean()).count();
         assert_eq!(bad, 0);
     }
 }

@@ -20,7 +20,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use confmask_sim::{DataPlane, PathSet};
+use confmask_sim::{DataPlane, DataPlaneBuilder};
 use confmask_topology::kdegree::plan_k_degree;
 use confmask_topology::{LinkInfo, NodeKind, Topology};
 use rand::rngs::StdRng;
@@ -122,37 +122,32 @@ pub fn obfuscate_with(
 /// with deterministic lowest-index tie-breaking.
 pub fn shortest_path_dataplane(topo: &Topology) -> DataPlane {
     let hosts = topo.hosts();
-    let mut dp = DataPlane::default();
+    let mut dp = DataPlaneBuilder::new();
     for &src in &hosts {
         let (dist, parent) = sssp(topo, src);
         for &dst in &hosts {
             if src == dst {
                 continue;
             }
-            let mut ps = PathSet::default();
-            if dist[dst] == u64::MAX {
-                ps.blackhole = true;
-            } else {
+            let mut paths = Vec::new();
+            if dist[dst] != u64::MAX {
                 let mut path = Vec::new();
                 let mut cur = dst;
                 loop {
-                    path.push(topo.name(cur).to_string());
+                    path.push(topo.name(cur));
                     if cur == src {
                         break;
                     }
                     cur = parent[cur];
                 }
                 path.reverse();
-                ps.paths.push(path);
+                paths.push(path);
             }
-            dp.insert(
-                topo.name(src).to_string(),
-                topo.name(dst).to_string(),
-                ps,
-            );
+            let blackhole = paths.is_empty();
+            dp.insert(topo.name(src), topo.name(dst), paths, blackhole, false);
         }
     }
-    dp
+    dp.build()
 }
 
 /// Dijkstra over hop counts with hosts excluded from transit; parents break
@@ -188,10 +183,10 @@ fn sssp(topo: &Topology, src: usize) -> (Vec<u64>, Vec<usize>) {
 pub fn exact_path_preservation(original: &DataPlane, nethide: &DataPlane) -> f64 {
     let mut total = 0usize;
     let mut kept = 0usize;
-    for (pair, orig_ps) in original.pairs() {
+    for orig_ps in original.pairs() {
         total += 1;
-        if let Some(nh_ps) = nethide.between(&pair.0, &pair.1) {
-            if BTreeSet::from_iter(&orig_ps.paths) == BTreeSet::from_iter(&nh_ps.paths) {
+        if let Some(nh_ps) = nethide.between(orig_ps.src, orig_ps.dst) {
+            if BTreeSet::from_iter(orig_ps.paths()) == BTreeSet::from_iter(nh_ps.paths()) {
                 kept += 1;
             }
         }
@@ -243,9 +238,9 @@ mod tests {
         let r = obfuscate(&topo, 4, 3).unwrap();
         let h = topo.hosts().len();
         assert_eq!(r.dataplane.len(), h * (h - 1));
-        for (pair, ps) in r.dataplane.pairs() {
-            assert!(ps.clean(), "{pair:?}");
-            assert_eq!(ps.paths.len(), 1, "single virtual path per pair");
+        for ps in r.dataplane.pairs() {
+            assert!(ps.clean(), "{ps:?}");
+            assert_eq!(ps.path_count(), 1, "single virtual path per pair");
         }
     }
 

@@ -19,11 +19,15 @@
 //!   cached routes with interface indices remapped. A prefix is affected
 //!   iff a failed interface sits directly on it (advertiser seeds and the
 //!   connected-route skip change) or a removed OSPF edge lies on its
-//!   shortest-path DAG (`dist[u] == cost(u→v) + dist[v]` in either
-//!   direction). Removing a non-DAG edge changes neither distances (it was
-//!   on no shortest path) nor candidate sets (every candidate edge
-//!   satisfies the DAG equation), so unaffected prefixes converge to the
-//!   cached result exactly.
+//!   shortest-path DAG (`dist[u] == cost(u→v) + dist[v]`) at a router left
+//!   without another way to keep its distance
+//!   ([`ospf::distances_survive_removal`]). Removing a non-DAG edge
+//!   changes neither distances (it was on no shortest path) nor candidate
+//!   sets (every candidate edge satisfies the DAG equation). Removing a
+//!   DAG edge at a router that keeps a witness (a surviving seed or DAG
+//!   edge) changes no distance either, so only that router's row is
+//!   recomputed, against the cached distances ([`ospf::candidate_row`]);
+//!   on ECMP-rich networks most link failures are of this kind.
 //! * **RIP** — Bellman–Ford re-runs for every prefix but warm-starts from
 //!   the cached fixpoint ([`rip::compute_with_state`]), which is sound for
 //!   removal-only perturbations (see the proof on that function).
@@ -47,13 +51,13 @@
 //!   routers the walk visits) and only when every on-path router's lookup
 //!   is unchanged. Reuse shares the cached set by [`Arc`] — no copying.
 
-use crate::{ConvergedSim, DeltaStats};
+use crate::{ConvergedSim, DeltaStats, NO_META};
 use confmask_config::NetworkConfigs;
 use confmask_net_types::{HostId, Ipv4Prefix, RouterId};
 use confmask_sim::dataplane::trace;
 use confmask_sim::ospf::RouterPaths;
 use confmask_sim::{
-    bgp, merge_router_fib, ospf, rip, simulate, BgpRoutes, FibEntry, Fibs, NextHop, Peer, SimError,
+    bgp, merge_router_fib, ospf, rip, simulate, BgpRoutes, FibEntry, Fibs, NextHop, SimError,
     SimNetwork, Simulation,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -179,12 +183,14 @@ impl ShutdownPlan {
         } else if self.unattached[si] || self.dst_untouched[di] {
             true
         } else {
-            match &base.pair_meta[idx] {
-                Some(on_path) => {
+            match base.pair_meta[idx] {
+                NO_META => false,
+                meta => {
                     let changed = &self.lookup_changed[di];
-                    on_path.iter().all(|&r| !changed[r as usize])
+                    base.on_path[meta as usize]
+                        .iter()
+                        .all(|&r| !changed[r as usize])
                 }
-                None => false,
             }
         }
     }
@@ -212,10 +218,7 @@ fn delta_shutdowns(
     base: &ConvergedSim,
     perturbed: &NetworkConfigs,
 ) -> Result<Option<(Simulation, DeltaStats)>, SimError> {
-    match plan_shutdowns(base, perturbed)? {
-        Some(plan) => Ok(materialize(base, plan)),
-        None => Ok(None),
-    }
+    Ok(plan_shutdowns(base, perturbed)?.map(|plan| materialize(base, plan)))
 }
 
 /// Builds the [`ShutdownPlan`] for a shutdown-only perturbation: model,
@@ -280,45 +283,27 @@ pub(crate) fn plan_shutdowns(
     // ---- OSPF: recompute only affected prefixes. ----
     let mut affected: BTreeSet<Ipv4Prefix> = BTreeSet::new();
     for &(r, bi) in &failed {
-        let iface = &base_net.routers[r].ifaces[bi];
         // Failed interface directly on a destination LAN: advertiser seeds
         // and the connected-route skip change for that prefix.
-        if base_net
-            .destinations
-            .iter()
-            .any(|(p, _)| *p == iface.prefix)
-        {
-            affected.insert(iface.prefix);
+        let prefix = base_net.routers[r].ifaces[bi].prefix;
+        if base_net.destinations.iter().any(|(p, _)| *p == prefix) {
+            affected.insert(prefix);
         }
-        if !iface.ospf_active {
+    }
+    // A removed OSPF edge on a prefix's shortest-path DAG either keeps
+    // every distance, and then only the routers that lost a DAG edge get
+    // new rows, or forces a fresh SPF of the prefix.
+    let mut touched: Vec<(Ipv4Prefix, Vec<usize>)> = Vec::new();
+    for (prefix, dist) in &base.state.ospf_dist {
+        if affected.contains(prefix) {
             continue;
         }
-        // Removed OSPF edges (both directions vanish with either endpoint):
-        // r --cost--> v and v --peer_cost--> r for every router peer.
-        for peer in &iface.peers {
-            let Peer::Router {
-                router: v,
-                iface: pi,
-            } = peer
-            else {
-                continue;
-            };
-            let peer_iface = &base_net.router(*v).ifaces[*pi];
-            if !peer_iface.ospf_active {
-                continue;
+        match ospf::distances_survive_removal(base_net, prefix, dist, &failed) {
+            None => {
+                affected.insert(*prefix);
             }
-            let (u, v) = (r, v.0 as usize);
-            for (prefix, dist) in &base.state.ospf_dist {
-                if affected.contains(prefix) {
-                    continue;
-                }
-                let (du, dv) = (dist[u], dist[v]);
-                let fwd = dv != u64::MAX && du == u64::from(iface.cost).saturating_add(dv);
-                let rev = du != u64::MAX && dv == u64::from(peer_iface.cost).saturating_add(du);
-                if fwd || rev {
-                    affected.insert(*prefix);
-                }
-            }
+            Some(routers) if routers.is_empty() => {}
+            Some(routers) => touched.push((*prefix, routers)),
         }
     }
 
@@ -330,33 +315,18 @@ pub(crate) fn plan_shutdowns(
         .collect();
     let ospf_prefixes_total = new_net.destinations.len();
     let ospf_prefixes_recomputed = affected_dests.len();
-    let (mut ospf_routes, mut ospf_dist) = ospf::compute_subset(&new_net, &affected_dests);
-
-    // Splice the unaffected prefixes back in, renumbering interfaces. The
-    // remap is monotone (removal preserves relative order), so sorted hop
-    // lists stay sorted.
-    for (prefix, _) in &new_net.destinations {
-        if affected.contains(prefix) {
-            continue;
-        }
-        if let Some(d) = base.state.ospf_dist.get(prefix) {
-            ospf_dist.insert(*prefix, d.clone());
-        }
-        for r in 0..n {
-            let Some(hops) = base.state.ospf_routes[r].get(prefix) else {
-                continue;
-            };
-            let mut mapped = Vec::with_capacity(hops.len());
-            for &(ii, v) in hops {
-                match remap[r][ii] {
-                    Some(ni) => mapped.push((ni, v)),
-                    // A candidate hop through a removed interface satisfies
-                    // the DAG equation, so the prefix would have been
-                    // affected — reaching this means the invariant broke.
-                    None => return Ok(None),
-                }
+    let (mut ospf_routes, _) = ospf::compute_subset(&new_net, &affected_dests);
+    // Per router: the unaffected prefixes whose row was recomputed against
+    // the unchanged distances.
+    let mut recomputed_rows: Vec<Vec<Ipv4Prefix>> = vec![Vec::new(); n];
+    for (prefix, routers) in &touched {
+        let dist = &base.state.ospf_dist[prefix];
+        for &u in routers {
+            let row = ospf::candidate_row(&new_net, RouterId(u as u32), dist, prefix);
+            if !row.is_empty() {
+                ospf_routes[u].insert(*prefix, row);
             }
-            ospf_routes[r].insert(*prefix, mapped);
+            recomputed_rows[u].push(*prefix);
         }
     }
 
@@ -395,39 +365,63 @@ pub(crate) fn plan_shutdowns(
     // interface (so connected routes and hop indices keep their bytes), no
     // static routes (their resolution peeks at neighbors' interface
     // tables), RIP silent on both sides, BGP absent or reused
-    // (identity-remapped = identical), and the recomputed OSPF rows for
-    // affected prefixes equal to the cached ones. Everything else goes
-    // through the same merge as a cold run. ----
+    // (identity-remapped = identical), and the recomputed OSPF rows (of
+    // affected prefixes, and the router's own recomputed rows) equal to
+    // the cached ones. Everything else goes through the same merge as a
+    // cold run, after the cached rows of its unaffected prefixes are
+    // spliced back in, renumbering interfaces (the remap is monotone, so
+    // sorted hop lists stay sorted). Only merged routers read those rows,
+    // so shared ones skip the splice. ----
     let rip_silent = base.state.rip_dist.is_empty() && rip_routes.iter().all(|t| t.is_empty());
     let bgp_stable = !any_bgp || bgp_reused;
     let mut fib_shared = vec![false; n];
-    let fibs = Fibs {
-        per_router: (0..n)
-            .map(|r| {
-                let rid = RouterId(r as u32);
-                let identity = remap[r].iter().all(|m| m.is_some());
-                let reusable = identity
-                    && rip_silent
-                    && bgp_stable
-                    && new_net.routers[r].static_routes.is_empty()
-                    && affected_dests
-                        .iter()
-                        .all(|(p, _)| ospf_routes[r].get(p) == base.state.ospf_routes[r].get(p));
-                if reusable {
-                    fib_shared[r] = true;
-                    Arc::clone(&base.sim.fibs.per_router[r])
-                } else {
-                    Arc::new(merge_router_fib(
-                        &new_net,
-                        rid,
-                        &ospf_routes,
-                        &rip_routes,
-                        &bgp_routes,
-                    ))
+    let mut per_router = Vec::with_capacity(n);
+    for r in 0..n {
+        let identity = remap[r].iter().all(|m| m.is_some());
+        let reusable = identity
+            && rip_silent
+            && bgp_stable
+            && new_net.routers[r].static_routes.is_empty()
+            && affected_dests
+                .iter()
+                .map(|(p, _)| p)
+                .chain(&recomputed_rows[r])
+                .all(|p| ospf_routes[r].get(p) == base.state.ospf_routes[r].get(p));
+        if reusable {
+            fib_shared[r] = true;
+            per_router.push(Arc::clone(&base.sim.fibs.per_router[r]));
+            continue;
+        }
+        for (prefix, _) in &new_net.destinations {
+            if affected.contains(prefix) || recomputed_rows[r].contains(prefix) {
+                continue;
+            }
+            let Some(hops) = base.state.ospf_routes[r].get(prefix) else {
+                continue;
+            };
+            let mut mapped = Vec::with_capacity(hops.len());
+            for &(ii, v) in hops {
+                match remap[r][ii] {
+                    Some(ni) => mapped.push((ni, v)),
+                    // A candidate hop through a removed interface is a
+                    // removed tight edge, so the prefix would have been
+                    // affected or this row recomputed — reaching this
+                    // means the invariant broke.
+                    None => return Ok(None),
                 }
-            })
-            .collect(),
-    };
+            }
+            ospf_routes[r].insert(*prefix, mapped);
+        }
+        let rid = RouterId(r as u32);
+        per_router.push(Arc::new(merge_router_fib(
+            &new_net,
+            rid,
+            &ospf_routes,
+            &rip_routes,
+            &bgp_routes,
+        )));
+    }
+    let fibs = Fibs { per_router };
 
     // ---- Data plane: re-trace only pairs the failure can have touched. ----
     // Lockstep FIB diff per router (entries are prefix-sorted): the set of
@@ -492,9 +486,16 @@ pub(crate) fn plan_shutdowns(
         .map(|row| row.iter().all(|&c| !c))
         .collect();
 
-    // The cached data plane covers exactly the ordered host pairs; anything
+    // The cached data plane covers exactly the ordered host pairs, keyed
+    // by host index in host-id order (both follow hostname order); anything
     // else means the base simulation predates an invariant change.
-    if base.sim.dataplane.len() != hosts.len() * hosts.len().saturating_sub(1) {
+    let base_dp = &base.sim.dataplane;
+    if base_dp.len() != hosts.len() * hosts.len().saturating_sub(1)
+        || !base_dp
+            .hosts()
+            .iter()
+            .eq(new_net.hosts.iter().map(|h| &h.name))
+    {
         return Ok(None);
     }
     if base.pair_meta.len() != base.sim.dataplane.len() {
@@ -529,14 +530,10 @@ pub(crate) fn plan_shutdowns(
 }
 
 /// Materializes a [`ShutdownPlan`] into the full perturbed [`Simulation`].
-/// Returns `None` when the cached data plane's key order disagrees with
-/// the host enumeration (defensive; the caller falls back to a cold run).
 ///
-/// Starts from the cached data plane (an O(pairs) clone of shared path
-/// sets) and overwrites only the pairs that must be re-traced. Host ids
-/// and data-plane keys share the same (hostname-sorted) order, so the
-/// cached stream zips against the ordered-pair enumeration — the name
-/// checks keep this exact.
+/// Starts from the cached data plane (its tables and path sets shared) and
+/// replaces only the pairs that must be re-traced. The plan checked that
+/// the cached pairs are every ordered pair of its hosts, keyed by host id.
 ///
 /// Pair reuse soundness ([`ShutdownPlan::pair_reusable`], in check order):
 /// * endpoint attachments must have survived (the trace consults them
@@ -550,41 +547,28 @@ pub(crate) fn plan_shutdowns(
 ///   lookups of exactly the routers on their recorded paths
 ///   (`pair_meta`, precomputed at convergence), and reuse requires all
 ///   of those lookups unchanged.
-pub(crate) fn materialize(
-    base: &ConvergedSim,
-    plan: ShutdownPlan,
-) -> Option<(Simulation, DeltaStats)> {
-    let mut dp = base.sim.dataplane.clone();
-    let mut pairs_total = 0usize;
+pub(crate) fn materialize(base: &ConvergedSim, plan: ShutdownPlan) -> (Simulation, DeltaStats) {
     let mut pairs_recomputed = 0usize;
-    let mut cached_pairs = base.sim.dataplane.pairs();
-    for (si, &src) in plan.hosts.iter().enumerate() {
-        let src_name = &plan.new_net.host(src).name;
-        for (di, &dst) in plan.hosts.iter().enumerate() {
-            if si == di {
-                continue;
-            }
-            let idx = pairs_total;
-            pairs_total += 1;
-            let ((sname, dname), _ps) = cached_pairs.next()?;
-            if sname != src_name || dname != &plan.new_net.host(dst).name {
-                return None;
-            }
-            if !plan.pair_reusable(base, si, di, idx) {
-                pairs_recomputed += 1;
-                let traced = trace(&plan.new_net, &plan.fibs, src, dst);
-                dp.insert(sname.clone(), dname.clone(), traced);
-            }
+    let dp = base.sim.dataplane.with_replaced(|idx, (si, di), _| {
+        let (si, di) = (si as usize, di as usize);
+        if plan.pair_reusable(base, si, di, idx) {
+            return None;
         }
-    }
-
-    let stats = plan.stats(pairs_total, pairs_recomputed);
+        pairs_recomputed += 1;
+        Some(trace(
+            &plan.new_net,
+            &plan.fibs,
+            plan.hosts[si],
+            plan.hosts[di],
+        ))
+    });
+    let stats = plan.stats(dp.len(), pairs_recomputed);
     let sim = Simulation {
-        net: plan.new_net,
+        net: Arc::new(plan.new_net),
         fibs: plan.fibs,
         dataplane: dp,
     };
-    Some((sim, stats))
+    (sim, stats)
 }
 
 /// Whether the cached IGP router-path matrix equals the fresh one after

@@ -37,8 +37,8 @@ pub use sweep::ScenarioSweep;
 use confmask_config::NetworkConfigs;
 use confmask_net_types::{Ipv4Prefix, RouterId};
 use confmask_sim::dataplane::DataPlane;
-use confmask_sim::{ControlState, SimError, Simulation};
-use std::collections::BTreeMap;
+use confmask_sim::{ControlState, PathSet, SimError, Simulation};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -64,19 +64,24 @@ pub struct ConvergedSim {
     /// Precomputed once so every delta run can tell which lookups a
     /// perturbation changed without re-running longest-prefix matches.
     pub host_match: Vec<Vec<Option<Ipv4Prefix>>>,
-    /// Per data-plane pair (in [`DataPlane::pairs`] order): the deduped
-    /// router ids its recorded paths traverse, or `None` for a walk whose
-    /// shape the recorded paths do not fully determine (blackholed,
-    /// looping, empty, or ECMP-truncated). Precomputed so delta runs test
-    /// pair reusability against a bool mask instead of re-walking path
-    /// name lists.
-    pub(crate) pair_meta: Vec<Option<Vec<u32>>>,
+    /// Per data-plane pair (in [`DataPlane::entries`] order): an index
+    /// into `on_path`, or [`NO_META`] for a walk whose shape the recorded
+    /// paths do not fully determine (blackholed, looping, empty, or
+    /// ECMP-truncated). Precomputed from the id paths so delta runs test
+    /// pair reusability against a bool mask instead of re-walking paths.
+    pub(crate) pair_meta: Vec<u32>,
+    /// Per distinct path set with reuse metadata: the deduped router ids
+    /// its recorded paths traverse.
+    pub(crate) on_path: Vec<Box<[u32]>>,
     /// Process-unique id, the identity key of a sweep worker's
     /// [`ScenarioScratch`] (never reused, unlike a structural hash).
     pub(crate) uid: u64,
 }
 
 static NEXT_UID: AtomicU64 = AtomicU64::new(1);
+
+/// [`ConvergedSim::pair_meta`]'s marker for a pair without reuse metadata.
+pub(crate) const NO_META: u32 = u32::MAX;
 
 /// What a delta simulation reused versus recomputed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -214,34 +219,30 @@ impl DeltaEngine {
                     .collect()
             })
             .collect();
-        let name_to_id: BTreeMap<&str, u32> = sim
-            .net
-            .routers
-            .iter()
-            .enumerate()
-            .map(|(r, router)| (router.name.as_str(), r as u32))
-            .collect();
+        // Reuse metadata is a function of the path set alone, so it is
+        // computed once per shared set (every source behind one gateway
+        // shares its set toward a destination).
+        let mut meta_of: HashMap<*const PathSet, u32> = HashMap::new();
+        let mut on_path: Vec<Box<[u32]>> = Vec::new();
         let pair_meta = sim
             .dataplane
-            .pairs()
+            .entries()
+            .iter()
             .map(|(_, ps)| {
                 if ps.blackhole
                     || ps.has_loop
-                    || ps.paths.is_empty()
-                    || ps.paths.len() >= confmask_sim::dataplane::MAX_PATHS_PER_PAIR
+                    || ps.path_count() == 0
+                    || ps.path_count() >= confmask_sim::dataplane::MAX_PATHS_PER_PAIR
                 {
-                    return None;
+                    return NO_META;
                 }
-                let mut on_path = Vec::new();
-                for path in &ps.paths {
-                    // path = [src_host, r_1, ..., r_k, dst_host]
-                    for name in &path[1..path.len().saturating_sub(1)] {
-                        on_path.push(*name_to_id.get(name.as_str())?);
-                    }
-                }
-                on_path.sort_unstable();
-                on_path.dedup();
-                Some(on_path)
+                *meta_of.entry(Arc::as_ptr(ps)).or_insert_with(|| {
+                    let mut ids: Vec<u32> = ps.paths().flatten().map(|r| r.0).collect();
+                    ids.sort_unstable();
+                    ids.dedup();
+                    on_path.push(ids.into());
+                    (on_path.len() - 1) as u32
+                })
             })
             .collect();
         let converged = Arc::new(ConvergedSim {
@@ -251,6 +252,7 @@ impl DeltaEngine {
             state,
             host_match,
             pair_meta,
+            on_path,
             uid: NEXT_UID.fetch_add(1, Ordering::Relaxed),
         });
         self.cache.insert(Arc::clone(&converged));
@@ -447,6 +449,60 @@ mod tests {
             );
             assert_sims_equal(&deltaed, &cold);
         }
+    }
+
+    /// Square r1–r2–r4–r3–r1 (all OSPF, unit costs), hosts on r1 and r4:
+    /// r1 reaches h4's LAN over two equal-cost paths.
+    fn square() -> NetworkConfigs {
+        let router = |name: &str, links: &[&str], lan: Option<&str>| {
+            let mut text = format!("hostname {name}\n!\n");
+            for (i, addr) in links.iter().enumerate() {
+                text += &format!(
+                    "interface Ethernet0/{i}\n ip address {addr} 255.255.255.254\n ip ospf cost 1\n!\n"
+                );
+            }
+            if let Some(lan) = lan {
+                text += &format!("interface Ethernet1/0\n ip address {lan} 255.255.255.0\n!\n");
+            }
+            text += "router ospf 1\n network 10.0.0.0 0.0.255.255 area 0\n network 10.1.0.0 0.0.255.255 area 0\n!\n";
+            parse_router(&text).unwrap()
+        };
+        NetworkConfigs::new(
+            [
+                router("r1", &["10.0.12.0", "10.0.13.0"], Some("10.1.1.1")),
+                router("r2", &["10.0.12.1", "10.0.24.0"], None),
+                router("r3", &["10.0.13.1", "10.0.34.0"], None),
+                router("r4", &["10.0.24.1", "10.0.34.1"], Some("10.1.4.1")),
+            ],
+            [
+                host("h1", "10.1.1.100", "10.1.1.1"),
+                host("h4", "10.1.4.100", "10.1.4.1"),
+            ],
+        )
+    }
+
+    #[test]
+    fn a_failure_that_keeps_every_distance_needs_no_spf() {
+        let engine = DeltaEngine::new(4);
+        let cfgs = square();
+        let base = engine.converged(&cfgs).unwrap();
+        let failed = FailureScenario::single(Fault::LinkDown {
+            a: "r1".into(),
+            b: "r2".into(),
+            added: false,
+        })
+        .apply(&cfgs)
+        .unwrap();
+        let (deltaed, stats) = engine.simulate_perturbed(&base, &failed).unwrap();
+        assert!(!stats.full_fallback);
+        assert_sims_equal(&deltaed, &simulate(&failed).unwrap());
+        // Toward h4, r1 keeps its distance over r3 and only its own row
+        // changes; toward h1, r2 loses its only shortest path, so that
+        // prefix alone takes a fresh SPF.
+        assert_eq!(
+            (stats.ospf_prefixes_recomputed, stats.ospf_prefixes_total),
+            (1, 2)
+        );
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! * a reusable pair whose sweep baseline *differs* from the base (a
 //!   masked-network sweep compared against the original's baseline)
 //!   classifies the cached base path set against the sweep baseline;
-//! * a **non-reusable** pair re-traces in id space into a reused
-//!   [`PathArena`] and compares against the baseline allocation-free
-//!   ([`PathArena::matches`]) — no `PathSet` is ever built.
+//! * a **non-reusable** pair re-traces into a reused [`PathSet`] and
+//!   compares against the baseline id by id: a slice compare when the
+//!   baseline shares the base's router table, a [`NameJoin`] remap when it
+//!   does not — no name is ever resolved.
 //!
 //! The result is byte-identical to the cold
 //! [`confmask_sim::fault::run_scenario`] digest (the differential gate in
@@ -28,9 +29,9 @@
 use crate::{delta, record_stats, ConvergedSim, DeltaEngine, DeltaStats, ScenarioScratch};
 use confmask_config::NetworkConfigs;
 use confmask_net_types::HostId;
-use confmask_sim::dataplane::{trace_into, DataPlane, PathArena};
+use confmask_sim::dataplane::{trace_into, DataPlane, NameJoin};
 use confmask_sim::fault::{
-    classify_failed, classify_pair_with, physical_components, revert_shutdowns, DegradationClass,
+    classify_failed, classify_pair, physical_components, revert_shutdowns, DegradationClass,
     FailureScenario,
 };
 use confmask_sim::sweep::{PairTable, ScenarioDigest, SweepMeter, SweepReducer, SweepStats};
@@ -44,12 +45,13 @@ use std::sync::Arc;
 /// the sweep's baseline path set equals the base's (computed once, so the
 /// per-scenario fold never deep-compares paths for reused pairs).
 struct PairBinding {
-    /// Source host id (index into the plan's host order).
+    /// Source host id: its index in the base data plane's host table,
+    /// which is host-id order whenever the delta plan applies.
     si: u32,
     /// Destination host id.
     di: u32,
-    /// Index of this pair in the base data plane's key order (and thus
-    /// into `pair_meta`); `u32::MAX` when the base lacks the pair.
+    /// Index of this pair in the base data plane's entries (and thus into
+    /// `pair_meta`); `u32::MAX` when the base lacks the pair.
     base_idx: u32,
     /// Whether `baseline` equals the base's path set for this pair.
     same_as_base: bool,
@@ -73,10 +75,9 @@ pub struct ScenarioSweep<'a> {
     baseline: &'a DataPlane,
     table: Arc<PairTable>,
     binding: Vec<PairBinding>,
-    /// The base data plane's key order disagreed with the host
-    /// enumeration (the same defensive invariant the materializing path
-    /// zips for): every scenario goes through the cold path.
-    force_cold: bool,
+    /// The base network's router ids (what re-traces yield) joined onto
+    /// the baseline's router table.
+    routers: NameJoin,
 }
 
 impl<'a> ScenarioSweep<'a> {
@@ -105,85 +106,53 @@ impl<'a> ScenarioSweep<'a> {
         if table.len() != baseline.len() {
             return None;
         }
-        for (i, ((s, d), _)) in baseline.pairs().enumerate() {
-            if table.pair(i) != (s.as_str(), d.as_str()) {
+        for (i, p) in baseline.pairs().enumerate() {
+            if table.pair(i) != (p.src, p.dst) {
                 return None;
             }
         }
 
-        let host_id: BTreeMap<&str, u32> = base
-            .sim
-            .net
-            .hosts_iter()
-            .map(|(id, h)| (h.name.as_str(), id.0))
-            .collect();
-
-        // The plan's pair indices assume the base data plane enumerates
-        // exactly the ordered host pairs in host order — the invariant
-        // `delta::materialize` re-zips per scenario; verify it once here.
-        let mut force_cold = false;
-        {
-            let names: Vec<&str> = base
-                .sim
-                .net
-                .hosts_iter()
-                .map(|(_, h)| h.name.as_str())
-                .collect();
-            let mut cached = base.sim.dataplane.pairs();
-            'check: for s in &names {
-                for d in &names {
-                    if s == d {
-                        continue;
-                    }
-                    match cached.next() {
-                        Some(((ks, kd), _)) if ks == s && kd == d => {}
-                        _ => {
-                            force_cold = true;
-                            break 'check;
+        // Bind each baseline pair to the base data plane by id: join the
+        // baseline's host and router tables onto the base's once (the
+        // baseline is normally a restriction of the base, and then both
+        // joins are the identity).
+        let base_dp = &base.sim.dataplane;
+        let hosts = NameJoin::new(baseline.hosts(), base_dp.hosts());
+        let routers = NameJoin::new(base_dp.routers(), baseline.routers());
+        let base_entries = base_dp.entries();
+        let binding = baseline
+            .entries()
+            .iter()
+            .map(|((s, d), ps)| {
+                let key = hosts.get(*s).zip(hosts.get(*d));
+                let found = key.and_then(|k| {
+                    let i = base_entries.binary_search_by_key(&k, |e| e.0).ok()?;
+                    Some((k, i))
+                });
+                match found {
+                    Some(((si, di), i)) => {
+                        let bp = &base_entries[i].1;
+                        let shared = routers.is_identity() && Arc::ptr_eq(ps, bp);
+                        PairBinding {
+                            si,
+                            di,
+                            base_idx: i as u32,
+                            same_as_base: shared || routers.same(bp, ps),
+                            baseline: Arc::clone(ps),
+                            base_ps: Some(Arc::clone(bp)),
                         }
                     }
+                    None => PairBinding {
+                        si: u32::MAX,
+                        di: u32::MAX,
+                        base_idx: u32::MAX,
+                        same_as_base: false,
+                        baseline: Arc::clone(ps),
+                        base_ps: None,
+                    },
                 }
-            }
-            if !force_cold && cached.next().is_some() {
-                force_cold = true;
-            }
-        }
-
-        // Merge-join the baseline against the base data plane (both are
-        // name-sorted; the baseline is normally a restriction of it).
-        let mut base_pairs = base.sim.dataplane.shared_pairs().enumerate().peekable();
-        let mut binding = Vec::with_capacity(baseline.len());
-        for ((s, d), ps) in baseline.shared_pairs() {
-            while let Some((_, (k, _))) = base_pairs.peek() {
-                if (&k.0, &k.1) < (s, d) {
-                    base_pairs.next();
-                } else {
-                    break;
-                }
-            }
-            let (mut base_idx, base_ps, same_as_base) = match base_pairs.peek() {
-                Some((idx, (k, bp))) if (&k.0, &k.1) == (s, d) => {
-                    let same = Arc::ptr_eq(ps, bp) || **ps == ***bp;
-                    (*idx as u32, Some(Arc::clone(bp)), same)
-                }
-                _ => (u32::MAX, None, false),
-            };
-            let (si, di) = match (host_id.get(s.as_str()), host_id.get(d.as_str())) {
-                (Some(&a), Some(&b)) => (a, b),
-                _ => (u32::MAX, u32::MAX),
-            };
-            if si == u32::MAX || di == u32::MAX {
-                base_idx = u32::MAX;
-            }
-            binding.push(PairBinding {
-                si,
-                di,
-                base_idx,
-                same_as_base: same_as_base && base_idx != u32::MAX,
-                baseline: Arc::clone(ps),
-                base_ps,
-            });
-        }
+            })
+            .collect();
 
         Some(ScenarioSweep {
             _engine: engine,
@@ -191,7 +160,7 @@ impl<'a> ScenarioSweep<'a> {
             baseline,
             table,
             binding,
-            force_cold,
+            routers,
         })
     }
 
@@ -233,12 +202,7 @@ impl<'a> ScenarioSweep<'a> {
     fn digest_failed(&self, failed: &NetworkConfigs) -> Result<ScenarioDigest, SimError> {
         let sp = confmask_obs::span("sim.delta.sim");
         confmask_obs::counter_add("sim.delta.sims", 1);
-        let plan = if self.force_cold {
-            None
-        } else {
-            delta::plan_shutdowns(self.base, failed)?
-        };
-        let (digest, stats) = match plan {
+        let (digest, stats) = match delta::plan_shutdowns(self.base, failed)? {
             Some(plan) => self.digest_plan(failed, &plan),
             None => (classify_failed(failed, self.baseline)?, DeltaStats::full()),
         };
@@ -247,10 +211,9 @@ impl<'a> ScenarioSweep<'a> {
         Ok(digest)
     }
 
-    /// Classifies every bound pair against the plan. Replicates
-    /// `classify_pair_with`'s decision order exactly for re-traced pairs
-    /// (equality, loop, dropped, rerouted) so the digest matches the
-    /// materializing path bit for bit.
+    /// Classifies every bound pair against the plan with the cold loop's
+    /// `classify_pair`, so the digest matches the materializing path bit
+    /// for bit.
     fn digest_plan(
         &self,
         failed: &NetworkConfigs,
@@ -266,11 +229,8 @@ impl<'a> ScenarioSweep<'a> {
                 _ => false,
             }
         };
-        let empty = PathSet {
-            blackhole: true,
-            ..PathSet::default()
-        };
-        let mut arena = PathArena::default();
+        let missing = PathSet::blackholed();
+        let mut traced = PathSet::default();
         let mut digest = ScenarioDigest::new(self.table.len());
         let mut recomputed = 0usize;
         for (i, b) in self.binding.iter().enumerate() {
@@ -279,7 +239,8 @@ impl<'a> ScenarioSweep<'a> {
                 // The base simulation lacks this pair: the perturbed data
                 // plane cannot contain it either (delta runs start from
                 // the base's pair set), so it reads as dropped.
-                classify_pair_with(&b.baseline, &empty, || connected(src, dst))
+                let unchanged = self.routers.same(&missing, &b.baseline);
+                classify_pair(unchanged, &missing, || connected(src, dst))
             } else if plan.pair_reusable(self.base, b.si as usize, b.di as usize, b.base_idx as usize)
             {
                 if b.same_as_base {
@@ -287,7 +248,7 @@ impl<'a> ScenarioSweep<'a> {
                     DegradationClass::Unchanged
                 } else {
                     let after = b.base_ps.as_ref().expect("present pair has a base path set");
-                    classify_pair_with(&b.baseline, after, || connected(src, dst))
+                    classify_pair(false, after, || connected(src, dst))
                 }
             } else {
                 recomputed += 1;
@@ -296,21 +257,10 @@ impl<'a> ScenarioSweep<'a> {
                     &plan.fibs,
                     HostId(b.si),
                     HostId(b.di),
-                    &mut arena,
+                    &mut traced,
                 );
-                if arena.matches(&plan.new_net, &b.baseline) {
-                    DegradationClass::Unchanged
-                } else if arena.has_loop {
-                    DegradationClass::Looping
-                } else if arena.path_count() == 0 || arena.blackhole {
-                    if connected(src, dst) {
-                        DegradationClass::BlackHoled
-                    } else {
-                        DegradationClass::Partitioned
-                    }
-                } else {
-                    DegradationClass::Rerouted
-                }
+                let unchanged = self.routers.same(&traced, &b.baseline);
+                classify_pair(unchanged, &traced, || connected(src, dst))
             };
             digest.record(i, class);
         }

@@ -6,6 +6,9 @@
 //! `(h_s, r_1, …, r_n, h_d)`. Paths are enumerated by walking FIBs with
 //! ECMP branching, which is exactly what Batfish's traceroute question does
 //! for the original prototype.
+//!
+//! Paths are held as router ids ([`PathSet`]), shared between the pairs
+//! behind one gateway, and read as names only through [`Pair::paths`].
 
 use crate::error::SimError;
 use crate::fib::{Fibs, NextHop};
@@ -90,60 +93,235 @@ impl PairBits {
     }
 }
 
-/// The forwarding behaviour between one (src, dst) host pair.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// The forwarding behaviour between one (src, dst) host pair, over router
+/// ids.
+///
+/// Every path is a span into one flat hop vector: the routers
+/// `r_1, …, r_n` between the two hosts, whose endpoints the pair implies.
+/// A span of length zero is the same-LAN direct path (`[h_s, h_d]`). Ids
+/// index the router table of the network or [`DataPlane`] the set belongs
+/// to (`RouterId`s follow hostname order, [`SimNetwork::build`]), so a set
+/// reads as names only through its data plane ([`Pair::paths`]) and is
+/// compared with another network's through a [`NameJoin`].
+///
+/// `==` compares the flags and the id paths in order, which is name
+/// equality for two sets over the same router table.
+#[derive(Debug, Clone, Default)]
 pub struct PathSet {
-    /// Complete forwarding paths, each `[h_s, r_1, …, r_n, h_d]` by device
-    /// name, sorted and deduplicated.
-    pub paths: Vec<Vec<String>>,
+    /// Flat hop storage: router ids of every span, back to back.
+    hops: Vec<RouterId>,
+    /// One `(start, len)` span into `hops` per path.
+    spans: Vec<(u32, u32)>,
     /// Some branch dropped traffic (no FIB entry / undeliverable).
     pub blackhole: bool,
     /// Some branch entered a forwarding loop.
     pub has_loop: bool,
 }
 
-impl PathSet {
-    /// Fully reachable: at least one path and no anomalous branch.
-    pub fn clean(&self) -> bool {
-        !self.paths.is_empty() && !self.blackhole && !self.has_loop
+impl PartialEq for PathSet {
+    fn eq(&self, other: &Self) -> bool {
+        NameJoin::IDENTITY.same(self, other)
     }
 }
+
+impl Eq for PathSet {}
+
+impl PathSet {
+    /// No path and a black hole: what an unattached source reaches, and
+    /// what a pair missing from a data plane reads as.
+    pub fn blackholed() -> PathSet {
+        PathSet {
+            blackhole: true,
+            ..PathSet::default()
+        }
+    }
+
+    /// The one direct path between two hosts on a LAN segment.
+    fn direct() -> PathSet {
+        let mut ps = PathSet::default();
+        ps.push_path(&[]);
+        ps
+    }
+
+    /// Fully reachable: at least one path and no anomalous branch.
+    pub fn clean(&self) -> bool {
+        !self.spans.is_empty() && !self.blackhole && !self.has_loop
+    }
+
+    /// Number of paths.
+    pub fn path_count(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Iterates the paths as router-id slices (host endpoints excluded),
+    /// in the set's order.
+    pub fn paths(&self) -> impl ExactSizeIterator<Item = &[RouterId]> {
+        self.spans
+            .iter()
+            .map(|&(start, len)| &self.hops[start as usize..(start + len) as usize])
+    }
+
+    /// Resets the set for the next pair, keeping the allocations.
+    fn clear(&mut self) {
+        self.hops.clear();
+        self.spans.clear();
+        self.blackhole = false;
+        self.has_loop = false;
+    }
+
+    fn push_path(&mut self, walk: &[RouterId]) {
+        let start = self.hops.len() as u32;
+        self.hops.extend_from_slice(walk);
+        self.spans.push((start, walk.len() as u32));
+    }
+
+    /// Sorts spans by hop sequence and drops duplicates. Ids follow
+    /// hostname order, so this is the name order of the paths.
+    fn sort_dedup(&mut self) {
+        let PathSet { hops, spans, .. } = self;
+        let seg = |&(start, len): &(u32, u32)| &hops[start as usize..(start + len) as usize];
+        spans.sort_by(|a, b| seg(a).cmp(seg(b)));
+        spans.dedup_by(|a, b| seg(a) == seg(b));
+    }
+}
+
+/// The join by name of one name-sorted table (routers or hosts) onto
+/// another: for each id of the first, the id of the same name in the
+/// second. It is computed once per pair of tables, and is the identity
+/// when the tables are equal, so same-table comparisons stay slice
+/// compares.
+///
+/// Both tables are sorted, so the join is monotone: it keeps the relative
+/// order of ids. Two path sets that hold the same names therefore hold
+/// them in the same order on both sides, and comparing them span by span
+/// after mapping each hop is exactly comparing their name paths.
+#[derive(Debug, Clone)]
+pub struct NameJoin {
+    /// `None` for equal tables; else per id of the first table, its id in
+    /// the second or [`NameJoin::MISSING`].
+    map: Option<Vec<u32>>,
+}
+
+impl NameJoin {
+    const IDENTITY: NameJoin = NameJoin { map: None };
+    const MISSING: u32 = u32::MAX;
+
+    /// The join of `from` onto `to`; both must be sorted.
+    pub fn new(from: &[String], to: &[String]) -> NameJoin {
+        if std::ptr::eq(from, to) || from == to {
+            return NameJoin::IDENTITY;
+        }
+        let mut map = Vec::with_capacity(from.len());
+        let mut j = 0;
+        for name in from {
+            while j < to.len() && to[j] < *name {
+                j += 1;
+            }
+            map.push(if to.get(j) == Some(name) {
+                j as u32
+            } else {
+                NameJoin::MISSING
+            });
+        }
+        NameJoin { map: Some(map) }
+    }
+
+    /// Whether the two tables are equal.
+    pub fn is_identity(&self) -> bool {
+        self.map.is_none()
+    }
+
+    /// The id in the second table of the first table's id `i`, if that
+    /// name exists there.
+    pub fn get(&self, i: u32) -> Option<u32> {
+        match &self.map {
+            None => Some(i),
+            Some(map) => Some(map[i as usize]).filter(|&j| j != NameJoin::MISSING),
+        }
+    }
+
+    /// Whether `a` (ids of the first table) and `b` (ids of the second)
+    /// are the same path set by name: equal flags and equal paths in order.
+    pub fn same(&self, a: &PathSet, b: &PathSet) -> bool {
+        if a.blackhole != b.blackhole || a.has_loop != b.has_loop || a.spans.len() != b.spans.len()
+        {
+            return false;
+        }
+        match &self.map {
+            None => a.paths().eq(b.paths()),
+            Some(map) => a.paths().zip(b.paths()).all(|(x, y)| {
+                x.len() == y.len() && x.iter().zip(y).all(|(r, s)| map[r.0 as usize] == s.0)
+            }),
+        }
+    }
+}
+
+/// An ordered host pair by index into a [`DataPlane`]'s host table.
+pub type HostPair = (u32, u32);
 
 /// All host-to-host forwarding paths (the paper's `DP`).
 ///
-/// Path sets are stored behind [`Arc`] so that cloning a data plane — or
-/// splicing unaffected pairs from a cached one into an incremental result —
-/// shares the (potentially large) path vectors instead of deep-copying
-/// them. Equality stays structural: two data planes compare equal iff their
-/// pairs and path sets do, shared or not.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A data plane holds a name-sorted host table, a router-name table in
+/// [`RouterId`] order (also name-sorted), and its pairs keyed by host
+/// index in (src, dst) order, which is name order. Path sets are
+/// [`Arc`]-shared: extraction hands every source behind one gateway the
+/// same set toward a destination, and cloning, restricting or splicing a
+/// data plane shares tables and sets instead of copying them.
+///
+/// Names are resolved only at the edges ([`DataPlane::pairs`],
+/// [`DataPlane::between`], [`Pair::paths`]). Comparisons keep name
+/// semantics across networks: `==` and [`DataPlane::equivalent_on`] join
+/// the two host and router tables by name once ([`NameJoin`]) and then
+/// compare ids.
+#[derive(Debug, Clone, Default)]
 pub struct DataPlane {
-    pairs: BTreeMap<(String, String), Arc<PathSet>>,
+    hosts: Arc<[String]>,
+    routers: Arc<[String]>,
+    pairs: Arc<[(HostPair, Arc<PathSet>)]>,
 }
 
+impl PartialEq for DataPlane {
+    fn eq(&self, other: &Self) -> bool {
+        self.same_pairs(other, None)
+    }
+}
+
+impl Eq for DataPlane {}
+
 impl DataPlane {
-    /// The path set between two hosts (by name).
-    pub fn between(&self, src: &str, dst: &str) -> Option<&PathSet> {
-        self.shared_between(src, dst).map(|ps| ps.as_ref())
+    /// The host table, sorted by name. It may name hosts that no pair of
+    /// a restricted data plane involves.
+    pub fn hosts(&self) -> &[String] {
+        &self.hosts
     }
 
-    /// The shared handle for a pair — lets callers reuse a path set in
-    /// another data plane for the cost of a reference-count bump.
+    /// The router table: the name of each [`RouterId`] its path sets use.
+    pub fn routers(&self) -> &[String] {
+        &self.routers
+    }
+
+    /// The path set between two hosts, with their names.
+    pub fn between(&self, src: &str, dst: &str) -> Option<Pair<'_>> {
+        let i = self.index_of(src, dst)?;
+        Some(self.pair(&self.pairs[i]))
+    }
+
+    /// The shared handle for a pair, found without allocating — lets
+    /// callers reuse a path set in another data plane over the same
+    /// router table for the cost of a reference-count bump.
     pub fn shared_between(&self, src: &str, dst: &str) -> Option<&Arc<PathSet>> {
-        self.pairs.get(&(src.to_string(), dst.to_string()))
+        self.index_of(src, dst).map(|i| &self.pairs[i].1)
     }
 
-    /// Iterates over every `((src, dst), paths)` pair.
-    pub fn pairs(&self) -> impl Iterator<Item = (&(String, String), &PathSet)> {
-        self.pairs.iter().map(|(k, v)| (k, v.as_ref()))
+    /// Iterates every pair in (src, dst) name order.
+    pub fn pairs(&self) -> impl ExactSizeIterator<Item = Pair<'_>> {
+        self.pairs.iter().map(|e| self.pair(e))
     }
 
-    /// Like [`DataPlane::pairs`], exposing the shared handles: two data
-    /// planes that reuse a path set (the incremental engine's Arc sharing)
-    /// yield pointer-equal handles, so a comparer can skip the deep path
-    /// comparison for them.
-    pub fn shared_pairs(&self) -> impl Iterator<Item = (&(String, String), &Arc<PathSet>)> {
-        self.pairs.iter()
+    /// The pairs by host index, in (src, dst) order: the id-level view the
+    /// incremental engine works on.
+    pub fn entries(&self) -> &[(HostPair, Arc<PathSet>)] {
+        &self.pairs
     }
 
     /// Number of host pairs.
@@ -156,42 +334,294 @@ impl DataPlane {
         self.pairs.is_empty()
     }
 
+    /// The same tables and pairs with some path sets replaced: `replace`
+    /// sees each entry with its position and returns a set (over this
+    /// data plane's router table) to put in its place, or `None` to share
+    /// the current one.
+    pub fn with_replaced(
+        &self,
+        mut replace: impl FnMut(usize, HostPair, &Arc<PathSet>) -> Option<PathSet>,
+    ) -> DataPlane {
+        let pairs = self.pairs.iter().enumerate().map(|(i, (key, set))| {
+            let set = replace(i, *key, set).map_or_else(|| Arc::clone(set), Arc::new);
+            (*key, set)
+        });
+        DataPlane {
+            hosts: Arc::clone(&self.hosts),
+            routers: Arc::clone(&self.routers),
+            pairs: pairs.collect(),
+        }
+    }
+
     /// The data plane restricted to pairs whose endpoints are both in
     /// `hosts` — used to compare an anonymized network with the original on
     /// the *real* hosts only (fake hosts are outside the equivalence
-    /// mapping, Appendix A).
+    /// mapping, Appendix A). Tables and path sets are shared.
     pub fn restricted_to(&self, hosts: &BTreeSet<String>) -> DataPlane {
+        let keep = self.host_mask(hosts);
         DataPlane {
+            hosts: Arc::clone(&self.hosts),
+            routers: Arc::clone(&self.routers),
             pairs: self
                 .pairs
                 .iter()
-                .filter(|((s, d), _)| hosts.contains(s) && hosts.contains(d))
-                .map(|(k, v)| (k.clone(), v.clone()))
+                .filter(|(key, _)| kept(&keep, *key))
+                .cloned()
                 .collect(),
         }
     }
 
     /// Exact route equivalence on a host subset: identical path sets for
-    /// every pair (Definition 3.3's *route equivalence*). Both maps are
-    /// walked in key order in place, so no key is cloned.
+    /// every pair (Definition 3.3's *route equivalence*). Both pair lists
+    /// are walked in place, so nothing is copied.
     pub fn equivalent_on(&self, other: &DataPlane, hosts: &BTreeSet<String>) -> bool {
-        let on = |((s, d), _): &(&(String, String), &Arc<PathSet>)| {
-            hosts.contains(s) && hosts.contains(d)
+        self.same_pairs(other, Some(hosts))
+    }
+
+    /// Whether the pairs of both data planes with both endpoints in `on`
+    /// (all pairs for `None`) are the same by name, pair by pair.
+    fn same_pairs(&self, other: &DataPlane, on: Option<&BTreeSet<String>>) -> bool {
+        let (keep_a, keep_b) = match on {
+            Some(hosts) => (self.host_mask(hosts), other.host_mask(hosts)),
+            None => (Vec::new(), Vec::new()),
         };
-        self.pairs
+        let hosts = NameJoin::new(&self.hosts, &other.hosts);
+        let routers = NameJoin::new(&self.routers, &other.routers);
+        let mut a = self.pairs.iter().filter(|(key, _)| kept(&keep_a, *key));
+        let mut b = other.pairs.iter().filter(|(key, _)| kept(&keep_b, *key));
+        loop {
+            match (a.next(), b.next()) {
+                (None, None) => return true,
+                (Some(((sa, da), pa)), Some(((sb, db), pb))) => {
+                    if hosts.get(*sa) != Some(*sb) || hosts.get(*da) != Some(*db) {
+                        return false;
+                    }
+                    let shared = routers.is_identity() && Arc::ptr_eq(pa, pb);
+                    if !shared && !routers.same(pa, pb) {
+                        return false;
+                    }
+                }
+                _ => return false,
+            }
+        }
+    }
+
+    /// Per host index: whether its name is in `hosts`.
+    fn host_mask(&self, hosts: &BTreeSet<String>) -> Vec<bool> {
+        self.hosts.iter().map(|h| hosts.contains(h)).collect()
+    }
+
+    fn index_of(&self, src: &str, dst: &str) -> Option<usize> {
+        let host = |name: &str| {
+            self.hosts
+                .binary_search_by(|h| h.as_str().cmp(name))
+                .ok()
+                .map(|i| i as u32)
+        };
+        let key = (host(src)?, host(dst)?);
+        self.pairs.binary_search_by_key(&key, |e| e.0).ok()
+    }
+
+    fn pair<'a>(&'a self, ((s, d), set): &'a (HostPair, Arc<PathSet>)) -> Pair<'a> {
+        Pair {
+            src: &self.hosts[*s as usize],
+            dst: &self.hosts[*d as usize],
+            set,
+            routers: &self.routers,
+        }
+    }
+}
+
+/// Whether a pair survives a host mask (an empty mask keeps every pair).
+fn kept(mask: &[bool], (s, d): HostPair) -> bool {
+    mask.is_empty() || (mask[s as usize] && mask[d as usize])
+}
+
+/// One pair of a [`DataPlane`]: its host names and shared path set, read
+/// as names through [`Pair::paths`].
+///
+/// `==` compares by name: the same hosts and the same name paths and
+/// flags, whichever router tables the two sides use.
+#[derive(Clone, Copy)]
+pub struct Pair<'a> {
+    /// Source host.
+    pub src: &'a str,
+    /// Destination host.
+    pub dst: &'a str,
+    /// The path set, over the data plane's router table.
+    pub set: &'a Arc<PathSet>,
+    routers: &'a [String],
+}
+
+impl<'a> Pair<'a> {
+    /// Fully reachable: at least one path and no anomalous branch.
+    pub fn clean(&self) -> bool {
+        self.set.clean()
+    }
+
+    /// Some branch dropped traffic.
+    pub fn blackhole(&self) -> bool {
+        self.set.blackhole
+    }
+
+    /// Some branch entered a forwarding loop.
+    pub fn has_loop(&self) -> bool {
+        self.set.has_loop
+    }
+
+    /// Number of paths.
+    pub fn path_count(&self) -> usize {
+        self.set.path_count()
+    }
+
+    /// The paths by name, each `[h_s, r_1, …, r_n, h_d]`, in the set's
+    /// order: the one place a data plane resolves router ids to names.
+    pub fn paths(&self) -> impl ExactSizeIterator<Item = Vec<&'a str>> + 'a {
+        let (src, dst, routers) = (self.src, self.dst, self.routers);
+        let set: &'a PathSet = self.set;
+        set.paths().map(move |hops| {
+            let mut path = Vec::with_capacity(hops.len() + 2);
+            path.push(src);
+            path.extend(hops.iter().map(|r| routers[r.0 as usize].as_str()));
+            path.push(dst);
+            path
+        })
+    }
+}
+
+impl PartialEq for Pair<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&**self.set, &**other.set);
+        if self.src != other.src
+            || self.dst != other.dst
+            || a.blackhole != b.blackhole
+            || a.has_loop != b.has_loop
+            || a.path_count() != b.path_count()
+        {
+            return false;
+        }
+        if std::ptr::eq(self.routers, other.routers) {
+            return a == b;
+        }
+        a.paths().zip(b.paths()).all(|(x, y)| {
+            x.len() == y.len()
+                && x.iter()
+                    .zip(y)
+                    .all(|(r, s)| self.routers[r.0 as usize] == other.routers[s.0 as usize])
+        })
+    }
+}
+
+impl std::fmt::Debug for Pair<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Pair")
+            .field("src", &self.src)
+            .field("dst", &self.dst)
+            .field("paths", &self.paths().collect::<Vec<_>>())
+            .field("blackhole", &self.blackhole())
+            .field("has_loop", &self.has_loop())
+            .finish()
+    }
+}
+
+/// Builds a [`DataPlane`] from name paths, for producers that have no
+/// [`SimNetwork`]: NetHide's virtual topology and tests.
+#[derive(Debug, Default)]
+pub struct DataPlaneBuilder {
+    pairs: BTreeMap<(String, String), NamedSet>,
+}
+
+/// One pair of a [`DataPlaneBuilder`]: the interior router names of each
+/// path, and the flags.
+#[derive(Debug)]
+struct NamedSet {
+    paths: Vec<Vec<String>>,
+    blackhole: bool,
+    has_loop: bool,
+}
+
+impl DataPlaneBuilder {
+    /// An empty builder.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds (or replaces) a pair. Each path is `[h_s, r_1, …, r_n, h_d]` by
+    /// name; paths keep the given order.
+    ///
+    /// # Panics
+    /// If a path does not run from `src` to `dst`.
+    pub fn insert<P, S>(
+        &mut self,
+        src: &str,
+        dst: &str,
+        paths: P,
+        blackhole: bool,
+        has_loop: bool,
+    ) -> &mut Self
+    where
+        P: IntoIterator,
+        P::Item: IntoIterator<Item = S>,
+        S: AsRef<str>,
+    {
+        let interiors = paths
+            .into_iter()
+            .map(|path| {
+                let names: Vec<String> = path.into_iter().map(|n| n.as_ref().to_string()).collect();
+                assert!(
+                    names.len() >= 2 && names[0] == src && names[names.len() - 1] == dst,
+                    "path {names:?} does not run from {src} to {dst}"
+                );
+                names[1..names.len() - 1].to_vec()
+            })
+            .collect();
+        let set = NamedSet {
+            paths: interiors,
+            blackhole,
+            has_loop,
+        };
+        self.pairs.insert((src.to_string(), dst.to_string()), set);
+        self
+    }
+
+    /// The data plane: hosts are the pairs' endpoints, routers the names
+    /// on their paths.
+    pub fn build(self) -> DataPlane {
+        fn table<'a>(names: impl Iterator<Item = &'a String>) -> BTreeMap<&'a str, u32> {
+            let mut table: BTreeMap<&str, u32> = names.map(|n| (n.as_str(), 0)).collect();
+            for (i, id) in table.values_mut().enumerate() {
+                *id = i as u32;
+            }
+            table
+        }
+        let hosts = table(self.pairs.keys().flat_map(|(s, d)| [s, d]));
+        let routers = table(
+            self.pairs
+                .values()
+                .flat_map(|set| set.paths.iter().flatten()),
+        );
+        let pairs = self
+            .pairs
             .iter()
-            .filter(on)
-            .eq(other.pairs.iter().filter(on))
-    }
-
-    /// Inserts a pair (used by the extractor and tests).
-    pub fn insert(&mut self, src: String, dst: String, paths: PathSet) {
-        self.insert_shared(src, dst, Arc::new(paths));
-    }
-
-    /// Inserts an already-shared path set without copying it.
-    pub fn insert_shared(&mut self, src: String, dst: String, paths: Arc<PathSet>) {
-        self.pairs.insert((src, dst), paths);
+            .map(|((s, d), named)| {
+                let mut set = PathSet {
+                    blackhole: named.blackhole,
+                    has_loop: named.has_loop,
+                    ..PathSet::default()
+                };
+                for path in &named.paths {
+                    let walk: Vec<RouterId> =
+                        path.iter().map(|r| RouterId(routers[r.as_str()])).collect();
+                    set.push_path(&walk);
+                }
+                ((hosts[s.as_str()], hosts[d.as_str()]), Arc::new(set))
+            })
+            .collect();
+        DataPlane {
+            hosts: hosts.keys().map(|h| h.to_string()).collect(),
+            routers: routers.keys().map(|r| r.to_string()).collect(),
+            pairs,
+        }
     }
 }
 
@@ -199,28 +629,31 @@ impl DataPlane {
 ///
 /// Extraction runs per destination, not per pair. A destination's FIB
 /// entry is looked up once at every router its traffic can reach, which
-/// gives the destination's next-hop graph over router ids ([`DestDag`]);
-/// every source then reads its gateway's paths and flags from that one
-/// graph. The per-pair DFS of [`trace_into`] runs only for a pair whose
-/// gateway the graph cannot answer exactly: one that reaches a forwarding
-/// loop or the [`MAX_PATHS_PER_PAIR`] cap, where the DFS's result depends
-/// on its visiting order. Everywhere else the two agree exactly (see
-/// [`DestDag`]).
+/// gives the destination's next-hop graph over router ids ([`DestDag`]).
+/// Every source behind one gateway has the same paths toward the
+/// destination, so the graph yields one shared path set per (gateway,
+/// destination); all same-LAN pairs share one direct set, and all pairs
+/// with an unattached source one black-holed set. The per-pair DFS of
+/// [`trace_into`] runs only for a pair whose gateway the graph cannot
+/// answer exactly: one that reaches a forwarding loop or the
+/// [`MAX_PATHS_PER_PAIR`] cap, where the DFS's result depends on its
+/// visiting order. Such a pair keeps its own set. Everywhere else the two
+/// agree exactly (see [`DestDag`]).
 ///
-/// Destinations are independent, so they fan out over the shared executor;
-/// so do sources when their rows of path sets are materialized from the
-/// graphs. Hosts are name-sorted once, so rows come out in (src, dst) name
-/// order and the map bulk-builds from a sorted sequence. The result is
-/// byte-identical at any worker count.
+/// Destinations are independent, so they fan out over the shared
+/// executor, and their path sets are allocated on the workers. Hosts are
+/// name-sorted once, so pairs come out in (src, dst) name order. The
+/// result is byte-identical at any worker count.
 ///
-/// A panic inside either fan-out is contained: every sibling worker is
-/// still joined and the first payload surfaces as [`SimError::TracePanic`]
+/// A panic inside the fan-out is contained: every sibling worker is still
+/// joined and the first payload surfaces as [`SimError::TracePanic`]
 /// instead of aborting the process.
 pub fn extract_dataplane(net: &SimNetwork, fibs: &Fibs) -> Result<DataPlane, SimError> {
     let (dataplane, stats) = extract(net, fibs)?;
     confmask_obs::counter_add("sim.dataplane.destinations", stats.destinations);
     confmask_obs::counter_add("sim.dataplane.dag_nodes", stats.dag_nodes);
     confmask_obs::counter_add("sim.dataplane.dfs_fallbacks", stats.dfs_fallbacks);
+    confmask_obs::counter_add("sim.dataplane.path_sets", stats.path_sets);
     Ok(dataplane)
 }
 
@@ -233,41 +666,50 @@ struct ExtractStats {
     dag_nodes: u64,
     /// Pairs decided by the per-pair DFS.
     dfs_fallbacks: u64,
+    /// Distinct path sets allocated.
+    path_sets: u64,
 }
 
 fn extract(net: &SimNetwork, fibs: &Fibs) -> Result<(DataPlane, ExtractStats), SimError> {
     let mut hosts: Vec<HostId> = net.hosts_iter().map(|(id, _)| id).collect();
     hosts.sort_by(|a, b| net.host(*a).name.cmp(&net.host(*b).name));
 
-    let dags = confmask_exec::try_par_map(&hosts, |&dst| DestDag::build(net, fibs, &hosts, dst))
-        .map_err(|p| SimError::TracePanic(p.message()))?;
+    let mut dags =
+        confmask_exec::try_par_map(&hosts, |&dst| DestDag::build(net, fibs, &hosts, dst))
+            .map_err(|p| SimError::TracePanic(p.message()))?;
+    let shared = |used: bool, set: fn() -> PathSet| used.then(|| Arc::new(set()));
+    let direct = shared(dags.iter().any(|g| g.same_lan), PathSet::direct);
+    let unattached = shared(dags.iter().any(|g| g.unattached), PathSet::blackholed);
     let stats = ExtractStats {
         destinations: dags.len() as u64,
         dag_nodes: dags.iter().map(|g| g.resolved).sum(),
-        dfs_fallbacks: dags.iter().map(|g| g.fallbacks.len() as u64).sum(),
+        dfs_fallbacks: dags.iter().map(|g| g.fallbacks).sum(),
+        path_sets: dags.iter().map(|g| g.sets).sum::<u64>()
+            + u64::from(direct.is_some())
+            + u64::from(unattached.is_some()),
     };
 
-    // Rows are materialized per source on the executor, so the name paths
-    // are allocated on the workers: building them all on the calling
-    // thread raised peak RSS by about 1.5% on the two-thread
-    // verify-fattree workload. Rows in (src, dst) index order ==
-    // (src, dst) name order.
+    // Pairs in (src, dst) index order == (src, dst) name order.
     let n = hosts.len();
-    let sources: Vec<usize> = (0..n).collect();
-    let rows = confmask_exec::try_par_map(&sources, |&s| {
-        let dsts = (0..n).filter(|&d| d != s);
-        dsts.map(|d| dags[d].path_set(net, s, hosts[s], hosts[d]))
-            .collect::<Vec<_>>()
-    })
-    .map_err(|p| SimError::TracePanic(p.message()))?;
-    let name = |i: usize| net.host(hosts[i]).name.clone();
-    let rows = rows.into_iter().enumerate().flat_map(|(s, row)| {
-        let dsts = (0..n).filter(move |&d| d != s);
-        dsts.zip(row)
-            .map(move |(d, ps)| ((name(s), name(d)), Arc::new(ps)))
-    });
+    let mut pairs = Vec::with_capacity(n * n.saturating_sub(1));
+    for s in 0..n {
+        for (d, dag) in dags.iter_mut().enumerate() {
+            if s == d {
+                continue;
+            }
+            let set = match std::mem::replace(&mut dag.slots[s], Slot::Unattached) {
+                Slot::Unattached => unattached.clone(),
+                Slot::SameLan => direct.clone(),
+                Slot::Set(set) => Some(set),
+            };
+            pairs.push(((s as u32, d as u32), set.expect("a used shared set exists")));
+        }
+    }
+    let name = |&h: &HostId| net.host(h).name.clone();
     let dataplane = DataPlane {
-        pairs: BTreeMap::from_iter(rows),
+        hosts: hosts.iter().map(name).collect(),
+        routers: net.routers.iter().map(|r| r.name.clone()).collect(),
+        pairs: pairs.into(),
     };
     Ok((dataplane, stats))
 }
@@ -288,6 +730,17 @@ fn start(src: &HostNode, dst: &HostNode) -> Start {
         Some(_) if src.prefix == dst.prefix && src.attachment == dst.attachment => Start::SameLan,
         Some((gw, _)) => Start::Gateway(gw),
     }
+}
+
+/// One source's path set toward a [`DestDag`]'s destination.
+enum Slot {
+    /// The extraction-wide black-holed set (also the placeholder for the
+    /// destination itself, which is no pair).
+    Unattached,
+    /// The extraction-wide direct set.
+    SameLan,
+    /// The gateway's shared set, or the pair's own per-pair DFS result.
+    Set(Arc<PathSet>),
 }
 
 /// DFS colour of a [`DagNode`].
@@ -321,8 +774,7 @@ struct DagNode {
 }
 
 /// One destination's next-hop graph over router ids, resolved from the
-/// routers its sources' gateways can reach, plus the per-pair DFS results
-/// of the pairs it cannot answer.
+/// routers its sources' gateways can reach, and every source's path set.
 ///
 /// **Why it is exact.** The FIB lookup at a router depends only on the
 /// (router, destination) pair, so every per-pair DFS toward this
@@ -333,45 +785,75 @@ struct DagNode {
 /// black-hole flag is the OR over the reachable routers and its sorted,
 /// deduplicated paths are the graph's paths. Walking the sorted distinct
 /// successors, with a delivering router's own path first, enumerates
-/// exactly that list in that order.
+/// exactly that list in that order. The answer depends on the gateway
+/// alone, which is why its sources can share one set.
 struct DestDag {
     nodes: Vec<DagNode>,
     succ: Vec<u32>,
     /// Reused buffer for sorting one router's next hops.
     scratch: Vec<RouterId>,
+    /// Per router: its shared path set once some source's gateway asked.
+    by_gateway: Vec<Option<Arc<PathSet>>>,
+    /// Per source index: its path set toward this destination.
+    slots: Vec<Slot>,
     /// Routers resolved.
     resolved: u64,
-    /// `(source index, path set)` of the pairs whose gateway is inexact,
-    /// traced by the per-pair DFS, ascending by source index.
-    fallbacks: Vec<(usize, PathSet)>,
+    /// Pairs traced by the per-pair DFS.
+    fallbacks: u64,
+    /// Path sets allocated: gateway sets plus per-pair DFS results.
+    sets: u64,
+    /// Some source shares the destination's LAN segment.
+    same_lan: bool,
+    /// Some source is unattached.
+    unattached: bool,
 }
 
 impl DestDag {
-    /// Resolves the graph from every source's gateway and traces the
-    /// pairs it cannot answer exactly.
+    /// Resolves the graph from every source's gateway and gives each
+    /// source its path set.
     fn build(net: &SimNetwork, fibs: &Fibs, hosts: &[HostId], dst: HostId) -> DestDag {
         let mut dag = DestDag {
             nodes: vec![DagNode::default(); net.router_count()],
             succ: Vec::new(),
             scratch: Vec::new(),
+            by_gateway: vec![None; net.router_count()],
+            slots: Vec::with_capacity(hosts.len()),
             resolved: 0,
-            fallbacks: Vec::new(),
+            fallbacks: 0,
+            sets: 0,
+            same_lan: false,
+            unattached: false,
         };
         let dst_node = net.host(dst);
-        for (si, &src) in hosts.iter().enumerate() {
+        for &src in hosts {
             if src == dst {
+                dag.slots.push(Slot::Unattached);
                 continue;
             }
-            let Start::Gateway(gw) = start(net.host(src), dst_node) else {
-                continue;
+            let slot = match start(net.host(src), dst_node) {
+                Start::Unattached => {
+                    dag.unattached = true;
+                    Slot::Unattached
+                }
+                Start::SameLan => {
+                    dag.same_lan = true;
+                    Slot::SameLan
+                }
+                Start::Gateway(gw) => {
+                    let g = gw.0 as usize;
+                    if dag.nodes[g].visit == Visit::New {
+                        dag.resolve(fibs, dst_node, g);
+                    }
+                    if dag.nodes[g].inexact {
+                        dag.fallbacks += 1;
+                        dag.sets += 1;
+                        Slot::Set(Arc::new(trace(net, fibs, src, dst)))
+                    } else {
+                        Slot::Set(dag.gateway_set(gw))
+                    }
+                }
             };
-            let g = gw.0 as usize;
-            if dag.nodes[g].visit == Visit::New {
-                dag.resolve(fibs, dst_node, g);
-            }
-            if dag.nodes[g].inexact {
-                dag.fallbacks.push((si, trace(net, fibs, src, dst)));
-            }
+            dag.slots.push(slot);
         }
         dag
     }
@@ -429,52 +911,29 @@ impl DestDag {
         self.resolved += 1;
     }
 
-    /// The path set of `src → dst`, `src` being host `si` of the sorted
-    /// host table.
-    fn path_set(&self, net: &SimNetwork, si: usize, src: HostId, dst: HostId) -> PathSet {
-        let (src_node, dst_node) = (net.host(src), net.host(dst));
-        let gw = match start(src_node, dst_node) {
-            Start::Unattached => {
-                return PathSet {
-                    blackhole: true,
-                    ..PathSet::default()
-                }
-            }
-            Start::SameLan => {
-                return PathSet {
-                    paths: vec![vec![src_node.name.clone(), dst_node.name.clone()]],
-                    ..PathSet::default()
-                }
-            }
-            Start::Gateway(gw) => gw.0,
-        };
-        let node = self.nodes[gw as usize];
-        if node.inexact {
-            let i = self
-                .fallbacks
-                .binary_search_by_key(&si, |f| f.0)
-                .expect("every inexact pair was traced");
-            return self.fallbacks[i].1.clone();
+    /// The shared path set of every source behind exact gateway `gw`.
+    fn gateway_set(&mut self, gw: RouterId) -> Arc<PathSet> {
+        if let Some(set) = &self.by_gateway[gw.0 as usize] {
+            return Arc::clone(set);
         }
-        let mut paths = Vec::with_capacity(node.count);
-        let mut walk = Vec::new();
-        self.paths_from(gw, &mut walk, &mut |walk| {
-            let mut p = Vec::with_capacity(walk.len() + 2);
-            p.push(src_node.name.clone());
-            p.extend(walk.iter().map(|&r| net.router(RouterId(r)).name.clone()));
-            p.push(dst_node.name.clone());
-            paths.push(p);
-        });
-        PathSet {
-            paths,
+        let node = self.nodes[gw.0 as usize];
+        let mut set = PathSet {
+            spans: Vec::with_capacity(node.count),
             blackhole: node.blackhole,
-            has_loop: false,
-        }
+            ..PathSet::default()
+        };
+        self.paths_from(gw.0, &mut Vec::new(), &mut |walk| set.push_path(walk));
+        set.hops.shrink_to_fit();
+        set.spans.shrink_to_fit();
+        let set = Arc::new(set);
+        self.by_gateway[gw.0 as usize] = Some(Arc::clone(&set));
+        self.sets += 1;
+        set
     }
 
     /// Calls `emit` with every path from exact router `r`, in sorted order.
-    fn paths_from(&self, r: u32, walk: &mut Vec<u32>, emit: &mut impl FnMut(&[u32])) {
-        walk.push(r);
+    fn paths_from(&self, r: u32, walk: &mut Vec<RouterId>, emit: &mut impl FnMut(&[RouterId])) {
+        walk.push(RouterId(r));
         let node = &self.nodes[r as usize];
         if node.delivers {
             emit(walk);
@@ -487,131 +946,26 @@ impl DestDag {
     }
 }
 
-/// An arena-backed path set over router *ids*: every enumerated path is a
-/// span into one flat hop vector, so tracing a pair allocates nothing past
-/// the first reuse and classifying the result never clones a device name.
-///
-/// `RouterId`s are assigned in lexicographic hostname order
-/// ([`SimNetwork::build`]), so sorting id sequences orders spans exactly as
-/// [`trace`] orders its name paths — a materialized arena is byte-identical
-/// to the `PathSet` the name-level tracer would have produced. A span of
-/// length zero is the same-LAN direct path (`[h_s, h_d]`, no routers).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PathArena {
-    /// Flat hop storage: router ids of every span, back to back.
-    hops: Vec<u32>,
-    /// One `(start, len)` span into `hops` per path.
-    spans: Vec<(u32, u32)>,
-    /// Some branch dropped traffic (no FIB entry / undeliverable).
-    pub blackhole: bool,
-    /// Some branch entered a forwarding loop.
-    pub has_loop: bool,
-}
-
-impl PathArena {
-    /// Resets the arena for the next pair, keeping the allocations.
-    pub fn clear(&mut self) {
-        self.hops.clear();
-        self.spans.clear();
-        self.blackhole = false;
-        self.has_loop = false;
-    }
-
-    /// Number of recorded paths.
-    pub fn path_count(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Fully reachable: at least one path and no anomalous branch
-    /// (mirror of [`PathSet::clean`]).
-    pub fn clean(&self) -> bool {
-        !self.spans.is_empty() && !self.blackhole && !self.has_loop
-    }
-
-    /// Iterates the paths as router-id slices (host endpoints excluded).
-    pub fn paths(&self) -> impl Iterator<Item = &[u32]> {
-        self.spans
-            .iter()
-            .map(|&(start, len)| &self.hops[start as usize..(start + len) as usize])
-    }
-
-    fn push_walk(&mut self, walk: &[RouterId]) {
-        let start = self.hops.len() as u32;
-        self.hops.extend(walk.iter().map(|r| r.0));
-        self.spans.push((start, walk.len() as u32));
-    }
-
-    /// Sorts spans by hop sequence and drops duplicates — the id-level
-    /// equivalent of the `sort` + `dedup` the name tracer applies.
-    fn sort_dedup(&mut self) {
-        let PathArena { hops, spans, .. } = self;
-        let seg = |&(start, len): &(u32, u32)| &hops[start as usize..(start + len) as usize];
-        spans.sort_by(|a, b| seg(a).cmp(seg(b)));
-        spans.dedup_by(|a, b| seg(a) == seg(b));
-    }
-
-    /// Materializes the arena into a name-level [`PathSet`] with the given
-    /// host endpoints.
-    pub fn materialize(&self, net: &SimNetwork, src_name: &str, dst_name: &str) -> PathSet {
-        let mut paths = Vec::with_capacity(self.spans.len());
-        for hops in self.paths() {
-            let mut p = Vec::with_capacity(hops.len() + 2);
-            p.push(src_name.to_string());
-            p.extend(hops.iter().map(|&r| net.router(RouterId(r)).name.clone()));
-            p.push(dst_name.to_string());
-            paths.push(p);
-        }
-        PathSet {
-            paths,
-            blackhole: self.blackhole,
-            has_loop: self.has_loop,
-        }
-    }
-
-    /// Allocation-free equality against a name-level path set: true iff
-    /// [`PathArena::materialize`] would compare equal to `ps`. Host
-    /// endpoints are equal by construction (the caller traced the same
-    /// pair), so only flags and interior router names are compared.
-    pub fn matches(&self, net: &SimNetwork, ps: &PathSet) -> bool {
-        if self.blackhole != ps.blackhole
-            || self.has_loop != ps.has_loop
-            || self.spans.len() != ps.paths.len()
-        {
-            return false;
-        }
-        self.paths().zip(ps.paths.iter()).all(|(hops, path)| {
-            path.len() == hops.len() + 2
-                && hops
-                    .iter()
-                    .zip(path[1..].iter())
-                    .all(|(&r, name)| net.router(RouterId(r)).name == *name)
-        })
-    }
-}
-
 /// Traces all forwarding paths from `src` to `dst` (the paper's
 /// `traceroute(h_a, h_b)`).
 pub fn trace(net: &SimNetwork, fibs: &Fibs, src: HostId, dst: HostId) -> PathSet {
-    let mut arena = PathArena::default();
-    trace_into(net, fibs, src, dst, &mut arena);
-    let src_node = net.host(src);
-    let dst_node = net.host(dst);
-    arena.materialize(net, &src_node.name, &dst_node.name)
+    let mut set = PathSet::default();
+    trace_into(net, fibs, src, dst, &mut set);
+    set
 }
 
-/// Traces `src → dst` into a caller-owned arena — the allocation-free core
-/// of [`trace`]. The arena is cleared first, so it can be reused across an
-/// entire sweep of pairs.
-pub fn trace_into(net: &SimNetwork, fibs: &Fibs, src: HostId, dst: HostId, out: &mut PathArena) {
+/// Traces `src → dst` into a caller-owned path set — the allocation-free
+/// core of [`trace`]. The set is cleared first, so it can be reused
+/// across an entire sweep of pairs.
+pub fn trace_into(net: &SimNetwork, fibs: &Fibs, src: HostId, dst: HostId, out: &mut PathSet) {
     out.clear();
     let gw = match start(net.host(src), net.host(dst)) {
         Start::Unattached => {
             out.blackhole = true;
             return;
         }
-        // Direct delivery: a zero-length span (no interior routers).
         Start::SameLan => {
-            out.spans.push((out.hops.len() as u32, 0));
+            out.push_path(&[]);
             return;
         }
         Start::Gateway(gw) => gw,
@@ -621,7 +975,7 @@ pub fn trace_into(net: &SimNetwork, fibs: &Fibs, src: HostId, dst: HostId, out: 
     out.sort_dedup();
 }
 
-fn dfs(net: &SimNetwork, fibs: &Fibs, dst: HostId, walk: &mut Vec<RouterId>, out: &mut PathArena) {
+fn dfs(net: &SimNetwork, fibs: &Fibs, dst: HostId, walk: &mut Vec<RouterId>, out: &mut PathSet) {
     if out.spans.len() >= MAX_PATHS_PER_PAIR {
         return;
     }
@@ -638,7 +992,7 @@ fn dfs(net: &SimNetwork, fibs: &Fibs, dst: HostId, walk: &mut Vec<RouterId>, out
                 // Delivery succeeds only if the destination host actually
                 // sits on this router+interface.
                 if dst_node.attachment == Some((cur, *iface)) {
-                    out.push_walk(walk);
+                    out.push_path(walk);
                 } else {
                     out.blackhole = true;
                 }
@@ -667,7 +1021,7 @@ pub fn reachable_hosts_from_router(
     hosts: &[HostId],
 ) -> BTreeSet<HostId> {
     let mut reachable = BTreeSet::new();
-    let mut out = PathArena::default();
+    let mut out = PathSet::default();
     for &hid in hosts {
         out.clear();
         let mut walk = vec![r];
@@ -726,7 +1080,7 @@ mod tests {
         let ps = sim.dataplane.between("h1", "h2").unwrap();
         assert!(ps.clean());
         assert_eq!(
-            ps.paths,
+            ps.paths().collect::<Vec<_>>(),
             vec![vec![
                 "h1".to_string(),
                 "r1".into(),
@@ -737,7 +1091,7 @@ mod tests {
         // And the reverse direction.
         let ps = sim.dataplane.between("h2", "h1").unwrap();
         assert_eq!(
-            ps.paths,
+            ps.paths().collect::<Vec<_>>(),
             vec![vec![
                 "h2".to_string(),
                 "r2".into(),
@@ -754,7 +1108,7 @@ mod tests {
             .insert("h1b".into(), host("h1b", "10.1.1.101", "10.1.1.1"));
         let sim = simulate(&cfgs).unwrap();
         let ps = sim.dataplane.between("h1", "h1b").unwrap();
-        assert_eq!(ps.paths, vec![vec!["h1".to_string(), "h1b".into()]]);
+        assert_eq!(ps.paths().collect::<Vec<_>>(), vec![vec!["h1", "h1b"]]);
     }
 
     #[test]
@@ -765,8 +1119,8 @@ mod tests {
         r2.ospf.as_mut().unwrap().networks[0].prefix = "10.0.0.0/31".parse().unwrap();
         let sim = simulate(&cfgs).unwrap();
         let ps = sim.dataplane.between("h1", "h2").unwrap();
-        assert!(ps.blackhole);
-        assert!(ps.paths.is_empty());
+        assert!(ps.blackhole());
+        assert_eq!(ps.path_count(), 0);
     }
 
     #[test]
@@ -774,7 +1128,7 @@ mod tests {
         let mut cfgs = two_net();
         cfgs.hosts.get_mut("h1").unwrap().gateway = "10.1.1.9".parse().unwrap();
         let sim = simulate(&cfgs).unwrap();
-        assert!(sim.dataplane.between("h1", "h2").unwrap().blackhole);
+        assert!(sim.dataplane.between("h1", "h2").unwrap().blackhole());
     }
 
     #[test]
@@ -809,48 +1163,46 @@ mod tests {
     }
 
     #[test]
-    fn arena_trace_matches_name_trace() {
+    fn reused_trace_matches_fresh_trace_and_extraction() {
         let sim = simulate(&two_net()).unwrap();
-        let mut arena = PathArena::default();
+        let mut reused = PathSet::default();
         let ids: Vec<HostId> = sim.net.hosts_iter().map(|(id, _)| id).collect();
         for &s in &ids {
             for &d in &ids {
                 if s == d {
                     continue;
                 }
-                trace_into(&sim.net, &sim.fibs, s, d, &mut arena);
-                let named = trace(&sim.net, &sim.fibs, s, d);
+                trace_into(&sim.net, &sim.fibs, s, d, &mut reused);
+                let fresh = trace(&sim.net, &sim.fibs, s, d);
+                assert_eq!(reused, fresh);
                 let (sn, dn) = (&sim.net.host(s).name, &sim.net.host(d).name);
-                assert_eq!(arena.materialize(&sim.net, sn, dn), named);
-                assert!(arena.matches(&sim.net, &named));
+                assert_eq!(**sim.dataplane.between(sn, dn).unwrap().set, fresh);
                 // And a perturbed path set must NOT match.
-                let mut other = named.clone();
+                let mut other = fresh.clone();
                 other.blackhole = !other.blackhole;
-                assert!(!arena.matches(&sim.net, &other));
+                assert_ne!(reused, other);
             }
         }
     }
 
     #[test]
-    fn arena_same_lan_is_zero_length_span() {
+    fn same_lan_is_a_zero_length_span() {
         let mut cfgs = two_net();
         cfgs.hosts
             .insert("h1b".into(), host("h1b", "10.1.1.101", "10.1.1.1"));
         let sim = simulate(&cfgs).unwrap();
-        let h1 = sim.net.hosts_iter().find(|(_, h)| h.name == "h1").unwrap().0;
-        let h1b = sim
-            .net
-            .hosts_iter()
-            .find(|(_, h)| h.name == "h1b")
-            .unwrap()
-            .0;
-        let mut arena = PathArena::default();
-        trace_into(&sim.net, &sim.fibs, h1, h1b, &mut arena);
-        assert_eq!(arena.path_count(), 1);
-        assert_eq!(arena.paths().next().unwrap().len(), 0);
+        let h1 = sim.net.host_id("h1").unwrap();
+        let h1b = sim.net.host_id("h1b").unwrap();
+        let set = trace(&sim.net, &sim.fibs, h1, h1b);
+        assert_eq!(set.path_count(), 1);
+        assert_eq!(set.paths().next().unwrap().len(), 0);
         assert_eq!(
-            arena.materialize(&sim.net, "h1", "h1b").paths,
-            vec![vec!["h1".to_string(), "h1b".into()]]
+            sim.dataplane
+                .between("h1", "h1b")
+                .unwrap()
+                .paths()
+                .collect::<Vec<_>>(),
+            vec![vec!["h1", "h1b"]]
         );
     }
 
@@ -871,12 +1223,11 @@ mod tests {
     #[test]
     fn equivalent_on_sees_a_pair_present_on_one_side_only() {
         let dp = simulate(&line_net(3)).unwrap().dataplane;
-        let mut fewer = DataPlane::default();
-        for ((s, d), ps) in dp.shared_pairs() {
-            if (s.as_str(), d.as_str()) != ("h1", "h3") {
-                fewer.insert_shared(s.clone(), d.clone(), ps.clone());
-            }
+        let mut b = DataPlaneBuilder::new();
+        for p in dp.pairs().filter(|p| (p.src, p.dst) != ("h1", "h3")) {
+            b.insert(p.src, p.dst, p.paths(), p.blackhole(), p.has_loop());
         }
+        let fewer = b.build();
         let all = hosts(&["h1", "h2", "h3"]);
         assert!(!dp.equivalent_on(&fewer, &all));
         assert!(!fewer.equivalent_on(&dp, &all));
@@ -888,11 +1239,19 @@ mod tests {
     #[test]
     fn equivalent_on_compares_only_a_strict_host_subset() {
         let dp = simulate(&line_net(3)).unwrap().dataplane;
-        let mut other = dp.clone();
-        let mut changed = dp.between("h1", "h3").unwrap().clone();
-        changed.blackhole = true;
-        other.insert("h1".into(), "h3".into(), changed);
-        other.insert("hz".into(), "h1".into(), PathSet::default());
+        let mut b = DataPlaneBuilder::new();
+        for p in dp.pairs() {
+            let changed = (p.src, p.dst) == ("h1", "h3");
+            b.insert(
+                p.src,
+                p.dst,
+                p.paths(),
+                p.blackhole() || changed,
+                p.has_loop(),
+            );
+        }
+        b.insert("hz", "h1", Vec::<Vec<&str>>::new(), false, false);
+        let other = b.build();
         assert!(!dp.equivalent_on(&other, &hosts(&["h1", "h2", "h3"])));
         assert!(dp.equivalent_on(&other, &hosts(&["h1", "h2"])));
         assert!(dp.equivalent_on(&other, &hosts(&["h2", "h3"])));
@@ -995,7 +1354,10 @@ mod tests {
                 for (d, dn) in net.hosts_iter() {
                     if s != d {
                         let oracle = trace(net, fibs, s, d);
-                        assert_eq!(dp.between(&sn.name, &dn.name), Some(&oracle));
+                        assert_eq!(
+                            dp.between(&sn.name, &dn.name).map(|p| &**p.set),
+                            Some(&oracle)
+                        );
                     }
                 }
             }
@@ -1016,7 +1378,7 @@ mod tests {
         assert_eq!(stats.dfs_fallbacks, 2, "h1→h4 and h2→h4");
         for src in ["h1", "h2"] {
             let ps = dp.between(src, "h4").unwrap();
-            assert!(ps.has_loop && !ps.paths.is_empty(), "{src}: {ps:?}");
+            assert!(ps.has_loop() && ps.path_count() > 0, "{src}: {ps:?}");
         }
         assert!(dp.between("h3", "h4").unwrap().clean());
         assert!(dp.between("h1", "h3").unwrap().clean());
@@ -1037,9 +1399,9 @@ mod tests {
         let (dp, stats) = c.check();
         assert_eq!(stats.dfs_fallbacks, 1, "only h1→h4 reaches the cap");
         let ps = dp.between("h1", "h4").unwrap();
-        assert_eq!(ps.paths.len(), 1);
-        assert!(!ps.blackhole, "truncated before r5: {ps:?}");
-        assert!(dp.between("h5", "h4").unwrap().blackhole);
+        assert_eq!(ps.path_count(), 1);
+        assert!(!ps.blackhole(), "truncated before r5: {ps:?}");
+        assert!(dp.between("h5", "h4").unwrap().blackhole());
         assert!(dp.between("h2", "h4").unwrap().clean());
     }
 
@@ -1058,8 +1420,11 @@ mod tests {
         let (dp, stats) = c.check();
         assert_eq!(stats.dfs_fallbacks, 0);
         let ps = dp.between("h1", "h4").unwrap();
-        assert!(ps.blackhole && !ps.has_loop);
-        assert_eq!(ps.paths, vec![vec!["h1", "r1", "r2", "r3", "r4", "h4"]]);
+        assert!(ps.blackhole() && !ps.has_loop());
+        assert_eq!(
+            ps.paths().collect::<Vec<_>>(),
+            vec![vec!["h1", "r1", "r2", "r3", "r4", "h4"]]
+        );
     }
 
     #[test]
@@ -1071,9 +1436,9 @@ mod tests {
         assert_eq!(stats.dfs_fallbacks, 0);
         for dst in ["h1", "h2", "h3"] {
             let ps = dp.between("hx", dst).unwrap();
-            assert!(ps.blackhole && ps.paths.is_empty(), "{ps:?}");
+            assert!(ps.blackhole() && ps.path_count() == 0, "{ps:?}");
             // Toward hx the LAN delivers, but not to hx's attachment.
-            assert!(dp.between(dst, "hx").unwrap().blackhole);
+            assert!(dp.between(dst, "hx").unwrap().blackhole());
         }
     }
 
@@ -1085,8 +1450,8 @@ mod tests {
         let (dp, stats) = Craft::new(&cfgs).check();
         assert_eq!(stats.dfs_fallbacks, 0);
         assert_eq!(
-            dp.between("h1b", "h1").unwrap().paths,
-            vec![vec!["h1b".to_string(), "h1".into()]]
+            dp.between("h1b", "h1").unwrap().paths().collect::<Vec<_>>(),
+            vec![vec!["h1b", "h1"]]
         );
         assert!(dp.between("h1b", "h3").unwrap().clean());
     }
@@ -1101,7 +1466,7 @@ mod tests {
         let ps = dp.between("h1", "h4").unwrap();
         assert!(ps.clean());
         assert_eq!(
-            ps.paths,
+            ps.paths().collect::<Vec<_>>(),
             vec![
                 vec!["h1", "r1", "r2", "r3", "r4", "h4"],
                 vec!["h1", "r1", "r3", "r4", "h4"],

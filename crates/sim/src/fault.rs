@@ -19,7 +19,7 @@
 //! topology) and compares the resulting data plane against a healthy
 //! baseline per host pair, yielding a [`DegradationClass`].
 
-use crate::dataplane::{DataPlane, PathSet};
+use crate::dataplane::{DataPlane, NameJoin, PathSet};
 use crate::error::SimError;
 use crate::simulate;
 use crate::sweep::ScenarioDigest;
@@ -523,35 +523,28 @@ impl std::fmt::Display for DegradationClass {
 }
 
 /// Classifies one host pair's post-failure behaviour against its healthy
-/// baseline. `physically_connected` reports whether the pair is still
-/// connected in the surviving physical topology and arbitrates
-/// [`DegradationClass::Partitioned`] vs [`DegradationClass::BlackHoled`].
-pub fn classify_pair(
-    before: &PathSet,
-    after: &PathSet,
-    physically_connected: bool,
-) -> DegradationClass {
-    classify_pair_with(before, after, || physically_connected)
-}
-
-/// [`classify_pair`] with the connectivity answer supplied lazily.
+/// baseline: `unchanged` says whether the post-failure path set `after`
+/// equals the baseline's by name. `physically_connected` reports whether
+/// the pair is still connected in the surviving physical topology and
+/// arbitrates [`DegradationClass::Partitioned`] vs
+/// [`DegradationClass::BlackHoled`].
 ///
 /// Physical connectivity only arbitrates dropped traffic (blackhole vs
-/// partition), so most pairs never consult it; callers that compute
-/// component maps on demand (the incremental engine) pass a closure and
+/// partition), so it is asked lazily: most pairs never consult it, and
+/// callers that compute component maps on demand (the incremental engine)
 /// skip the flood fill whenever no pair drops traffic.
-pub fn classify_pair_with(
-    before: &PathSet,
+pub fn classify_pair(
+    unchanged: bool,
     after: &PathSet,
     physically_connected: impl FnOnce() -> bool,
 ) -> DegradationClass {
-    if after == before {
+    if unchanged {
         return DegradationClass::Unchanged;
     }
     if after.has_loop {
         return DegradationClass::Looping;
     }
-    if after.paths.is_empty() || after.blackhole {
+    if after.path_count() == 0 || after.blackhole {
         return if physically_connected() {
             DegradationClass::BlackHoled
         } else {
@@ -658,18 +651,21 @@ pub fn classify_failed(
 ) -> Result<ScenarioDigest, SimError> {
     let sim = simulate(failed)?;
     let comp = physical_components(failed);
-    let empty = PathSet {
-        blackhole: true,
-        ..PathSet::default()
-    };
+    let missing = PathSet::blackholed();
+    let routers = NameJoin::new(sim.dataplane.routers(), baseline.routers());
     let mut digest = ScenarioDigest::new(baseline.len());
-    for (i, ((src, dst), before)) in baseline.pairs().enumerate() {
-        let after = sim.dataplane.between(src, dst).unwrap_or(&empty);
-        let connected = match (comp.get(src), comp.get(dst)) {
+    for (i, before) in baseline.pairs().enumerate() {
+        let (src, dst) = (before.src, before.dst);
+        let after = sim
+            .dataplane
+            .shared_between(src, dst)
+            .map_or(&missing, |a| &**a);
+        let connected = || match (comp.get(src), comp.get(dst)) {
             (Some(a), Some(b)) => a == b,
             _ => false,
         };
-        digest.record(i, classify_pair(before, after, connected));
+        let unchanged = routers.same(after, before.set);
+        digest.record(i, classify_pair(unchanged, after, connected));
     }
     Ok(digest)
 }

@@ -47,7 +47,7 @@ pub mod sweep;
 mod warm;
 
 pub use bgp::BgpFibRoute;
-pub use dataplane::{DataPlane, PairBits, PathArena, PathSet};
+pub use dataplane::{DataPlane, DataPlaneBuilder, NameJoin, Pair, PairBits, PathSet};
 pub use error::SimError;
 pub use fault::{DegradationClass, FailureScenario, Fault};
 pub use sweep::{
@@ -64,16 +64,18 @@ pub use warm::WarmControlPlane;
 use confmask_config::NetworkConfigs;
 use confmask_net_types::Ipv4Prefix;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Per-router BGP RIB contributions (one map per [`confmask_net_types::RouterId`]).
 pub type BgpRoutes = Vec<BTreeMap<Ipv4Prefix, BgpFibRoute>>;
 
 /// A complete simulation result: the extracted model, every router's FIB,
-/// and the host-to-host data plane.
+/// and the host-to-host data plane. Every part is shared, so a clone costs
+/// reference-count bumps.
 #[derive(Debug, Clone)]
 pub struct Simulation {
     /// The extracted network model.
-    pub net: SimNetwork,
+    pub net: Arc<SimNetwork>,
     /// Per-router forwarding tables.
     pub fibs: Fibs,
     /// All host-to-host forwarding paths (the paper's `DP`).
@@ -90,7 +92,7 @@ pub fn simulate(configs: &NetworkConfigs) -> Result<Simulation, SimError> {
     sp.finish();
     emit_dataplane_metrics(&dataplane);
     Ok(Simulation {
-        net,
+        net: Arc::new(net),
         fibs,
         dataplane,
     })
@@ -101,8 +103,8 @@ pub fn simulate(configs: &NetworkConfigs) -> Result<Simulation, SimError> {
 fn emit_dataplane_metrics(dataplane: &DataPlane) {
     if confmask_obs::enabled() {
         confmask_obs::counter_add("sim.dataplane.pairs", dataplane.len() as u64);
-        for (_, ps) in dataplane.pairs() {
-            confmask_obs::observe("sim.dataplane.paths_per_pair", ps.paths.len() as u64);
+        for pair in dataplane.pairs() {
+            confmask_obs::observe("sim.dataplane.paths_per_pair", pair.path_count() as u64);
         }
     }
 }
@@ -120,6 +122,7 @@ pub fn register_metrics() {
         "sim.dataplane.destinations",
         "sim.dataplane.dag_nodes",
         "sim.dataplane.dfs_fallbacks",
+        "sim.dataplane.path_sets",
         "sim.fault.scenarios",
         "sim.warm.refreshes",
         "sim.warm.full_fallbacks",
@@ -171,7 +174,7 @@ pub fn simulate_with_state(
     sp.finish();
     emit_dataplane_metrics(&dataplane);
     let sim = Simulation {
-        net,
+        net: Arc::new(net),
         fibs,
         dataplane,
     };

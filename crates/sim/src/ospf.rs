@@ -176,6 +176,95 @@ fn compute_one(
     Some((hops_by_router, dist))
 }
 
+/// Whether `prefix`'s converged distance vector `dist` over `net` survives
+/// taking the interfaces `failed` (`(router, interface)` indices of `net`)
+/// down, which removes every OSPF edge with a failed end. `None` when some
+/// distance can change, so the prefix needs a fresh SPF; otherwise the
+/// routers that lose a *tight* edge (`dist[u] == cost + dist[v]`), whose
+/// candidate rows must be recomputed ([`candidate_row`]). Every other
+/// router keeps its tight edges, hence its row.
+///
+/// **Why it is exact.** Removing edges can only raise distances. A router
+/// that loses a tight edge keeps its distance when it still has a
+/// *witness*: a surviving seed interface on the prefix at cost `dist[u]`,
+/// or a surviving tight edge of positive cost. Then every router with a
+/// finite distance keeps a surviving tight path to a seed, by induction
+/// on (distance, depth in the old shortest-path tree): a router that lost
+/// no tight edge keeps its tree edge, whose end is no farther and one
+/// level shallower; a router that lost one has a witness strictly closer.
+/// So `dist` is still the least fixpoint the SPF computes. Failed
+/// interfaces on the prefix itself change the seeds; callers treat such
+/// prefixes as changed before asking.
+pub fn distances_survive_removal(
+    net: &SimNetwork,
+    prefix: &Ipv4Prefix,
+    dist: &[u64],
+    failed: &[(usize, usize)],
+) -> Option<Vec<usize>> {
+    let down = |r: usize, i: usize| failed.contains(&(r, i));
+    let tight = |u: usize, cost: u32, v: usize| {
+        dist[v] != u64::MAX && dist[u] == u64::from(cost).saturating_add(dist[v])
+    };
+    let witness = |u: usize| {
+        net.routers[u].ifaces.iter().enumerate().any(|(j, f)| {
+            if !f.ospf_active || down(u, j) {
+                return false;
+            }
+            if f.prefix == *prefix && u64::from(f.cost) == dist[u] {
+                return true;
+            }
+            f.cost > 0
+                && f.peers.iter().any(|p| match *p {
+                    Peer::Router { router, iface } => {
+                        let x = router.0 as usize;
+                        net.routers[x].ifaces[iface].ospf_active
+                            && !down(x, iface)
+                            && tight(u, f.cost, x)
+                    }
+                    Peer::Host(_) => false,
+                })
+        })
+    };
+    let mut touched: Vec<usize> = Vec::new();
+    for &(r, bi) in failed {
+        let iface = &net.routers[r].ifaces[bi];
+        if !iface.ospf_active {
+            continue;
+        }
+        for peer in &iface.peers {
+            let Peer::Router { router, iface: pi } = *peer else {
+                continue;
+            };
+            let v = router.0 as usize;
+            let peer_iface = &net.routers[v].ifaces[pi];
+            if !peer_iface.ospf_active {
+                continue;
+            }
+            for (u, cost, w) in [(r, iface.cost, v), (v, peer_iface.cost, r)] {
+                if tight(u, cost, w) && !touched.contains(&u) {
+                    if !witness(u) {
+                        return None;
+                    }
+                    touched.push(u);
+                }
+            }
+        }
+    }
+    Some(touched)
+}
+
+/// Router `r`'s candidate row toward `prefix` on `net`, given the prefix's
+/// distance vector: [`candidate_hops`] over `r`'s adjacency.
+pub fn candidate_row(
+    net: &SimNetwork,
+    r: RouterId,
+    dist: &[u64],
+    prefix: &Ipv4Prefix,
+) -> Vec<(usize, RouterId)> {
+    let adj = router_adjacency(net, r);
+    candidate_hops(net.router(r), &adj, dist, r.0 as usize, prefix)
+}
+
 /// The candidate-hop rule: router `u`'s OSPF next hops toward `prefix`,
 /// given the prefix's converged distance vector and `u`'s out-edges. An
 /// edge `u → v` is a candidate when `cost + dist[v] == dist[u]` and no

@@ -44,7 +44,7 @@ impl PairTable {
         };
         let pairs = baseline
             .pairs()
-            .map(|((s, d), _)| (intern(s, &mut cache), intern(d, &mut cache)))
+            .map(|p| (intern(p.src, &mut cache), intern(p.dst, &mut cache)))
             .collect();
         PairTable { pairs }
     }
@@ -446,9 +446,9 @@ mod tests {
         let baseline = simulate(&triangle()).unwrap().dataplane;
         let table = PairTable::from_baseline(&baseline);
         assert_eq!(table.len(), baseline.len());
-        for (i, ((s, d), _)) in baseline.pairs().enumerate() {
-            assert_eq!(table.pair(i), (s.as_str(), d.as_str()));
-            assert_eq!(table.index_of(s, d), Some(i));
+        for (i, p) in baseline.pairs().enumerate() {
+            assert_eq!(table.pair(i), (p.src, p.dst));
+            assert_eq!(table.index_of(p.src, p.dst), Some(i));
         }
         assert_eq!(table.index_of("h1", "nope"), None);
     }

@@ -69,7 +69,7 @@ fn interior_router_resolves_ibgp_through_ospf() {
     let ps = sim.dataplane.between("h1", "h2").unwrap();
     assert!(ps.clean());
     assert_eq!(
-        ps.paths,
+        ps.paths().collect::<Vec<_>>(),
         vec![vec![
             "h1".to_string(),
             "i1".into(),
@@ -140,7 +140,7 @@ fn igp_filter_suppresses_ibgp_resolution() {
     }
     let sim = simulate(&net).unwrap();
     let ps = sim.dataplane.between("h1", "h2").unwrap();
-    assert!(ps.blackhole, "{ps:?}");
+    assert!(ps.blackhole(), "{ps:?}");
     // The reverse direction is unaffected.
     assert!(sim.dataplane.between("h2", "h1").unwrap().clean());
 }
@@ -169,7 +169,7 @@ fn bgp_session_filter_blocks_at_the_border() {
     }
     let sim = simulate(&net).unwrap();
     // Nobody in AS 100 can reach h2 anymore: the only eBGP import is gone.
-    assert!(sim.dataplane.between("h1", "h2").unwrap().blackhole);
+    assert!(sim.dataplane.between("h1", "h2").unwrap().blackhole());
 }
 
 #[test]
@@ -267,9 +267,9 @@ fn local_preference_overrides_as_path_length() {
     let ps = sim.dataplane.between("h1", "h2").unwrap();
     assert!(ps.clean(), "{ps:?}");
     assert!(
-        ps.paths.iter().all(|p| p.contains(&"b3".to_string())),
+        ps.paths().all(|p| p.contains(&"b3")),
         "high local-pref forces the AS 300 detour: {:?}",
-        ps.paths
+        ps.paths().collect::<Vec<_>>()
     );
     // Without the local-preference, the direct session wins.
     net.routers
@@ -284,9 +284,9 @@ fn local_preference_overrides_as_path_length() {
     let sim = simulate(&net).unwrap();
     let ps = sim.dataplane.between("h1", "h2").unwrap();
     assert!(
-        ps.paths.iter().all(|p| !p.contains(&"b3".to_string())),
+        ps.paths().all(|p| !p.contains(&"b3")),
         "default preferences take the shorter AS path: {:?}",
-        ps.paths
+        ps.paths().collect::<Vec<_>>()
     );
 }
 

@@ -60,11 +60,11 @@ fn wide_ecmp_enumerates_every_path() {
     let sim = simulate(&ladder(8)).unwrap();
     let ps = sim.dataplane.between("hs", "hd").unwrap();
     assert!(ps.clean());
-    assert_eq!(ps.paths.len(), 8, "one path per middle router");
+    assert_eq!(ps.path_count(), 8, "one path per middle router");
     // All paths distinct and of equal length.
-    let set: std::collections::BTreeSet<_> = ps.paths.iter().collect();
+    let set: std::collections::BTreeSet<_> = ps.paths().collect();
     assert_eq!(set.len(), 8);
-    assert!(ps.paths.iter().all(|p| p.len() == 5));
+    assert!(ps.paths().all(|p| p.len() == 5));
 }
 
 #[test]
@@ -108,16 +108,16 @@ fn path_cap_bounds_enumeration() {
 
     let sim = simulate(&net).unwrap();
     let ps = sim.dataplane.between("hs", "hd2").unwrap();
-    assert!(!ps.blackhole && !ps.has_loop);
+    assert!(!ps.blackhole() && !ps.has_loop());
     assert!(
-        ps.paths.len() <= MAX_PATHS_PER_PAIR,
+        ps.path_count() <= MAX_PATHS_PER_PAIR,
         "cap respected: {}",
-        ps.paths.len()
+        ps.path_count()
     );
     assert!(
-        ps.paths.len() >= 200,
+        ps.path_count() >= 200,
         "still enumerates a lot: {}",
-        ps.paths.len()
+        ps.path_count()
     );
 }
 
@@ -127,7 +127,8 @@ fn path_sets_are_sorted_and_deterministic() {
     let b = simulate(&ladder(6)).unwrap();
     assert_eq!(a.dataplane, b.dataplane);
     let ps = a.dataplane.between("hs", "hd").unwrap();
-    let mut sorted = ps.paths.clone();
+    let paths: Vec<_> = ps.paths().collect();
+    let mut sorted = paths.clone();
     sorted.sort();
-    assert_eq!(ps.paths, sorted, "paths are kept sorted");
+    assert_eq!(paths, sorted, "paths are kept sorted");
 }

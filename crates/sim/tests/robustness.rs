@@ -61,10 +61,10 @@ fn simulator_survives_config_corruption() {
             Ok(sim) => {
                 // Whatever happened, the data plane is structurally sound:
                 // paths start at src and end at dst.
-                for ((src, dst), ps) in sim.dataplane.pairs() {
-                    for p in &ps.paths {
-                        assert_eq!(p.first(), Some(src));
-                        assert_eq!(p.last(), Some(dst));
+                for ps in sim.dataplane.pairs() {
+                    for p in ps.paths() {
+                        assert_eq!(p.first(), Some(&ps.src));
+                        assert_eq!(p.last(), Some(&ps.dst));
                     }
                 }
             }
@@ -167,11 +167,12 @@ fn routing_free_network_blackholes_everywhere() {
         let (s, d) = (&net.hosts[src], &net.hosts[dst]);
         s.prefix() == d.prefix()
     };
-    for ((src, dst), ps) in sim.dataplane.pairs() {
+    for ps in sim.dataplane.pairs() {
+        let (src, dst) = (ps.src, ps.dst);
         if same_lan_ok(src, dst) {
             assert!(ps.clean());
         } else {
-            assert!(ps.blackhole, "{src}->{dst} should blackhole: {ps:?}");
+            assert!(ps.blackhole(), "{src}->{dst} should blackhole: {ps:?}");
         }
     }
 }

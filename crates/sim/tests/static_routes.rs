@@ -62,7 +62,7 @@ fn static_route_overrides_ospf() {
     assert_eq!(entry.source, RouteSource::Static);
     let ps = sim.dataplane.between("h1", "h3").unwrap();
     assert_eq!(
-        ps.paths,
+        ps.paths().collect::<Vec<_>>(),
         vec![vec![
             "h1".to_string(),
             "r1".into(),
@@ -97,7 +97,7 @@ fn default_route_covers_unknown_destinations() {
     let ps = sim.dataplane.between("h1", "h3").unwrap();
     assert!(ps.clean(), "{ps:?}");
     assert_eq!(
-        ps.paths,
+        ps.paths().collect::<Vec<_>>(),
         vec![vec![
             "h1".to_string(),
             "r1".into(),
@@ -126,7 +126,7 @@ fn longest_prefix_match_beats_admin_distance() {
     let sim = simulate(&net).unwrap();
     let ps = sim.dataplane.between("h1", "h3").unwrap();
     assert_eq!(
-        ps.paths,
+        ps.paths().collect::<Vec<_>>(),
         vec![vec![
             "h1".to_string(),
             "r1".into(),
@@ -165,8 +165,8 @@ fn static_loop_is_detected() {
         .insert("h9".into(), host("h9", "10.9.9.100", "10.9.9.1"));
     let sim = simulate(&net).unwrap();
     let ps = sim.dataplane.between("h1", "h9").unwrap();
-    assert!(ps.has_loop, "r1↔r2 static loop must be flagged: {ps:?}");
-    assert!(ps.paths.is_empty());
+    assert!(ps.has_loop(), "r1↔r2 static loop must be flagged: {ps:?}");
+    assert!((ps.path_count() == 0));
 }
 
 #[test]
@@ -210,5 +210,5 @@ fn static_toward_missing_prefix_blackholes() {
         .insert("h9".into(), host("h9", "10.9.9.100", "10.9.9.1"));
     let sim = simulate(&net).unwrap();
     let ps = sim.dataplane.between("h1", "h9").unwrap();
-    assert!(ps.blackhole, "{ps:?}");
+    assert!(ps.blackhole(), "{ps:?}");
 }

@@ -14,7 +14,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use confmask_sim::{DataPlane, PathSet};
+use confmask_sim::{DataPlane, Pair};
 use std::collections::BTreeSet;
 
 /// One mined policy.
@@ -91,20 +91,18 @@ const PARALLEL_MINE_THRESHOLD: usize = 32;
 /// per-pair policies are merged in pair order, so the mined specification
 /// is identical at any thread count.
 pub fn mine(dp: &DataPlane) -> Specification {
-    let pairs: Vec<(&(String, String), &PathSet)> = dp.pairs().collect();
+    let pairs: Vec<Pair> = dp.pairs().collect();
     let per_pair: Vec<Vec<Policy>> = if pairs.len() >= PARALLEL_MINE_THRESHOLD {
-        confmask_exec::par_map(&pairs, |((src, dst), ps)| mine_pair(src, dst, ps))
+        confmask_exec::par_map(&pairs, |ps| mine_pair(ps))
     } else {
-        pairs
-            .iter()
-            .map(|((src, dst), ps)| mine_pair(src, dst, ps))
-            .collect()
+        pairs.iter().map(mine_pair).collect()
     };
     per_pair.into_iter().flatten().collect()
 }
 
 /// Mines every policy one host pair contributes.
-fn mine_pair(src: &str, dst: &str, ps: &PathSet) -> Vec<Policy> {
+fn mine_pair(ps: &Pair) -> Vec<Policy> {
+    let (src, dst) = (ps.src, ps.dst);
     let mut out = Vec::new();
     if !ps.clean() {
         out.push(Policy::Isolation {
@@ -118,7 +116,8 @@ fn mine_pair(src: &str, dst: &str, ps: &PathSet) -> Vec<Policy> {
         dst: dst.to_owned(),
     });
     // Uniform path length (Theorem B.2's preserved property).
-    let lengths: BTreeSet<usize> = ps.paths.iter().map(|p| p.len() - 2).collect();
+    let paths: Vec<Vec<&str>> = ps.paths().collect();
+    let lengths: BTreeSet<usize> = paths.iter().map(|p| p.len() - 2).collect();
     if lengths.len() == 1 {
         out.push(Policy::PathLength {
             src: src.to_owned(),
@@ -126,17 +125,17 @@ fn mine_pair(src: &str, dst: &str, ps: &PathSet) -> Vec<Policy> {
             hops: *lengths.iter().next().expect("non-empty"),
         });
     }
-    if ps.paths.len() >= 2 {
+    if paths.len() >= 2 {
         out.push(Policy::LoadBalance {
             src: src.to_owned(),
             dst: dst.to_owned(),
-            paths: ps.paths.len(),
+            paths: paths.len(),
         });
     }
     // Waypoints: routers on *every* path (excluding endpoints).
-    let mut common: Option<BTreeSet<&String>> = None;
-    for path in &ps.paths {
-        let routers: BTreeSet<&String> = path[1..path.len() - 1].iter().collect();
+    let mut common: Option<BTreeSet<&str>> = None;
+    for path in &paths {
+        let routers: BTreeSet<&str> = path[1..path.len() - 1].iter().copied().collect();
         common = Some(match common {
             None => routers,
             Some(prev) => prev.intersection(&routers).copied().collect(),
@@ -146,7 +145,7 @@ fn mine_pair(src: &str, dst: &str, ps: &PathSet) -> Vec<Policy> {
         out.push(Policy::Waypoint {
             src: src.to_owned(),
             dst: dst.to_owned(),
-            via: via.clone(),
+            via: via.to_owned(),
         });
     }
     out
@@ -225,25 +224,14 @@ pub fn diff(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use confmask_sim::PathSet;
+    use confmask_sim::DataPlaneBuilder;
 
     fn dp(entries: &[(&str, &str, Vec<Vec<&str>>)]) -> DataPlane {
-        let mut dp = DataPlane::default();
+        let mut dp = DataPlaneBuilder::new();
         for (s, d, paths) in entries {
-            dp.insert(
-                s.to_string(),
-                d.to_string(),
-                PathSet {
-                    paths: paths
-                        .iter()
-                        .map(|p| p.iter().map(|n| n.to_string()).collect())
-                        .collect(),
-                    blackhole: false,
-                    has_loop: false,
-                },
-            );
+            dp.insert(s, d, paths, false, false);
         }
-        dp
+        dp.build()
     }
 
     #[test]
@@ -283,17 +271,9 @@ mod tests {
 
     #[test]
     fn blackholed_pairs_mine_isolation() {
-        let mut d = DataPlane::default();
-        d.insert(
-            "h1".into(),
-            "h2".into(),
-            PathSet {
-                paths: vec![],
-                blackhole: true,
-                has_loop: false,
-            },
-        );
-        let spec = mine(&d);
+        let mut d = DataPlaneBuilder::new();
+        d.insert("h1", "h2", Vec::<Vec<&str>>::new(), true, false);
+        let spec = mine(&d.build());
         assert_eq!(spec.len(), 1);
         assert!(spec.contains(&Policy::Isolation {
             src: "h1".into(),

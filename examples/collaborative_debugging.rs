@@ -24,12 +24,17 @@ fn main() {
 
     // The problematic flow: a pod-3 host talking to a pod-1 host.
     let (src, dst) = ("h3-1-0", "h1-0-0");
-    let orig_paths = &original.dataplane.between(src, dst).unwrap().paths;
+    let orig_paths: Vec<Vec<&str>> = original
+        .dataplane
+        .between(src, dst)
+        .unwrap()
+        .paths()
+        .collect();
     println!("=== Original trouble flow {src} -> {dst} ===");
-    for p in orig_paths {
+    for p in &orig_paths {
         println!("  {}", p.join(" -> "));
     }
-    let via_core2 = orig_paths.iter().any(|p| p.iter().any(|n| n == "core2"));
+    let via_core2 = orig_paths.iter().any(|p| p.contains(&"core2"));
     println!("some path crosses core2 (the misconfigured router): {via_core2}");
 
     let orig_set: std::collections::BTreeSet<_> = orig_paths.iter().collect();
@@ -41,8 +46,13 @@ fn main() {
             .unwrap_or_else(|e| panic!("{strategy} fails on the case study: {e}"));
 
         // (b) Is the waypoint still visible in the shared data plane?
-        let anon_paths = &result.dataplane.between(src, dst).unwrap().paths;
-        for p in anon_paths {
+        let anon_paths: Vec<Vec<&str>> = result
+            .dataplane
+            .between(src, dst)
+            .unwrap()
+            .paths()
+            .collect();
+        for p in &anon_paths {
             println!("  {}", p.join(" -> "));
         }
         let kept = anon_paths.iter().collect::<std::collections::BTreeSet<_>>() == orig_set;

@@ -26,7 +26,7 @@ fn main() {
         network.hosts.len(),
         network.total_lines()
     );
-    let path = &original.dataplane.between("h1", "h4").unwrap().paths[0];
+    let path = original.dataplane.between("h1", "h4").unwrap().paths().next().unwrap();
     println!("h1 -> h4 path: {}", path.join(" -> "));
     println!(
         "min routers sharing a degree (k_d): {}",
@@ -69,7 +69,7 @@ fn main() {
     );
 
     // The anonymized h1 -> h4 path is unchanged.
-    let anon_path = &result.final_sim.dataplane.between("h1", "h4").unwrap().paths[0];
+    let anon_path = result.final_sim.dataplane.between("h1", "h4").unwrap().paths().next().unwrap();
     println!("h1 -> h4 path after: {}", anon_path.join(" -> "));
 
     println!("\n=== Anonymized configuration of r1 (shareable) ===");

@@ -57,9 +57,9 @@ fn main() {
         .restricted_to(&result.baseline.real_hosts);
     let mut agree = 0;
     let mut total = 0;
-    for (pair, orig_ps) in real_pairs.pairs() {
+    for orig_ps in real_pairs.pairs() {
         total += 1;
-        if result.final_sim.dataplane.between(&pair.0, &pair.1) == Some(orig_ps) {
+        if result.final_sim.dataplane.between(orig_ps.src, orig_ps.dst) == Some(orig_ps) {
             agree += 1;
         }
     }

@@ -53,7 +53,7 @@ fn assert_matches_per_pair(tag: &str, sim: &Simulation) -> u64 {
             let (sn, dn) = (&sim.net.host(s).name, &sim.net.host(d).name);
             let oracle = dataplane::trace(&sim.net, &sim.fibs, s, d);
             assert_eq!(
-                dp.between(sn, dn),
+                dp.between(sn, dn).map(|p| &**p.set),
                 Some(&oracle),
                 "{tag}: {sn}→{dn} differs from the per-pair DFS"
             );
@@ -151,8 +151,8 @@ fn static_loop_pairs_fall_back_and_keep_their_loop_flag() {
         ],
     );
     let sim = simulate(&net).unwrap();
-    assert!(sim.dataplane.between("h1", "h9").unwrap().has_loop);
-    assert!(sim.dataplane.between("h3", "h9").unwrap().blackhole);
+    assert!(sim.dataplane.between("h1", "h9").unwrap().has_loop());
+    assert!(sim.dataplane.between("h3", "h9").unwrap().blackhole());
     let fell_back = assert_matches_per_pair("static loop", &sim);
     assert_eq!(fell_back, 1, "only h1→h9 reaches the loop");
 }
@@ -206,8 +206,8 @@ fn ladder_past_the_cap_falls_back_with_identical_truncation() {
     );
     let sim = simulate(&net).unwrap();
     let capped = sim.dataplane.between("hs", "hd2").unwrap();
-    assert!(capped.paths.len() <= MAX_PATHS_PER_PAIR && capped.clean());
-    assert_eq!(sim.dataplane.between("hs", "hd").unwrap().paths.len(), 20);
+    assert!(capped.path_count() <= MAX_PATHS_PER_PAIR && capped.clean());
+    assert_eq!(sim.dataplane.between("hs", "hd").unwrap().path_count(), 20);
     let fell_back = assert_matches_per_pair("ladder", &sim);
     assert_eq!(fell_back, 2, "only hs↔hd2 pass the cap");
 }

@@ -114,28 +114,28 @@ fn k_route_anonymity_definition_holds() {
     let result = anonymize(&net, &Params::new(6, k_h)).unwrap();
     let mut group_sizes: std::collections::BTreeMap<(String, String), usize> =
         std::collections::BTreeMap::new();
-    for (_pair, ps) in result.final_sim.dataplane.pairs() {
-        for path in &ps.paths {
+    for ps in result.final_sim.dataplane.pairs() {
+        for path in ps.paths() {
             if path.len() < 3 {
                 continue;
             }
-            let key = (path[1].clone(), path[path.len() - 2].clone());
+            let key = (path[1].to_string(), path[path.len() - 2].to_string());
             *group_sizes.entry(key).or_insert(0) += 1;
         }
     }
     // Every group that carried original traffic now carries >= k_h paths.
-    for (_pair, ps) in result
+    for ps in result
         .baseline
         .sim
         .dataplane
         .restricted_to(&result.baseline.real_hosts)
         .pairs()
     {
-        for path in &ps.paths {
+        for path in ps.paths() {
             if path.len() < 3 {
                 continue;
             }
-            let key = (path[1].clone(), path[path.len() - 2].clone());
+            let key = (path[1].to_string(), path[path.len() - 2].to_string());
             assert!(
                 group_sizes.get(&key).copied().unwrap_or(0) >= k_h,
                 "group {key:?} has fewer than k_H paths"

@@ -81,7 +81,7 @@ proptest! {
         // an unsimulatable network is a generator artifact, not a pipeline
         // bug).
         let Ok(baseline) = confmask::simulate(&configs) else { return Ok(()); };
-        prop_assume!(baseline.dataplane.pairs().all(|(_, ps)| ps.clean()));
+        prop_assume!(baseline.dataplane.pairs().all(|ps| ps.clean()));
 
         let params = Params { k_r, k_h, seed, ..Params::default() };
         let result = anonymize(&configs, &params).expect("pipeline must succeed");
@@ -100,7 +100,7 @@ proptest! {
         prop_assert_eq!(fakes, (k_h - 1) * configs.hosts.len());
 
         // 4. Every host (fake or real) remains reachable from every other.
-        for (_pair, ps) in result.final_sim.dataplane.pairs() {
+        for ps in result.final_sim.dataplane.pairs() {
             prop_assert!(ps.clean(), "anonymization broke reachability");
         }
 
@@ -119,7 +119,7 @@ proptest! {
     ) {
         let configs = synthesize(&spec);
         let Ok(baseline) = confmask::simulate(&configs) else { return Ok(()); };
-        prop_assume!(baseline.dataplane.pairs().all(|(_, ps)| ps.clean()));
+        prop_assume!(baseline.dataplane.pairs().all(|ps| ps.clean()));
         let params = Params { k_r: 3, k_h: 2, seed, ..Params::default() };
         let a = anonymize(&configs, &params).expect("run 1");
         let b = anonymize(&configs, &params).expect("run 2");

@@ -63,8 +63,8 @@ fn rip_fake_hosts_filtered_and_reachable() {
         },
     )
     .expect("RIP pipeline with heavy noise");
-    for (pair, ps) in result.final_sim.dataplane.pairs() {
-        assert!(ps.clean(), "{pair:?}: {ps:?}");
+    for ps in result.final_sim.dataplane.pairs() {
+        assert!(ps.clean(), "{ps:?}");
     }
     assert_eq!(
         result.configs.hosts.values().filter(|h| h.added).count(),
