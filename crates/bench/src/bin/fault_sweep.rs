@@ -44,10 +44,9 @@ use confmask_sim::fault::{
     enumerate_double_link_failures, enumerate_single_link_failures, run_scenario,
 };
 use confmask_sim::simulate;
-use confmask_sim::sweep::{DigestList, PairTable, SweepSummary};
+use confmask_sim::sweep::{DigestList, SweepSummary};
 use confmask_sim_delta::{DeltaEngine, ScenarioScratch, ScenarioSweep};
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Fractional slack on the `--assert-speedup` / `--assert-parallel-speedup`
@@ -222,7 +221,6 @@ fn main() {
             .map(|s| run_scenario(configs, &baseline.dataplane, s).expect("cold scenario"))
             .collect();
         let cold_secs = t0.elapsed().as_secs_f64();
-        let table = Arc::new(PairTable::from_baseline(&baseline.dataplane));
 
         // Incremental and parallel-streaming sweeps, interleaved: each rep
         // measures the sequential per-scenario digest loop and the streaming
@@ -244,9 +242,7 @@ fn main() {
             let base = engine
                 .converged(configs)
                 .expect("healthy network must converge");
-            let sweep =
-                ScenarioSweep::with_table(&engine, &base, &base.sim.dataplane, Arc::clone(&table))
-                    .expect("cold and warm sweeps share one pair set");
+            let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
             let mut scratch = ScenarioScratch::default();
             let mut digests = Vec::with_capacity(scenarios.len());
             for s in &scenarios {
@@ -272,13 +268,7 @@ fn main() {
             let par_base = par_engine
                 .converged(configs)
                 .expect("healthy network must converge");
-            let par_sweep = ScenarioSweep::with_table(
-                &par_engine,
-                &par_base,
-                &par_base.sim.dataplane,
-                Arc::clone(&table),
-            )
-            .expect("cold and warm sweeps share one pair set");
+            let par_sweep = ScenarioSweep::new(&par_engine, &par_base, &par_base.sim.dataplane);
             let mut streamed = DigestList::default();
             let stats = par_sweep.run(scenarios.iter(), &mut streamed);
             parallel_secs = parallel_secs.min(t2.elapsed().as_secs_f64());
@@ -316,7 +306,7 @@ fn main() {
             let k2_base = k2_engine
                 .converged(configs)
                 .expect("healthy network must converge");
-            let k2_sweep = k2_engine.sweep(&k2_base, &k2_base.sim.dataplane);
+            let k2_sweep = ScenarioSweep::new(&k2_engine, &k2_base, &k2_base.sim.dataplane);
             let mut summary = SweepSummary::default();
             let t3 = Instant::now();
             let k2_stats = k2_sweep.run(all.take(capped), &mut summary);

@@ -594,7 +594,7 @@ fn k2_clean_fraction(
         Some(hosts) => conv.sim.dataplane.restricted_to(hosts),
         None => conv.sim.dataplane.clone(),
     };
-    let sweep = engine.sweep(&conv, &baseline);
+    let sweep = confmask_sim_delta::ScenarioSweep::new(engine, &conv, &baseline);
     let mut summary = SweepSummary::default();
     sweep.run(
         sample_double_link_failures(configs, 0, K2_FRONTIER_SAMPLE),

@@ -87,23 +87,6 @@ pub enum Command {
         /// Times a crash-interrupted job is re-admitted before failing.
         requeue_budget: u32,
     },
-    /// Benchmark a running daemon with closed-loop load.
-    Loadgen {
-        /// Daemon address (`host:port`).
-        addr: String,
-        /// Closed-loop client workers submitting concurrently.
-        concurrency: usize,
-        /// How long to keep submitting before draining in-flight jobs.
-        duration_secs: u64,
-        /// Evaluation network id (`A`–`K`) used as the job payload.
-        network: char,
-        /// Base seed; request `i` is submitted with seed `base + i`.
-        seed: u64,
-        /// Where to write the benchmark JSON.
-        output: PathBuf,
-        /// Poll interval for job status in milliseconds.
-        poll_ms: u64,
-    },
     /// Submit a job to (or drain) a running daemon.
     Submit {
         /// Daemon address (`host:port`).
@@ -183,9 +166,6 @@ USAGE:
   confmask serve     [--addr H:P] [--workers N] [--queue-cap N]
                      [--job-timeout-secs S] [--state-dir <dir>]
                      [--requeue-budget N]
-  confmask loadgen   [--addr H:P] [--concurrency N]
-                     [--duration-secs S] [--network <A..K>]
-                     [--seed N] [--output <bench.json>] [--poll-ms N]
   confmask submit    [--addr H:P] --input <dir> [--wait]
                      [--output <dir>] [--poll-ms N]
                      [--seed N] [--k-r N] [--k-h N] [--noise P]
@@ -235,12 +215,6 @@ through a daemon restart.
 `curl .../metrics-json | confmask obs-report -` works; `--chrome-trace`
 converts the report's span tree to Chrome trace-event JSON for Perfetto
 or chrome://tracing instead of rendering it.
-`loadgen` drives a running daemon with closed-loop workers (each
-submits a job, polls it to a terminal state, then submits the next) for
---duration-secs, then drains in-flight jobs and writes throughput,
-latency percentiles (p50/p90/p99), and the 429 rate to --output
-(default BENCH_serve.json). Accounting is lossless by construction:
-submitted == done + degraded + failed + rejected_429.
 
 Observability (any subcommand):
   -v / -vv             info / debug diagnostics on stderr
@@ -533,50 +507,6 @@ fn parse_command(argv: &[&str]) -> Result<Command, ArgError> {
                 requeue_budget,
             })
         }
-        "loadgen" => {
-            let mut addr = "127.0.0.1:7077".to_string();
-            let mut concurrency = 4usize;
-            let mut duration_secs = 10u64;
-            let mut network = 'A';
-            let mut seed = 0u64;
-            let mut output = PathBuf::from("BENCH_serve.json");
-            let mut poll_ms = 20u64;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--addr" => addr = take_value(&mut it, flag)?.to_string(),
-                    "--concurrency" => {
-                        concurrency = parse_value(&mut it, flag, "an integer")?;
-                        if concurrency == 0 {
-                            return Err(ArgError("--concurrency must be at least 1".into()));
-                        }
-                    }
-                    "--duration-secs" => {
-                        duration_secs = parse_value(&mut it, flag, "a number of seconds")?
-                    }
-                    "--network" => {
-                        let v = take_value(&mut it, flag)?;
-                        let c = v.chars().next().unwrap_or(' ').to_ascii_uppercase();
-                        if !('A'..='K').contains(&c) || v.len() != 1 {
-                            return Err(ArgError(format!("--network expects A..K, got '{v}'")));
-                        }
-                        network = c;
-                    }
-                    "--seed" => seed = parse_value(&mut it, flag, "an integer")?,
-                    "--output" => output = PathBuf::from(take_value(&mut it, flag)?),
-                    "--poll-ms" => poll_ms = parse_value(&mut it, flag, "an integer")?,
-                    other => return Err(ArgError(format!("unknown flag '{other}'"))),
-                }
-            }
-            Ok(Command::Loadgen {
-                addr,
-                concurrency,
-                duration_secs,
-                network,
-                seed,
-                output,
-                poll_ms,
-            })
-        }
         "submit" => {
             let mut addr = "127.0.0.1:7077".to_string();
             let mut input = None;
@@ -751,10 +681,6 @@ mod tests {
             parse_cmd(&argv("generate --network K --output o")).unwrap(),
             Command::Generate { network: 'K', .. }
         ));
-        assert!(matches!(
-            parse_cmd(&argv("loadgen --network i")).unwrap(),
-            Command::Loadgen { network: 'I', .. }
-        ));
         assert!(parse_cmd(&argv("generate --network X --output o")).is_err());
         assert!(parse_cmd(&argv("generate --network AB --output o")).is_err());
     }
@@ -902,54 +828,6 @@ mod tests {
         );
         assert!(parse_cmd(&argv("obs-report")).is_err());
         assert!(parse_cmd(&argv("obs-report --frobnicate")).is_err());
-    }
-
-    #[test]
-    fn parses_loadgen_with_defaults_and_flags() {
-        match parse_cmd(&argv("loadgen")).unwrap() {
-            Command::Loadgen {
-                addr,
-                concurrency,
-                duration_secs,
-                network,
-                seed,
-                output,
-                poll_ms,
-            } => {
-                assert_eq!(addr, "127.0.0.1:7077");
-                assert_eq!((concurrency, duration_secs), (4, 10));
-                assert_eq!((network, seed), ('A', 0));
-                assert_eq!(output, PathBuf::from("BENCH_serve.json"));
-                assert_eq!(poll_ms, 20);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse_cmd(&argv(
-            "loadgen --addr 127.0.0.1:9000 --concurrency 8 --duration-secs 3 \
-             --network c --seed 42 --output out.json --poll-ms 5",
-        ))
-        .unwrap()
-        {
-            Command::Loadgen {
-                addr,
-                concurrency,
-                duration_secs,
-                network,
-                seed,
-                output,
-                poll_ms,
-            } => {
-                assert_eq!(addr, "127.0.0.1:9000");
-                assert_eq!((concurrency, duration_secs), (8, 3));
-                assert_eq!((network, seed), ('C', 42), "network id is upcased");
-                assert_eq!(output, PathBuf::from("out.json"));
-                assert_eq!(poll_ms, 5);
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(parse_cmd(&argv("loadgen --concurrency 0")).is_err());
-        assert!(parse_cmd(&argv("loadgen --network X")).is_err());
-        assert!(parse_cmd(&argv("loadgen --duration-secs nope")).is_err());
     }
 
     #[test]

@@ -372,8 +372,7 @@ pub fn run(cmd: Command) -> Result<String, CmdError> {
                         report: &mut report,
                         scenarios: &scenarios,
                     };
-                    engine
-                        .sweep(&conv, &conv.sim.dataplane)
+                    confmask_sim_delta::ScenarioSweep::new(engine, &conv, &conv.sim.dataplane)
                         .run(scenarios.iter(), &mut reducer);
                     Ok(report)
                 }
@@ -521,48 +520,6 @@ pub fn run(cmd: Command) -> Result<String, CmdError> {
                 "drained: {} done, {} degraded, {} failed\n",
                 counts.done, counts.degraded, counts.failed
             ))
-        }
-        Command::Loadgen {
-            addr,
-            concurrency,
-            duration_secs,
-            network,
-            seed,
-            output,
-            poll_ms,
-        } => {
-            let suite = confmask_netgen::extended_suite();
-            let net = suite
-                .iter()
-                .find(|n| n.id == network)
-                .ok_or_else(|| format!("no evaluation network '{network}'"))?;
-            let cfg = crate::loadgen::LoadgenConfig {
-                addr: addr.clone(),
-                concurrency,
-                duration: std::time::Duration::from_secs(duration_secs),
-                net: net.configs.clone(),
-                net_label: network.to_string(),
-                params: confmask::Params::default(),
-                seed,
-                poll_ms,
-            };
-            confmask_obs::info!(
-                "cli.loadgen",
-                "driving {addr} with {concurrency} closed-loop worker(s) for {duration_secs}s (network {network}, seed {seed})"
-            );
-            let summary = crate::loadgen::run(&cfg)?;
-            let json = crate::loadgen::bench_json(&cfg, &summary);
-            std::fs::write(&output, &json)
-                .map_err(|e| format!("cannot write {}: {e}", output.display()))?;
-            let mut report = crate::loadgen::render(&summary);
-            let _ = writeln!(report, "wrote {}", output.display());
-            if !summary.lossless() {
-                return Err(CmdError {
-                    code: EXIT_FATAL,
-                    message: format!("{report}loadgen accounting lost jobs: {summary:?}"),
-                });
-            }
-            Ok(report)
         }
         Command::Submit {
             addr,

@@ -23,4 +23,3 @@
 pub mod args;
 pub mod commands;
 pub mod io;
-pub mod loadgen;

@@ -33,10 +33,9 @@
 use crate::pipeline::Anonymized;
 use confmask_config::NetworkConfigs;
 use confmask_sim::fault::{enumerate_scenarios, DegradationClass, FailureScenario, Fault};
-use confmask_sim::sweep::{DigestList, PairTable, ScenarioDigest};
-use confmask_sim::{DataPlane, SimError};
+use confmask_sim::sweep::{DigestList, ScenarioDigest};
+use confmask_sim::{DataPlane, NameJoin, SimError};
 use confmask_sim_delta::{DeltaEngine, ScenarioSweep};
-use std::sync::Arc;
 
 /// One real host pair whose degradation class differs between the original
 /// and the masked anonymized network under the same failure.
@@ -255,95 +254,32 @@ pub fn verify_failure_equivalence(
     //    per-pair maps per scenario. Digests arrive in scenario order, so
     //    the report is byte-identical to the sequential sweep.
     let scenarios = enumerate_scenarios(original, k, result.params.seed, k2_sample);
-    let orig_table = Arc::new(PairTable::from_baseline(&orig_base));
     let mut orig_list = DigestList::default();
     match engine.converged(original) {
         Ok(conv) => {
-            let sweep = ScenarioSweep::with_table(engine, &conv, &orig_base, Arc::clone(&orig_table))
-                .expect("table interned from this baseline always matches it");
-            sweep.run(scenarios.iter(), &mut orig_list);
+            ScenarioSweep::new(engine, &conv, &orig_base).run(scenarios.iter(), &mut orig_list);
         }
         Err(e) => orig_list.results = vec![Err(baseline_failed("original", e)); scenarios.len()],
     }
-    // The masked sweep reuses the original's pair table when the two
-    // baselines cover the same real pairs (the usual case — both are
-    // restricted to real hosts), so mismatch detection is a positional
-    // digest walk. A masked baseline with a different pair set gets its
-    // own table plus an index translation, with pairs absent from the
-    // anonymized side reading as `Partitioned` (worst case) exactly as
-    // the map-lookup comparison did.
+    // The masked digests index the masked baseline; each original pair
+    // finds its masked counterpart by name once, and a pair absent from the
+    // anonymized side reads as `Partitioned` (worst case).
     let mut anon_list = DigestList::default();
-    let anon_table = match ScenarioSweep::with_table(
-        engine,
-        &masked_conv,
-        &masked_base,
-        Arc::clone(&orig_table),
-    ) {
-        Some(sweep) => {
-            sweep.run(scenarios.iter(), &mut anon_list);
-            None
-        }
-        None => {
-            let sweep = ScenarioSweep::new(engine, &masked_conv, &masked_base);
-            let table = sweep.table();
-            sweep.run(scenarios.iter(), &mut anon_list);
-            Some(table)
-        }
-    };
-    let anon_idx_of: Option<Vec<Option<usize>>> = anon_table.as_ref().map(|t| {
-        (0..orig_table.len())
-            .map(|i| {
-                let (src, dst) = orig_table.pair(i);
-                t.index_of(src, dst)
-            })
-            .collect()
-    });
-
-    /// Expands a digest back into one class per table pair.
-    fn classes_of(digest: &ScenarioDigest, len: usize) -> Vec<DegradationClass> {
-        let mut out = vec![DegradationClass::Unchanged; len];
-        for (i, c) in digest.changed_classes() {
-            out[i] = c;
-        }
-        out
-    }
+    ScenarioSweep::new(engine, &masked_conv, &masked_base).run(scenarios.iter(), &mut anon_list);
+    let aligned = align_pairs(&orig_base, &masked_base);
 
     report.real = scenarios
         .iter()
         .zip(orig_list.results.iter().zip(anon_list.results.iter()))
-        .map(|(scenario, (orig_run, anon_run))| {
-            let mut entry = ScenarioEquivalence {
-                scenario: scenario.clone(),
-                original_error: orig_run.as_ref().err().map(|e| e.to_string()),
-                anonymized_error: anon_run.as_ref().err().map(|e| e.to_string()),
-                worst: orig_run.as_ref().ok().map(|d| d.worst),
-                mismatches: Vec::new(),
-            };
-            if let (Ok(orig), Ok(anon)) = (orig_run, anon_run) {
-                let oc = classes_of(orig, orig_table.len());
-                let ac = classes_of(
-                    anon,
-                    anon_table.as_ref().map_or(orig_table.len(), |t| t.len()),
-                );
-                for (i, o) in oc.iter().enumerate() {
-                    let a = match &anon_idx_of {
-                        None => ac[i],
-                        Some(map) => map[i]
-                            .map(|j| ac[j])
-                            .unwrap_or(DegradationClass::Partitioned),
-                    };
-                    if *o != a {
-                        let (src, dst) = orig_table.pair(i);
-                        entry.mismatches.push(PairMismatch {
-                            src: src.to_string(),
-                            dst: dst.to_string(),
-                            original: *o,
-                            anonymized: a,
-                        });
-                    }
-                }
-            }
-            entry
+        .map(|(scenario, (orig_run, anon_run))| ScenarioEquivalence {
+            scenario: scenario.clone(),
+            original_error: orig_run.as_ref().err().map(|e| e.to_string()),
+            anonymized_error: anon_run.as_ref().err().map(|e| e.to_string()),
+            worst: orig_run.as_ref().ok().map(|d| d.worst),
+            mismatches: match (orig_run, anon_run) {
+                (Ok(orig), Ok(anon)) => class_mismatches(&orig_base, &aligned, orig, anon),
+                _ => Vec::new(),
+            },
         })
         .collect();
 
@@ -363,13 +299,11 @@ pub fn verify_failure_equivalence(
         FailureScenario::single(Fault::RouterDown { router: r.clone() })
     }));
 
-    let fake_table = Arc::new(PairTable::from_baseline(&anon_base));
     let mut fake_list = DigestList::default();
     match engine.converged(&result.configs) {
         Ok(conv) => {
-            let sweep = ScenarioSweep::with_table(engine, &conv, &anon_base, Arc::clone(&fake_table))
-                .expect("table interned from this baseline always matches it");
-            sweep.run(fake_scenarios.iter(), &mut fake_list);
+            ScenarioSweep::new(engine, &conv, &anon_base)
+                .run(fake_scenarios.iter(), &mut fake_list);
         }
         Err(e) => {
             fake_list.results = vec![Err(baseline_failed("anonymized", e)); fake_scenarios.len()]
@@ -384,10 +318,7 @@ pub fn verify_failure_equivalence(
                 error: None,
                 changed_pairs: digest
                     .changed_classes()
-                    .map(|(i, _)| {
-                        let (src, dst) = fake_table.pair(i);
-                        (src.to_string(), dst.to_string())
-                    })
+                    .map(|(i, _)| pair_names(&anon_base, i))
                     .collect(),
             },
             Err(e) => FakeElementCheck {
@@ -399,6 +330,67 @@ pub fn verify_failure_equivalence(
         .collect();
 
     report
+}
+
+/// Per pair of `orig_base`, in entry order: the index of the pair with the
+/// same host names in `masked_base`, if it has one. The two host tables
+/// are joined by name once; both entry lists are sorted by host index,
+/// which is name order.
+fn align_pairs(orig_base: &DataPlane, masked_base: &DataPlane) -> Vec<Option<usize>> {
+    let hosts = NameJoin::new(orig_base.hosts(), masked_base.hosts());
+    let masked = masked_base.entries();
+    orig_base
+        .entries()
+        .iter()
+        .map(|((s, d), _)| {
+            let key = hosts.get(*s).zip(hosts.get(*d))?;
+            masked.binary_search_by_key(&key, |e| e.0).ok()
+        })
+        .collect()
+}
+
+/// The pairs of `orig_base` whose class in `orig` (a digest over
+/// `orig_base`) differs from the class of the same-named pair in `anon` (a
+/// digest over the masked baseline `aligned` was built against). A pair
+/// the masked baseline lacks reads as `Partitioned`.
+fn class_mismatches(
+    orig_base: &DataPlane,
+    aligned: &[Option<usize>],
+    orig: &ScenarioDigest,
+    anon: &ScenarioDigest,
+) -> Vec<PairMismatch> {
+    let oc = classes_of(orig);
+    let ac = classes_of(anon);
+    let mut out = Vec::new();
+    for (i, (o, a)) in oc.iter().zip(aligned).enumerate() {
+        let a = a.map_or(DegradationClass::Partitioned, |j| ac[j]);
+        if *o != a {
+            let (src, dst) = pair_names(orig_base, i);
+            out.push(PairMismatch {
+                src,
+                dst,
+                original: *o,
+                anonymized: a,
+            });
+        }
+    }
+    out
+}
+
+/// Expands a digest back into one class per baseline pair.
+fn classes_of(digest: &ScenarioDigest) -> Vec<DegradationClass> {
+    let mut out = vec![DegradationClass::Unchanged; digest.pairs()];
+    for (i, c) in digest.changed_classes() {
+        out[i] = c;
+    }
+    out
+}
+
+/// The host names of `dp`'s i-th pair.
+fn pair_names(dp: &DataPlane, i: usize) -> (String, String) {
+    let (s, d) = dp.entries()[i].0;
+    let hosts = dp.hosts();
+    (hosts[s as usize].clone(), hosts[d as usize].clone())
 }
 
 /// The error every scenario of a sweep records when its healthy network
@@ -413,6 +405,70 @@ mod tests {
     use super::*;
     use crate::{anonymize, Params};
     use confmask_netgen::smallnets::{bad_gadget, example_network};
+    use confmask_sim::DataPlaneBuilder;
+
+    /// A digest over `dp` recording `class` for every pair.
+    fn digest_of(dp: &DataPlane, class: impl Fn(&str, &str) -> DegradationClass) -> ScenarioDigest {
+        let mut digest = ScenarioDigest::new(dp.len());
+        for (i, p) in dp.pairs().enumerate() {
+            digest.record(i, class(p.src, p.dst));
+        }
+        digest
+    }
+
+    #[test]
+    fn masked_pairs_align_by_name_and_a_missing_pair_reads_partitioned() {
+        // The original has every ordered pair of h1..h3. The masked side
+        // lacks h2→h3, and its extra host f0 sorts first, so every shared
+        // pair sits at a different index under a different host table.
+        let hosts = ["h1", "h2", "h3"];
+        let mut orig = DataPlaneBuilder::new();
+        let mut masked = DataPlaneBuilder::new();
+        masked.insert("f0", "h1", [["f0", "r1", "h1"]], false, false);
+        for (s, d) in hosts.iter().flat_map(|s| hosts.map(|d| (*s, d))) {
+            if s == d {
+                continue;
+            }
+            orig.insert(s, d, [[s, "r1", d]], false, false);
+            if (s, d) != ("h2", "h3") {
+                masked.insert(s, d, [[s, "r1", d]], false, false);
+            }
+        }
+        let (orig_base, masked_base) = (orig.build(), masked.build());
+        assert_ne!(orig_base.hosts(), masked_base.hosts());
+
+        let aligned = align_pairs(&orig_base, &masked_base);
+        for (i, j) in aligned.iter().enumerate() {
+            match j {
+                Some(j) => assert_eq!(pair_names(&orig_base, i), pair_names(&masked_base, *j)),
+                None => assert_eq!(pair_names(&orig_base, i), ("h2".into(), "h3".into())),
+            }
+        }
+
+        // h1→h3 reroutes on both sides: it matches by name, not position.
+        let rerouted = |s: &str, d: &str| {
+            if (s, d) == ("h1", "h3") {
+                DegradationClass::Rerouted
+            } else {
+                DegradationClass::Unchanged
+            }
+        };
+        let mismatches = class_mismatches(
+            &orig_base,
+            &aligned,
+            &digest_of(&orig_base, rerouted),
+            &digest_of(&masked_base, rerouted),
+        );
+        assert_eq!(
+            mismatches,
+            vec![PairMismatch {
+                src: "h2".into(),
+                dst: "h3".into(),
+                original: DegradationClass::Unchanged,
+                anonymized: DegradationClass::Partitioned,
+            }]
+        );
+    }
 
     #[test]
     fn example_network_degrades_equivalently() {

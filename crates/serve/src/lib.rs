@@ -127,8 +127,8 @@ fn register_metrics() {
     confmask_obs::gauge_set("serve.http.in_flight", 0.0);
     confmask_obs::histogram_register("serve.job_wall_ms");
     // Per-phase job latencies (milliseconds): the queue hop, the pipeline
-    // run, and the completion persistence — the numbers `confmask
-    // loadgen` and every serve-scaling PR move.
+    // run, and the completion persistence — the numbers the serve-mix
+    // benchmark reports and every serve-scaling change moves.
     confmask_obs::histogram_register("serve.queue_wait_ms");
     confmask_obs::histogram_register("serve.run_ms");
     confmask_obs::histogram_register("serve.persist_ms");
@@ -241,7 +241,7 @@ impl Server {
         // Queue-depth sampler: the gauge is otherwise only updated on
         // push/pop edges, so a stuck queue would freeze it at a stale
         // value. A 50 ms cadence also feeds the sampled-depth histogram
-        // (p99 backlog at saturation — a loadgen headline number).
+        // (p99 backlog at saturation).
         let sampler = {
             let state = Arc::clone(&self.state);
             std::thread::Builder::new()

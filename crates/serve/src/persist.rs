@@ -433,6 +433,10 @@ pub struct Persistence {
     dir: PathBuf,
     wal: Mutex<WalState>,
     snapshot_every: u64,
+    /// The WAL cut ([`Self::appends`]) the installed snapshot image was
+    /// captured at. Held across a whole snapshot write, so two writes
+    /// never share `snapshot.tmp` and an image never replaces a newer one.
+    installed_cut: Mutex<u64>,
 }
 
 impl Persistence {
@@ -491,6 +495,7 @@ impl Persistence {
                 since_snapshot: 0,
             }),
             snapshot_every: snapshot_every.max(1),
+            installed_cut: Mutex::new(0),
         };
 
         let mut recovery = Recovery {
@@ -684,6 +689,10 @@ impl Persistence {
     /// (`appends_at_capture`) — a raced append stays in the log, where a
     /// replay over the new snapshot tolerates it (records the snapshot
     /// already reflects are idempotent, advance-only).
+    ///
+    /// Snapshot writes run one at a time, and an image captured before
+    /// the installed one is dropped: the newer image may already have
+    /// truncated records the older one lacks.
     pub fn snapshot(&self, payload: &str, appends_at_capture: u64) {
         if let Err(e) = self.write_snapshot(payload, appends_at_capture) {
             confmask_obs::counter_add("serve.wal.append_errors", 1);
@@ -698,6 +707,15 @@ impl Persistence {
     }
 
     fn write_snapshot(&self, payload: &str, appends_at_capture: u64) -> io::Result<()> {
+        let mut installed_cut = self.installed_cut.lock().unwrap_or_else(|e| e.into_inner());
+        if appends_at_capture < *installed_cut {
+            confmask_obs::debug!(
+                "serve.wal",
+                "snapshot captured at {appends_at_capture} skipped: {} is installed",
+                *installed_cut
+            );
+            return Ok(());
+        }
         match failpoint::check("snapshot.write") {
             Some(Action::IoError) | Some(Action::DiskFull) => {
                 return Err(failpoint::injected_error(Action::IoError));
@@ -719,6 +737,7 @@ impl Persistence {
             return Ok(());
         }
         fs::rename(&tmp, &bin)?;
+        *installed_cut = appends_at_capture;
         if let Ok(d) = std::fs::File::open(&self.dir) {
             let _ = d.sync_all();
         }
@@ -1040,6 +1059,41 @@ mod tests {
             fs::metadata(dir.join("wal.log")).unwrap().len(),
             wal::MAGIC.len() as u64,
             "quiescent snapshot compacts the WAL"
+        );
+    }
+
+    #[test]
+    fn an_older_snapshot_never_replaces_a_newer_one() {
+        // Two snapshots in flight: the later capture lands first and
+        // compacts the WAL, so job 2's `Created` record now lives only in
+        // its image. The earlier capture, which lacks job 2, must not be
+        // installed over it.
+        let _guard = failpoint::exclusive();
+        failpoint::clear();
+        let dir = tmp("stale-image");
+        let (p, _r) = open(&dir, 1_000, 3);
+        let mem = JobStore::new();
+        let mut jobs = BTreeMap::new();
+        let mut create = |key: u64, body: &str| {
+            let id = mem.create_job(key, body.into(), None, None).unwrap();
+            p.log_created(id, key, body).unwrap();
+            jobs.insert(id, mem.get(id).unwrap());
+            (id, encode_snapshot(&jobs, id + 1), p.appends())
+        };
+        let (_, image1, cut1) = create(0xA, "one");
+        let (j2, image2, cut2) = create(0xB, "two");
+        p.snapshot(&image2, cut2);
+        assert_eq!(
+            fs::metadata(dir.join("wal.log")).unwrap().len(),
+            wal::MAGIC.len() as u64,
+            "the newer image compacted the WAL"
+        );
+        p.snapshot(&image1, cut1);
+        drop(p);
+        let (_p, rec) = open(&dir, 1_000, 3);
+        assert!(
+            rec.jobs.iter().any(|j| j.id == j2),
+            "acknowledged job lost to an older snapshot image"
         );
     }
 

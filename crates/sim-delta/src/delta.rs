@@ -168,7 +168,7 @@ pub(crate) struct ShutdownPlan {
     ospf_prefixes_total: usize,
     ospf_prefixes_recomputed: usize,
     rip_warm_started: bool,
-    bgp_reused: bool,
+    bgp_reused: Option<bool>,
     fibs_shared: usize,
 }
 
@@ -337,7 +337,7 @@ pub(crate) fn plan_shutdowns(
     // ---- BGP: reuse when provably isomorphic, else recompute. ----
     let any_bgp = new_net.routers.iter().any(|r| r.asn.is_some());
     let (bgp_routes, bgp_reused) = if !any_bgp {
-        (vec![BTreeMap::new(); n], false)
+        (vec![BTreeMap::new(); n], None)
     } else {
         let rp_new = ospf::router_paths(&new_net);
         let isomorphic = base
@@ -354,8 +354,8 @@ pub(crate) fn plan_shutdowns(
             None
         };
         match reused {
-            Some(routes) => (routes, true),
-            None => (bgp::compute(&new_net, &rp_new)?, false),
+            Some(routes) => (routes, Some(true)),
+            None => (bgp::compute(&new_net, &rp_new)?, Some(false)),
         }
     };
 
@@ -373,7 +373,7 @@ pub(crate) fn plan_shutdowns(
     // sorted hop lists stay sorted). Only merged routers read those rows,
     // so shared ones skip the splice. ----
     let rip_silent = base.state.rip_dist.is_empty() && rip_routes.iter().all(|t| t.is_empty());
-    let bgp_stable = !any_bgp || bgp_reused;
+    let bgp_stable = bgp_reused != Some(false);
     let mut fib_shared = vec![false; n];
     let mut per_router = Vec::with_capacity(n);
     for r in 0..n {

@@ -36,7 +36,6 @@ pub use sweep::ScenarioSweep;
 
 use confmask_config::NetworkConfigs;
 use confmask_net_types::{Ipv4Prefix, RouterId};
-use confmask_sim::dataplane::DataPlane;
 use confmask_sim::{ControlState, PathSet, SimError, Simulation};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,10 +63,11 @@ pub struct ConvergedSim {
     /// Precomputed once so every delta run can tell which lookups a
     /// perturbation changed without re-running longest-prefix matches.
     pub host_match: Vec<Vec<Option<Ipv4Prefix>>>,
-    /// Per data-plane pair (in [`DataPlane::entries`] order): an index
-    /// into `on_path`, or [`NO_META`] for a walk whose shape the recorded
-    /// paths do not fully determine (blackholed, looping, empty, or
-    /// ECMP-truncated). Precomputed from the id paths so delta runs test
+    /// Per data-plane pair (in
+    /// [`DataPlane::entries`](confmask_sim::DataPlane::entries) order): an
+    /// index into `on_path`, or [`NO_META`] for a walk whose shape the
+    /// recorded paths do not fully determine (blackholed, looping, empty,
+    /// or ECMP-truncated). Precomputed from the id paths so delta runs test
     /// pair reusability against a bool mask instead of re-walking paths.
     pub(crate) pair_meta: Vec<u32>,
     /// Per distinct path set with reuse metadata: the deduped router ids
@@ -98,8 +98,9 @@ pub struct DeltaStats {
     pub ospf_prefixes_recomputed: usize,
     /// Whether RIP warm-started from the cached fixpoint.
     pub rip_warm_started: bool,
-    /// Whether the cached BGP routes were reused wholesale.
-    pub bgp_reused: bool,
+    /// Whether the cached BGP routes were reused wholesale; `None` when no
+    /// router speaks BGP, so there was nothing to reuse or recompute.
+    pub bgp_reused: Option<bool>,
     /// Routers whose FIB was shared with the base (an `Arc` clone).
     pub fibs_shared: usize,
     /// Routers whose FIB was re-merged.
@@ -118,7 +119,7 @@ impl DeltaStats {
             ospf_prefixes_total: 0,
             ospf_prefixes_recomputed: 0,
             rip_warm_started: false,
-            bgp_reused: false,
+            bgp_reused: None,
             fibs_shared: 0,
             fibs_merged: 0,
             pairs_total: 0,
@@ -133,7 +134,7 @@ impl DeltaStats {
             ospf_prefixes_total: 0,
             ospf_prefixes_recomputed: 0,
             rip_warm_started: false,
-            bgp_reused: false,
+            bgp_reused: None,
             fibs_shared: 0,
             fibs_merged: 0,
             pairs_total: 0,
@@ -275,17 +276,6 @@ impl DeltaEngine {
         record_stats(&stats);
         Ok((sim, stats))
     }
-
-    /// The streaming sweep over a cached baseline: scenarios fan out
-    /// across the shared executor, each folding into a
-    /// [`confmask_sim::ScenarioDigest`] — see [`ScenarioSweep`].
-    pub fn sweep<'a>(
-        &'a self,
-        base: &'a ConvergedSim,
-        baseline: &'a DataPlane,
-    ) -> ScenarioSweep<'a> {
-        ScenarioSweep::new(self, base, baseline)
-    }
 }
 
 /// Records one delta simulation's [`DeltaStats`] into the `sim.delta.*`
@@ -301,14 +291,16 @@ pub(crate) fn record_stats(stats: &DeltaStats) {
     if stats.rip_warm_started {
         confmask_obs::counter_add("sim.delta.rip_warm_starts", 1);
     }
-    confmask_obs::counter_add(
-        if stats.bgp_reused {
-            "sim.delta.bgp_reuses"
-        } else {
-            "sim.delta.bgp_recomputes"
-        },
-        u64::from(!stats.identical && !stats.full_fallback),
-    );
+    if let Some(reused) = stats.bgp_reused {
+        confmask_obs::counter_add(
+            if reused {
+                "sim.delta.bgp_reuses"
+            } else {
+                "sim.delta.bgp_recomputes"
+            },
+            1,
+        );
+    }
     confmask_obs::counter_add(
         "sim.delta.ospf_prefixes_recomputed",
         stats.ospf_prefixes_recomputed as u64,
@@ -432,6 +424,26 @@ mod tests {
         assert!(stats.identical);
         assert_eq!(stats.recompute_fraction(), 0.0);
         assert_sims_equal(&sim, &base.sim);
+    }
+
+    #[test]
+    fn a_network_without_bgp_counts_no_bgp_reuse_or_recompute() {
+        confmask_obs::set_enabled(true);
+        let counter = |name| confmask_obs::report().counter(name).unwrap_or(0);
+        let sims = counter("sim.delta.sims");
+        let engine = DeltaEngine::new(4);
+        let cfgs = triangle();
+        let base = engine.converged(&cfgs).unwrap();
+        for scenario in enumerate_single_link_failures(&cfgs) {
+            let failed = scenario.apply(&cfgs).unwrap();
+            let (_, stats) = engine.simulate_perturbed(&base, &failed).unwrap();
+            assert_eq!(stats.bgp_reused, None, "{scenario}");
+        }
+        assert!(counter("sim.delta.sims") >= sims + 3);
+        // No test in this crate simulates a BGP network, so neither
+        // counter may move.
+        assert_eq!(counter("sim.delta.bgp_reuses"), 0);
+        assert_eq!(counter("sim.delta.bgp_recomputes"), 0);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! directly into [`ScenarioDigest`]s, never materializing a perturbed
 //! data plane.
 //!
-//! [`ScenarioSweep`] binds a cached baseline ([`ConvergedSim`]) to an
-//! interned pair table once, then classifies each failure scenario
-//! per-pair straight off the [`delta::ShutdownPlan`]:
+//! [`ScenarioSweep`] binds each pair of the sweep's baseline data plane to
+//! a cached base simulation ([`ConvergedSim`]) once, then classifies each
+//! failure scenario per-pair straight off the [`delta::ShutdownPlan`].
+//! Digest index `i` is the baseline's i-th entry:
 //!
 //! * a **reusable** pair (same predicate the materializing path uses —
 //!   [`delta::ShutdownPlan::pair_reusable`]) whose baseline path set
@@ -29,12 +30,12 @@
 use crate::{delta, record_stats, ConvergedSim, DeltaEngine, DeltaStats, ScenarioScratch};
 use confmask_config::NetworkConfigs;
 use confmask_net_types::HostId;
-use confmask_sim::dataplane::{trace_into, DataPlane, NameJoin};
+use confmask_sim::dataplane::{trace_into, DataPlane, HostPair, NameJoin};
 use confmask_sim::fault::{
     classify_failed, classify_pair, physical_components, revert_shutdowns, DegradationClass,
     FailureScenario,
 };
-use confmask_sim::sweep::{PairTable, ScenarioDigest, SweepMeter, SweepReducer, SweepStats};
+use confmask_sim::sweep::{ScenarioDigest, SweepMeter, SweepReducer, SweepStats};
 use confmask_sim::{PathSet, SimError};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
@@ -53,27 +54,23 @@ struct PairBinding {
     /// Index of this pair in the base data plane's entries (and thus into
     /// `pair_meta`); `u32::MAX` when the base lacks the pair.
     base_idx: u32,
-    /// Whether `baseline` equals the base's path set for this pair.
+    /// Whether the baseline's path set equals the base's for this pair.
     same_as_base: bool,
-    /// The sweep baseline's path set (what digests classify against).
-    baseline: Arc<PathSet>,
-    /// The base simulation's path set (what a reused pair yields).
-    base_ps: Option<Arc<PathSet>>,
 }
 
 /// A streaming fault sweep over one cached baseline.
 ///
-/// Built once per (baseline, pair table); [`ScenarioSweep::digest`] folds
-/// one scenario, [`ScenarioSweep::run`] drives a whole scenario sequence
-/// through the shared executor in bounded windows, feeding a
-/// [`SweepReducer`] in scenario order.
+/// Built once per baseline; [`ScenarioSweep::digest`] folds one scenario,
+/// [`ScenarioSweep::run`] drives a whole scenario sequence through the
+/// shared executor in bounded windows, feeding a [`SweepReducer`] in
+/// scenario order.
 pub struct ScenarioSweep<'a> {
     /// Held so a sweep cannot outlive the engine whose cache owns `base`.
     _engine: &'a DeltaEngine,
     base: &'a ConvergedSim,
-    /// The data plane digests classify against; `table` interns its pairs.
+    /// The data plane digests classify against and index.
     baseline: &'a DataPlane,
-    table: Arc<PairTable>,
+    /// One binding per entry of `baseline`, in entry order.
     binding: Vec<PairBinding>,
     /// The base network's router ids (what re-traces yield) joined onto
     /// the baseline's router table.
@@ -81,37 +78,13 @@ pub struct ScenarioSweep<'a> {
 }
 
 impl<'a> ScenarioSweep<'a> {
-    /// A sweep classifying `baseline`'s pairs, with a fresh [`PairTable`]
-    /// interned from it.
+    /// A sweep classifying `baseline`'s pairs against failures of `base`:
+    /// digest index `i` is `baseline.entries()[i]`.
     pub fn new(
         engine: &'a DeltaEngine,
         base: &'a ConvergedSim,
         baseline: &'a DataPlane,
     ) -> ScenarioSweep<'a> {
-        let table = Arc::new(PairTable::from_baseline(baseline));
-        Self::with_table(engine, base, baseline, table)
-            .expect("a table interned from the baseline always matches it")
-    }
-
-    /// A sweep reusing an existing pair table — callers comparing two
-    /// sweeps index-align their digests by sharing one table. Returns
-    /// `None` when `table`'s pairs are not exactly `baseline`'s (fall
-    /// back to [`ScenarioSweep::new`] and name-based comparison).
-    pub fn with_table(
-        engine: &'a DeltaEngine,
-        base: &'a ConvergedSim,
-        baseline: &'a DataPlane,
-        table: Arc<PairTable>,
-    ) -> Option<ScenarioSweep<'a>> {
-        if table.len() != baseline.len() {
-            return None;
-        }
-        for (i, p) in baseline.pairs().enumerate() {
-            if table.pair(i) != (p.src, p.dst) {
-                return None;
-            }
-        }
-
         // Bind each baseline pair to the base data plane by id: join the
         // baseline's host and router tables onto the base's once (the
         // baseline is normally a restriction of the base, and then both
@@ -138,8 +111,6 @@ impl<'a> ScenarioSweep<'a> {
                             di,
                             base_idx: i as u32,
                             same_as_base: shared || routers.same(bp, ps),
-                            baseline: Arc::clone(ps),
-                            base_ps: Some(Arc::clone(bp)),
                         }
                     }
                     None => PairBinding {
@@ -147,26 +118,18 @@ impl<'a> ScenarioSweep<'a> {
                         di: u32::MAX,
                         base_idx: u32::MAX,
                         same_as_base: false,
-                        baseline: Arc::clone(ps),
-                        base_ps: None,
                     },
                 }
             })
             .collect();
 
-        Some(ScenarioSweep {
+        ScenarioSweep {
             _engine: engine,
             base,
             baseline,
-            table,
             binding,
             routers,
-        })
-    }
-
-    /// The shared pair table digests of this sweep refer into.
-    pub fn table(&self) -> Arc<PairTable> {
-        Arc::clone(&self.table)
+        }
     }
 
     /// Folds one scenario into its digest, applying and reverting its
@@ -222,33 +185,39 @@ impl<'a> ScenarioSweep<'a> {
         // Physical connectivity only arbitrates dropped traffic, so the
         // component flood fill runs lazily, at most once per scenario.
         let comp: OnceCell<BTreeMap<String, usize>> = OnceCell::new();
-        let connected = |src: &str, dst: &str| {
+        let hosts = self.baseline.hosts();
+        let connected = |(s, d): HostPair| {
             let comp = comp.get_or_init(|| physical_components(failed));
-            match (comp.get(src), comp.get(dst)) {
+            match (
+                comp.get(hosts[s as usize].as_str()),
+                comp.get(hosts[d as usize].as_str()),
+            ) {
                 (Some(a), Some(b)) => a == b,
                 _ => false,
             }
         };
+        let base_entries = self.base.sim.dataplane.entries();
         let missing = PathSet::blackholed();
         let mut traced = PathSet::default();
-        let mut digest = ScenarioDigest::new(self.table.len());
+        let mut digest = ScenarioDigest::new(self.binding.len());
         let mut recomputed = 0usize;
-        for (i, b) in self.binding.iter().enumerate() {
-            let (src, dst) = self.table.pair(i);
+        for (i, (b, (key, baseline))) in
+            self.binding.iter().zip(self.baseline.entries()).enumerate()
+        {
             let class = if b.base_idx == u32::MAX {
                 // The base simulation lacks this pair: the perturbed data
                 // plane cannot contain it either (delta runs start from
                 // the base's pair set), so it reads as dropped.
-                let unchanged = self.routers.same(&missing, &b.baseline);
-                classify_pair(unchanged, &missing, || connected(src, dst))
+                let unchanged = self.routers.same(&missing, baseline);
+                classify_pair(unchanged, &missing, || connected(*key))
             } else if plan.pair_reusable(self.base, b.si as usize, b.di as usize, b.base_idx as usize)
             {
                 if b.same_as_base {
                     // Reused ⇒ post-failure == base == this baseline.
                     DegradationClass::Unchanged
                 } else {
-                    let after = b.base_ps.as_ref().expect("present pair has a base path set");
-                    classify_pair(false, after, || connected(src, dst))
+                    let after = &base_entries[b.base_idx as usize].1;
+                    classify_pair(false, after, || connected(*key))
                 }
             } else {
                 recomputed += 1;
@@ -259,8 +228,8 @@ impl<'a> ScenarioSweep<'a> {
                     HostId(b.di),
                     &mut traced,
                 );
-                let unchanged = self.routers.same(&traced, &b.baseline);
-                classify_pair(unchanged, &traced, || connected(src, dst))
+                let unchanged = self.routers.same(&traced, baseline);
+                classify_pair(unchanged, &traced, || connected(*key))
             };
             digest.record(i, class);
         }
@@ -357,7 +326,7 @@ mod tests {
         let engine = DeltaEngine::new(4);
         let cfgs = triangle();
         let base = engine.converged(&cfgs).unwrap();
-        let sweep = engine.sweep(&base, &base.sim.dataplane);
+        let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
         let mut scratch = ScenarioScratch::default();
         for sc in scenarios(&cfgs) {
             let warm = sweep.digest(&sc, &mut scratch).unwrap();
@@ -376,7 +345,7 @@ mod tests {
         let cfgs = triangle();
         let base = engine.converged(&cfgs).unwrap();
         let baseline = simulate(&cfgs).unwrap().dataplane;
-        let sweep = engine.sweep(&base, &baseline);
+        let sweep = ScenarioSweep::new(&engine, &base, &baseline);
         let mut scratch = ScenarioScratch::default();
         for sc in scenarios(&cfgs) {
             let warm = sweep.digest(&sc, &mut scratch).unwrap();
@@ -391,7 +360,7 @@ mod tests {
         let engine = DeltaEngine::new(4);
         let cfgs = triangle();
         let base = engine.converged(&cfgs).unwrap();
-        let sweep = engine.sweep(&base, &base.sim.dataplane);
+        let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
         let scs = scenarios(&cfgs);
         let mut list = DigestList::default();
         let stats = sweep.run(scs.iter(), &mut list);
@@ -410,30 +379,11 @@ mod tests {
     }
 
     #[test]
-    fn with_table_rejects_mismatched_tables() {
-        let engine = DeltaEngine::new(4);
-        let cfgs = triangle();
-        let base = engine.converged(&cfgs).unwrap();
-        let table = Arc::new(PairTable::from_baseline(&base.sim.dataplane));
-        assert!(ScenarioSweep::with_table(
-            &engine,
-            &base,
-            &base.sim.dataplane,
-            Arc::clone(&table)
-        )
-        .is_some());
-        // A restricted baseline has fewer pairs than the full table.
-        let only: std::collections::BTreeSet<String> = ["h1".to_string()].into();
-        let restricted = base.sim.dataplane.restricted_to(&only);
-        assert!(ScenarioSweep::with_table(&engine, &base, &restricted, table).is_none());
-    }
-
-    #[test]
     fn erroring_scenarios_fold_as_errors() {
         let engine = DeltaEngine::new(4);
         let cfgs = triangle();
         let base = engine.converged(&cfgs).unwrap();
-        let sweep = engine.sweep(&base, &base.sim.dataplane);
+        let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
         let bad = FailureScenario::single(Fault::RouterDown {
             router: "nope".into(),
         });

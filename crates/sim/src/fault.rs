@@ -627,9 +627,7 @@ pub fn physical_components(configs: &NetworkConfigs) -> BTreeMap<String, usize> 
 ///
 /// `baseline` decides which pairs are reported — pass a data plane
 /// restricted to real hosts to ignore anonymization-added fake hosts.
-/// Digest index `i` is `baseline`'s i-th pair, the order
-/// [`PairTable::from_baseline`](crate::sweep::PairTable::from_baseline)
-/// interns.
+/// Digest index `i` is `baseline`'s i-th pair (`baseline.entries()[i]`).
 pub fn run_scenario(
     configs: &NetworkConfigs,
     baseline: &DataPlane,
@@ -673,12 +671,19 @@ pub fn classify_failed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::PairTable;
     use confmask_config::{parse_router, HostConfig};
 
-    /// The class a digest recorded for the named pair.
-    fn class_of(digest: &ScenarioDigest, table: &PairTable, src: &str, dst: &str) -> DegradationClass {
-        let i = table.index_of(src, dst).expect("pair is in the table");
+    /// The class a digest over `baseline` recorded for the named pair.
+    fn class_of(
+        digest: &ScenarioDigest,
+        baseline: &DataPlane,
+        src: &str,
+        dst: &str,
+    ) -> DegradationClass {
+        let i = baseline
+            .pairs()
+            .position(|p| (p.src, p.dst) == (src, dst))
+            .expect("pair is in the baseline");
         digest
             .changed_classes()
             .find(|&(j, _)| j == i)
@@ -801,9 +806,11 @@ mod tests {
             b: "r2".into(),
             added: false,
         });
-        let table = PairTable::from_baseline(&baseline);
         let out = run_scenario(&cfgs, &baseline, &sc).unwrap();
-        assert_eq!(class_of(&out, &table, "h1", "h2"), DegradationClass::Rerouted);
+        assert_eq!(
+            class_of(&out, &baseline, "h1", "h2"),
+            DegradationClass::Rerouted
+        );
         assert_eq!(out.worst, DegradationClass::Rerouted);
         assert!(!out.all_unchanged());
     }
@@ -815,11 +822,16 @@ mod tests {
         let sc = FailureScenario::single(Fault::RouterDown {
             router: "r2".into(),
         });
-        let table = PairTable::from_baseline(&baseline);
         let out = run_scenario(&cfgs, &baseline, &sc).unwrap();
         // h2 hangs off r2: both directions are physically partitioned.
-        assert_eq!(class_of(&out, &table, "h1", "h2"), DegradationClass::Partitioned);
-        assert_eq!(class_of(&out, &table, "h2", "h1"), DegradationClass::Partitioned);
+        assert_eq!(
+            class_of(&out, &baseline, "h1", "h2"),
+            DegradationClass::Partitioned
+        );
+        assert_eq!(
+            class_of(&out, &baseline, "h2", "h1"),
+            DegradationClass::Partitioned
+        );
     }
 
     #[test]

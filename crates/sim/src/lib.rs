@@ -50,9 +50,7 @@ pub use bgp::BgpFibRoute;
 pub use dataplane::{DataPlane, DataPlaneBuilder, NameJoin, Pair, PairBits, PathSet};
 pub use error::SimError;
 pub use fault::{DegradationClass, FailureScenario, Fault};
-pub use sweep::{
-    DigestList, PairTable, ScenarioDigest, SweepReducer, SweepStats, SweepSummary,
-};
+pub use sweep::{DigestList, ScenarioDigest, SweepReducer, SweepStats, SweepSummary};
 pub use fib::{
     merge_fibs, merge_router_fib, AdminDistance, Fib, FibEntry, Fibs, NextHop, RouteSource,
 };

@@ -3,96 +3,40 @@
 //!
 //! A scenario's only product is a [`ScenarioDigest`] of tens of bytes —
 //! class histogram, worst class, violated-pair bitmap, packed non-unchanged
-//! classes — over an interned host-pair table ([`PairTable`]). This is the
-//! map-reduce shape of streamed model checking (Plankton, NSDI'20): workers
-//! classify scenarios, and the caller's [`SweepReducer`] folds digests in
-//! scenario order while the simulations behind them are already freed. No
-//! per-pair map is ever built.
+//! classes. A digest's pair index `i` is the i-th entry of the baseline
+//! [`DataPlane`](crate::DataPlane) it was classified against
+//! (`entries()[i]`, names through `hosts()`); nothing else defines a pair
+//! order, so a digest carries no strings. This is the map-reduce shape of
+//! streamed model checking (Plankton, NSDI'20): workers classify
+//! scenarios, and the caller's [`SweepReducer`] folds digests in scenario
+//! order while the simulations behind them are already freed. No per-pair
+//! map is ever built.
 //!
 //! The sweep driver is the warm incremental `ScenarioSweep` in
 //! `confmask-sim-delta`. The cold loop, [`crate::fault::classify_failed`],
 //! is both that driver's fallback and the oracle its digests are checked
 //! against (`tests/delta_diff.rs`).
 
-use crate::dataplane::{DataPlane, PairBits};
+use crate::dataplane::PairBits;
 use crate::error::SimError;
 use crate::fault::DegradationClass;
-use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The interned table of ordered host pairs a sweep classifies — one entry
-/// per baseline pair, in baseline (name) order. Digests refer to pairs by
-/// index into this table, so a retained digest carries no strings; names
-/// are shared `Arc<str>`s interned once per sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PairTable {
-    pairs: Vec<(Arc<str>, Arc<str>)>,
-}
-
-impl PairTable {
-    /// Interns every ordered pair of `baseline`, in its key order.
-    pub fn from_baseline(baseline: &DataPlane) -> PairTable {
-        let mut cache: BTreeMap<String, Arc<str>> = BTreeMap::new();
-        let intern = |s: &str, cache: &mut BTreeMap<String, Arc<str>>| -> Arc<str> {
-            if let Some(a) = cache.get(s) {
-                return Arc::clone(a);
-            }
-            let a: Arc<str> = Arc::from(s);
-            cache.insert(s.to_string(), Arc::clone(&a));
-            a
-        };
-        let pairs = baseline
-            .pairs()
-            .map(|p| (intern(p.src, &mut cache), intern(p.dst, &mut cache)))
-            .collect();
-        PairTable { pairs }
-    }
-
-    /// Number of pairs.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// True when the table holds no pairs.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    /// The `(src, dst)` names at pair index `i`.
-    pub fn pair(&self, i: usize) -> (&str, &str) {
-        let (s, d) = &self.pairs[i];
-        (s, d)
-    }
-
-    /// Iterates the pairs in index (== name) order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.pairs.iter().map(|(s, d)| (s.as_ref(), d.as_ref()))
-    }
-
-    /// The index of a pair, if present (the table is name-sorted).
-    pub fn index_of(&self, src: &str, dst: &str) -> Option<usize> {
-        self.pairs
-            .binary_search_by(|(s, d)| (s.as_ref(), d.as_ref()).cmp(&(src, dst)))
-            .ok()
-    }
-}
 
 /// The compact, retainable result of one failure scenario: what a worker
 /// keeps after the full simulation is dropped.
 ///
-/// Layout: a degradation-class histogram over all table pairs, the worst
-/// class reached, a violated-pair bitmap (bit `i` set iff table pair `i`
-/// is not `Unchanged`), and the non-unchanged classes packed two per byte
-/// in ascending pair order. Every pair's class is reconstructible from
-/// these plus the shared [`PairTable`].
+/// Layout: a degradation-class histogram over all baseline pairs, the
+/// worst class reached, a violated-pair bitmap (bit `i` set iff baseline
+/// pair `i` is not `Unchanged`), and the non-unchanged classes packed two
+/// per byte in ascending pair order. Every pair's class is reconstructible
+/// from these plus the baseline data plane the digest indexes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioDigest {
     /// Pair counts per class, indexed by [`DegradationClass::index`].
     pub histogram: [u32; DegradationClass::COUNT],
     /// The most severe class any pair reached.
     pub worst: DegradationClass,
-    /// Bit `i` set iff table pair `i` degraded (class ≠ `Unchanged`).
+    /// Bit `i` set iff baseline pair `i` degraded (class ≠ `Unchanged`).
     pub changed: PairBits,
     /// Non-unchanged classes, two nibbles per byte, ascending pair order.
     classes: Vec<u8>,
@@ -101,7 +45,7 @@ pub struct ScenarioDigest {
 }
 
 impl ScenarioDigest {
-    /// An all-unchanged digest over `pairs` table entries; callers fold
+    /// An all-unchanged digest over `pairs` baseline pairs; callers fold
     /// classes in with [`ScenarioDigest::record`].
     pub fn new(pairs: usize) -> ScenarioDigest {
         ScenarioDigest {
@@ -113,7 +57,7 @@ impl ScenarioDigest {
         }
     }
 
-    /// Records the class of table pair `i`. Must be called once per pair
+    /// Records the class of baseline pair `i`. Must be called once per pair
     /// in ascending pair order (the packed class stream is positional).
     pub fn record(&mut self, i: usize, class: DegradationClass) {
         self.histogram[class.index()] += 1;
@@ -133,7 +77,7 @@ impl ScenarioDigest {
         self.changed_n += 1;
     }
 
-    /// Number of pairs the digest covers (the table width).
+    /// Number of pairs the digest covers (the baseline's length).
     pub fn pairs(&self) -> usize {
         self.changed.len()
     }
@@ -439,18 +383,6 @@ mod tests {
                 host("h2", "10.1.2.100", "10.1.2.1"),
             ],
         )
-    }
-
-    #[test]
-    fn pair_table_interns_baseline_order() {
-        let baseline = simulate(&triangle()).unwrap().dataplane;
-        let table = PairTable::from_baseline(&baseline);
-        assert_eq!(table.len(), baseline.len());
-        for (i, p) in baseline.pairs().enumerate() {
-            assert_eq!(table.pair(i), (p.src, p.dst));
-            assert_eq!(table.index_of(p.src, p.dst), Some(i));
-        }
-        assert_eq!(table.index_of("h1", "nope"), None);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use confmask_netgen::synthesize;
 use confmask_sim::fault::{enumerate_single_link_failures, FailureScenario, Fault};
 use confmask_sim::{simulate, Simulation};
-use confmask_sim_delta::{DeltaEngine, ScenarioScratch};
+use confmask_sim_delta::{DeltaEngine, ScenarioScratch, ScenarioSweep};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -128,7 +128,7 @@ fn streaming_digests_match_cold_folds_on_random_networks() {
         let Ok(sim) = simulate(&configs) else { continue };
         let engine = DeltaEngine::new(4);
         let base = engine.converged(&configs).expect("baseline converges");
-        let sweep = engine.sweep(&base, &sim.dataplane);
+        let sweep = ScenarioSweep::new(&engine, &base, &sim.dataplane);
         let mut scratch = ScenarioScratch::default();
         let mut scenarios = enumerate_single_link_failures(&configs);
         for router in configs.routers.keys().take(2) {

@@ -13,7 +13,7 @@ use confmask_netgen::{smallnets::university, synthesize};
 use confmask_sim::fault::enumerate_single_link_failures;
 use confmask_sim::simulate;
 use confmask_sim::sweep::{DigestList, ScenarioDigest};
-use confmask_sim_delta::{DeltaEngine, ScenarioScratch};
+use confmask_sim_delta::{DeltaEngine, ScenarioScratch, ScenarioSweep};
 use confmask_topology::kdegree::plan_k_degree;
 use confmask_topology::{LinkInfo, NodeKind, Topology};
 use rand::rngs::StdRng;
@@ -73,7 +73,7 @@ fn every_parallel_stage_is_byte_identical_across_thread_counts() {
     let sequential = at_threads(1, || {
         let engine = DeltaEngine::new(4);
         let base = engine.converged(&configs).expect("converges");
-        let sweep = engine.sweep(&base, &base.sim.dataplane);
+        let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
         let mut scratch = ScenarioScratch::default();
         scenarios
             .iter()
@@ -84,7 +84,7 @@ fn every_parallel_stage_is_byte_identical_across_thread_counts() {
         at_threads(n, || {
             let engine = DeltaEngine::new(4);
             let base = engine.converged(&configs).expect("converges");
-            let sweep = engine.sweep(&base, &base.sim.dataplane);
+            let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
             let mut list = DigestList::default();
             sweep.run(scenarios.iter(), &mut list);
             list.results
