@@ -323,11 +323,6 @@ impl HostConfig {
     pub fn prefix(&self) -> Option<Ipv4Prefix> {
         Ipv4Prefix::new(self.address.0, self.address.1).ok()
     }
-
-    /// The host's /32 address prefix (what routing ultimately must deliver).
-    pub fn addr_prefix(&self) -> Ipv4Prefix {
-        Ipv4Prefix::new(self.address.0, 32).expect("/32 is valid")
-    }
 }
 
 /// A complete network: every router and host configuration file, keyed by

@@ -114,11 +114,6 @@ impl RegionPanic {
         }
     }
 
-    /// The raw panic payload.
-    pub fn into_payload(self) -> Box<dyn Any + Send + 'static> {
-        self.payload
-    }
-
     /// Re-raises the contained panic on the calling thread.
     pub fn resume(self) -> ! {
         std::panic::resume_unwind(self.payload)

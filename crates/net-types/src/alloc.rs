@@ -51,12 +51,6 @@ impl PrefixAllocator {
         }
     }
 
-    /// Marks an additional prefix as used (e.g. one the caller assigned out
-    /// of band).
-    pub fn reserve(&mut self, prefix: Ipv4Prefix) {
-        self.reserved.push(prefix);
-    }
-
     /// Every prefix currently reserved, including past allocations.
     pub fn reserved(&self) -> &[Ipv4Prefix] {
         &self.reserved

@@ -10,56 +10,9 @@ pub struct RouterId(pub u32);
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
 pub struct HostId(pub u32);
 
-/// Either a router or a host — the node set `V = R ∪ H` of the paper.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
-pub enum NodeId {
-    /// A router node.
-    Router(RouterId),
-    /// A host node.
-    Host(HostId),
-}
-
-impl NodeId {
-    /// The router id, if this node is a router.
-    pub fn as_router(self) -> Option<RouterId> {
-        match self {
-            NodeId::Router(r) => Some(r),
-            NodeId::Host(_) => None,
-        }
-    }
-
-    /// The host id, if this node is a host.
-    pub fn as_host(self) -> Option<HostId> {
-        match self {
-            NodeId::Host(h) => Some(h),
-            NodeId::Router(_) => None,
-        }
-    }
-
-    /// Whether this node is a router.
-    pub fn is_router(self) -> bool {
-        matches!(self, NodeId::Router(_))
-    }
-}
-
-impl From<RouterId> for NodeId {
-    fn from(r: RouterId) -> Self {
-        NodeId::Router(r)
-    }
-}
-
-impl From<HostId> for NodeId {
-    fn from(h: HostId) -> Self {
-        NodeId::Host(h)
-    }
-}
-
 /// An autonomous system number.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
 pub struct Asn(pub u32);
-
-/// A device hostname as it appears in a configuration file.
-pub type DeviceName = String;
 
 impl fmt::Display for RouterId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -85,21 +38,6 @@ impl fmt::Debug for HostId {
     }
 }
 
-impl fmt::Display for NodeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NodeId::Router(r) => write!(f, "{r}"),
-            NodeId::Host(h) => write!(f, "{h}"),
-        }
-    }
-}
-
-impl fmt::Debug for NodeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{self}")
-    }
-}
-
 impl fmt::Display for Asn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "AS{}", self.0)
@@ -117,21 +55,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn node_id_conversions() {
-        let r: NodeId = RouterId(3).into();
-        let h: NodeId = HostId(7).into();
-        assert_eq!(r.as_router(), Some(RouterId(3)));
-        assert_eq!(r.as_host(), None);
-        assert_eq!(h.as_host(), Some(HostId(7)));
-        assert!(r.is_router());
-        assert!(!h.is_router());
-    }
-
-    #[test]
     fn display_forms() {
         assert_eq!(RouterId(2).to_string(), "r2");
         assert_eq!(HostId(5).to_string(), "h5");
-        assert_eq!(NodeId::Router(RouterId(1)).to_string(), "r1");
         assert_eq!(Asn(65001).to_string(), "AS65001");
     }
 }

@@ -11,7 +11,7 @@
 //!   requires fake links and fake hosts to live in address space the original
 //!   network never uses, §5.3 of the paper),
 //! * identifiers for routers, hosts and autonomous systems
-//!   ([`RouterId`], [`HostId`], [`NodeId`], [`Asn`]),
+//!   ([`RouterId`], [`HostId`], [`Asn`]),
 //! * the crate-spanning [`Error`] type.
 //!
 //! Everything here is deterministic and `Copy`/cheaply-clonable; no global
@@ -27,7 +27,7 @@ mod prefix;
 
 pub use alloc::PrefixAllocator;
 pub use error::{Error, Result};
-pub use id::{Asn, DeviceName, HostId, NodeId, RouterId};
+pub use id::{Asn, HostId, RouterId};
 pub use prefix::Ipv4Prefix;
 
 pub use std::net::Ipv4Addr;

@@ -61,11 +61,6 @@ impl<T> Bounded<T> {
         self.len() == 0
     }
 
-    /// Whether [`Bounded::close`] was called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().expect("queue poisoned").closed
-    }
-
     /// Enqueues `item` without blocking. Returns the queue depth after the
     /// push, or the item back when the queue is full or closed.
     pub fn push(&self, item: T) -> Result<usize, PushError<T>> {

@@ -1,18 +1,21 @@
-//! Delta recomputation for fault perturbations.
+//! Delta planning for fault perturbations.
 //!
-//! Given a cached converged simulation of a base network and a perturbed
-//! copy of its configurations, this module produces the perturbed
-//! [`Simulation`] while recomputing only what the perturbation can have
-//! touched. The supported perturbation class is *administrative shutdowns*
-//! (`shutdown: false → true` on existing interfaces) — exactly what the
-//! fault engine's scenarios apply — because shutdowns only ever **remove**
-//! model elements, which is the monotonicity every warm-start argument
-//! below leans on. Anything else falls back to a full cold simulation,
-//! explicitly.
+//! Given a cached converged simulation of a base network and a copy of its
+//! configurations with some interfaces administratively shut
+//! (`shutdown: false → true`, exactly what the fault engine's scenarios
+//! apply), this module builds a [`ShutdownPlan`]: the perturbed model and
+//! FIBs, recomputing only what the shutdowns can have touched, plus the
+//! per-pair predicate that says which cached path sets still hold.
+//! Shutdowns only ever **remove** model elements, which is the
+//! monotonicity every warm-start argument below leans on.
 //!
-//! Per-protocol strategy (soundness arguments inline; the contract is that
-//! results are **byte-identical** to a cold `simulate()` of the perturbed
-//! configs):
+//! The contract is **byte identity** with a cold `simulate()` of the
+//! perturbed configs: the plan's FIBs equal the cold FIBs entry by entry,
+//! every pair [`ShutdownPlan::pair_reusable`] accepts has a cached path set
+//! equal to the cold one, and every other pair's `trace` over the plan's
+//! model and FIBs equals the cold path set. The sweep (`crate::sweep`)
+//! classifies pairs straight off the plan and never builds a perturbed
+//! data plane. Per-protocol strategy (soundness arguments inline):
 //!
 //! * **OSPF** — per-prefix SPFs are independent, so only *affected*
 //!   prefixes re-run ([`ospf::compute_subset`]); the rest splice in the
@@ -41,130 +44,44 @@
 //! * **Data plane** — the trace DFS consults exactly one FIB entry per
 //!   visited router: the longest-prefix match for the *destination host's*
 //!   address. The reuse criterion is therefore per (router, destination):
-//!   a pair reuses its cached [`PathSet`] when its endpoints' attachments
-//!   survived and, for its destination, no reachable router resolves that
-//!   address differently (modulo interface renumbering). When *no* router's
-//!   lookup for the destination changed, the entire DFS — blackholes,
-//!   loops, and ECMP truncation included — replays identically, so the
-//!   cached set is reused unconditionally. Otherwise only clean,
-//!   non-truncated pairs are reusable (their recorded paths are exactly the
-//!   routers the walk visits) and only when every on-path router's lookup
-//!   is unchanged. Reuse shares the cached set by [`Arc`] — no copying.
+//!   a pair reuses its cached [`PathSet`](confmask_sim::PathSet) when its
+//!   endpoints' attachments survived and, for its destination, no
+//!   reachable router resolves that address differently (modulo interface
+//!   renumbering). When *no* router's lookup for the destination changed,
+//!   the entire DFS — blackholes, loops, and ECMP truncation included —
+//!   replays identically, so the cached set is reused unconditionally.
+//!   Otherwise only clean, non-truncated pairs are reusable (their
+//!   recorded paths are exactly the routers the walk visits) and only when
+//!   every on-path router's lookup is unchanged.
 
 use crate::{ConvergedSim, DeltaStats, NO_META};
 use confmask_config::NetworkConfigs;
 use confmask_net_types::{HostId, Ipv4Prefix, RouterId};
-use confmask_sim::dataplane::trace;
 use confmask_sim::ospf::RouterPaths;
 use confmask_sim::{
-    bgp, merge_router_fib, ospf, rip, simulate, BgpRoutes, FibEntry, Fibs, NextHop, SimError,
-    SimNetwork, Simulation,
+    bgp, merge_router_fib, ospf, rip, BgpRoutes, FibEntry, Fibs, NextHop, SimError, SimNetwork,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// How the perturbed configs differ from the cached base.
-pub(crate) enum ConfigDiff {
-    /// No difference at all.
-    Identical,
-    /// Only `shutdown: false → true` flips on existing interfaces (the
-    /// delta path re-derives the removed-interface set from the rebuilt
-    /// model, where address-less interfaces are already invisible).
-    Shutdowns,
-    /// Any other change (additions, deletions, edits, un-shutdowns).
-    Unsupported,
-}
-
-/// Classifies the base → perturbed configuration diff in a single pass
-/// (no up-front whole-config equality check: the walk below both finds
-/// the tolerated shutdowns and proves everything else untouched).
-pub(crate) fn diff_configs(base: &NetworkConfigs, new: &NetworkConfigs) -> ConfigDiff {
-    if base.hosts != new.hosts || base.routers.len() != new.routers.len() {
-        return ConfigDiff::Unsupported;
-    }
-
-    let mut any_shutdown = false;
-    for ((bname, brc), (nname, nrc)) in base.routers.iter().zip(new.routers.iter()) {
-        if bname != nname {
-            return ConfigDiff::Unsupported;
-        }
-        // Everything but the interface list must be untouched.
-        if brc.hostname != nrc.hostname
-            || brc.added != nrc.added
-            || brc.ospf != nrc.ospf
-            || brc.rip != nrc.rip
-            || brc.bgp != nrc.bgp
-            || brc.prefix_lists != nrc.prefix_lists
-            || brc.static_routes != nrc.static_routes
-            || brc.extra_lines != nrc.extra_lines
-            || brc.interfaces.len() != nrc.interfaces.len()
-        {
-            return ConfigDiff::Unsupported;
-        }
-        for (bi, ni) in brc.interfaces.iter().zip(nrc.interfaces.iter()) {
-            if bi == ni {
-                continue;
-            }
-            // The only tolerated difference is a fresh shutdown.
-            let mut shutdown_normalized = bi.clone();
-            shutdown_normalized.shutdown = ni.shutdown;
-            if shutdown_normalized != *ni || bi.shutdown || !ni.shutdown {
-                return ConfigDiff::Unsupported;
-            }
-            any_shutdown = true;
-        }
-    }
-    if any_shutdown {
-        ConfigDiff::Shutdowns
-    } else {
-        ConfigDiff::Identical
-    }
-}
-
-/// Simulates the perturbed network, incrementally where possible.
-/// Byte-identical to `simulate(perturbed)` by construction.
-pub(crate) fn simulate_delta(
-    base: &ConvergedSim,
-    perturbed: &NetworkConfigs,
-) -> Result<(Simulation, DeltaStats), SimError> {
-    match diff_configs(&base.configs, perturbed) {
-        ConfigDiff::Identical => Ok((base.sim.clone(), DeltaStats::identical())),
-        ConfigDiff::Unsupported => full_fallback(perturbed),
-        ConfigDiff::Shutdowns => match delta_shutdowns(base, perturbed)? {
-            Some(out) => Ok(out),
-            // Defensive: a reuse invariant did not hold; never guess.
-            None => full_fallback(perturbed),
-        },
-    }
-}
-
-fn full_fallback(perturbed: &NetworkConfigs) -> Result<(Simulation, DeltaStats), SimError> {
-    let sim = simulate(perturbed)?;
-    Ok((sim, DeltaStats::full()))
-}
-
-/// Everything the shutdown delta derives *before* touching the data
-/// plane: the perturbed model and FIBs plus the per-endpoint reuse
-/// predicates. [`materialize`] turns a plan into a full [`Simulation`];
-/// the streaming digest path (`crate::sweep`) instead classifies each
-/// baseline pair directly off the plan — both answer pair reusability
-/// with the same [`ShutdownPlan::pair_reusable`], so they cannot drift.
+/// Everything the shutdown delta derives about a perturbed network: its
+/// model and FIBs plus the per-endpoint reuse predicates behind
+/// [`ShutdownPlan::pair_reusable`]. The sweep re-traces the pairs that
+/// predicate rejects over `new_net` and `fibs`.
 pub(crate) struct ShutdownPlan {
     /// The perturbed network model.
     pub new_net: SimNetwork,
     /// The perturbed per-router FIBs.
     pub fibs: Fibs,
-    /// Host ids in data-plane (hostname) order.
-    pub hosts: Vec<HostId>,
     /// `lookup_changed[d][r]`: router `r` resolves destination host `d`'s
     /// address differently than the cached base.
-    pub lookup_changed: Vec<Vec<bool>>,
+    lookup_changed: Vec<Vec<bool>>,
     /// Destination hosts no router resolves differently.
-    pub dst_untouched: Vec<bool>,
+    dst_untouched: Vec<bool>,
     /// Hosts whose attachment survived the perturbation.
-    pub att_unchanged: Vec<bool>,
+    att_unchanged: Vec<bool>,
     /// Hosts that were unattached in the base network.
-    pub unattached: Vec<bool>,
+    unattached: Vec<bool>,
     ospf_prefixes_total: usize,
     ospf_prefixes_recomputed: usize,
     rip_warm_started: bool,
@@ -173,10 +90,22 @@ pub(crate) struct ShutdownPlan {
 }
 
 impl ShutdownPlan {
-    /// Whether ordered pair `(si, di)` (host indices into
-    /// [`ShutdownPlan::hosts`], `idx` its position in the base data
-    /// plane's key order) can reuse its cached path set. See the
-    /// soundness argument on [`materialize`].
+    /// Whether ordered pair `(si, di)` (host ids, which are the base data
+    /// plane's host indices; `idx` the pair's position in the base data
+    /// plane's entries) can reuse its cached path set.
+    ///
+    /// Soundness, in check order:
+    /// * endpoint attachments must have survived (the trace consults them
+    ///   before any FIB);
+    /// * an unattached source is an immediate blackhole regardless of any
+    ///   FIB, so its cached trace replays exactly;
+    /// * a fully untouched destination (no router resolves it differently)
+    ///   replays the DFS move for move — blackholes, loops, and ECMP
+    ///   truncation included;
+    /// * otherwise only clean, non-truncated walks are determined by the
+    ///   lookups of exactly the routers on their recorded paths
+    ///   (`pair_meta`, precomputed at convergence), and reuse requires all
+    ///   of those lookups unchanged.
     pub fn pair_reusable(&self, base: &ConvergedSim, si: usize, di: usize, idx: usize) -> bool {
         if !self.att_unchanged[si] || !self.att_unchanged[di] {
             false
@@ -199,7 +128,6 @@ impl ShutdownPlan {
     pub fn stats(&self, pairs_total: usize, pairs_recomputed: usize) -> DeltaStats {
         DeltaStats {
             full_fallback: false,
-            identical: false,
             ospf_prefixes_total: self.ospf_prefixes_total,
             ospf_prefixes_recomputed: self.ospf_prefixes_recomputed,
             rip_warm_started: self.rip_warm_started,
@@ -212,19 +140,17 @@ impl ShutdownPlan {
     }
 }
 
-/// The shutdown-only delta path. Returns `Ok(None)` when a defensive
-/// invariant check fails and the caller should fall back to a cold run.
-fn delta_shutdowns(
-    base: &ConvergedSim,
-    perturbed: &NetworkConfigs,
-) -> Result<Option<(Simulation, DeltaStats)>, SimError> {
-    Ok(plan_shutdowns(base, perturbed)?.map(|plan| materialize(base, plan)))
-}
-
-/// Builds the [`ShutdownPlan`] for a shutdown-only perturbation: model,
-/// FIBs (both incremental where provable), and the per-endpoint reuse
-/// predicates. Returns `Ok(None)` when a defensive invariant check fails
-/// and the caller should fall back to a cold run.
+/// Builds the [`ShutdownPlan`] for `perturbed`: model, FIBs (both
+/// incremental where provable), and the per-endpoint reuse predicates.
+///
+/// Precondition: `perturbed` differs from `base.configs` only by the
+/// interface shutdowns that [`FailureScenario::apply_in_place`] applied;
+/// [`ScenarioSweep::digest`](crate::ScenarioSweep::digest) is the only
+/// caller and applies nothing else. Returns `Ok(None)` when a defensive
+/// invariant check fails (an interface that came up, for one) and the
+/// caller should fall back to a cold run.
+///
+/// [`FailureScenario::apply_in_place`]: confmask_sim::fault::FailureScenario::apply_in_place
 pub(crate) fn plan_shutdowns(
     base: &ConvergedSim,
     perturbed: &NetworkConfigs,
@@ -516,7 +442,6 @@ pub(crate) fn plan_shutdowns(
     Ok(Some(ShutdownPlan {
         new_net,
         fibs,
-        hosts,
         lookup_changed,
         dst_untouched,
         att_unchanged,
@@ -527,48 +452,6 @@ pub(crate) fn plan_shutdowns(
         bgp_reused,
         fibs_shared: fib_shared.iter().filter(|&&shared| shared).count(),
     }))
-}
-
-/// Materializes a [`ShutdownPlan`] into the full perturbed [`Simulation`].
-///
-/// Starts from the cached data plane (its tables and path sets shared) and
-/// replaces only the pairs that must be re-traced. The plan checked that
-/// the cached pairs are every ordered pair of its hosts, keyed by host id.
-///
-/// Pair reuse soundness ([`ShutdownPlan::pair_reusable`], in check order):
-/// * endpoint attachments must have survived (the trace consults them
-///   before any FIB);
-/// * an unattached source is an immediate blackhole regardless of any
-///   FIB, so its cached trace replays exactly;
-/// * a fully untouched destination (no router resolves it differently)
-///   replays the DFS move for move — blackholes, loops, and ECMP
-///   truncation included;
-/// * otherwise only clean, non-truncated walks are determined by the
-///   lookups of exactly the routers on their recorded paths
-///   (`pair_meta`, precomputed at convergence), and reuse requires all
-///   of those lookups unchanged.
-pub(crate) fn materialize(base: &ConvergedSim, plan: ShutdownPlan) -> (Simulation, DeltaStats) {
-    let mut pairs_recomputed = 0usize;
-    let dp = base.sim.dataplane.with_replaced(|idx, (si, di), _| {
-        let (si, di) = (si as usize, di as usize);
-        if plan.pair_reusable(base, si, di, idx) {
-            return None;
-        }
-        pairs_recomputed += 1;
-        Some(trace(
-            &plan.new_net,
-            &plan.fibs,
-            plan.hosts[si],
-            plan.hosts[di],
-        ))
-    });
-    let stats = plan.stats(dp.len(), pairs_recomputed);
-    let sim = Simulation {
-        net: Arc::new(plan.new_net),
-        fibs: plan.fibs,
-        dataplane: dp,
-    };
-    (sim, stats)
 }
 
 /// Whether the cached IGP router-path matrix equals the fresh one after

@@ -9,15 +9,14 @@
 //! * [`DeltaEngine::converged`] memoizes full simulations behind a stable
 //!   structural hash of the configurations ([`hash::structural_hash`]),
 //!   with an LRU bound and collision-proof equality checks.
-//! * [`DeltaEngine::simulate_perturbed`] re-simulates a perturbed copy of
-//!   a cached baseline, recomputing only what the perturbation touched —
-//!   see [`delta`]'s module docs for the per-protocol soundness argument.
-//!   Results are **byte-identical** to a cold [`confmask_sim::simulate`]:
-//!   any perturbation outside the supported class falls back to a full
-//!   simulation, explicitly and observably (`sim.delta.full_fallbacks`).
-//! * [`ScenarioSweep`] streams failure scenarios over a cached baseline,
-//!   classifying each one straight off the delta plan into a
-//!   [`confmask_sim::ScenarioDigest`].
+//! * [`ScenarioSweep`] streams failure scenarios over a cached baseline.
+//!   Each scenario's shutdowns become a delta plan that recomputes only
+//!   what they touched (see [`delta`]'s module docs for the per-protocol
+//!   soundness argument), and every pair is classified straight off the
+//!   plan into a [`confmask_sim::ScenarioDigest`], byte-identical to the
+//!   cold [`confmask_sim::fault::run_scenario`] digest. A scenario the
+//!   planner declines falls back to the cold loop, explicitly and
+//!   observably (`sim.delta.full_fallbacks`).
 //!
 //! The engine is `Sync`; one [`DeltaEngine::global`] instance is shared
 //! per process so the serve daemon's workers and a pipeline's retry
@@ -30,6 +29,10 @@ mod cache;
 mod delta;
 pub mod hash;
 pub mod sweep;
+
+#[cfg(test)]
+#[path = "../../../tests/support/random_net.rs"]
+mod random_net;
 
 pub use cache::SimCache;
 pub use sweep::ScenarioSweep;
@@ -83,15 +86,12 @@ static NEXT_UID: AtomicU64 = AtomicU64::new(1);
 /// [`ConvergedSim::pair_meta`]'s marker for a pair without reuse metadata.
 pub(crate) const NO_META: u32 = u32::MAX;
 
-/// What a delta simulation reused versus recomputed.
+/// What a delta plan reused versus recomputed.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeltaStats {
-    /// The perturbation was unsupported (or an invariant check failed) and
-    /// a full cold simulation ran instead.
+pub(crate) struct DeltaStats {
+    /// The scenario was not planned (an invariant check failed) and the
+    /// cold loop classified it instead.
     pub full_fallback: bool,
-    /// The perturbed configs were identical to the base; the cached
-    /// simulation was returned as-is.
-    pub identical: bool,
     /// Destination prefixes in the network.
     pub ospf_prefixes_total: usize,
     /// Destination prefixes whose SPF re-ran.
@@ -112,25 +112,9 @@ pub struct DeltaStats {
 }
 
 impl DeltaStats {
-    pub(crate) fn identical() -> Self {
-        DeltaStats {
-            full_fallback: false,
-            identical: true,
-            ospf_prefixes_total: 0,
-            ospf_prefixes_recomputed: 0,
-            rip_warm_started: false,
-            bgp_reused: None,
-            fibs_shared: 0,
-            fibs_merged: 0,
-            pairs_total: 0,
-            pairs_recomputed: 0,
-        }
-    }
-
     pub(crate) fn full() -> Self {
         DeltaStats {
             full_fallback: true,
-            identical: false,
             ospf_prefixes_total: 0,
             ospf_prefixes_recomputed: 0,
             rip_warm_started: false,
@@ -142,15 +126,11 @@ impl DeltaStats {
         }
     }
 
-    /// Fraction of per-prefix SPFs and per-pair traces that re-ran:
-    /// 0.0 for an identical reuse, 1.0 for a full fallback, in between
-    /// for a genuine delta.
-    pub fn recompute_fraction(&self) -> f64 {
+    /// Fraction of per-prefix SPFs and per-pair traces that re-ran: 1.0
+    /// for a full fallback, the recomputed share of both otherwise.
+    fn recompute_fraction(&self) -> f64 {
         if self.full_fallback {
             return 1.0;
-        }
-        if self.identical {
-            return 0.0;
         }
         let done = self.ospf_prefixes_recomputed + self.pairs_recomputed;
         let total = (self.ospf_prefixes_total + self.pairs_total).max(1);
@@ -168,8 +148,8 @@ impl DeltaStats {
 #[derive(Default)]
 pub struct ScenarioScratch(Option<(u64, NetworkConfigs)>);
 
-/// The incremental simulation engine: a simulation cache plus the delta
-/// recomputation entry points.
+/// The incremental simulation engine: the cache of converged baselines
+/// that [`ScenarioSweep`]s plan their deltas against.
 pub struct DeltaEngine {
     cache: SimCache,
 }
@@ -259,34 +239,13 @@ impl DeltaEngine {
         self.cache.insert(Arc::clone(&converged));
         Ok(converged)
     }
-
-    /// Simulates a perturbed copy of a cached baseline, incrementally where
-    /// the perturbation allows it. The returned [`Simulation`] is
-    /// byte-identical to `simulate(perturbed)`; [`DeltaStats`] reports what
-    /// was reused.
-    pub fn simulate_perturbed(
-        &self,
-        base: &ConvergedSim,
-        perturbed: &NetworkConfigs,
-    ) -> Result<(Simulation, DeltaStats), SimError> {
-        let sp = confmask_obs::span("sim.delta.sim");
-        confmask_obs::counter_add("sim.delta.sims", 1);
-        let (sim, stats) = delta::simulate_delta(base, perturbed)?;
-        sp.finish();
-        record_stats(&stats);
-        Ok((sim, stats))
-    }
 }
 
-/// Records one delta simulation's [`DeltaStats`] into the `sim.delta.*`
-/// metrics — shared by [`DeltaEngine::simulate_perturbed`] and the
-/// streaming digest path, so both report reuse identically.
+/// Records one swept scenario's [`DeltaStats`] into the `sim.delta.*`
+/// metrics.
 pub(crate) fn record_stats(stats: &DeltaStats) {
     if stats.full_fallback {
         confmask_obs::counter_add("sim.delta.full_fallbacks", 1);
-    }
-    if stats.identical {
-        confmask_obs::counter_add("sim.delta.identical_reuses", 1);
     }
     if stats.rip_warm_started {
         confmask_obs::counter_add("sim.delta.rip_warm_starts", 1);
@@ -336,7 +295,6 @@ pub fn register_metrics() {
         "sim.cache.evictions",
         "sim.delta.sims",
         "sim.delta.full_fallbacks",
-        "sim.delta.identical_reuses",
         "sim.delta.rip_warm_starts",
         "sim.delta.bgp_reuses",
         "sim.delta.bgp_recomputes",
@@ -356,9 +314,16 @@ pub fn register_metrics() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::{plan_shutdowns, ShutdownPlan};
+    use crate::random_net::random_spec;
     use confmask_config::{parse_router, HostConfig};
+    use confmask_net_types::HostId;
+    use confmask_netgen::synthesize;
+    use confmask_sim::dataplane::trace;
     use confmask_sim::fault::{enumerate_single_link_failures, FailureScenario, Fault};
     use confmask_sim::simulate;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn host(name: &str, addr: &str, gw: &str) -> HostConfig {
         HostConfig {
@@ -394,15 +359,70 @@ mod tests {
         )
     }
 
-    fn assert_sims_equal(a: &Simulation, b: &Simulation) {
-        assert_eq!(a.fibs.per_router.len(), b.fibs.per_router.len());
-        for (fa, fb) in a.fibs.per_router.iter().zip(b.fibs.per_router.iter()) {
+    /// Checks a plan against a cold simulation of the same failed configs:
+    /// every router's FIB entry by entry, every pair the plan reuses against
+    /// its cold path set, and every other pair's re-trace over the plan.
+    /// Returns how many pairs the plan re-traces.
+    fn assert_plan_matches(
+        tag: &str,
+        base: &ConvergedSim,
+        plan: &ShutdownPlan,
+        cold: &Simulation,
+    ) -> usize {
+        assert_eq!(
+            plan.fibs.per_router.len(),
+            cold.fibs.per_router.len(),
+            "{tag}: router count"
+        );
+        let fibs = plan.fibs.per_router.iter().zip(&cold.fibs.per_router);
+        for (r, (fp, fc)) in fibs.enumerate() {
             assert_eq!(
-                fa.entries().collect::<Vec<_>>(),
-                fb.entries().collect::<Vec<_>>()
+                fp.entries().collect::<Vec<_>>(),
+                fc.entries().collect::<Vec<_>>(),
+                "{tag}: FIB of router #{r} differs"
             );
         }
-        assert_eq!(a.dataplane, b.dataplane);
+        let (base_dp, cold_dp) = (&base.sim.dataplane, &cold.dataplane);
+        assert_eq!(base_dp.hosts(), cold_dp.hosts(), "{tag}: host table");
+        assert_eq!(base_dp.routers(), cold_dp.routers(), "{tag}: router table");
+        assert_eq!(base_dp.len(), cold_dp.len(), "{tag}: pair count");
+        let mut retraced = 0;
+        for (idx, ((key, cached), (cold_key, want))) in
+            base_dp.entries().iter().zip(cold_dp.entries()).enumerate()
+        {
+            assert_eq!(key, cold_key, "{tag}: pair order");
+            let (si, di) = *key;
+            if plan.pair_reusable(base, si as usize, di as usize, idx) {
+                assert_eq!(cached, want, "{tag}: reused pair {key:?} differs");
+            } else {
+                retraced += 1;
+                let got = trace(&plan.new_net, &plan.fibs, HostId(si), HostId(di));
+                assert_eq!(&got, &**want, "{tag}: re-traced pair {key:?} differs");
+            }
+        }
+        retraced
+    }
+
+    /// Plans `failed`, which must be plannable, and checks the plan against
+    /// a cold simulation; returns it with its re-traced pair count.
+    fn planned_as_cold(
+        tag: &str,
+        base: &ConvergedSim,
+        failed: &NetworkConfigs,
+    ) -> (ShutdownPlan, usize) {
+        let plan = plan_shutdowns(base, failed)
+            .unwrap()
+            .unwrap_or_else(|| panic!("{tag}: shutdowns must plan"));
+        let retraced = assert_plan_matches(tag, base, &plan, &simulate(failed).unwrap());
+        (plan, retraced)
+    }
+
+    fn link_down(a: &str, b: &str) -> FailureScenario {
+        FailureScenario::single(Fault::LinkDown {
+            a: a.into(),
+            b: b.into(),
+            added: false,
+        })
     }
 
     #[test]
@@ -415,15 +435,66 @@ mod tests {
         assert_eq!(engine.cached(), 1);
     }
 
+    /// The plan's byte-identity contract on random networks across protocol
+    /// flavors (OSPF, RIP, two-AS BGP+OSPF): for every k = 1 link failure
+    /// plus two router-down faults, the plan's FIBs, reused pairs and
+    /// re-traced pairs equal a cold `simulate()` of the failed configs, and
+    /// both report the same error when simulation fails.
+    /// `DELTA_DIFF_SEEDS` sets how many networks are generated (default 8;
+    /// CI runs more).
     #[test]
-    fn identical_perturbation_reuses_wholesale() {
-        let engine = DeltaEngine::new(4);
-        let cfgs = triangle();
-        let base = engine.converged(&cfgs).unwrap();
-        let (sim, stats) = engine.simulate_perturbed(&base, &cfgs).unwrap();
-        assert!(stats.identical);
-        assert_eq!(stats.recompute_fraction(), 0.0);
-        assert_sims_equal(&sim, &base.sim);
+    fn plan_matches_cold_simulation_on_random_networks() {
+        let seeds: u64 = std::env::var("DELTA_DIFF_SEEDS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(8);
+        let mut networks_checked = 0u64;
+        let mut scenarios_checked = 0u64;
+        for i in 0..seeds {
+            let mut rng = StdRng::seed_from_u64(0xD1FF_0000 ^ i);
+            let flavor = (i % 3) as u8;
+            let configs = synthesize(&random_spec(&mut rng, flavor));
+            let engine = DeltaEngine::new(4);
+            // An unsimulatable healthy network is a generator artifact (e.g.
+            // a BGP split isolating hosts), not a planning case: skip it.
+            let Ok(base) = engine.converged(&configs) else {
+                continue;
+            };
+            networks_checked += 1;
+            let mut scenarios = enumerate_single_link_failures(&configs);
+            for router in configs.routers.keys().take(2) {
+                scenarios.push(FailureScenario::single(Fault::RouterDown {
+                    router: router.clone(),
+                }));
+            }
+            for scenario in scenarios {
+                let tag = format!("seed {i} flavor {flavor}: {scenario}");
+                let failed = scenario.apply(&configs).expect("fault applies");
+                scenarios_checked += 1;
+                match (simulate(&failed), plan_shutdowns(&base, &failed)) {
+                    (Ok(cold), Ok(Some(plan))) => {
+                        assert_plan_matches(&tag, &base, &plan, &cold);
+                    }
+                    // Post-failure divergence (e.g. BGP oscillation) must be
+                    // reported identically by both.
+                    (Err(cold), Err(plan)) => {
+                        assert_eq!(cold.to_string(), plan.to_string(), "{tag}: error mismatch")
+                    }
+                    (cold, plan) => panic!(
+                        "{tag}: outcome mismatch — cold {:?} vs plan {:?}",
+                        cold.map(|_| "ok").map_err(|e| e.to_string()),
+                        plan.map(|p| if p.is_some() { "planned" } else { "declined" })
+                            .map_err(|e| e.to_string()),
+                    ),
+                }
+            }
+        }
+        assert!(networks_checked > 0, "every network was degenerate");
+        assert!(scenarios_checked > 0);
+        eprintln!(
+            "plan-diff: {scenarios_checked} scenario(s) across {networks_checked} network(s), \
+             zero mismatches"
+        );
     }
 
     #[test]
@@ -434,14 +505,17 @@ mod tests {
         let engine = DeltaEngine::new(4);
         let cfgs = triangle();
         let base = engine.converged(&cfgs).unwrap();
+        let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
+        let mut scratch = ScenarioScratch::default();
         for scenario in enumerate_single_link_failures(&cfgs) {
             let failed = scenario.apply(&cfgs).unwrap();
-            let (_, stats) = engine.simulate_perturbed(&base, &failed).unwrap();
-            assert_eq!(stats.bgp_reused, None, "{scenario}");
+            let plan = plan_shutdowns(&base, &failed).unwrap().unwrap();
+            assert_eq!(plan.stats(0, 0).bgp_reused, None, "{scenario}");
+            sweep.digest(&scenario, &mut scratch).unwrap();
         }
         assert!(counter("sim.delta.sims") >= sims + 3);
-        // No test in this crate simulates a BGP network, so neither
-        // counter may move.
+        // No test in this crate sweeps a BGP network, so neither counter
+        // may move.
         assert_eq!(counter("sim.delta.bgp_reuses"), 0);
         assert_eq!(counter("sim.delta.bgp_recomputes"), 0);
     }
@@ -453,13 +527,7 @@ mod tests {
         let base = engine.converged(&cfgs).unwrap();
         for scenario in enumerate_single_link_failures(&cfgs) {
             let failed = scenario.apply(&cfgs).unwrap();
-            let cold = simulate(&failed).unwrap();
-            let (deltaed, stats) = engine.simulate_perturbed(&base, &failed).unwrap();
-            assert!(
-                !stats.full_fallback,
-                "{scenario}: shutdowns must not fall back"
-            );
-            assert_sims_equal(&deltaed, &cold);
+            planned_as_cold(&scenario.to_string(), &base, &failed);
         }
     }
 
@@ -498,19 +566,12 @@ mod tests {
         let engine = DeltaEngine::new(4);
         let cfgs = square();
         let base = engine.converged(&cfgs).unwrap();
-        let failed = FailureScenario::single(Fault::LinkDown {
-            a: "r1".into(),
-            b: "r2".into(),
-            added: false,
-        })
-        .apply(&cfgs)
-        .unwrap();
-        let (deltaed, stats) = engine.simulate_perturbed(&base, &failed).unwrap();
-        assert!(!stats.full_fallback);
-        assert_sims_equal(&deltaed, &simulate(&failed).unwrap());
+        let failed = link_down("r1", "r2").apply(&cfgs).unwrap();
+        let (plan, _) = planned_as_cold("r1-r2 down", &base, &failed);
         // Toward h4, r1 keeps its distance over r3 and only its own row
         // changes; toward h1, r2 loses its only shortest path, so that
         // prefix alone takes a fresh SPF.
+        let stats = plan.stats(0, 0);
         assert_eq!(
             (stats.ospf_prefixes_recomputed, stats.ospf_prefixes_total),
             (1, 2)
@@ -522,17 +583,15 @@ mod tests {
         let engine = DeltaEngine::new(4);
         let cfgs = triangle();
         let base = engine.converged(&cfgs).unwrap();
-        let scenario = FailureScenario::single(Fault::RouterDown {
+        let failed = FailureScenario::single(Fault::RouterDown {
             router: "r3".into(),
-        });
-        let failed = scenario.apply(&cfgs).unwrap();
-        let cold = simulate(&failed).unwrap();
-        let (deltaed, stats) = engine.simulate_perturbed(&base, &failed).unwrap();
-        assert!(!stats.full_fallback);
-        assert_sims_equal(&deltaed, &cold);
+        })
+        .apply(&cfgs)
+        .unwrap();
+        let (_, retraced) = planned_as_cold("r3 down", &base, &failed);
         // r3 carries no baseline traffic between h1 and h2 and hosts no
         // LAN: the h1↔h2 pairs reuse their cached traces.
-        assert!(stats.pairs_recomputed < stats.pairs_total);
+        assert!(retraced < base.sim.dataplane.len());
     }
 
     #[test]
@@ -540,48 +599,27 @@ mod tests {
         let engine = DeltaEngine::new(4);
         let cfgs = triangle();
         let base = engine.converged(&cfgs).unwrap();
-        let failed = FailureScenario::single(Fault::LinkDown {
-            a: "r1".into(),
-            b: "r2".into(),
-            added: false,
-        })
-        .apply(&cfgs)
-        .unwrap();
-        let (deltaed, stats) = engine.simulate_perturbed(&base, &failed).unwrap();
-        assert_sims_equal(&deltaed, &simulate(&failed).unwrap());
+        let failed = link_down("r1", "r2").apply(&cfgs).unwrap();
+        let (plan, _) = planned_as_cold("r1-r2 down", &base, &failed);
         // r1 and r2 lose an interface and re-merge; r3 keeps its routes
         // to both LANs and shares the baseline's table.
+        let stats = plan.stats(0, 0);
         assert_eq!((stats.fibs_shared, stats.fibs_merged), (1, 2));
         let shared: Vec<bool> = (0..3)
-            .map(|r| Arc::ptr_eq(&deltaed.fibs.per_router[r], &base.sim.fibs.per_router[r]))
+            .map(|r| Arc::ptr_eq(&plan.fibs.per_router[r], &base.sim.fibs.per_router[r]))
             .collect();
         assert_eq!(shared, [false, false, true]);
     }
 
     #[test]
-    fn unsupported_perturbations_fall_back_to_full_simulation() {
+    fn plan_declines_an_interface_bring_up() {
         let engine = DeltaEngine::new(4);
         let cfgs = triangle();
-        let base = engine.converged(&cfgs).unwrap();
-        // A cost edit is not a shutdown: must fall back, and still match.
-        let mut edited = cfgs.clone();
-        edited.routers.get_mut("r1").unwrap().interfaces[0].ospf_cost = Some(3);
-        let cold = simulate(&edited).unwrap();
-        let (deltaed, stats) = engine.simulate_perturbed(&base, &edited).unwrap();
-        assert!(stats.full_fallback);
-        assert_eq!(stats.recompute_fraction(), 1.0);
-        assert_sims_equal(&deltaed, &cold);
-        // Un-shutdown (bring-up) is an addition: also a fallback.
-        let down = FailureScenario::single(Fault::LinkDown {
-            a: "r1".into(),
-            b: "r2".into(),
-            added: false,
-        })
-        .apply(&cfgs)
-        .unwrap();
+        let down = link_down("r1", "r2").apply(&cfgs).unwrap();
         let down_base = engine.converged(&down).unwrap();
-        let (_, stats) = engine.simulate_perturbed(&down_base, &cfgs).unwrap();
-        assert!(stats.full_fallback);
+        // Bringing the link back up adds interfaces to the model, which no
+        // shutdown can do: the planner declines rather than guess.
+        assert!(plan_shutdowns(&down_base, &cfgs).unwrap().is_none());
     }
 
     #[test]

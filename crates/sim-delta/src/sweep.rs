@@ -7,9 +7,9 @@
 //! failure scenario per-pair straight off the [`delta::ShutdownPlan`].
 //! Digest index `i` is the baseline's i-th entry:
 //!
-//! * a **reusable** pair (same predicate the materializing path uses —
-//!   [`delta::ShutdownPlan::pair_reusable`]) whose baseline path set
-//!   equals the base's classifies as `Unchanged` without touching a path;
+//! * a **reusable** pair ([`delta::ShutdownPlan::pair_reusable`]) whose
+//!   baseline path set equals the base's classifies as `Unchanged`
+//!   without touching a path;
 //! * a reusable pair whose sweep baseline *differs* from the base (a
 //!   masked-network sweep compared against the original's baseline)
 //!   classifies the cached base path set against the sweep baseline;
@@ -20,8 +20,10 @@
 //!
 //! The result is byte-identical to the cold
 //! [`confmask_sim::fault::run_scenario`] digest (the differential gate in
-//! `tests/delta_diff.rs` asserts encode-level equality), but a swept
-//! scenario allocates nothing that outlives its digest — the memory
+//! `tests/delta_diff.rs` asserts encode-level equality, and this crate's
+//! `plan_matches_cold_simulation_on_random_networks` checks the plan's
+//! FIBs and path sets against cold simulations), but a swept scenario
+//! allocates nothing that outlives its digest — the memory
 //! profile that makes exhaustive k = 2 enumeration and parallel sweeps on
 //! a single core viable. When planning declines a scenario, the sweep
 //! falls back to that same cold loop
@@ -175,8 +177,9 @@ impl<'a> ScenarioSweep<'a> {
     }
 
     /// Classifies every bound pair against the plan with the cold loop's
-    /// `classify_pair`, so the digest matches the materializing path bit
-    /// for bit.
+    /// `classify_pair`: a reused pair's cached path set and a re-traced
+    /// pair's trace are the cold path sets (the plan's contract), so the
+    /// digest matches the cold loop's bit for bit.
     fn digest_plan(
         &self,
         failed: &NetworkConfigs,

@@ -334,25 +334,6 @@ impl DataPlane {
         self.pairs.is_empty()
     }
 
-    /// The same tables and pairs with some path sets replaced: `replace`
-    /// sees each entry with its position and returns a set (over this
-    /// data plane's router table) to put in its place, or `None` to share
-    /// the current one.
-    pub fn with_replaced(
-        &self,
-        mut replace: impl FnMut(usize, HostPair, &Arc<PathSet>) -> Option<PathSet>,
-    ) -> DataPlane {
-        let pairs = self.pairs.iter().enumerate().map(|(i, (key, set))| {
-            let set = replace(i, *key, set).map_or_else(|| Arc::clone(set), Arc::new);
-            (*key, set)
-        });
-        DataPlane {
-            hosts: Arc::clone(&self.hosts),
-            routers: Arc::clone(&self.routers),
-            pairs: pairs.collect(),
-        }
-    }
-
     /// The data plane restricted to pairs whose endpoints are both in
     /// `hosts` — used to compare an anonymized network with the original on
     /// the *real* hosts only (fake hosts are outside the equivalence

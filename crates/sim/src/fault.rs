@@ -301,17 +301,19 @@ pub fn sample_double_link_failures(
     }
     chosen
         .into_iter()
-        .map(|(i, j)| {
-            let mk = |(a, b, added): &(String, String, bool)| Fault::LinkDown {
-                a: a.clone(),
-                b: b.clone(),
-                added: *added,
-            };
-            FailureScenario {
-                faults: vec![mk(&singles[i]), mk(&singles[j])],
-            }
+        .map(|(i, j)| FailureScenario {
+            faults: vec![link_down(&singles[i]), link_down(&singles[j])],
         })
         .collect()
+}
+
+/// The fault that fails one [`links_of`] entry.
+fn link_down((a, b, added): &(String, String, bool)) -> Fault {
+    Fault::LinkDown {
+        a: a.clone(),
+        b: b.clone(),
+        added: *added,
+    }
 }
 
 /// Lazily enumerates **every** unordered pair of distinct link failures
@@ -338,13 +340,8 @@ pub fn enumerate_double_link_failures(configs: &NetworkConfigs) -> DoubleLinkFai
 
 impl DoubleLinkFailures {
     fn scenario(&self, i: usize, j: usize) -> FailureScenario {
-        let mk = |(a, b, added): &(String, String, bool)| Fault::LinkDown {
-            a: a.clone(),
-            b: b.clone(),
-            added: *added,
-        };
         FailureScenario {
-            faults: vec![mk(&self.links[i]), mk(&self.links[j])],
+            faults: vec![link_down(&self.links[i]), link_down(&self.links[j])],
         }
     }
 }
@@ -381,52 +378,6 @@ impl Iterator for DoubleLinkFailures {
 }
 
 impl ExactSizeIterator for DoubleLinkFailures {}
-
-/// A seeded sample of triple-link (k = 3) failure scenarios: up to `count`
-/// distinct unordered triples of single-link faults, drawn
-/// deterministically from `seed`. Exhaustive k = 3 is `C(links, 3)` —
-/// already ~5.4M on net F — so compound-failure columns beyond k = 2 are
-/// always budgeted samples.
-pub fn sample_triple_link_failures(
-    configs: &NetworkConfigs,
-    seed: u64,
-    count: usize,
-) -> Vec<FailureScenario> {
-    let singles = links_of(configs);
-    let n = singles.len();
-    if n < 3 || count == 0 {
-        return Vec::new();
-    }
-    let total = n * (n - 1) * (n - 2) / 6;
-    let want = count.min(total);
-    let mut rng = SplitMix64::new(seed);
-    let mut chosen: BTreeSet<(usize, usize, usize)> = BTreeSet::new();
-    // Rejection-sample distinct index triples; bounded because want ≤ total.
-    while chosen.len() < want {
-        let mut idx = [
-            (rng.next() % n as u64) as usize,
-            (rng.next() % n as u64) as usize,
-            (rng.next() % n as u64) as usize,
-        ];
-        idx.sort_unstable();
-        if idx[0] != idx[1] && idx[1] != idx[2] {
-            chosen.insert((idx[0], idx[1], idx[2]));
-        }
-    }
-    chosen
-        .into_iter()
-        .map(|(i, j, k)| {
-            let mk = |(a, b, added): &(String, String, bool)| Fault::LinkDown {
-                a: a.clone(),
-                b: b.clone(),
-                added: *added,
-            };
-            FailureScenario {
-                faults: vec![mk(&singles[i]), mk(&singles[j]), mk(&singles[k])],
-            }
-        })
-        .collect()
-}
 
 /// The standard scenario sweep: every k = 1 link failure plus a seeded
 /// sample of `k2_sample` k = 2 scenarios.
@@ -870,18 +821,6 @@ mod tests {
         it2.next();
         assert_eq!(it2.len(), 2);
         assert_eq!(it2.by_ref().count(), 2);
-    }
-
-    #[test]
-    fn triple_failure_sampling_is_seeded_and_distinct() {
-        let cfgs = triangle();
-        let s1 = sample_triple_link_failures(&cfgs, 11, 5);
-        let s2 = sample_triple_link_failures(&cfgs, 11, 5);
-        assert_eq!(s1, s2, "same seed, same sample");
-        // Only C(3, 3) = 1 triple exists: the request saturates.
-        assert_eq!(s1.len(), 1);
-        assert_eq!(s1[0].faults.len(), 3);
-        assert!(sample_triple_link_failures(&cfgs, 11, 0).is_empty());
     }
 
     #[test]

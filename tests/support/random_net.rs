@@ -1,5 +1,7 @@
 //! Random small networks for the simulator differentials (`delta_diff`,
-//! `warm_diff`).
+//! `warm_diff`, `dataplane_diff`, and the `confmask-sim-delta` unit test
+//! `plan_matches_cold_simulation_on_random_networks`, which includes this
+//! file by path).
 
 use confmask_netgen::{IgpProtocol, TopoSpec};
 use rand::rngs::StdRng;
