@@ -23,9 +23,10 @@
 //! ```
 //!
 //! `--limit` caps the k = 1 scenarios per network; `--reps` (default 3)
-//! repeats the two incremental sweeps — interleaved, sequential then
-//! streaming within each rep, so background drift biases both sides
-//! equally — and keeps the fastest of each, so the reported
+//! repeats the two incremental sweeps — interleaved, back to back within
+//! each rep, with the sequential side first in even reps and the
+//! streaming side first in odd ones, so background drift biases both
+//! sides equally — and keeps the fastest of each, so the reported
 //! `parallel_speedup` — a ratio of two near-equal times — is not at the
 //! mercy of scheduler noise (the cold sweep runs once: at 30 s per
 //! network its noise floor is irrelevant). `--assert-speedup X`
@@ -224,8 +225,8 @@ fn main() {
 
         // Incremental and parallel-streaming sweeps, interleaved: each rep
         // measures the sequential per-scenario digest loop and the streaming
-        // fan-out back-to-back, so background drift on a shared box biases
-        // both sides equally and the reported ratio (`parallel_speedup`, a
+        // fan-out back-to-back, in alternating order, so background drift on
+        // a shared box biases both sides equally and the reported ratio (`parallel_speedup`, a
         // ratio of two near-equal times on one core) stays honest. Each side
         // pays for its own baseline convergence (a fresh engine per rep, so
         // nothing leaks in from the cold sweep or the other side), and both
@@ -237,48 +238,58 @@ fn main() {
         let mut peak_bytes = 0usize;
         let mut mismatches = 0usize;
         for rep in 0..reps {
-            let t1 = Instant::now();
-            let engine = DeltaEngine::new(4);
-            let base = engine
-                .converged(configs)
-                .expect("healthy network must converge");
-            let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
-            let mut scratch = ScenarioScratch::default();
-            let mut digests = Vec::with_capacity(scenarios.len());
-            for s in &scenarios {
-                digests.push(sweep.digest(s, &mut scratch).expect("incremental scenario"));
-            }
-            incremental_secs = incremental_secs.min(t1.elapsed().as_secs_f64());
-            if rep == 0 {
-                for (s, (digest, c)) in scenarios.iter().zip(digests.iter().zip(cold.iter())) {
-                    if digest != c {
-                        eprintln!("net {id}: MISMATCH on {s}");
-                        mismatches += 1;
+            // Even reps run the sequential side first, odd reps the
+            // streaming side, so drift within a rep favours neither.
+            let streaming_first = rep % 2 == 1;
+            for streaming in [streaming_first, !streaming_first] {
+                if !streaming {
+                    let t1 = Instant::now();
+                    let engine = DeltaEngine::new(4);
+                    let base = engine
+                        .converged(configs)
+                        .expect("healthy network must converge");
+                    let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
+                    let mut scratch = ScenarioScratch::default();
+                    let mut digests = Vec::with_capacity(scenarios.len());
+                    for s in &scenarios {
+                        digests.push(sweep.digest(s, &mut scratch).expect("incremental scenario"));
                     }
+                    incremental_secs = incremental_secs.min(t1.elapsed().as_secs_f64());
+                    if rep == 0 {
+                        for (s, (digest, c)) in
+                            scenarios.iter().zip(digests.iter().zip(cold.iter()))
+                        {
+                            if digest != c {
+                                eprintln!("net {id}: MISMATCH on {s}");
+                                mismatches += 1;
+                            }
+                        }
+                    }
+                    continue;
                 }
-            }
-            drop(digests);
 
-            // The streaming side: scenarios fan out across the shared
-            // executor in bounded windows with one scratch per worker, and
-            // at most one window of digests is ever live — its measured
-            // peak is `peak_bytes`.
-            let t2 = Instant::now();
-            let par_engine = DeltaEngine::new(4);
-            let par_base = par_engine
-                .converged(configs)
-                .expect("healthy network must converge");
-            let par_sweep = ScenarioSweep::new(&par_engine, &par_base, &par_base.sim.dataplane);
-            let mut streamed = DigestList::default();
-            let stats = par_sweep.run(scenarios.iter(), &mut streamed);
-            parallel_secs = parallel_secs.min(t2.elapsed().as_secs_f64());
-            peak_bytes = peak_bytes.max(stats.peak_digest_bytes);
-            if rep == 0 {
-                for ((s, digest), c) in scenarios.iter().zip(&streamed.results).zip(cold.iter()) {
-                    let digest = digest.as_ref().expect("parallel scenario");
-                    if digest != c {
-                        eprintln!("net {id}: PARALLEL MISMATCH on {s}");
-                        mismatches += 1;
+                // The streaming side: scenarios fan out across the shared
+                // executor in bounded windows with one scratch per worker,
+                // and at most one window of digests is ever live — its
+                // measured peak is `peak_bytes`.
+                let t2 = Instant::now();
+                let par_engine = DeltaEngine::new(4);
+                let par_base = par_engine
+                    .converged(configs)
+                    .expect("healthy network must converge");
+                let par_sweep = ScenarioSweep::new(&par_engine, &par_base, &par_base.sim.dataplane);
+                let mut streamed = DigestList::default();
+                let stats = par_sweep.run(scenarios.iter(), &mut streamed);
+                parallel_secs = parallel_secs.min(t2.elapsed().as_secs_f64());
+                peak_bytes = peak_bytes.max(stats.peak_digest_bytes);
+                if rep == 0 {
+                    for ((s, digest), c) in scenarios.iter().zip(&streamed.results).zip(cold.iter())
+                    {
+                        let digest = digest.as_ref().expect("parallel scenario");
+                        if digest != c {
+                            eprintln!("net {id}: PARALLEL MISMATCH on {s}");
+                            mismatches += 1;
+                        }
                     }
                 }
             }

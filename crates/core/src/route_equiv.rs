@@ -161,7 +161,7 @@ fn scan_and_filter(
         let Some(orid) = base.sim.net.router_id(&router.name) else {
             continue;
         };
-        for (prefix, _hosts) in &net.destinations {
+        for (prefix, _hosts) in net.destinations.iter() {
             if !base_prefixes.contains(prefix) {
                 continue;
             }

@@ -1,21 +1,24 @@
 //! Delta planning for fault perturbations.
 //!
-//! Given a cached converged simulation of a base network and a copy of its
-//! configurations with some interfaces administratively shut
-//! (`shutdown: false → true`, exactly what the fault engine's scenarios
-//! apply), this module builds a [`ShutdownPlan`]: the perturbed model and
-//! FIBs, recomputing only what the shutdowns can have touched, plus the
-//! per-pair predicate that says which cached path sets still hold.
-//! Shutdowns only ever **remove** model elements, which is the
-//! monotonicity every warm-start argument below leans on.
+//! Given a cached converged simulation of a base network and the names of
+//! the interfaces a scenario administratively shut (`shutdown: false →
+//! true`, exactly what the fault engine's scenarios apply), this module
+//! builds a [`ShutdownPlan`]: the perturbed model, derived from the cached
+//! one ([`SimNetwork::without_interfaces`]), and the perturbed FIBs,
+//! recomputing only what the shutdowns can have touched, plus the per-pair
+//! predicate that says which cached path sets still hold. Shutdowns only
+//! ever **remove** model elements, which is the monotonicity every
+//! warm-start argument below leans on, and the removal alone defines the
+//! interface renumbering ([`IfaceRemap`]) every splice below applies.
 //!
 //! The contract is **byte identity** with a cold `simulate()` of the
 //! perturbed configs: the plan's FIBs equal the cold FIBs entry by entry,
 //! every pair [`ShutdownPlan::pair_reusable`] accepts has a cached path set
 //! equal to the cold one, and every other pair's `trace` over the plan's
 //! model and FIBs equals the cold path set. The sweep (`crate::sweep`)
-//! classifies pairs straight off the plan and never builds a perturbed
-//! data plane. Per-protocol strategy (soundness arguments inline):
+//! classifies pairs straight off the plan, re-tracing through lazy
+//! per-destination tracers, and never builds a perturbed data plane.
+//! Per-protocol strategy (soundness arguments inline):
 //!
 //! * **OSPF** — per-prefix SPFs are independent, so only *affected*
 //!   prefixes re-run ([`ospf::compute_subset`]); the rest splice in the
@@ -55,11 +58,11 @@
 //!   every on-path router's lookup is unchanged.
 
 use crate::{ConvergedSim, DeltaStats, NO_META};
-use confmask_config::NetworkConfigs;
 use confmask_net_types::{HostId, Ipv4Prefix, RouterId};
 use confmask_sim::ospf::RouterPaths;
 use confmask_sim::{
-    bgp, merge_router_fib, ospf, rip, BgpRoutes, FibEntry, Fibs, NextHop, SimError, SimNetwork,
+    bgp, merge_router_fib, ospf, rip, BgpRoutes, FibEntry, Fibs, IfaceRemap, NextHop, SimError,
+    SimNetwork,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -86,6 +89,7 @@ pub(crate) struct ShutdownPlan {
     ospf_prefixes_recomputed: usize,
     rip_warm_started: bool,
     bgp_reused: Option<bool>,
+    routers_shared: usize,
     fibs_shared: usize,
 }
 
@@ -124,87 +128,63 @@ impl ShutdownPlan {
         }
     }
 
-    /// The delta statistics for this plan given the data-plane tallies.
-    pub fn stats(&self, pairs_total: usize, pairs_recomputed: usize) -> DeltaStats {
+    /// The delta statistics of the model and FIBs; the sweep adds the
+    /// data-plane tallies.
+    pub fn stats(&self) -> DeltaStats {
         DeltaStats {
             full_fallback: false,
             ospf_prefixes_total: self.ospf_prefixes_total,
             ospf_prefixes_recomputed: self.ospf_prefixes_recomputed,
             rip_warm_started: self.rip_warm_started,
             bgp_reused: self.bgp_reused,
+            routers_shared: self.routers_shared,
             fibs_shared: self.fibs_shared,
             fibs_merged: self.fibs.per_router.len() - self.fibs_shared,
-            pairs_total,
-            pairs_recomputed,
+            pairs_total: 0,
+            pairs_recomputed: 0,
+            dag_nodes: 0,
         }
     }
 }
 
-/// Builds the [`ShutdownPlan`] for `perturbed`: model, FIBs (both
-/// incremental where provable), and the per-endpoint reuse predicates.
+/// Builds the [`ShutdownPlan`] for shutting the `(router, interface)`s
+/// named in `shut`: model, FIBs (both incremental where provable), and the
+/// per-endpoint reuse predicates. The model is derived from the cached one
+/// ([`SimNetwork::without_interfaces`]), sharing every router the
+/// shutdowns leave unchanged, and its interface renumbering drives every
+/// splice below.
 ///
-/// Precondition: `perturbed` differs from `base.configs` only by the
-/// interface shutdowns that [`FailureScenario::apply_in_place`] applied;
+/// Precondition: `shut` lists the interfaces that
+/// [`FailureScenario::apply_in_place`] flipped on `base.configs`;
 /// [`ScenarioSweep::digest`](crate::ScenarioSweep::digest) is the only
-/// caller and applies nothing else. Returns `Ok(None)` when a defensive
-/// invariant check fails (an interface that came up, for one) and the
-/// caller should fall back to a cold run.
+/// caller and passes nothing else. Returns `Ok(None)` when a flipped name
+/// does not name exactly one interface of a base router, or when a
+/// defensive invariant check fails (a cached OSPF row through a removed
+/// interface, for one), and the caller should fall back to a cold run.
 ///
 /// [`FailureScenario::apply_in_place`]: confmask_sim::fault::FailureScenario::apply_in_place
 pub(crate) fn plan_shutdowns(
     base: &ConvergedSim,
-    perturbed: &NetworkConfigs,
+    shut: &[(String, String)],
 ) -> Result<Option<ShutdownPlan>, SimError> {
-    let new_net = SimNetwork::build(perturbed)?;
-    let base_net = &base.sim.net;
-    let n = base_net.router_count();
-
-    // Shutdown-only diffs keep the device sets (and hence RouterId/HostId
-    // assignment, which follows hostname order) identical.
-    if new_net.router_count() != n
-        || new_net.hosts.len() != base_net.hosts.len()
-        || new_net
+    // Flips and the model both name interfaces, so a name two interfaces
+    // of one router share cannot say which one a flip shut: such a
+    // scenario goes to the cold loop.
+    let ambiguous = |(router, iface): &(String, String)| {
+        base.configs
             .routers
-            .iter()
-            .zip(base_net.routers.iter())
-            .any(|(a, b)| a.name != b.name)
-        || new_net
-            .hosts
-            .iter()
-            .zip(base_net.hosts.iter())
-            .any(|(a, b)| a.name != b.name)
-    {
+            .get(router)
+            .is_none_or(|rc| rc.interfaces.iter().filter(|i| i.name == *iface).count() != 1)
+    };
+    if shut.iter().any(ambiguous) {
         return Ok(None);
     }
-
-    // Per-router interface renumbering: `SimNetwork::build` skips shut
-    // interfaces, so surviving interfaces shift down. Map base index →
-    // new index by interface name; `None` marks a removed interface.
-    let mut remap: Vec<Vec<Option<usize>>> = Vec::with_capacity(n);
-    let mut failed: Vec<(usize, usize)> = Vec::new(); // (router, base iface idx)
-    for r in 0..n {
-        let new_by_name: BTreeMap<&str, usize> = new_net.routers[r]
-            .ifaces
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name.as_str(), i))
-            .collect();
-        let map: Vec<Option<usize>> = base_net.routers[r]
-            .ifaces
-            .iter()
-            .map(|f| new_by_name.get(f.name.as_str()).copied())
-            .collect();
-        // Removal-only: every new interface must come from a base one.
-        if map.iter().filter(|m| m.is_some()).count() != new_net.routers[r].ifaces.len() {
-            return Ok(None);
-        }
-        for (bi, m) in map.iter().enumerate() {
-            if m.is_none() {
-                failed.push((r, bi));
-            }
-        }
-        remap.push(map);
-    }
+    let base_net = &base.sim.net;
+    let Some((new_net, remap)) = base_net.without_interfaces(shut) else {
+        return Ok(None);
+    };
+    let n = base_net.router_count();
+    let failed: Vec<(usize, usize)> = remap.removed().collect();
 
     // ---- OSPF: recompute only affected prefixes. ----
     let mut affected: BTreeSet<Ipv4Prefix> = BTreeSet::new();
@@ -303,7 +283,7 @@ pub(crate) fn plan_shutdowns(
     let mut fib_shared = vec![false; n];
     let mut per_router = Vec::with_capacity(n);
     for r in 0..n {
-        let identity = remap[r].iter().all(|m| m.is_some());
+        let identity = remap.is_identity(r);
         let reusable = identity
             && rip_silent
             && bgp_stable
@@ -318,7 +298,7 @@ pub(crate) fn plan_shutdowns(
             per_router.push(Arc::clone(&base.sim.fibs.per_router[r]));
             continue;
         }
-        for (prefix, _) in &new_net.destinations {
+        for (prefix, _) in new_net.destinations.iter() {
             if affected.contains(prefix) || recomputed_rows[r].contains(prefix) {
                 continue;
             }
@@ -327,7 +307,7 @@ pub(crate) fn plan_shutdowns(
             };
             let mut mapped = Vec::with_capacity(hops.len());
             for &(ii, v) in hops {
-                match remap[r][ii] {
+                match remap.get(r, ii) {
                     Some(ni) => mapped.push((ni, v)),
                     // A candidate hop through a removed interface is a
                     // removed tight edge, so the prefix would have been
@@ -370,7 +350,7 @@ pub(crate) fn plan_shutdowns(
                 if be.prefix != ne.prefix {
                     return None;
                 }
-                if !entry_remap_equal(be, ne, &remap[r]) {
+                if !entry_remap_equal(be, ne, &remap, r) {
                     set.insert(be.prefix);
                 }
             }
@@ -400,7 +380,8 @@ pub(crate) fn plan_shutdowns(
                         !lookup_remap_equal(
                             base.sim.fibs.of(rid).lookup(addr),
                             fibs.of(rid).lookup(addr),
-                            &remap[r],
+                            &remap,
+                            r,
                         )
                     }
                 })
@@ -412,21 +393,6 @@ pub(crate) fn plan_shutdowns(
         .map(|row| row.iter().all(|&c| !c))
         .collect();
 
-    // The cached data plane covers exactly the ordered host pairs, keyed
-    // by host index in host-id order (both follow hostname order); anything
-    // else means the base simulation predates an invariant change.
-    let base_dp = &base.sim.dataplane;
-    if base_dp.len() != hosts.len() * hosts.len().saturating_sub(1)
-        || !base_dp
-            .hosts()
-            .iter()
-            .eq(new_net.hosts.iter().map(|h| &h.name))
-    {
-        return Ok(None);
-    }
-    if base.pair_meta.len() != base.sim.dataplane.len() {
-        return Ok(None);
-    }
     // Per host: whether its attachment survived the perturbation, and
     // whether it was unattached to begin with (hoisted out of the pair
     // loop — both depend only on the endpoint, not the pair).
@@ -439,7 +405,14 @@ pub(crate) fn plan_shutdowns(
         .map(|&h| base_net.host(h).attachment.is_none())
         .collect();
 
+    let routers_shared = new_net
+        .routers
+        .iter()
+        .zip(&base_net.routers)
+        .filter(|(new, old)| Arc::ptr_eq(new, old))
+        .count();
     Ok(Some(ShutdownPlan {
+        routers_shared,
         new_net,
         fibs,
         lookup_changed,
@@ -460,7 +433,7 @@ pub(crate) fn plan_shutdowns(
 fn router_paths_equal_after_remap(
     base: &RouterPaths,
     new: &RouterPaths,
-    remap: &[Vec<Option<usize>>],
+    remap: &IfaceRemap,
 ) -> bool {
     if base.dist != new.dist {
         return false;
@@ -475,7 +448,7 @@ fn router_paths_equal_after_remap(
                     && bhops
                         .iter()
                         .zip(nhops.iter())
-                        .all(|(&(ii, v), &(nii, nv))| remap[a][ii] == Some(nii) && v == nv)
+                        .all(|(&(ii, v), &(nii, nv))| remap.get(a, ii) == Some(nii) && v == nv)
             })
         })
 }
@@ -506,14 +479,14 @@ fn iface_bgp_relevant(net: &SimNetwork, r: usize, bi: usize) -> bool {
 
 /// Renumbers interface indices inside cached BGP routes; `None` when any
 /// route references a removed interface (then reuse is off the table).
-fn remap_bgp_routes(base: &BgpRoutes, remap: &[Vec<Option<usize>>]) -> Option<BgpRoutes> {
+fn remap_bgp_routes(base: &BgpRoutes, remap: &IfaceRemap) -> Option<BgpRoutes> {
     let mut out = Vec::with_capacity(base.len());
     for (r, table) in base.iter().enumerate() {
         let mut mapped = BTreeMap::new();
         for (prefix, route) in table {
             let mut next_hops = Vec::with_capacity(route.next_hops.len());
             for &(ii, v) in &route.next_hops {
-                next_hops.push((remap[r][ii]?, v));
+                next_hops.push((remap.get(r, ii)?, v));
             }
             let mut route = route.clone();
             route.next_hops = next_hops;
@@ -524,8 +497,9 @@ fn remap_bgp_routes(base: &BgpRoutes, remap: &[Vec<Option<usize>>]) -> Option<Bg
     Some(out)
 }
 
-/// Whether two FIB entries are equal after interface renumbering.
-fn entry_remap_equal(be: &FibEntry, ne: &FibEntry, remap: &[Option<usize>]) -> bool {
+/// Whether two FIB entries of router `r` are equal after interface
+/// renumbering.
+fn entry_remap_equal(be: &FibEntry, ne: &FibEntry, remap: &IfaceRemap, r: usize) -> bool {
     be.prefix == ne.prefix
         && be.source == ne.source
         && be.next_hops.len() == ne.next_hops.len()
@@ -535,7 +509,7 @@ fn entry_remap_equal(be: &FibEntry, ne: &FibEntry, remap: &[Option<usize>]) -> b
             .zip(ne.next_hops.iter())
             .all(|(bh, nh)| match (bh, nh) {
                 (NextHop::Deliver { iface: bi }, NextHop::Deliver { iface: ni }) => {
-                    remap[*bi] == Some(*ni)
+                    remap.get(r, *bi) == Some(*ni)
                 }
                 (
                     NextHop::Forward {
@@ -548,7 +522,7 @@ fn entry_remap_equal(be: &FibEntry, ne: &FibEntry, remap: &[Option<usize>]) -> b
                         router: nr,
                         session_peer: np,
                     },
-                ) => remap[*bi] == Some(*ni) && br == nr && bp == np,
+                ) => remap.get(r, *bi) == Some(*ni) && br == nr && bp == np,
                 _ => false,
             })
 }
@@ -558,11 +532,12 @@ fn entry_remap_equal(be: &FibEntry, ne: &FibEntry, remap: &[Option<usize>]) -> b
 fn lookup_remap_equal(
     base: Option<&FibEntry>,
     new: Option<&FibEntry>,
-    remap: &[Option<usize>],
+    remap: &IfaceRemap,
+    r: usize,
 ) -> bool {
     match (base, new) {
         (None, None) => true,
-        (Some(be), Some(ne)) => entry_remap_equal(be, ne, remap),
+        (Some(be), Some(ne)) => entry_remap_equal(be, ne, remap, r),
         _ => false,
     }
 }
@@ -572,12 +547,12 @@ fn lookup_remap_equal(
 fn attachment_unchanged(
     base_net: &SimNetwork,
     new_net: &SimNetwork,
-    remap: &[Vec<Option<usize>>],
+    remap: &IfaceRemap,
     h: HostId,
 ) -> bool {
     match (base_net.host(h).attachment, new_net.host(h).attachment) {
         (None, None) => true,
-        (Some((br, bi)), Some((nr, ni))) => br == nr && remap[br.0 as usize][bi] == Some(ni),
+        (Some((br, bi)), Some((nr, ni))) => br == nr && remap.get(br.0 as usize, bi) == Some(ni),
         _ => false,
     }
 }

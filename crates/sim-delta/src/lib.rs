@@ -101,6 +101,8 @@ pub(crate) struct DeltaStats {
     /// Whether the cached BGP routes were reused wholesale; `None` when no
     /// router speaks BGP, so there was nothing to reuse or recompute.
     pub bgp_reused: Option<bool>,
+    /// Model routers shared with the base (an `Arc` clone).
+    pub routers_shared: usize,
     /// Routers whose FIB was shared with the base (an `Arc` clone).
     pub fibs_shared: usize,
     /// Routers whose FIB was re-merged.
@@ -109,6 +111,8 @@ pub(crate) struct DeltaStats {
     pub pairs_total: usize,
     /// Ordered host pairs that were re-traced.
     pub pairs_recomputed: usize,
+    /// Routers the re-traces resolved, summed over their destinations.
+    pub dag_nodes: u64,
 }
 
 impl DeltaStats {
@@ -119,10 +123,12 @@ impl DeltaStats {
             ospf_prefixes_recomputed: 0,
             rip_warm_started: false,
             bgp_reused: None,
+            routers_shared: 0,
             fibs_shared: 0,
             fibs_merged: 0,
             pairs_total: 0,
             pairs_recomputed: 0,
+            dag_nodes: 0,
         }
     }
 
@@ -268,6 +274,7 @@ pub(crate) fn record_stats(stats: &DeltaStats) {
         "sim.delta.ospf_prefixes_reused",
         (stats.ospf_prefixes_total - stats.ospf_prefixes_recomputed) as u64,
     );
+    confmask_obs::counter_add("sim.delta.routers_shared", stats.routers_shared as u64);
     confmask_obs::counter_add("sim.delta.fibs_shared", stats.fibs_shared as u64);
     confmask_obs::counter_add("sim.delta.fibs_merged", stats.fibs_merged as u64);
     confmask_obs::counter_add("sim.delta.pairs_recomputed", stats.pairs_recomputed as u64);
@@ -275,6 +282,7 @@ pub(crate) fn record_stats(stats: &DeltaStats) {
         "sim.delta.pairs_reused",
         (stats.pairs_total - stats.pairs_recomputed) as u64,
     );
+    confmask_obs::counter_add("sim.delta.dag_nodes", stats.dag_nodes);
     confmask_obs::observe(
         "sim.delta.recompute_fraction_pct",
         (stats.recompute_fraction() * 100.0).round() as u64,
@@ -300,10 +308,12 @@ pub fn register_metrics() {
         "sim.delta.bgp_recomputes",
         "sim.delta.ospf_prefixes_recomputed",
         "sim.delta.ospf_prefixes_reused",
+        "sim.delta.routers_shared",
         "sim.delta.fibs_shared",
         "sim.delta.fibs_merged",
         "sim.delta.pairs_recomputed",
         "sim.delta.pairs_reused",
+        "sim.delta.dag_nodes",
     ] {
         confmask_obs::counter_add(name, 0);
     }
@@ -403,17 +413,26 @@ mod tests {
         retraced
     }
 
-    /// Plans `failed`, which must be plannable, and checks the plan against
-    /// a cold simulation; returns it with its re-traced pair count.
-    fn planned_as_cold(
-        tag: &str,
+    /// Applies `scenario` to the base configs: the failed configs and the
+    /// interfaces whose shutdown flag it flipped.
+    fn shut(
         base: &ConvergedSim,
-        failed: &NetworkConfigs,
-    ) -> (ShutdownPlan, usize) {
-        let plan = plan_shutdowns(base, failed)
+        scenario: &FailureScenario,
+    ) -> (NetworkConfigs, Vec<(String, String)>) {
+        let mut failed = base.configs.clone();
+        let flipped = scenario.apply_in_place(&mut failed).expect("fault applies");
+        (failed, flipped)
+    }
+
+    /// Plans `scenario`, which must be plannable, and checks the plan
+    /// against a cold simulation; returns it with its re-traced pair count.
+    fn planned_as_cold(base: &ConvergedSim, scenario: &FailureScenario) -> (ShutdownPlan, usize) {
+        let tag = scenario.to_string();
+        let (failed, flipped) = shut(base, scenario);
+        let plan = plan_shutdowns(base, &flipped)
             .unwrap()
             .unwrap_or_else(|| panic!("{tag}: shutdowns must plan"));
-        let retraced = assert_plan_matches(tag, base, &plan, &simulate(failed).unwrap());
+        let retraced = assert_plan_matches(&tag, base, &plan, &simulate(&failed).unwrap());
         (plan, retraced)
     }
 
@@ -469,9 +488,9 @@ mod tests {
             }
             for scenario in scenarios {
                 let tag = format!("seed {i} flavor {flavor}: {scenario}");
-                let failed = scenario.apply(&configs).expect("fault applies");
+                let (failed, flipped) = shut(&base, &scenario);
                 scenarios_checked += 1;
-                match (simulate(&failed), plan_shutdowns(&base, &failed)) {
+                match (simulate(&failed), plan_shutdowns(&base, &flipped)) {
                     (Ok(cold), Ok(Some(plan))) => {
                         assert_plan_matches(&tag, &base, &plan, &cold);
                     }
@@ -508,9 +527,9 @@ mod tests {
         let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
         let mut scratch = ScenarioScratch::default();
         for scenario in enumerate_single_link_failures(&cfgs) {
-            let failed = scenario.apply(&cfgs).unwrap();
-            let plan = plan_shutdowns(&base, &failed).unwrap().unwrap();
-            assert_eq!(plan.stats(0, 0).bgp_reused, None, "{scenario}");
+            let (_, flipped) = shut(&base, &scenario);
+            let plan = plan_shutdowns(&base, &flipped).unwrap().unwrap();
+            assert_eq!(plan.stats().bgp_reused, None, "{scenario}");
             sweep.digest(&scenario, &mut scratch).unwrap();
         }
         assert!(counter("sim.delta.sims") >= sims + 3);
@@ -526,8 +545,7 @@ mod tests {
         let cfgs = triangle();
         let base = engine.converged(&cfgs).unwrap();
         for scenario in enumerate_single_link_failures(&cfgs) {
-            let failed = scenario.apply(&cfgs).unwrap();
-            planned_as_cold(&scenario.to_string(), &base, &failed);
+            planned_as_cold(&base, &scenario);
         }
     }
 
@@ -566,12 +584,11 @@ mod tests {
         let engine = DeltaEngine::new(4);
         let cfgs = square();
         let base = engine.converged(&cfgs).unwrap();
-        let failed = link_down("r1", "r2").apply(&cfgs).unwrap();
-        let (plan, _) = planned_as_cold("r1-r2 down", &base, &failed);
+        let (plan, _) = planned_as_cold(&base, &link_down("r1", "r2"));
         // Toward h4, r1 keeps its distance over r3 and only its own row
         // changes; toward h1, r2 loses its only shortest path, so that
         // prefix alone takes a fresh SPF.
-        let stats = plan.stats(0, 0);
+        let stats = plan.stats();
         assert_eq!(
             (stats.ospf_prefixes_recomputed, stats.ospf_prefixes_total),
             (1, 2)
@@ -583,12 +600,10 @@ mod tests {
         let engine = DeltaEngine::new(4);
         let cfgs = triangle();
         let base = engine.converged(&cfgs).unwrap();
-        let failed = FailureScenario::single(Fault::RouterDown {
+        let r3_down = FailureScenario::single(Fault::RouterDown {
             router: "r3".into(),
-        })
-        .apply(&cfgs)
-        .unwrap();
-        let (_, retraced) = planned_as_cold("r3 down", &base, &failed);
+        });
+        let (_, retraced) = planned_as_cold(&base, &r3_down);
         // r3 carries no baseline traffic between h1 and h2 and hosts no
         // LAN: the h1↔h2 pairs reuse their cached traces.
         assert!(retraced < base.sim.dataplane.len());
@@ -599,11 +614,10 @@ mod tests {
         let engine = DeltaEngine::new(4);
         let cfgs = triangle();
         let base = engine.converged(&cfgs).unwrap();
-        let failed = link_down("r1", "r2").apply(&cfgs).unwrap();
-        let (plan, _) = planned_as_cold("r1-r2 down", &base, &failed);
+        let (plan, _) = planned_as_cold(&base, &link_down("r1", "r2"));
         // r1 and r2 lose an interface and re-merge; r3 keeps its routes
         // to both LANs and shares the baseline's table.
-        let stats = plan.stats(0, 0);
+        let stats = plan.stats();
         assert_eq!((stats.fibs_shared, stats.fibs_merged), (1, 2));
         let shared: Vec<bool> = (0..3)
             .map(|r| Arc::ptr_eq(&plan.fibs.per_router[r], &base.sim.fibs.per_router[r]))
@@ -612,14 +626,20 @@ mod tests {
     }
 
     #[test]
-    fn plan_declines_an_interface_bring_up() {
+    fn plan_declines_unknown_routers() {
         let engine = DeltaEngine::new(4);
         let cfgs = triangle();
         let down = link_down("r1", "r2").apply(&cfgs).unwrap();
         let down_base = engine.converged(&down).unwrap();
-        // Bringing the link back up adds interfaces to the model, which no
-        // shutdown can do: the planner declines rather than guess.
-        assert!(plan_shutdowns(&down_base, &cfgs).unwrap().is_none());
+        let shut = |router: &str| [(router.to_string(), "Ethernet0/0".to_string())];
+        // A router the base lacks cannot lose an interface: the planner
+        // declines rather than guess.
+        assert!(plan_shutdowns(&down_base, &shut("r9")).unwrap().is_none());
+        // r1's Ethernet0/0 is already down, so the base model lacks it and
+        // shutting it again removes nothing.
+        let plan = plan_shutdowns(&down_base, &shut("r1")).unwrap().unwrap();
+        assert_eq!(plan.new_net, *down_base.sim.net);
+        assert_eq!(plan.stats().fibs_merged, 0);
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //! * a reusable pair whose sweep baseline *differs* from the base (a
 //!   masked-network sweep compared against the original's baseline)
 //!   classifies the cached base path set against the sweep baseline;
-//! * a **non-reusable** pair re-traces into a reused [`PathSet`] and
-//!   compares against the baseline id by id: a slice compare when the
-//!   baseline shares the base's router table, a [`NameJoin`] remap when it
-//!   does not — no name is ever resolved.
+//! * a **non-reusable** pair re-traces through the plan's lazy tracer for
+//!   its destination ([`DestTracer`]: one FIB lookup per router and one
+//!   path set per gateway, shared by every source behind it) and compares
+//!   against the baseline id by id: a slice compare when the baseline
+//!   shares the base's router table, a [`NameJoin`] remap when it does
+//!   not — no name is ever resolved.
 //!
 //! The result is byte-identical to the cold
 //! [`confmask_sim::fault::run_scenario`] digest (the differential gate in
@@ -32,7 +34,7 @@
 use crate::{delta, record_stats, ConvergedSim, DeltaEngine, DeltaStats, ScenarioScratch};
 use confmask_config::NetworkConfigs;
 use confmask_net_types::HostId;
-use confmask_sim::dataplane::{trace_into, DataPlane, HostPair, NameJoin};
+use confmask_sim::dataplane::{DataPlane, DestTracer, HostPair, NameJoin, Reach};
 use confmask_sim::fault::{
     classify_failed, classify_pair, physical_components, revert_shutdowns, DegradationClass,
     FailureScenario,
@@ -77,6 +79,11 @@ pub struct ScenarioSweep<'a> {
     /// The base network's router ids (what re-traces yield) joined onto
     /// the baseline's router table.
     routers: NameJoin,
+    /// What an unattached source reaches, and what a pair missing from the
+    /// base reads as.
+    blackholed: PathSet,
+    /// What a same-LAN pair reaches.
+    direct: PathSet,
 }
 
 impl<'a> ScenarioSweep<'a> {
@@ -131,6 +138,8 @@ impl<'a> ScenarioSweep<'a> {
             baseline,
             binding,
             routers,
+            blackholed: PathSet::blackholed(),
+            direct: PathSet::direct(),
         }
     }
 
@@ -156,18 +165,22 @@ impl<'a> ScenarioSweep<'a> {
         }
         let configs = &mut scratch.0.as_mut().expect("scratch was just filled").1;
         let flipped = scenario.apply_in_place(configs)?;
-        let out = self.digest_failed(configs);
+        let out = self.digest_failed(configs, &flipped);
         revert_shutdowns(configs, &flipped);
         out
     }
 
-    /// Digests the already-failed configs: plan the delta, classify every
-    /// bound pair off the plan, fall back to the cold loop when planning
-    /// declines.
-    fn digest_failed(&self, failed: &NetworkConfigs) -> Result<ScenarioDigest, SimError> {
+    /// Digests the already-failed configs, whose shutdowns `flipped` names:
+    /// plan the delta, classify every bound pair off the plan, fall back to
+    /// the cold loop when planning declines.
+    fn digest_failed(
+        &self,
+        failed: &NetworkConfigs,
+        flipped: &[(String, String)],
+    ) -> Result<ScenarioDigest, SimError> {
         let sp = confmask_obs::span("sim.delta.sim");
         confmask_obs::counter_add("sim.delta.sims", 1);
-        let (digest, stats) = match delta::plan_shutdowns(self.base, failed)? {
+        let (digest, stats) = match delta::plan_shutdowns(self.base, flipped)? {
             Some(plan) => self.digest_plan(failed, &plan),
             None => (classify_failed(failed, self.baseline)?, DeltaStats::full()),
         };
@@ -200,8 +213,10 @@ impl<'a> ScenarioSweep<'a> {
             }
         };
         let base_entries = self.base.sim.dataplane.entries();
-        let missing = PathSet::blackholed();
-        let mut traced = PathSet::default();
+        // Re-traced pairs resolve through one lazy tracer per destination,
+        // built on the first pair toward it that needs one.
+        let mut tracers: Vec<Option<DestTracer>> = Vec::new();
+        tracers.resize_with(plan.new_net.hosts.len(), || None);
         let mut digest = ScenarioDigest::new(self.binding.len());
         let mut recomputed = 0usize;
         for (i, (b, (key, baseline))) in
@@ -211,10 +226,15 @@ impl<'a> ScenarioSweep<'a> {
                 // The base simulation lacks this pair: the perturbed data
                 // plane cannot contain it either (delta runs start from
                 // the base's pair set), so it reads as dropped.
-                let unchanged = self.routers.same(&missing, baseline);
-                classify_pair(unchanged, &missing, || connected(*key))
-            } else if plan.pair_reusable(self.base, b.si as usize, b.di as usize, b.base_idx as usize)
-            {
+                let missing = &self.blackholed;
+                let unchanged = self.routers.same(missing, baseline);
+                classify_pair(unchanged, missing, || connected(*key))
+            } else if plan.pair_reusable(
+                self.base,
+                b.si as usize,
+                b.di as usize,
+                b.base_idx as usize,
+            ) {
                 if b.same_as_base {
                     // Reused ⇒ post-failure == base == this baseline.
                     DegradationClass::Unchanged
@@ -224,19 +244,28 @@ impl<'a> ScenarioSweep<'a> {
                 }
             } else {
                 recomputed += 1;
-                trace_into(
-                    &plan.new_net,
-                    &plan.fibs,
-                    HostId(b.si),
-                    HostId(b.di),
-                    &mut traced,
-                );
-                let unchanged = self.routers.same(&traced, baseline);
-                classify_pair(unchanged, &traced, || connected(*key))
+                let tracer = tracers[b.di as usize].get_or_insert_with(|| {
+                    DestTracer::new(&plan.new_net, &plan.fibs, HostId(b.di))
+                });
+                let reach = tracer.reach(HostId(b.si));
+                let after = match &reach {
+                    Reach::Unattached => &self.blackholed,
+                    Reach::SameLan => &self.direct,
+                    Reach::Paths(set) => &**set,
+                };
+                let unchanged = self.routers.same(after, baseline);
+                classify_pair(unchanged, after, || connected(*key))
             };
             digest.record(i, class);
         }
-        (digest, plan.stats(self.binding.len(), recomputed))
+        let dag_nodes = tracers.iter().flatten().map(|t| t.stats().dag_nodes).sum();
+        let stats = DeltaStats {
+            pairs_total: self.binding.len(),
+            pairs_recomputed: recomputed,
+            dag_nodes,
+            ..plan.stats()
+        };
+        (digest, stats)
     }
 
     /// Sweeps a scenario sequence: windows of scenarios fan out across
@@ -337,6 +366,36 @@ mod tests {
             assert_eq!(warm, cold, "{sc}");
             assert_eq!(warm.encode(), cold.encode(), "{sc}");
         }
+    }
+
+    #[test]
+    fn a_shared_interface_name_falls_back_to_the_cold_loop() {
+        // r1 has two stanzas named Ethernet0/9: the first has no address,
+        // the second is h9's LAN. Shutting "Ethernet0/9" shuts the first,
+        // which changes nothing; removing the model's Ethernet0/9 would
+        // cut h9 off.
+        let mut cfgs = triangle();
+        let r1 = cfgs.routers.get_mut("r1").unwrap();
+        let mut lan = r1.interfaces[2].clone();
+        lan.name = "Ethernet0/9".into();
+        lan.address = Some(("10.1.9.1".parse().unwrap(), 24));
+        let mut bare = lan.clone();
+        bare.address = None;
+        r1.interfaces.extend([bare, lan]);
+        cfgs.hosts
+            .insert("h9".into(), host("h9", "10.1.9.100", "10.1.9.1"));
+        let engine = DeltaEngine::new(4);
+        let base = engine.converged(&cfgs).unwrap();
+        let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
+        let mut scratch = ScenarioScratch::default();
+        let sc = FailureScenario::single(Fault::InterfaceShutdown {
+            router: "r1".into(),
+            iface: "Ethernet0/9".into(),
+        });
+        let warm = sweep.digest(&sc, &mut scratch).unwrap();
+        let cold = run_scenario(&cfgs, &base.sim.dataplane, &sc).unwrap();
+        assert_eq!(warm.encode(), cold.encode());
+        assert_eq!(warm.changed_classes().count(), 0);
     }
 
     #[test]

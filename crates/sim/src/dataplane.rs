@@ -136,8 +136,9 @@ impl PathSet {
         }
     }
 
-    /// The one direct path between two hosts on a LAN segment.
-    fn direct() -> PathSet {
+    /// The one direct path between two hosts on a LAN segment: a single
+    /// zero-length span.
+    pub fn direct() -> PathSet {
         let mut ps = PathSet::default();
         ps.push_path(&[]);
         ps
@@ -608,18 +609,18 @@ impl DataPlaneBuilder {
 
 /// Extracts the complete data plane: every ordered host pair.
 ///
-/// Extraction runs per destination, not per pair. A destination's FIB
-/// entry is looked up once at every router its traffic can reach, which
-/// gives the destination's next-hop graph over router ids ([`DestDag`]).
-/// Every source behind one gateway has the same paths toward the
-/// destination, so the graph yields one shared path set per (gateway,
-/// destination); all same-LAN pairs share one direct set, and all pairs
-/// with an unattached source one black-holed set. The per-pair DFS of
-/// [`trace_into`] runs only for a pair whose gateway the graph cannot
-/// answer exactly: one that reaches a forwarding loop or the
-/// [`MAX_PATHS_PER_PAIR`] cap, where the DFS's result depends on its
-/// visiting order. Such a pair keeps its own set. Everywhere else the two
-/// agree exactly (see [`DestDag`]).
+/// Extraction runs per destination, not per pair, through one
+/// [`DestTracer`] per destination: a destination's FIB entry is looked up
+/// once at every router its traffic can reach, which gives the
+/// destination's next-hop graph over router ids. Every source behind one
+/// gateway has the same paths toward the destination, so the graph yields
+/// one shared path set per (gateway, destination); all same-LAN pairs
+/// share one direct set, and all pairs with an unattached source one
+/// black-holed set. The per-pair DFS of [`trace`] runs only for a pair
+/// whose gateway the graph cannot answer exactly: one that reaches a
+/// forwarding loop or the [`MAX_PATHS_PER_PAIR`] cap, where the DFS's
+/// result depends on its visiting order. Such a pair keeps its own set.
+/// Everywhere else the two agree exactly (see [`DestTracer`]).
 ///
 /// Destinations are independent, so they fan out over the shared
 /// executor, and their path sets are allocated on the workers. Hosts are
@@ -655,33 +656,51 @@ fn extract(net: &SimNetwork, fibs: &Fibs) -> Result<(DataPlane, ExtractStats), S
     let mut hosts: Vec<HostId> = net.hosts_iter().map(|(id, _)| id).collect();
     hosts.sort_by(|a, b| net.host(*a).name.cmp(&net.host(*b).name));
 
-    let mut dags =
-        confmask_exec::try_par_map(&hosts, |&dst| DestDag::build(net, fibs, &hosts, dst))
-            .map_err(|p| SimError::TracePanic(p.message()))?;
+    // Per destination: its tracer's work counts and every other source's
+    // reach, in source order.
+    let dests = confmask_exec::try_par_map(&hosts, |&dst| {
+        let mut tracer = DestTracer::new(net, fibs, dst);
+        let reach: Vec<Option<Reach>> = hosts
+            .iter()
+            .map(|&src| (src != dst).then(|| tracer.reach(src)))
+            .collect();
+        (tracer.stats(), reach)
+    })
+    .map_err(|p| SimError::TracePanic(p.message()))?;
+    let used = |want: fn(&Reach) -> bool| {
+        dests
+            .iter()
+            .flat_map(|(_, reach)| reach.iter().flatten())
+            .any(want)
+    };
     let shared = |used: bool, set: fn() -> PathSet| used.then(|| Arc::new(set()));
-    let direct = shared(dags.iter().any(|g| g.same_lan), PathSet::direct);
-    let unattached = shared(dags.iter().any(|g| g.unattached), PathSet::blackholed);
+    let direct = shared(used(|r| matches!(r, Reach::SameLan)), PathSet::direct);
+    let unattached = shared(
+        used(|r| matches!(r, Reach::Unattached)),
+        PathSet::blackholed,
+    );
     let stats = ExtractStats {
-        destinations: dags.len() as u64,
-        dag_nodes: dags.iter().map(|g| g.resolved).sum(),
-        dfs_fallbacks: dags.iter().map(|g| g.fallbacks).sum(),
-        path_sets: dags.iter().map(|g| g.sets).sum::<u64>()
+        destinations: dests.len() as u64,
+        dag_nodes: dests.iter().map(|(t, _)| t.dag_nodes).sum(),
+        dfs_fallbacks: dests.iter().map(|(t, _)| t.dfs_fallbacks).sum(),
+        path_sets: dests.iter().map(|(t, _)| t.path_sets).sum::<u64>()
             + u64::from(direct.is_some())
             + u64::from(unattached.is_some()),
     };
 
     // Pairs in (src, dst) index order == (src, dst) name order.
     let n = hosts.len();
+    let mut columns: Vec<_> = dests.into_iter().map(|(_, r)| r.into_iter()).collect();
     let mut pairs = Vec::with_capacity(n * n.saturating_sub(1));
     for s in 0..n {
-        for (d, dag) in dags.iter_mut().enumerate() {
-            if s == d {
+        for (d, column) in columns.iter_mut().enumerate() {
+            let Some(reach) = column.next().expect("one slot per source") else {
                 continue;
-            }
-            let set = match std::mem::replace(&mut dag.slots[s], Slot::Unattached) {
-                Slot::Unattached => unattached.clone(),
-                Slot::SameLan => direct.clone(),
-                Slot::Set(set) => Some(set),
+            };
+            let set = match reach {
+                Reach::Unattached => unattached.clone(),
+                Reach::SameLan => direct.clone(),
+                Reach::Paths(set) => Some(set),
             };
             pairs.push(((s as u32, d as u32), set.expect("a used shared set exists")));
         }
@@ -713,15 +732,30 @@ fn start(src: &HostNode, dst: &HostNode) -> Start {
     }
 }
 
-/// One source's path set toward a [`DestDag`]'s destination.
-enum Slot {
-    /// The extraction-wide black-holed set (also the placeholder for the
-    /// destination itself, which is no pair).
+/// What one source reaches toward a [`DestTracer`]'s destination.
+#[derive(Debug, Clone)]
+pub enum Reach {
+    /// The source is unattached: a black hole without a walk
+    /// ([`PathSet::blackholed`]).
     Unattached,
-    /// The extraction-wide direct set.
+    /// The source shares the destination's LAN segment: one direct,
+    /// zero-length path.
     SameLan,
-    /// The gateway's shared set, or the pair's own per-pair DFS result.
-    Set(Arc<PathSet>),
+    /// The paths from the source's gateway: the gateway's shared set when
+    /// the graph answers it exactly, the pair's own per-pair DFS result
+    /// otherwise.
+    Paths(Arc<PathSet>),
+}
+
+/// Work counts of one [`DestTracer`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TracerStats {
+    /// Routers resolved (one FIB lookup each).
+    pub dag_nodes: u64,
+    /// Pairs decided by the per-pair DFS.
+    pub dfs_fallbacks: u64,
+    /// Path sets allocated: gateway sets plus per-pair DFS results.
+    pub path_sets: u64,
 }
 
 /// DFS colour of a [`DagNode`].
@@ -750,12 +784,19 @@ struct DagNode {
     inexact: bool,
     /// This router delivers to the destination's attachment.
     delivers: bool,
-    /// The sorted, distinct forward next hops: a span into [`DestDag::succ`].
+    /// The sorted, distinct forward next hops: a span into [`DestTracer::succ`].
     succ: (u32, u32),
+    /// Distinct paths from here, and their hops in total: the exact size
+    /// of an exact router's path set.
+    paths: u32,
+    hops: u32,
 }
 
-/// One destination's next-hop graph over router ids, resolved from the
-/// routers its sources' gateways can reach, and every source's path set.
+/// One destination's forwarding, resolved on demand: the next-hop graph
+/// over router ids, grown from the gateways of the sources asked about,
+/// with one FIB lookup per (router, destination) and one shared path set
+/// per (gateway, destination). Extraction asks about every source; a fault
+/// sweep asks only about the pairs a failure may have changed.
 ///
 /// **Why it is exact.** The FIB lookup at a router depends only on the
 /// (router, destination) pair, so every per-pair DFS toward this
@@ -767,87 +808,79 @@ struct DagNode {
 /// deduplicated paths are the graph's paths. Walking the sorted distinct
 /// successors, with a delivering router's own path first, enumerates
 /// exactly that list in that order. The answer depends on the gateway
-/// alone, which is why its sources can share one set.
-struct DestDag {
+/// alone, which is why its sources can share one set, and it does not
+/// depend on which gateways were resolved before, which is why resolving
+/// on demand gives what resolving every gateway gives.
+pub struct DestTracer<'a> {
+    net: &'a SimNetwork,
+    fibs: &'a Fibs,
+    dst: HostId,
     nodes: Vec<DagNode>,
     succ: Vec<u32>,
     /// Reused buffer for sorting one router's next hops.
     scratch: Vec<RouterId>,
     /// Per router: its shared path set once some source's gateway asked.
     by_gateway: Vec<Option<Arc<PathSet>>>,
-    /// Per source index: its path set toward this destination.
-    slots: Vec<Slot>,
-    /// Routers resolved.
-    resolved: u64,
-    /// Pairs traced by the per-pair DFS.
-    fallbacks: u64,
-    /// Path sets allocated: gateway sets plus per-pair DFS results.
-    sets: u64,
-    /// Some source shares the destination's LAN segment.
-    same_lan: bool,
-    /// Some source is unattached.
-    unattached: bool,
+    /// Reused buffer for the walk that enumerates a gateway's paths.
+    walk: Vec<RouterId>,
+    stats: TracerStats,
 }
 
-impl DestDag {
-    /// Resolves the graph from every source's gateway and gives each
-    /// source its path set.
-    fn build(net: &SimNetwork, fibs: &Fibs, hosts: &[HostId], dst: HostId) -> DestDag {
-        let mut dag = DestDag {
+impl<'a> DestTracer<'a> {
+    /// A tracer toward `dst` that has resolved nothing yet.
+    pub fn new(net: &'a SimNetwork, fibs: &'a Fibs, dst: HostId) -> DestTracer<'a> {
+        DestTracer {
+            net,
+            fibs,
+            dst,
             nodes: vec![DagNode::default(); net.router_count()],
             succ: Vec::new(),
             scratch: Vec::new(),
             by_gateway: vec![None; net.router_count()],
-            slots: Vec::with_capacity(hosts.len()),
-            resolved: 0,
-            fallbacks: 0,
-            sets: 0,
-            same_lan: false,
-            unattached: false,
-        };
-        let dst_node = net.host(dst);
-        for &src in hosts {
-            if src == dst {
-                dag.slots.push(Slot::Unattached);
-                continue;
-            }
-            let slot = match start(net.host(src), dst_node) {
-                Start::Unattached => {
-                    dag.unattached = true;
-                    Slot::Unattached
-                }
-                Start::SameLan => {
-                    dag.same_lan = true;
-                    Slot::SameLan
-                }
-                Start::Gateway(gw) => {
-                    let g = gw.0 as usize;
-                    if dag.nodes[g].visit == Visit::New {
-                        dag.resolve(fibs, dst_node, g);
-                    }
-                    if dag.nodes[g].inexact {
-                        dag.fallbacks += 1;
-                        dag.sets += 1;
-                        Slot::Set(Arc::new(trace(net, fibs, src, dst)))
-                    } else {
-                        Slot::Set(dag.gateway_set(gw))
-                    }
-                }
-            };
-            dag.slots.push(slot);
+            walk: Vec::new(),
+            stats: TracerStats::default(),
         }
-        dag
+    }
+
+    /// What `src` (not the destination itself) reaches: exactly what
+    /// [`trace`] gives for `src → dst`, resolving the routers its gateway
+    /// reaches that no earlier call resolved.
+    pub fn reach(&mut self, src: HostId) -> Reach {
+        let dst = self.net.host(self.dst);
+        match start(self.net.host(src), dst) {
+            Start::Unattached => Reach::Unattached,
+            Start::SameLan => Reach::SameLan,
+            Start::Gateway(gw) => {
+                let g = gw.0 as usize;
+                if self.nodes[g].visit == Visit::New {
+                    self.resolve(g);
+                }
+                if self.nodes[g].inexact {
+                    self.stats.dfs_fallbacks += 1;
+                    self.stats.path_sets += 1;
+                    Reach::Paths(Arc::new(trace(self.net, self.fibs, src, self.dst)))
+                } else {
+                    Reach::Paths(self.gateway_set(gw))
+                }
+            }
+        }
+    }
+
+    /// The work done so far.
+    pub fn stats(&self) -> TracerStats {
+        self.stats
     }
 
     /// Memoized DFS: fills `nodes[r]` from one FIB lookup and its
     /// successors' entries.
-    fn resolve(&mut self, fibs: &Fibs, dst: &HostNode, r: usize) {
+    fn resolve(&mut self, r: usize) {
         self.nodes[r].visit = Visit::OnStack;
         let mut node = DagNode {
             visit: Visit::Done,
             ..DagNode::default()
         };
-        match fibs.of(RouterId(r as u32)).lookup(dst.addr) {
+        let dst = self.net.host(self.dst);
+        match self.fibs.of(RouterId(r as u32)).lookup(dst.addr) {
             None => node.blackhole = true,
             Some(entry) => {
                 for nh in &entry.next_hops {
@@ -867,7 +900,7 @@ impl DestDag {
                                     node.inexact = true;
                                     continue;
                                 }
-                                Visit::New => self.resolve(fibs, dst, x),
+                                Visit::New => self.resolve(x),
                                 Visit::Done => {}
                             }
                             let child = self.nodes[x];
@@ -885,11 +918,20 @@ impl DestDag {
                 let start = self.succ.len() as u32;
                 self.succ.extend(next.iter().map(|x| x.0));
                 node.succ = (start, self.succ.len() as u32);
+                node.paths = u32::from(node.delivers);
+                node.hops = node.paths;
+                for x in next.iter() {
+                    let child = &self.nodes[x.0 as usize];
+                    node.paths = node.paths.saturating_add(child.paths);
+                    node.hops = node
+                        .hops
+                        .saturating_add(child.hops.saturating_add(child.paths));
+                }
             }
         }
         node.inexact |= node.count >= MAX_PATHS_PER_PAIR;
         self.nodes[r] = node;
-        self.resolved += 1;
+        self.stats.dag_nodes += 1;
     }
 
     /// The shared path set of every source behind exact gateway `gw`.
@@ -899,16 +941,22 @@ impl DestDag {
         }
         let node = self.nodes[gw.0 as usize];
         let mut set = PathSet {
-            spans: Vec::with_capacity(node.count),
+            hops: Vec::with_capacity(node.hops as usize),
+            spans: Vec::with_capacity(node.paths as usize),
             blackhole: node.blackhole,
-            ..PathSet::default()
+            has_loop: false,
         };
-        self.paths_from(gw.0, &mut Vec::new(), &mut |walk| set.push_path(walk));
-        set.hops.shrink_to_fit();
-        set.spans.shrink_to_fit();
+        let mut walk = std::mem::take(&mut self.walk);
+        self.paths_from(gw.0, &mut walk, &mut |walk| set.push_path(walk));
+        self.walk = walk;
+        debug_assert_eq!(
+            (set.hops.len(), set.spans.len()),
+            (node.hops as usize, node.paths as usize),
+            "an exact router's path set is sized exactly"
+        );
         let set = Arc::new(set);
         self.by_gateway[gw.0 as usize] = Some(Arc::clone(&set));
-        self.sets += 1;
+        self.stats.path_sets += 1;
         set
     }
 
@@ -928,32 +976,18 @@ impl DestDag {
 }
 
 /// Traces all forwarding paths from `src` to `dst` (the paper's
-/// `traceroute(h_a, h_b)`).
+/// `traceroute(h_a, h_b)`) with the per-pair DFS.
 pub fn trace(net: &SimNetwork, fibs: &Fibs, src: HostId, dst: HostId) -> PathSet {
-    let mut set = PathSet::default();
-    trace_into(net, fibs, src, dst, &mut set);
-    set
-}
-
-/// Traces `src → dst` into a caller-owned path set — the allocation-free
-/// core of [`trace`]. The set is cleared first, so it can be reused
-/// across an entire sweep of pairs.
-pub fn trace_into(net: &SimNetwork, fibs: &Fibs, src: HostId, dst: HostId, out: &mut PathSet) {
-    out.clear();
+    let mut out = PathSet::default();
     let gw = match start(net.host(src), net.host(dst)) {
-        Start::Unattached => {
-            out.blackhole = true;
-            return;
-        }
-        Start::SameLan => {
-            out.push_path(&[]);
-            return;
-        }
+        Start::Unattached => return PathSet::blackholed(),
+        Start::SameLan => return PathSet::direct(),
         Start::Gateway(gw) => gw,
     };
     let mut walk: Vec<RouterId> = vec![gw];
-    dfs(net, fibs, dst, &mut walk, out);
+    dfs(net, fibs, dst, &mut walk, &mut out);
     out.sort_dedup();
+    out
 }
 
 fn dfs(net: &SimNetwork, fibs: &Fibs, dst: HostId, walk: &mut Vec<RouterId>, out: &mut PathSet) {
@@ -1144,25 +1178,25 @@ mod tests {
     }
 
     #[test]
-    fn reused_trace_matches_fresh_trace_and_extraction() {
+    fn lazy_tracer_matches_trace_and_extraction() {
         let sim = simulate(&two_net()).unwrap();
-        let mut reused = PathSet::default();
         let ids: Vec<HostId> = sim.net.hosts_iter().map(|(id, _)| id).collect();
-        for &s in &ids {
-            for &d in &ids {
-                if s == d {
-                    continue;
-                }
-                trace_into(&sim.net, &sim.fibs, s, d, &mut reused);
+        for &d in &ids {
+            let mut tracer = DestTracer::new(&sim.net, &sim.fibs, d);
+            for &s in ids.iter().filter(|&&s| s != d) {
                 let fresh = trace(&sim.net, &sim.fibs, s, d);
-                assert_eq!(reused, fresh);
+                let Reach::Paths(lazy) = tracer.reach(s) else {
+                    panic!("two_net's hosts sit on distinct routers");
+                };
+                assert_eq!(*lazy, fresh);
                 let (sn, dn) = (&sim.net.host(s).name, &sim.net.host(d).name);
                 assert_eq!(**sim.dataplane.between(sn, dn).unwrap().set, fresh);
                 // And a perturbed path set must NOT match.
                 let mut other = fresh.clone();
                 other.blackhole = !other.blackhole;
-                assert_ne!(reused, other);
+                assert_ne!(*lazy, other);
             }
+            assert!(tracer.stats().dag_nodes > 0);
         }
     }
 

@@ -237,7 +237,7 @@ pub fn merge_router_fib(
             }
         }
     }
-    for (prefix, _hosts) in &net.destinations {
+    for (prefix, _hosts) in net.destinations.iter() {
         // 1. Connected.
         if let Some(iface) = router.ifaces.iter().position(|i| i.prefix == *prefix) {
             fib.insert(FibEntry {

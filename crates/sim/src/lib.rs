@@ -5,7 +5,10 @@
 //! simulator implementing exactly the capabilities ConfMask uses:
 //!
 //! 1. **Model extraction** ([`SimNetwork`]): configurations → routers,
-//!    interfaces, links, protocol sessions, and resolved route filters.
+//!    interfaces, links, protocol sessions, and resolved route filters. A
+//!    fault scenario's model is derived from the healthy one by removing
+//!    the interfaces it shut ([`SimNetwork::without_interfaces`]), sharing
+//!    every router the removal leaves unchanged.
 //! 2. **Control-plane computation**:
 //!    * [`ospf`] — link-state SPF with ECMP and Cisco-style RIB filtering
 //!      (a `distribute-list in` removes candidate next-hops *after* the SPF,
@@ -27,8 +30,10 @@
 //!    host-to-host forwarding-path enumeration with ECMP branching, loop and
 //!    black-hole detection. Extraction resolves each destination once per
 //!    router into a next-hop graph over router ids that every source
-//!    gateway reads; the per-pair DFS behind traceroute decides only the
-//!    pairs whose gateway reaches a loop or the path cap.
+//!    gateway reads ([`DestTracer`], which fault sweeps also use to
+//!    re-trace only the pairs a failure touched); the per-pair DFS behind
+//!    traceroute decides only the pairs whose gateway reaches a loop or the
+//!    path cap.
 //!
 //! The entry point is [`simulate`].
 
@@ -47,14 +52,16 @@ pub mod sweep;
 mod warm;
 
 pub use bgp::BgpFibRoute;
-pub use dataplane::{DataPlane, DataPlaneBuilder, NameJoin, Pair, PairBits, PathSet};
+pub use dataplane::{
+    DataPlane, DataPlaneBuilder, DestTracer, NameJoin, Pair, PairBits, PathSet, Reach, TracerStats,
+};
 pub use error::SimError;
 pub use fault::{DegradationClass, FailureScenario, Fault};
 pub use sweep::{DigestList, ScenarioDigest, SweepReducer, SweepStats, SweepSummary};
 pub use fib::{
     merge_fibs, merge_router_fib, AdminDistance, Fib, FibEntry, Fibs, NextHop, RouteSource,
 };
-pub use network::{BgpSession, HostNode, IfaceNode, Peer, RouterNode, SimNetwork};
+pub use network::{BgpSession, HostNode, IfaceNode, IfaceRemap, Peer, RouterNode, SimNetwork};
 pub use ospf::{IgpRoutes, OspfDist, RouterPaths};
 pub use rip::{RipDist, RipRoutes};
 pub use warm::WarmControlPlane;

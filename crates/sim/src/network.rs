@@ -12,7 +12,9 @@ use confmask_config::{
     DEFAULT_OSPF_COST,
 };
 use confmask_net_types::{Asn, HostId, Ipv4Addr, Ipv4Prefix, RouterId};
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The device on the far side of an interface's L2 segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +31,7 @@ pub enum Peer {
 }
 
 /// A resolved router interface.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IfaceNode {
     /// Interface name (e.g. `Ethernet0/0`).
     pub name: String,
@@ -61,7 +63,7 @@ impl IfaceNode {
 }
 
 /// A resolved (e)BGP session.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BgpSession {
     /// Index of the local interface carrying the session.
     pub local_iface: Option<usize>,
@@ -88,7 +90,7 @@ impl BgpSession {
 }
 
 /// A resolved router.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouterNode {
     /// Hostname.
     pub name: String,
@@ -109,7 +111,7 @@ pub struct RouterNode {
 }
 
 /// A resolved host.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostNode {
     /// Hostname.
     pub name: String,
@@ -126,16 +128,58 @@ pub struct HostNode {
 }
 
 /// The fully resolved network model.
-#[derive(Debug, Clone)]
+///
+/// Every part is reference-counted, so a model derived from another by
+/// [`SimNetwork::without_interfaces`] shares each router, host and table
+/// the removal leaves unchanged, and a clone costs reference-count bumps.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimNetwork {
     /// Routers, indexed by [`RouterId`].
-    pub routers: Vec<RouterNode>,
+    pub routers: Vec<Arc<RouterNode>>,
     /// Hosts, indexed by [`HostId`].
-    pub hosts: Vec<HostNode>,
+    pub hosts: Vec<Arc<HostNode>>,
     /// Destination prefixes to route: every host LAN, with its hosts.
-    pub destinations: Vec<(Ipv4Prefix, Vec<HostId>)>,
-    router_index: BTreeMap<String, RouterId>,
-    host_index: BTreeMap<String, HostId>,
+    pub destinations: Arc<[(Ipv4Prefix, Vec<HostId>)]>,
+    router_index: Arc<BTreeMap<String, RouterId>>,
+    host_index: Arc<BTreeMap<String, HostId>>,
+}
+
+/// The interface renumbering that removing interfaces from a model
+/// defines: `build` skips a shut interface, so every later interface of
+/// the same router moves down by one. The map is monotone per router.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IfaceRemap {
+    /// Per router: its removed interface indices, ascending.
+    removed: Vec<Vec<usize>>,
+}
+
+impl IfaceRemap {
+    /// The new index of router `r`'s interface `iface`; `None` when the
+    /// interface was removed.
+    pub fn get(&self, r: usize, iface: usize) -> Option<usize> {
+        let gone = &self.removed[r];
+        if gone.is_empty() {
+            return Some(iface);
+        }
+        match gone.binary_search(&iface) {
+            Ok(_) => None,
+            Err(below) => Some(iface - below),
+        }
+    }
+
+    /// Whether router `r` kept every interface (its numbering is the
+    /// identity).
+    pub fn is_identity(&self, r: usize) -> bool {
+        self.removed[r].is_empty()
+    }
+
+    /// Every removed `(router, interface)` by base index, in router order.
+    pub fn removed(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.removed
+            .iter()
+            .enumerate()
+            .flat_map(|(r, gone)| gone.iter().map(move |&i| (r, i)))
+    }
 }
 
 impl SimNetwork {
@@ -169,7 +213,7 @@ impl SimNetwork {
         self.routers
             .iter()
             .enumerate()
-            .map(|(i, r)| (RouterId(i as u32), r))
+            .map(|(i, r)| (RouterId(i as u32), &**r))
     }
 
     /// Iterator over `(HostId, &HostNode)`.
@@ -177,7 +221,7 @@ impl SimNetwork {
         self.hosts
             .iter()
             .enumerate()
-            .map(|(i, h)| (HostId(i as u32), h))
+            .map(|(i, h)| (HostId(i as u32), &**h))
     }
 
     /// Whether two routers share at least one link.
@@ -249,26 +293,12 @@ impl SimNetwork {
         }
 
         // Pass 4: BGP sessions (needs the global address map).
-        let addr_owner: BTreeMap<Ipv4Addr, (RouterId, usize)> = routers
-            .iter()
-            .enumerate()
-            .flat_map(|(ri, r)| {
-                r.ifaces
-                    .iter()
-                    .enumerate()
-                    .map(move |(ii, i)| (i.addr, (RouterId(ri as u32), ii)))
-            })
-            .collect();
+        let owners = addr_owners(&routers);
         for (name, rc) in &configs.routers {
             let rid = router_index[name];
             let Some(bgp) = &rc.bgp else { continue };
             let mut sessions = Vec::new();
             for nb in &bgp.neighbors {
-                let peer = addr_owner.get(&nb.addr).copied();
-                let local_iface = routers[rid.0 as usize]
-                    .ifaces
-                    .iter()
-                    .position(|i| i.prefix.contains_addr(nb.addr));
                 let in_filters = bgp
                     .distribute_lists
                     .iter()
@@ -282,9 +312,9 @@ impl SimNetwork {
                     })
                     .collect();
                 sessions.push(BgpSession {
-                    local_iface,
+                    local_iface: local_iface_of(&routers[rid.0 as usize], nb.addr),
                     peer_addr: nb.addr,
-                    peer,
+                    peer: owners.get(&nb.addr).copied(),
                     remote_as: nb.remote_as,
                     local_pref: nb.local_pref.unwrap_or(confmask_config::DEFAULT_LOCAL_PREF),
                     in_filters,
@@ -303,13 +333,206 @@ impl SimNetwork {
         }
 
         Ok(SimNetwork {
-            routers,
-            hosts,
+            routers: routers.into_iter().map(Arc::new).collect(),
+            hosts: hosts.into_iter().map(Arc::new).collect(),
             destinations: destinations.into_iter().collect(),
-            router_index,
-            host_index,
+            router_index: Arc::new(router_index),
+            host_index: Arc::new(host_index),
         })
     }
+
+    /// The model of this network's configurations with the named `(router,
+    /// interface)`s shut, derived without re-reading a configuration: what
+    /// [`SimNetwork::build`] returns for those configurations, equal field
+    /// for field, together with the interface renumbering the removal
+    /// defines. A named interface the model lacks (one without an address)
+    /// has nothing to remove. `None` when a router name is unknown.
+    ///
+    /// A shutdown only removes: routers, hosts and destinations stay, and
+    /// the derived model shares every router and host whose node the
+    /// removal leaves unchanged. What can change is re-resolved with the
+    /// helpers `build` uses:
+    /// * interfaces and peers: the removed interfaces go, and every peer
+    ///   entry naming an interface is renumbered (routers that lost an
+    ///   interface and their peers; peer order is kept because the
+    ///   renumbering is monotone);
+    /// * host attachments: renumbered, and a host whose gateway interface
+    ///   went away takes the first surviving match, as `build` resolves it;
+    /// * BGP sessions: renumbered, and a session whose local or peer
+    ///   interface went away is resolved again against the derived model.
+    pub fn without_interfaces(
+        &self,
+        shut: &[(String, String)],
+    ) -> Option<(SimNetwork, IfaceRemap)> {
+        let n = self.routers.len();
+        let mut removed = vec![Vec::new(); n];
+        for (router, iface) in shut {
+            let r = self.router_id(router)?.0 as usize;
+            if let Some(i) = self.routers[r].ifaces.iter().position(|f| f.name == *iface) {
+                removed[r].push(i);
+            }
+        }
+        for gone in &mut removed {
+            gone.sort_unstable();
+            gone.dedup();
+        }
+        let remap = IfaceRemap { removed };
+        let mut routers = self.routers.clone();
+
+        // Interfaces and peers: only a router that lost an interface, or
+        // peers with one, can see either change.
+        let mut touched = BTreeSet::new();
+        for (r, base) in self.routers.iter().enumerate() {
+            if remap.is_identity(r) {
+                continue;
+            }
+            touched.insert(r);
+            for p in base.ifaces.iter().flat_map(|f| &f.peers) {
+                if let Peer::Router { router, .. } = p {
+                    touched.insert(router.0 as usize);
+                }
+            }
+        }
+        let peer_moves = |p: &Peer| match *p {
+            Peer::Router { router, iface } => remap.get(router.0 as usize, iface) != Some(iface),
+            Peer::Host(_) => false,
+        };
+        for r in touched {
+            let base = &self.routers[r];
+            if remap.is_identity(r) && !base.ifaces.iter().flat_map(|f| &f.peers).any(peer_moves) {
+                continue;
+            }
+            let mut node = RouterNode::clone(base);
+            let mut i = 0;
+            node.ifaces.retain(|_| {
+                i += 1;
+                remap.get(r, i - 1).is_some()
+            });
+            for f in &mut node.ifaces {
+                f.peers.retain_mut(|p| match p {
+                    Peer::Router { router, iface } => match remap.get(router.0 as usize, *iface) {
+                        Some(ni) => {
+                            *iface = ni;
+                            true
+                        }
+                        None => false,
+                    },
+                    Peer::Host(_) => true,
+                });
+            }
+            routers[r] = Arc::new(node);
+        }
+
+        // Host attachments.
+        let mut hosts = self.hosts.clone();
+        for (h, host) in self.hosts.iter().enumerate() {
+            let Some((rid, i)) = host.attachment else {
+                continue;
+            };
+            let attachment = match remap.get(rid.0 as usize, i) {
+                Some(ni) if ni == i => continue,
+                Some(ni) => Some((rid, ni)),
+                None => {
+                    let found = attachment_of(&routers, host.gateway, host.prefix);
+                    if let Some((nr, ni)) = found {
+                        // Host peers follow router peers, in host order.
+                        let peers =
+                            &mut Arc::make_mut(&mut routers[nr.0 as usize]).ifaces[ni].peers;
+                        let at = peers
+                            .iter()
+                            .position(|p| matches!(*p, Peer::Host(x) if x.0 as usize > h))
+                            .unwrap_or(peers.len());
+                        peers.insert(at, Peer::Host(HostId(h as u32)));
+                    }
+                    found
+                }
+            };
+            hosts[h] = Arc::new(HostNode {
+                attachment,
+                ..HostNode::clone(host)
+            });
+        }
+
+        // BGP sessions.
+        let mut owners = None;
+        for (r, base) in self.routers.iter().enumerate() {
+            let mut sessions: Option<Vec<BgpSession>> = None;
+            for (k, s) in base.sessions.iter().enumerate() {
+                let local_iface = s.local_iface.and_then(|i| {
+                    remap
+                        .get(r, i)
+                        .or_else(|| local_iface_of(&routers[r], s.peer_addr))
+                });
+                let peer = s
+                    .peer
+                    .and_then(|(pr, pi)| match remap.get(pr.0 as usize, pi) {
+                        Some(pi) => Some((pr, pi)),
+                        None => owners
+                            .get_or_insert_with(|| addr_owners(&routers))
+                            .get(&s.peer_addr)
+                            .copied(),
+                    });
+                if (local_iface, peer) != (s.local_iface, s.peer) {
+                    let fixed = &mut sessions.get_or_insert_with(|| base.sessions.clone())[k];
+                    fixed.local_iface = local_iface;
+                    fixed.peer = peer;
+                }
+            }
+            if let Some(sessions) = sessions {
+                Arc::make_mut(&mut routers[r]).sessions = sessions;
+            }
+        }
+
+        let net = SimNetwork {
+            routers,
+            hosts,
+            destinations: Arc::clone(&self.destinations),
+            router_index: Arc::clone(&self.router_index),
+            host_index: Arc::clone(&self.host_index),
+        };
+        Some((net, remap))
+    }
+}
+
+/// The interface owning each address; the last one in (router, interface)
+/// order when several share it.
+fn addr_owners<R: Borrow<RouterNode>>(routers: &[R]) -> BTreeMap<Ipv4Addr, (RouterId, usize)> {
+    routers
+        .iter()
+        .enumerate()
+        .flat_map(|(ri, r)| {
+            r.borrow()
+                .ifaces
+                .iter()
+                .enumerate()
+                .map(move |(ii, i)| (i.addr, (RouterId(ri as u32), ii)))
+        })
+        .collect()
+}
+
+/// The interface carrying a session toward `peer_addr`: the router's first
+/// interface whose prefix covers it.
+fn local_iface_of(router: &RouterNode, peer_addr: Ipv4Addr) -> Option<usize> {
+    router
+        .ifaces
+        .iter()
+        .position(|i| i.prefix.contains_addr(peer_addr))
+}
+
+/// A host's gateway interface: the first one, in (router, interface)
+/// order, holding the gateway address on the host's LAN prefix.
+fn attachment_of<R: Borrow<RouterNode>>(
+    routers: &[R],
+    gateway: Ipv4Addr,
+    prefix: Ipv4Prefix,
+) -> Option<(RouterId, usize)> {
+    routers.iter().enumerate().find_map(|(ri, r)| {
+        r.borrow()
+            .ifaces
+            .iter()
+            .position(|i| i.addr == gateway && i.prefix == prefix)
+            .map(|ii| (RouterId(ri as u32), ii))
+    })
 }
 
 pub(crate) fn build_router(rc: &RouterConfig) -> Result<RouterNode, SimError> {
@@ -386,21 +609,12 @@ fn build_host(hc: &HostConfig, routers: &[RouterNode]) -> Result<HostNode, SimEr
     let (addr, len) = hc.address;
     let prefix = Ipv4Prefix::new(addr, len)
         .map_err(|e| SimError::BadConfig(format!("host {}: {e}", hc.hostname)))?;
-    let mut attachment = None;
-    'outer: for (ri, r) in routers.iter().enumerate() {
-        for (ii, iface) in r.ifaces.iter().enumerate() {
-            if iface.addr == hc.gateway && iface.prefix == prefix {
-                attachment = Some((RouterId(ri as u32), ii));
-                break 'outer;
-            }
-        }
-    }
     Ok(HostNode {
         name: hc.hostname.clone(),
         addr,
         prefix,
         gateway: hc.gateway,
-        attachment,
+        attachment: attachment_of(routers, hc.gateway, prefix),
         added: hc.added,
     })
 }
@@ -499,6 +713,74 @@ mod tests {
         cfgs.hosts.get_mut("h1").unwrap().gateway = "10.1.0.9".parse().unwrap();
         let sim = SimNetwork::build(&cfgs).unwrap();
         assert!(sim.host(HostId(0)).attachment.is_none());
+    }
+
+    #[test]
+    fn derived_model_re_resolves_what_a_removal_moves() {
+        // r1 and r2 both answer the LAN gateway 10.1.0.1; r3 peers with
+        // that address and sits on the LAN twice.
+        let r1 = parse_router(
+            "hostname r1\n!\ninterface Ethernet0/0\n ip address 10.0.0.0 255.255.255.254\n!\ninterface Ethernet0/1\n ip address 10.1.0.1 255.255.255.0\n!\n",
+        )
+        .unwrap();
+        let r2 = parse_router(
+            "hostname r2\n!\ninterface Ethernet0/0\n ip address 10.0.0.1 255.255.255.254\n!\ninterface Ethernet0/1\n ip address 10.1.0.1 255.255.255.0\n!\n",
+        )
+        .unwrap();
+        let r3 = parse_router(
+            "hostname r3\n!\ninterface Ethernet0/0\n ip address 10.1.0.3 255.255.255.0\n!\ninterface Ethernet0/1\n ip address 10.1.0.4 255.255.255.0\n!\nrouter bgp 65003\n neighbor 10.1.0.1 remote-as 65001\n!\n",
+        )
+        .unwrap();
+        let h = HostConfig {
+            hostname: "h1".into(),
+            iface_name: "eth0".into(),
+            address: ("10.1.0.100".parse().unwrap(), 24),
+            gateway: "10.1.0.1".parse().unwrap(),
+            extra: vec![],
+            added: false,
+        };
+        let cfgs = NetworkConfigs::new([r1, r2, r3], [h]);
+        let base = SimNetwork::build(&cfgs).unwrap();
+        let (r1, r2, r3) = (RouterId(0), RouterId(1), RouterId(2));
+        let session = |net: &SimNetwork| {
+            let s = &net.router(r3).sessions[0];
+            (s.local_iface, s.peer)
+        };
+        // The first gateway match attaches the host; the last owner of the
+        // address terminates the session.
+        assert_eq!(base.host(HostId(0)).attachment, Some((r1, 1)));
+        assert_eq!(session(&base), (Some(0), Some((r2, 1))));
+        let derive = |router: &str, iface: &str| {
+            let mut failed = cfgs.clone();
+            let rc = failed.routers.get_mut(router).unwrap();
+            rc.interfaces
+                .iter_mut()
+                .find(|i| i.name == iface)
+                .unwrap()
+                .shutdown = true;
+            let (derived, _) = base
+                .without_interfaces(&[(router.to_string(), iface.to_string())])
+                .unwrap();
+            assert_eq!(
+                derived,
+                SimNetwork::build(&failed).unwrap(),
+                "{router}:{iface}"
+            );
+            derived
+        };
+        let net = derive("r1", "Ethernet0/1");
+        assert_eq!(net.host(HostId(0)).attachment, Some((r2, 1)));
+        assert!(net.router(r2).ifaces[1]
+            .peers
+            .contains(&Peer::Host(HostId(0))));
+        let net = derive("r2", "Ethernet0/1");
+        assert_eq!(session(&net), (Some(0), Some((r1, 1))));
+        let net = derive("r3", "Ethernet0/0");
+        assert_eq!(session(&net), (Some(0), Some((r2, 1))));
+        assert_eq!(net.router(r3).ifaces[0].name, "Ethernet0/1");
+        // A node the removal leaves alone is shared, not copied.
+        assert!(!Arc::ptr_eq(&net.routers[2], &base.routers[2]));
+        assert!(Arc::ptr_eq(&net.hosts[0], &base.hosts[0]));
     }
 
     #[test]

@@ -48,6 +48,16 @@ pub type RipDist = BTreeMap<Ipv4Prefix, Vec<u32>>;
 /// precondition; a cold run (`warm = None`) needs no precondition.
 pub fn compute_with_state(net: &SimNetwork, warm: Option<&RipDist>) -> (RipRoutes, RipDist) {
     let n = net.router_count();
+    // Without a RIP-active interface no prefix has an advertiser, so the
+    // fixpoint would run no round and find no route.
+    if !net
+        .routers
+        .iter()
+        .any(|r| r.ifaces.iter().any(|i| i.rip_active))
+    {
+        confmask_obs::counter_add("sim.rip.rounds", 0);
+        return (vec![BTreeMap::new(); n], RipDist::new());
+    }
 
     // RIP adjacency: both interfaces rip-active.
     let mut adj: Vec<Vec<(usize, RouterId)>> = vec![Vec::new(); n];
@@ -69,7 +79,7 @@ pub fn compute_with_state(net: &SimNetwork, warm: Option<&RipDist>) -> (RipRoute
     let mut routes: RipRoutes = vec![BTreeMap::new(); n];
     let mut dists = RipDist::new();
     let mut total_rounds = 0u64;
-    for (prefix, _hosts) in &net.destinations {
+    for (prefix, _hosts) in net.destinations.iter() {
         let mut dist = vec![RIP_INFINITY; n];
         let mut advertiser = vec![false; n];
         // Advertisers: connected + rip-active on the prefix; metric 1.

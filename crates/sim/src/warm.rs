@@ -178,7 +178,8 @@ impl WarmControlPlane {
     /// candidate hops from the cached distances and re-merges its FIB.
     fn refresh_router(&mut self, rid: RouterId, fresh: RouterNode) {
         let u = rid.0 as usize;
-        for (iface, new) in self.net.routers[u].ifaces.iter_mut().zip(fresh.ifaces) {
+        let node = Arc::make_mut(&mut self.net.routers[u]);
+        for (iface, new) in node.ifaces.iter_mut().zip(fresh.ifaces) {
             iface.igp_filters = new.igp_filters;
         }
         let router = self.net.router(rid);

@@ -9,6 +9,12 @@
 //! ECMP ladder whose path count passes [`MAX_PATHS_PER_PAIR`] (where the
 //! fallback must reproduce the DFS's truncation).
 //!
+//! Every network also checks the lazy per-destination tracer
+//! ([`DestTracer`]) that fault sweeps re-trace through: asked about the
+//! sources in reverse order, or about one source alone, it must give what
+//! the per-pair DFS gives, and send the same pairs to the DFS as
+//! extraction does.
+//!
 //! `DELTA_DIFF_SEEDS` controls how many random networks are generated
 //! (default 8; CI runs more).
 
@@ -16,8 +22,8 @@ use confmask::{anonymize, Params};
 use confmask_config::{parse_router, HostConfig, NetworkConfigs, StaticRoute};
 use confmask_net_types::HostId;
 use confmask_netgen::synthesize;
-use confmask_sim::dataplane::{self, extract_dataplane, MAX_PATHS_PER_PAIR};
-use confmask_sim::{simulate, Simulation};
+use confmask_sim::dataplane::{self, extract_dataplane, DestTracer, Reach, MAX_PATHS_PER_PAIR};
+use confmask_sim::{simulate, PathSet, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
@@ -35,8 +41,50 @@ fn fallbacks() -> u64 {
         .unwrap_or(0)
 }
 
-/// Asserts the extracted data plane equals per-pair tracing on every
-/// ordered pair, and returns the pairs the extraction sent to the DFS.
+/// What a tracer's answer reads as: the path set [`dataplane::trace`]
+/// returns for the pair.
+fn reach_set(reach: Reach) -> PathSet {
+    match reach {
+        Reach::Unattached => PathSet::blackholed(),
+        Reach::SameLan => PathSet::direct(),
+        Reach::Paths(set) => (*set).clone(),
+    }
+}
+
+/// Asserts a lazy tracer per destination, asked about the sources in
+/// reverse order, equals per-pair tracing on every ordered pair; with
+/// `alone`, also a fresh tracer per pair that is asked about that source
+/// only. Returns the pairs the reverse-order tracers sent to the DFS.
+fn assert_lazy_matches_per_pair(tag: &str, sim: &Simulation, alone: bool) -> u64 {
+    let hosts: Vec<HostId> = sim.net.hosts_iter().map(|(id, _)| id).collect();
+    let mut fell_back = 0;
+    for &d in &hosts {
+        let mut tracer = DestTracer::new(&sim.net, &sim.fibs, d);
+        for &s in hosts.iter().rev().filter(|&&s| s != d) {
+            let oracle = dataplane::trace(&sim.net, &sim.fibs, s, d);
+            let (sn, dn) = (&sim.net.host(s).name, &sim.net.host(d).name);
+            assert_eq!(
+                reach_set(tracer.reach(s)),
+                oracle,
+                "{tag}: lazy {sn}→{dn} differs from the per-pair DFS"
+            );
+            if alone {
+                let mut single = DestTracer::new(&sim.net, &sim.fibs, d);
+                assert_eq!(
+                    reach_set(single.reach(s)),
+                    oracle,
+                    "{tag}: lazy {sn}→{dn} alone differs from the per-pair DFS"
+                );
+            }
+        }
+        fell_back += tracer.stats().dfs_fallbacks;
+    }
+    fell_back
+}
+
+/// Asserts the extracted data plane and the lazy tracers equal per-pair
+/// tracing on every ordered pair, and returns the pairs the extraction
+/// sent to the DFS.
 fn assert_matches_per_pair(tag: &str, sim: &Simulation) -> u64 {
     let before = fallbacks();
     let dp = extract_dataplane(&sim.net, &sim.fibs).expect("extraction");
@@ -59,6 +107,8 @@ fn assert_matches_per_pair(tag: &str, sim: &Simulation) -> u64 {
             );
         }
     }
+    let lazy_fell_back = assert_lazy_matches_per_pair(tag, sim, false);
+    assert_eq!(lazy_fell_back, fell_back, "{tag}: lazy DFS fallbacks");
     fell_back
 }
 
@@ -155,6 +205,7 @@ fn static_loop_pairs_fall_back_and_keep_their_loop_flag() {
     assert!(sim.dataplane.between("h3", "h9").unwrap().blackhole());
     let fell_back = assert_matches_per_pair("static loop", &sim);
     assert_eq!(fell_back, 1, "only h1→h9 reaches the loop");
+    assert_eq!(assert_lazy_matches_per_pair("static loop", &sim, true), 1);
 }
 
 #[test]
@@ -210,4 +261,5 @@ fn ladder_past_the_cap_falls_back_with_identical_truncation() {
     assert_eq!(sim.dataplane.between("hs", "hd").unwrap().path_count(), 20);
     let fell_back = assert_matches_per_pair("ladder", &sim);
     assert_eq!(fell_back, 2, "only hs↔hd2 pass the cap");
+    assert_eq!(assert_lazy_matches_per_pair("ladder", &sim, true), 2);
 }

@@ -19,7 +19,8 @@ use confmask::equivalence::check_equivalence;
 use confmask::{
     anonymize, simulate, verify_failure_equivalence, DataPlane, NetworkConfigs, Params,
 };
-use confmask_sim::fault::enumerate_single_link_failures;
+use confmask_sim::fault::{enumerate_single_link_failures, run_scenario, FailureScenario, Fault};
+use confmask_sim_delta::{DeltaEngine, ScenarioScratch, ScenarioSweep};
 use std::collections::BTreeSet;
 
 /// Evaluation networks whose original data plane is pinned.
@@ -172,4 +173,56 @@ fn comparisons_across_router_tables_keep_name_semantics() {
         })
         .collect();
     assert_eq!(answers, "1111001000000100100010110000");
+}
+
+/// `failures --verify-failures 1 --fake-routers 1` on renamed net A (the
+/// CLI defaults otherwise) finds fake links whose failure changes real
+/// pairs. Each fake-element scenario's sweep digest must equal the cold
+/// loop's, so whatever that verdict is, it is the cold simulator's and not
+/// the incremental sweep's.
+#[test]
+fn fake_element_sweep_digests_match_the_cold_loop_on_renamed_a() {
+    let net = renamed_a();
+    let params = Params {
+        fake_routers: 1,
+        ..Params::default()
+    };
+    let result = anonymize(&net, &params).expect("anonymize");
+    let anon_base = result
+        .final_sim
+        .dataplane
+        .restricted_to(&result.baseline.real_hosts);
+    let mut scenarios: Vec<FailureScenario> = result
+        .fake_links
+        .iter()
+        .map(|fl| {
+            FailureScenario::single(Fault::LinkDown {
+                a: fl.a.clone(),
+                b: fl.b.clone(),
+                added: true,
+            })
+        })
+        .collect();
+    scenarios.extend(
+        result
+            .scale
+            .fake_routers
+            .iter()
+            .map(|r| FailureScenario::single(Fault::RouterDown { router: r.clone() })),
+    );
+    assert!(scenarios.len() > 1);
+    let engine = DeltaEngine::new(4);
+    let conv = engine.converged(&result.configs).expect("converges");
+    let sweep = ScenarioSweep::new(&engine, &conv, &anon_base);
+    let mut scratch = ScenarioScratch::default();
+    let mut changed = Vec::new();
+    for scenario in &scenarios {
+        let warm = sweep.digest(scenario, &mut scratch).expect("sweep");
+        let cold = run_scenario(&result.configs, &anon_base, scenario).expect("cold");
+        assert_eq!(warm.encode(), cold.encode(), "{scenario}");
+        if cold.changed_classes().next().is_some() {
+            changed.push(scenario.to_string());
+        }
+    }
+    eprintln!("fake-element scenarios that change real pairs: {changed:?}");
 }
