@@ -46,7 +46,7 @@ use confmask_sim::fault::{
 };
 use confmask_sim::simulate;
 use confmask_sim::sweep::{DigestList, SweepSummary};
-use confmask_sim_delta::{DeltaEngine, ScenarioScratch, ScenarioSweep};
+use confmask_sim_delta::{DeltaEngine, ScenarioSweep};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -249,10 +249,9 @@ fn main() {
                         .converged(configs)
                         .expect("healthy network must converge");
                     let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
-                    let mut scratch = ScenarioScratch::default();
                     let mut digests = Vec::with_capacity(scenarios.len());
                     for s in &scenarios {
-                        digests.push(sweep.digest(s, &mut scratch).expect("incremental scenario"));
+                        digests.push(sweep.digest(s).expect("incremental scenario"));
                     }
                     incremental_secs = incremental_secs.min(t1.elapsed().as_secs_f64());
                     if rep == 0 {
@@ -269,9 +268,8 @@ fn main() {
                 }
 
                 // The streaming side: scenarios fan out across the shared
-                // executor in bounded windows with one scratch per worker,
-                // and at most one window of digests is ever live — its
-                // measured peak is `peak_bytes`.
+                // executor in bounded windows, and at most one window of
+                // digests is ever live — its measured peak is `peak_bytes`.
                 let t2 = Instant::now();
                 let par_engine = DeltaEngine::new(4);
                 let par_base = par_engine

@@ -141,7 +141,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    match region(items, || (), |(), _i, item| f(item)) {
+    match region(items, &f) {
         Ok(out) => out,
         Err(p) => p.resume(),
     }
@@ -155,44 +155,38 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    region(items, || (), |(), _i, item| f(item))
+    region(items, &f)
 }
 
 /// Streaming fan-out over a lazily-produced sequence: pulls `window` items
-/// at a time from the iterator, maps them in parallel with per-worker
-/// scratch state, and hands each result to `sink` in
-/// **global item order** before the next window is pulled. At most one
-/// window of items and results is ever materialized, so a multi-million
-/// item sweep runs in memory bounded by `window` — the map-reduce shape
-/// the streaming fault sweep is built on.
+/// at a time from the iterator, maps them in parallel, and hands each
+/// result to `sink` in **global item order** before the next window is
+/// pulled. At most one window of items and results is ever materialized,
+/// so a multi-million item sweep runs in memory bounded by `window` — the
+/// map-reduce shape the streaming fault sweep is built on.
 ///
-/// `task` receives the item's global index (its position in the overall
-/// sequence), and `sink(i, r)` observes `i` strictly increasing from 0.
-/// Worker scratch state is re-initialized per window (windows are
-/// independent regions), so `init` should stay cheap relative to `window`
-/// tasks. A task panic is resumed on the caller after the window's
-/// sibling workers have joined; previously sunk windows stay sunk.
+/// `sink(i, r)` observes the item's global index `i` (its position in the
+/// overall sequence) strictly increasing from 0. A task panic is resumed
+/// on the caller after the window's sibling workers have joined;
+/// previously sunk windows stay sunk.
 ///
 /// With one worker (or inside a nested region) the windowing serves no
-/// purpose, so the stream runs inline: a single scratch state for the
-/// whole sequence, each result sunk as soon as it is produced, and no
-/// window buffers at all — byte-identical output, strictly less work and
-/// memory than the windowed path it replaces.
-pub fn par_stream_init<T, R, S, I, F, K>(
+/// purpose, so the stream runs inline: each result sunk as soon as it is
+/// produced, and no window buffers at all — byte-identical output,
+/// strictly less work and memory than the windowed path it replaces.
+pub fn par_stream<T, R, F, K>(
     items: impl IntoIterator<Item = T>,
     window: usize,
-    init: I,
     task: F,
     mut sink: K,
 ) where
     T: Sync,
     R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
     K: FnMut(usize, R),
 {
     if thread_count() <= 1 || IN_REGION.with(Cell::get) {
-        return stream_inline(items, init, task, sink);
+        return stream_inline(items, task, sink);
     }
     let window = window.max(1);
     let mut it = items.into_iter();
@@ -202,7 +196,7 @@ pub fn par_stream_init<T, R, S, I, F, K>(
         if chunk.is_empty() {
             return;
         }
-        let results = match region(&chunk, &init, |s, i, item| task(s, base + i, item)) {
+        let results = match region(&chunk, &task) {
             Ok(out) => out,
             Err(p) => p.resume(),
         };
@@ -213,20 +207,18 @@ pub fn par_stream_init<T, R, S, I, F, K>(
     }
 }
 
-/// The single-worker body of [`par_stream_init`]: item in, result sunk,
+/// The single-worker body of [`par_stream`]: item in, result sunk,
 /// nothing buffered. Tasks completed before a panic are still counted and
 /// stay sunk (matching the windowed path's containment contract) before
 /// the payload is resumed.
-fn stream_inline<T, R, S, I, F, K>(items: impl IntoIterator<Item = T>, init: I, task: F, mut sink: K)
+fn stream_inline<T, R, F, K>(items: impl IntoIterator<Item = T>, task: F, mut sink: K)
 where
-    I: Fn() -> S,
-    F: Fn(&mut S, usize, &T) -> R,
+    F: Fn(&T) -> R,
     K: FnMut(usize, R),
 {
-    let mut state = init();
     let mut completed = 0u64;
     for (i, item) in items.into_iter().enumerate() {
-        match catch_unwind(AssertUnwindSafe(|| task(&mut state, i, &item))) {
+        match catch_unwind(AssertUnwindSafe(|| task(&item))) {
             Ok(r) => {
                 completed += 1;
                 sink(i, r);
@@ -241,12 +233,11 @@ where
 }
 
 /// The region core shared by every public entry point.
-fn region<T, R, S, I, F>(items: &[T], init: I, task: F) -> Result<Vec<R>, RegionPanic>
+fn region<T, R, F>(items: &[T], task: &F) -> Result<Vec<R>, RegionPanic>
 where
     T: Sync,
     R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
 {
     let n = items.len();
     if n == 0 {
@@ -255,23 +246,18 @@ where
     let workers = thread_count().min(n);
     let nested = IN_REGION.with(Cell::get);
     if workers <= 1 || n == 1 || nested {
-        return run_inline(items, &init, &task);
+        return run_inline(items, task);
     }
-    run_parallel(items, workers, &init, &task)
+    run_parallel(items, workers, task)
 }
 
 /// Sequential fallback (one worker, one item, or a nested call). Panics
 /// are still contained so `try_par_map` behaves identically at every
 /// worker count.
-fn run_inline<T, R, S>(
-    items: &[T],
-    init: &(impl Fn() -> S + Sync),
-    task: &(impl Fn(&mut S, usize, &T) -> R + Sync),
-) -> Result<Vec<R>, RegionPanic> {
-    let mut state = init();
+fn run_inline<T, R>(items: &[T], task: &impl Fn(&T) -> R) -> Result<Vec<R>, RegionPanic> {
     let mut out = Vec::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
-        match catch_unwind(AssertUnwindSafe(|| task(&mut state, i, item))) {
+        match catch_unwind(AssertUnwindSafe(|| task(item))) {
             Ok(r) => out.push(r),
             Err(payload) => {
                 confmask_obs::counter_add("exec.tasks", i as u64);
@@ -285,11 +271,10 @@ fn run_inline<T, R, S>(
 
 /// One parallel region: scoped workers pulling index chunks off a shared
 /// cursor, results stitched back together by index.
-fn run_parallel<T, R, S>(
+fn run_parallel<T, R>(
     items: &[T],
     workers: usize,
-    init: &(impl Fn() -> S + Sync),
-    task: &(impl Fn(&mut S, usize, &T) -> R + Sync),
+    task: &(impl Fn(&T) -> R + Sync),
 ) -> Result<Vec<R>, RegionPanic>
 where
     T: Sync,
@@ -316,7 +301,6 @@ where
                 scope.spawn(|| {
                     IN_REGION.with(|c| c.set(true));
                     let t0 = Instant::now();
-                    let mut state = init();
                     let mut rows: Vec<(usize, R)> = Vec::new();
                     let mut claims = 0u64;
                     'claim: while !abort.load(Ordering::Relaxed) {
@@ -326,7 +310,7 @@ where
                         }
                         claims += 1;
                         for (i, item) in items.iter().enumerate().take((start + chunk).min(n)).skip(start) {
-                            match catch_unwind(AssertUnwindSafe(|| task(&mut state, i, item))) {
+                            match catch_unwind(AssertUnwindSafe(|| task(item))) {
                                 Ok(r) => rows.push((i, r)),
                                 Err(payload) => {
                                     abort.store(true, Ordering::Relaxed);
@@ -423,17 +407,12 @@ mod tests {
         let mut window_first = 0usize;
         // 103 items through windows of 10: indices arrive 0..103 in order,
         // and each window's indices stay within the window bounds.
-        par_stream_init(
+        par_stream(
             0..103usize,
             10,
-            || 0usize,
-            |scratch, i, &x| {
-                *scratch += 1; // per-worker scratch is usable
-                (i, x * 3)
-            },
-            |i, (ti, r)| {
-                assert_eq!(i, ti, "task saw the global index");
-                assert_eq!(r, i * 3);
+            |&x| x * 3,
+            |i, r| {
+                assert_eq!(r, i * 3, "sink saw the global index");
                 if i % 10 == 0 {
                     window_first = i;
                 }
@@ -444,11 +423,10 @@ mod tests {
         assert_eq!(seen, (0..103).collect::<Vec<_>>());
         assert!(max_window_spread < 10);
         // Empty input: sink never fires.
-        par_stream_init(
+        par_stream(
             std::iter::empty::<usize>(),
             10,
-            || (),
-            |_, _, &x| x,
+            |&x| x,
             |_, _| panic!("no items"),
         );
         configure_threads(0);

@@ -1,15 +1,18 @@
 //! Delta planning for fault perturbations.
 //!
-//! Given a cached converged simulation of a base network and the names of
-//! the interfaces a scenario administratively shut (`shutdown: false →
-//! true`, exactly what the fault engine's scenarios apply), this module
-//! builds a [`ShutdownPlan`]: the perturbed model, derived from the cached
-//! one ([`SimNetwork::without_interfaces`]), and the perturbed FIBs,
+//! Given a cached converged simulation of a base network and the
+//! interfaces a scenario administratively shuts (`shutdown: false → true`,
+//! as [`FailureScenario::shutdowns`] lists them against the base configs;
+//! nothing applies them to a copy), this module builds a [`ShutdownPlan`]:
+//! the perturbed model, derived from the cached one
+//! ([`SimNetwork::without_interfaces`]), and the perturbed FIBs,
 //! recomputing only what the shutdowns can have touched, plus the per-pair
 //! predicate that says which cached path sets still hold. Shutdowns only
 //! ever **remove** model elements, which is the monotonicity every
 //! warm-start argument below leans on, and the removal alone defines the
 //! interface renumbering ([`IfaceRemap`]) every splice below applies.
+//!
+//! [`FailureScenario::shutdowns`]: confmask_sim::fault::FailureScenario::shutdowns
 //!
 //! The contract is **byte identity** with a cold `simulate()` of the
 //! perturbed configs: the plan's FIBs equal the cold FIBs entry by entry,
@@ -147,40 +150,41 @@ impl ShutdownPlan {
     }
 }
 
-/// Builds the [`ShutdownPlan`] for shutting the `(router, interface)`s
-/// named in `shut`: model, FIBs (both incremental where provable), and the
-/// per-endpoint reuse predicates. The model is derived from the cached one
-/// ([`SimNetwork::without_interfaces`]), sharing every router the
-/// shutdowns leave unchanged, and its interface renumbering drives every
-/// splice below.
+/// Builds the [`ShutdownPlan`] for shutting the `(router, interface
+/// index)`s listed in `shut`: model, FIBs (both incremental where
+/// provable), and the per-endpoint reuse predicates. The model is derived
+/// from the cached one ([`SimNetwork::without_interfaces`]), sharing every
+/// router the shutdowns leave unchanged, and its interface renumbering
+/// drives every splice below.
 ///
-/// Precondition: `shut` lists the interfaces that
-/// [`FailureScenario::apply_in_place`] flipped on `base.configs`;
+/// Precondition: `shut` is [`FailureScenario::shutdowns`] of
+/// `base.configs` (interfaces that are up there);
 /// [`ScenarioSweep::digest`](crate::ScenarioSweep::digest) is the only
-/// caller and passes nothing else. Returns `Ok(None)` when a flipped name
-/// does not name exactly one interface of a base router, or when a
-/// defensive invariant check fails (a cached OSPF row through a removed
-/// interface, for one), and the caller should fall back to a cold run.
+/// caller and passes nothing else. Returns `Ok(None)` when a listed
+/// interface's name does not name exactly one interface of a base router,
+/// or when a defensive invariant check fails (a cached OSPF row through a
+/// removed interface, for one), and the caller should fall back to a cold
+/// run.
 ///
-/// [`FailureScenario::apply_in_place`]: confmask_sim::fault::FailureScenario::apply_in_place
+/// [`FailureScenario::shutdowns`]: confmask_sim::fault::FailureScenario::shutdowns
 pub(crate) fn plan_shutdowns(
     base: &ConvergedSim,
-    shut: &[(String, String)],
+    shut: &[(String, usize)],
 ) -> Result<Option<ShutdownPlan>, SimError> {
-    // Flips and the model both name interfaces, so a name two interfaces
-    // of one router share cannot say which one a flip shut: such a
-    // scenario goes to the cold loop.
-    let ambiguous = |(router, iface): &(String, String)| {
-        base.configs
-            .routers
-            .get(router)
-            .is_none_or(|rc| rc.interfaces.iter().filter(|i| i.name == *iface).count() != 1)
+    // The model finds interfaces by name, so a stanza whose name another
+    // stanza of its router shares cannot be removed from it: such a
+    // scenario goes to the cold loop, as does a router the base lacks.
+    let unique_name = |(router, i): &(String, usize)| {
+        let rc = base.configs.routers.get(router)?;
+        let name = &rc.interfaces.get(*i)?.name;
+        let shared = rc.interfaces.iter().filter(|f| f.name == *name).count() != 1;
+        (!shared).then(|| (router.clone(), name.clone()))
     };
-    if shut.iter().any(ambiguous) {
+    let Some(names) = shut.iter().map(unique_name).collect::<Option<Vec<_>>>() else {
         return Ok(None);
-    }
+    };
     let base_net = &base.sim.net;
-    let Some((new_net, remap)) = base_net.without_interfaces(shut) else {
+    let Some((new_net, remap)) = base_net.without_interfaces(&names) else {
         return Ok(None);
     };
     let n = base_net.router_count();

@@ -10,13 +10,16 @@
 //!   structural hash of the configurations ([`hash::structural_hash`]),
 //!   with an LRU bound and collision-proof equality checks.
 //! * [`ScenarioSweep`] streams failure scenarios over a cached baseline.
-//!   Each scenario's shutdowns become a delta plan that recomputes only
-//!   what they touched (see [`delta`]'s module docs for the per-protocol
-//!   soundness argument), and every pair is classified straight off the
-//!   plan into a [`confmask_sim::ScenarioDigest`], byte-identical to the
-//!   cold [`confmask_sim::fault::run_scenario`] digest. A scenario the
-//!   planner declines falls back to the cold loop, explicitly and
-//!   observably (`sim.delta.full_fallbacks`).
+//!   Each scenario resolves to the interfaces it shuts
+//!   ([`confmask_sim::fault::FailureScenario::shutdowns`]), read off the
+//!   cached configs without copying or mutating them; that list becomes a
+//!   delta plan that recomputes only what it touched (see `delta`'s
+//!   module docs for the per-protocol soundness argument), and every pair
+//!   is classified straight off the plan into a
+//!   [`confmask_sim::ScenarioDigest`], byte-identical to the cold
+//!   [`confmask_sim::fault::run_scenario`] digest. A scenario the planner
+//!   declines falls back to the cold loop over a copy with the scenario
+//!   applied, explicitly and observably (`sim.delta.full_fallbacks`).
 //!
 //! The engine is `Sync`; one [`DeltaEngine::global`] instance is shared
 //! per process so the serve daemon's workers and a pipeline's retry
@@ -41,7 +44,6 @@ use confmask_config::NetworkConfigs;
 use confmask_net_types::{Ipv4Prefix, RouterId};
 use confmask_sim::{ControlState, PathSet, SimError, Simulation};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Default capacity of the per-process global cache: big enough for every
@@ -76,12 +78,7 @@ pub struct ConvergedSim {
     /// Per distinct path set with reuse metadata: the deduped router ids
     /// its recorded paths traverse.
     pub(crate) on_path: Vec<Box<[u32]>>,
-    /// Process-unique id, the identity key of a sweep worker's
-    /// [`ScenarioScratch`] (never reused, unlike a structural hash).
-    pub(crate) uid: u64,
 }
-
-static NEXT_UID: AtomicU64 = AtomicU64::new(1);
 
 /// [`ConvergedSim::pair_meta`]'s marker for a pair without reuse metadata.
 pub(crate) const NO_META: u32 = u32::MAX;
@@ -143,16 +140,6 @@ impl DeltaStats {
         done as f64 / total as f64
     }
 }
-
-/// Reusable per-worker scratch for [`ScenarioSweep`]: one baseline's configs,
-/// kept around so consecutive scenarios against the same baseline apply
-/// and revert shutdown flags in place instead of cloning the full
-/// [`NetworkConfigs`] each time. Keyed by [`ConvergedSim`]'s
-/// process-unique id. Purely a cache: it never influences results, so
-/// parallel sweeps handing each worker its own scratch stay
-/// byte-identical to a sequential run.
-#[derive(Default)]
-pub struct ScenarioScratch(Option<(u64, NetworkConfigs)>);
 
 /// The incremental simulation engine: the cache of converged baselines
 /// that [`ScenarioSweep`]s plan their deltas against.
@@ -240,7 +227,6 @@ impl DeltaEngine {
             host_match,
             pair_meta,
             on_path,
-            uid: NEXT_UID.fetch_add(1, Ordering::Relaxed),
         });
         self.cache.insert(Arc::clone(&converged));
         Ok(converged)
@@ -414,22 +400,22 @@ mod tests {
     }
 
     /// Applies `scenario` to the base configs: the failed configs and the
-    /// interfaces whose shutdown flag it flipped.
-    fn shut(
+    /// interfaces it shuts.
+    fn resolve(
         base: &ConvergedSim,
         scenario: &FailureScenario,
-    ) -> (NetworkConfigs, Vec<(String, String)>) {
-        let mut failed = base.configs.clone();
-        let flipped = scenario.apply_in_place(&mut failed).expect("fault applies");
-        (failed, flipped)
+    ) -> (NetworkConfigs, Vec<(String, usize)>) {
+        let failed = scenario.apply(&base.configs).expect("fault applies");
+        let shut = scenario.shutdowns(&base.configs).expect("fault resolves");
+        (failed, shut)
     }
 
     /// Plans `scenario`, which must be plannable, and checks the plan
     /// against a cold simulation; returns it with its re-traced pair count.
     fn planned_as_cold(base: &ConvergedSim, scenario: &FailureScenario) -> (ShutdownPlan, usize) {
         let tag = scenario.to_string();
-        let (failed, flipped) = shut(base, scenario);
-        let plan = plan_shutdowns(base, &flipped)
+        let (failed, shut) = resolve(base, scenario);
+        let plan = plan_shutdowns(base, &shut)
             .unwrap()
             .unwrap_or_else(|| panic!("{tag}: shutdowns must plan"));
         let retraced = assert_plan_matches(&tag, base, &plan, &simulate(&failed).unwrap());
@@ -488,9 +474,9 @@ mod tests {
             }
             for scenario in scenarios {
                 let tag = format!("seed {i} flavor {flavor}: {scenario}");
-                let (failed, flipped) = shut(&base, &scenario);
+                let (failed, shut) = resolve(&base, &scenario);
                 scenarios_checked += 1;
-                match (simulate(&failed), plan_shutdowns(&base, &flipped)) {
+                match (simulate(&failed), plan_shutdowns(&base, &shut)) {
                     (Ok(cold), Ok(Some(plan))) => {
                         assert_plan_matches(&tag, &base, &plan, &cold);
                     }
@@ -525,12 +511,11 @@ mod tests {
         let cfgs = triangle();
         let base = engine.converged(&cfgs).unwrap();
         let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
-        let mut scratch = ScenarioScratch::default();
         for scenario in enumerate_single_link_failures(&cfgs) {
-            let (_, flipped) = shut(&base, &scenario);
-            let plan = plan_shutdowns(&base, &flipped).unwrap().unwrap();
+            let (_, shut) = resolve(&base, &scenario);
+            let plan = plan_shutdowns(&base, &shut).unwrap().unwrap();
             assert_eq!(plan.stats().bgp_reused, None, "{scenario}");
-            sweep.digest(&scenario, &mut scratch).unwrap();
+            sweep.digest(&scenario).unwrap();
         }
         assert!(counter("sim.delta.sims") >= sims + 3);
         // No test in this crate sweeps a BGP network, so neither counter
@@ -631,7 +616,7 @@ mod tests {
         let cfgs = triangle();
         let down = link_down("r1", "r2").apply(&cfgs).unwrap();
         let down_base = engine.converged(&down).unwrap();
-        let shut = |router: &str| [(router.to_string(), "Ethernet0/0".to_string())];
+        let shut = |router: &str| [(router.to_string(), 0)];
         // A router the base lacks cannot lose an interface: the planner
         // declines rather than guess.
         assert!(plan_shutdowns(&down_base, &shut("r9")).unwrap().is_none());

@@ -27,17 +27,21 @@
 //! FIBs and path sets against cold simulations), but a swept scenario
 //! allocates nothing that outlives its digest — the memory
 //! profile that makes exhaustive k = 2 enumeration and parallel sweeps on
-//! a single core viable. When planning declines a scenario, the sweep
-//! falls back to that same cold loop
+//! a single core viable.
+//!
+//! A scenario is read, never applied: it resolves to the list of
+//! interfaces it shuts ([`FailureScenario::shutdowns`] against the base
+//! configs), which the planner and the physical-connectivity flood fill
+//! both take alongside the shared, unmodified base configs. Only when
+//! planning declines a scenario does the sweep copy the configs, apply the
+//! scenario and fall back to the cold loop
 //! ([`confmask_sim::fault::classify_failed`]).
 
-use crate::{delta, record_stats, ConvergedSim, DeltaEngine, DeltaStats, ScenarioScratch};
-use confmask_config::NetworkConfigs;
+use crate::{delta, record_stats, ConvergedSim, DeltaEngine, DeltaStats};
 use confmask_net_types::HostId;
 use confmask_sim::dataplane::{DataPlane, DestTracer, HostPair, NameJoin, Reach};
 use confmask_sim::fault::{
-    classify_failed, classify_pair, physical_components, revert_shutdowns, DegradationClass,
-    FailureScenario,
+    classify_failed, classify_pair, physical_components, DegradationClass, FailureScenario,
 };
 use confmask_sim::sweep::{ScenarioDigest, SweepMeter, SweepReducer, SweepStats};
 use confmask_sim::{PathSet, SimError};
@@ -143,46 +147,26 @@ impl<'a> ScenarioSweep<'a> {
         }
     }
 
-    /// Folds one scenario into its digest, applying and reverting its
-    /// shutdowns on the worker's scratch copy of the baseline configs.
-    /// Byte-identical to the cold
+    /// Folds one scenario into its digest: resolve the interfaces it shuts
+    /// against the base configs, plan the delta, classify every bound pair
+    /// off the plan, and fall back to the cold loop over the applied
+    /// scenario when planning declines. Byte-identical to the cold
     /// [`run_scenario`](confmask_sim::fault::run_scenario) digest over this
     /// sweep's baseline.
-    pub fn digest(
-        &self,
-        scenario: &FailureScenario,
-        scratch: &mut ScenarioScratch,
-    ) -> Result<ScenarioDigest, SimError> {
+    pub fn digest(&self, scenario: &FailureScenario) -> Result<ScenarioDigest, SimError> {
         let _sp = confmask_obs::span("sim.fault.scenario");
         confmask_obs::counter_add("sim.fault.scenarios", 1);
         confmask_obs::debug!("sim.delta", "injecting scenario {scenario}");
-        if scratch
-            .0
-            .as_ref()
-            .is_none_or(|(uid, _)| *uid != self.base.uid)
-        {
-            scratch.0 = Some((self.base.uid, self.base.configs.clone()));
-        }
-        let configs = &mut scratch.0.as_mut().expect("scratch was just filled").1;
-        let flipped = scenario.apply_in_place(configs)?;
-        let out = self.digest_failed(configs, &flipped);
-        revert_shutdowns(configs, &flipped);
-        out
-    }
-
-    /// Digests the already-failed configs, whose shutdowns `flipped` names:
-    /// plan the delta, classify every bound pair off the plan, fall back to
-    /// the cold loop when planning declines.
-    fn digest_failed(
-        &self,
-        failed: &NetworkConfigs,
-        flipped: &[(String, String)],
-    ) -> Result<ScenarioDigest, SimError> {
+        let configs = &self.base.configs;
+        let shut = scenario.shutdowns(configs)?;
         let sp = confmask_obs::span("sim.delta.sim");
         confmask_obs::counter_add("sim.delta.sims", 1);
-        let (digest, stats) = match delta::plan_shutdowns(self.base, flipped)? {
-            Some(plan) => self.digest_plan(failed, &plan),
-            None => (classify_failed(failed, self.baseline)?, DeltaStats::full()),
+        let (digest, stats) = match delta::plan_shutdowns(self.base, &shut)? {
+            Some(plan) => self.digest_plan(&shut, &plan),
+            None => (
+                classify_failed(&scenario.apply(configs)?, self.baseline)?,
+                DeltaStats::full(),
+            ),
         };
         sp.finish();
         record_stats(&stats);
@@ -195,7 +179,7 @@ impl<'a> ScenarioSweep<'a> {
     /// digest matches the cold loop's bit for bit.
     fn digest_plan(
         &self,
-        failed: &NetworkConfigs,
+        shut: &[(String, usize)],
         plan: &delta::ShutdownPlan,
     ) -> (ScenarioDigest, DeltaStats) {
         // Physical connectivity only arbitrates dropped traffic, so the
@@ -203,7 +187,7 @@ impl<'a> ScenarioSweep<'a> {
         let comp: OnceCell<BTreeMap<String, usize>> = OnceCell::new();
         let hosts = self.baseline.hosts();
         let connected = |(s, d): HostPair| {
-            let comp = comp.get_or_init(|| physical_components(failed));
+            let comp = comp.get_or_init(|| physical_components(&self.base.configs, shut));
             match (
                 comp.get(hosts[s as usize].as_str()),
                 comp.get(hosts[d as usize].as_str()),
@@ -269,10 +253,10 @@ impl<'a> ScenarioSweep<'a> {
     }
 
     /// Sweeps a scenario sequence: windows of scenarios fan out across
-    /// the shared executor with per-worker scratch configs, and each
-    /// digest is folded into `reducer` in scenario order while the window
-    /// behind it is freed. Peak retention is one window of digests — the
-    /// `peak_digest_bytes` the returned [`SweepStats`] reports.
+    /// the shared executor, and each digest is folded into `reducer` in
+    /// scenario order while the window behind it is freed. Peak retention
+    /// is one window of digests — the `peak_digest_bytes` the returned
+    /// [`SweepStats`] reports.
     ///
     /// Items may be owned scenarios (a lazy k = 2 enumerator) or borrows
     /// (`scenarios.iter()` over a caller-held `Vec` — no per-item clone).
@@ -283,11 +267,10 @@ impl<'a> ScenarioSweep<'a> {
     ) -> SweepStats {
         let window = (confmask_exec::thread_count() * 32).clamp(64, 1024);
         let mut meter = SweepMeter::new(window);
-        confmask_exec::par_stream_init(
+        confmask_exec::par_stream(
             scenarios,
             window,
-            ScenarioScratch::default,
-            |scratch, _i, sc: &B| self.digest(sc.borrow(), scratch),
+            |sc: &B| self.digest(sc.borrow()),
             |i, r| match r {
                 Ok(d) => {
                     meter.fold_ok(i, d.retained_bytes());
@@ -359,21 +342,17 @@ mod tests {
         let cfgs = triangle();
         let base = engine.converged(&cfgs).unwrap();
         let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
-        let mut scratch = ScenarioScratch::default();
         for sc in scenarios(&cfgs) {
-            let warm = sweep.digest(&sc, &mut scratch).unwrap();
+            let warm = sweep.digest(&sc).unwrap();
             let cold = run_scenario(&cfgs, &base.sim.dataplane, &sc).unwrap();
             assert_eq!(warm, cold, "{sc}");
             assert_eq!(warm.encode(), cold.encode(), "{sc}");
         }
     }
 
-    #[test]
-    fn a_shared_interface_name_falls_back_to_the_cold_loop() {
-        // r1 has two stanzas named Ethernet0/9: the first has no address,
-        // the second is h9's LAN. Shutting "Ethernet0/9" shuts the first,
-        // which changes nothing; removing the model's Ethernet0/9 would
-        // cut h9 off.
+    /// The triangle plus two stanzas named Ethernet0/9 on r1: the first has
+    /// no address, the second is h9's LAN.
+    fn triangle_with_a_shared_name() -> NetworkConfigs {
         let mut cfgs = triangle();
         let r1 = cfgs.routers.get_mut("r1").unwrap();
         let mut lan = r1.interfaces[2].clone();
@@ -384,18 +363,54 @@ mod tests {
         r1.interfaces.extend([bare, lan]);
         cfgs.hosts
             .insert("h9".into(), host("h9", "10.1.9.100", "10.1.9.1"));
+        cfgs
+    }
+
+    fn shut_ethernet0_9() -> FailureScenario {
+        FailureScenario::single(Fault::InterfaceShutdown {
+            router: "r1".into(),
+            iface: "Ethernet0/9".into(),
+        })
+    }
+
+    #[test]
+    fn a_shared_interface_name_falls_back_to_the_cold_loop() {
+        // Shutting "Ethernet0/9" shuts the first stanza, which changes
+        // nothing; removing the model's Ethernet0/9 would cut h9 off.
+        let cfgs = triangle_with_a_shared_name();
         let engine = DeltaEngine::new(4);
         let base = engine.converged(&cfgs).unwrap();
         let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
-        let mut scratch = ScenarioScratch::default();
-        let sc = FailureScenario::single(Fault::InterfaceShutdown {
-            router: "r1".into(),
-            iface: "Ethernet0/9".into(),
-        });
-        let warm = sweep.digest(&sc, &mut scratch).unwrap();
+        let sc = shut_ethernet0_9();
+        let warm = sweep.digest(&sc).unwrap();
         let cold = run_scenario(&cfgs, &base.sim.dataplane, &sc).unwrap();
         assert_eq!(warm.encode(), cold.encode());
         assert_eq!(warm.changed_classes().count(), 0);
+    }
+
+    #[test]
+    fn a_router_down_leaves_the_next_scenario_on_the_same_worker_untouched() {
+        // Both Ethernet0/9 stanzas go down with r1; the scenario after it,
+        // on the same worker, must still see h9's LAN up.
+        let cfgs = triangle_with_a_shared_name();
+        let engine = DeltaEngine::new(4);
+        let base = engine.converged(&cfgs).unwrap();
+        let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
+        let scs = [
+            FailureScenario::single(Fault::RouterDown {
+                router: "r1".into(),
+            }),
+            shut_ethernet0_9(),
+        ];
+        let mut list = DigestList::default();
+        confmask_exec::configure_threads(1);
+        sweep.run(scs.iter(), &mut list);
+        confmask_exec::configure_threads(0);
+        assert_eq!(list.results.len(), scs.len());
+        for (sc, got) in scs.iter().zip(&list.results) {
+            let cold = run_scenario(&cfgs, &base.sim.dataplane, sc).unwrap();
+            assert_eq!(got.as_ref().unwrap().encode(), cold.encode(), "{sc}");
+        }
     }
 
     #[test]
@@ -408,9 +423,8 @@ mod tests {
         let base = engine.converged(&cfgs).unwrap();
         let baseline = simulate(&cfgs).unwrap().dataplane;
         let sweep = ScenarioSweep::new(&engine, &base, &baseline);
-        let mut scratch = ScenarioScratch::default();
         for sc in scenarios(&cfgs) {
-            let warm = sweep.digest(&sc, &mut scratch).unwrap();
+            let warm = sweep.digest(&sc).unwrap();
             let cold = run_scenario(&cfgs, &baseline, &sc).unwrap();
             assert_eq!(warm, cold, "{sc}");
             assert_eq!(warm.encode(), cold.encode(), "{sc}");
@@ -430,13 +444,8 @@ mod tests {
         assert_eq!(stats.errors, 0);
         assert!(stats.peak_digest_bytes > 0);
         assert_eq!(list.results.len(), scs.len());
-        let mut scratch = ScenarioScratch::default();
         for (sc, got) in scs.iter().zip(&list.results) {
-            assert_eq!(
-                got.as_ref().unwrap(),
-                &sweep.digest(sc, &mut scratch).unwrap(),
-                "{sc}"
-            );
+            assert_eq!(got.as_ref().unwrap(), &sweep.digest(sc).unwrap(), "{sc}");
         }
     }
 

@@ -23,7 +23,7 @@ use crate::dataplane::{DataPlane, NameJoin, PathSet};
 use crate::error::SimError;
 use crate::simulate;
 use crate::sweep::ScenarioDigest;
-use confmask_config::NetworkConfigs;
+use confmask_config::{Interface, NetworkConfigs};
 use confmask_net_types::Ipv4Prefix;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -98,138 +98,100 @@ impl FailureScenario {
         }
     }
 
-    /// Applies the scenario: returns a copy of `configs` with every
-    /// affected interface administratively shut.
+    /// Applies the scenario: returns a copy of `configs` with exactly the
+    /// interfaces [`FailureScenario::shutdowns`] lists administratively
+    /// shut.
     ///
     /// Pure and idempotent — faults only ever set `shutdown = true`, so
     /// `apply(apply(c)) == apply(c)` and already-shut interfaces are
     /// unaffected. Referencing a router, interface, or link the network
     /// does not have yields [`SimError::UnknownElement`].
     pub fn apply(&self, configs: &NetworkConfigs) -> Result<NetworkConfigs, SimError> {
+        let shut = self.shutdowns(configs)?;
         let mut out = configs.clone();
-        self.apply_in_place(&mut out)?;
+        for (router, i) in &shut {
+            let rc = out
+                .routers
+                .get_mut(router)
+                .expect("shutdowns names routers of configs");
+            rc.interfaces[*i].shutdown = true;
+        }
         Ok(out)
     }
 
-    /// [`FailureScenario::apply`] without the copy: shuts the affected
-    /// interfaces of `configs` directly and returns the `(router, iface)`
-    /// names whose shutdown flag this call actually flipped (interfaces
-    /// that were already shut are not recorded). Passing the flips to
-    /// [`revert_shutdowns`] restores `configs` exactly, which lets a sweep
-    /// reuse one scratch copy instead of cloning the configurations per
-    /// scenario. On error the configs are left unmodified.
-    pub fn apply_in_place(
-        &self,
-        configs: &mut NetworkConfigs,
-    ) -> Result<Vec<(String, String)>, SimError> {
-        let mut flips = Vec::new();
-        let mut go = || -> Result<(), SimError> {
-            for fault in &self.faults {
-                match fault {
-                    Fault::LinkDown { a, b, added } => {
-                        // Faults only flip shutdown flags, which
-                        // `link_iface_pairs` never reads, so resolving the
-                        // link against the partially-applied configs is
-                        // identical to resolving it against the original.
-                        let pairs = link_iface_pairs(configs, a, b, *added);
-                        if pairs.is_empty() {
-                            return Err(SimError::UnknownElement(format!(
-                                "no {} between routers {a} and {b}",
-                                if *added { "fake link" } else { "link" }
-                            )));
-                        }
-                        for (router, iface) in pairs {
-                            if shut_iface(configs, &router, &iface)? {
-                                flips.push((router, iface));
-                            }
-                        }
+    /// The interfaces this scenario shuts that are up in `configs`, as
+    /// `(router, index into the router's interfaces)`, sorted and listed
+    /// once each even when faults overlap. Reads `configs` only, so a sweep
+    /// resolves every scenario against one shared copy; referencing a
+    /// router, interface, or link the network does not have yields
+    /// [`SimError::UnknownElement`].
+    ///
+    /// An interface shutdown names its interface, and shuts the first
+    /// stanza of that name.
+    pub fn shutdowns(&self, configs: &NetworkConfigs) -> Result<Vec<(String, usize)>, SimError> {
+        let router = |name: &str| {
+            configs
+                .routers
+                .get(name)
+                .ok_or_else(|| SimError::UnknownElement(format!("router {name}")))
+        };
+        let mut out = Vec::new();
+        for fault in &self.faults {
+            match fault {
+                Fault::LinkDown { a, b, added } => {
+                    let ifaces = link_ifaces(configs, a, b, *added);
+                    if ifaces.is_empty() {
+                        return Err(SimError::UnknownElement(format!(
+                            "no {} between routers {a} and {b}",
+                            if *added { "fake link" } else { "link" }
+                        )));
                     }
-                    Fault::RouterDown { router } => {
-                        let rc = configs
-                            .routers
-                            .get_mut(router)
-                            .ok_or_else(|| SimError::UnknownElement(format!("router {router}")))?;
-                        for iface in &mut rc.interfaces {
-                            if !iface.shutdown {
-                                iface.shutdown = true;
-                                flips.push((router.clone(), iface.name.clone()));
-                            }
-                        }
-                    }
-                    Fault::InterfaceShutdown { router, iface } => {
-                        if !configs.routers.contains_key(router) {
-                            return Err(SimError::UnknownElement(format!("router {router}")));
-                        }
-                        if shut_iface(configs, router, iface)? {
-                            flips.push((router.clone(), iface.clone()));
-                        }
-                    }
+                    out.extend(ifaces);
+                }
+                Fault::RouterDown { router: name } => {
+                    let count = router(name)?.interfaces.len();
+                    out.extend((0..count).map(|i| (name.clone(), i)));
+                }
+                Fault::InterfaceShutdown {
+                    router: name,
+                    iface,
+                } => {
+                    let i = router(name)?
+                        .interfaces
+                        .iter()
+                        .position(|i| i.name == *iface)
+                        .ok_or_else(|| {
+                            SimError::UnknownElement(format!("interface {name}:{iface}"))
+                        })?;
+                    out.push((name.clone(), i));
                 }
             }
-            Ok(())
-        };
-        match go() {
-            Ok(()) => Ok(flips),
-            Err(e) => {
-                revert_shutdowns(configs, &flips);
-                Err(e)
-            }
         }
+        out.retain(|(r, i)| !configs.routers[r].interfaces[*i].shutdown);
+        out.sort_unstable();
+        out.dedup();
+        Ok(out)
     }
 }
 
-/// Un-shuts exactly the interfaces [`FailureScenario::apply_in_place`]
-/// reported flipping, restoring the configs to their pre-apply state.
-pub fn revert_shutdowns(configs: &mut NetworkConfigs, flipped: &[(String, String)]) {
-    for (router, iface) in flipped {
-        if let Some(rc) = configs.routers.get_mut(router) {
-            if let Some(i) = rc.interfaces.iter_mut().find(|i| &i.name == iface) {
-                i.shutdown = false;
-            }
-        }
-    }
-}
-
-/// Shuts one interface; `Ok(true)` when this call flipped the flag.
-fn shut_iface(configs: &mut NetworkConfigs, router: &str, iface: &str) -> Result<bool, SimError> {
-    let rc = configs
-        .routers
-        .get_mut(router)
-        .ok_or_else(|| SimError::UnknownElement(format!("router {router}")))?;
-    let i = rc
-        .interfaces
-        .iter_mut()
-        .find(|i| i.name == iface)
-        .ok_or_else(|| SimError::UnknownElement(format!("interface {router}:{iface}")))?;
-    let flipped = !i.shutdown;
-    i.shutdown = true;
-    Ok(flipped)
-}
-
-/// The interface pairs realizing the (a, b) link with the given provenance:
-/// `(router, iface_name)` for every interface on `a` or `b` whose connected
-/// prefix is shared by the other router and whose `added` flag matches.
-fn link_iface_pairs(
-    configs: &NetworkConfigs,
-    a: &str,
-    b: &str,
-    added: bool,
-) -> Vec<(String, String)> {
+/// The interfaces realizing the (a, b) link with the given provenance:
+/// `(router, interface index)` for every interface on `a` or `b` whose
+/// connected prefix is shared by the other router and whose `added` flag
+/// matches.
+fn link_ifaces(configs: &NetworkConfigs, a: &str, b: &str, added: bool) -> Vec<(String, usize)> {
     let (Some(ra), Some(rb)) = (configs.routers.get(a), configs.routers.get(b)) else {
         return Vec::new();
     };
     let mut out = Vec::new();
-    for ia in &ra.interfaces {
+    for (i, ia) in ra.interfaces.iter().enumerate() {
         let Some(pa) = ia.prefix() else { continue };
-        for ib in &rb.interfaces {
+        for (j, ib) in rb.interfaces.iter().enumerate() {
             if ib.prefix() == Some(pa) && ia.added == added && ib.added == added {
-                out.push((a.to_string(), ia.name.clone()));
-                out.push((b.to_string(), ib.name.clone()));
+                out.push((a.to_string(), i));
+                out.push((b.to_string(), j));
             }
         }
     }
-    out.sort();
-    out.dedup();
     out
 }
 
@@ -505,18 +467,30 @@ pub fn classify_pair(
     DegradationClass::Rerouted
 }
 
-/// Connected components of the surviving physical topology (up interfaces
-/// only): maps each device name (router or host) to a component id.
-/// Devices sharing a component id are physically connected.
-pub fn physical_components(configs: &NetworkConfigs) -> BTreeMap<String, usize> {
+/// Connected components of the surviving physical topology: maps each
+/// device name (router or host) to a component id. Devices sharing a
+/// component id are physically connected.
+///
+/// An interface survives when it is up in `configs` and not listed in
+/// `shut` (`(router, interface index)`, as
+/// [`FailureScenario::shutdowns`] returns), so
+/// `physical_components(c, &sc.shutdowns(c)?)` equals
+/// `physical_components(&sc.apply(c)?, &[])` without the copy.
+pub fn physical_components(
+    configs: &NetworkConfigs,
+    shut: &[(String, usize)],
+) -> BTreeMap<String, usize> {
+    let up = |router: &str, i: usize, iface: &Interface| {
+        !iface.shutdown && !shut.iter().any(|(r, j)| *j == i && r == router)
+    };
     // Adjacency: routers sharing a prefix on up interfaces; hosts attached
     // to a router whose up interface covers their gateway.
     let mut adj: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     let mut by_prefix: BTreeMap<Ipv4Prefix, Vec<&str>> = BTreeMap::new();
     for (name, rc) in &configs.routers {
         adj.entry(name).or_default();
-        for iface in &rc.interfaces {
-            if iface.shutdown {
+        for (i, iface) in rc.interfaces.iter().enumerate() {
+            if !up(name, i, iface) {
                 continue;
             }
             if let Some(p) = iface.prefix() {
@@ -537,10 +511,10 @@ pub fn physical_components(configs: &NetworkConfigs) -> BTreeMap<String, usize> 
     for (hname, hc) in &configs.hosts {
         adj.entry(hname).or_default();
         for (rname, rc) in &configs.routers {
-            let attached = rc.interfaces.iter().any(|i| {
-                !i.shutdown
-                    && i.address.map(|(a, _)| a) == Some(hc.gateway)
-                    && i.prefix() == hc.prefix()
+            let attached = rc.interfaces.iter().enumerate().any(|(i, iface)| {
+                up(rname, i, iface)
+                    && iface.address.map(|(a, _)| a) == Some(hc.gateway)
+                    && iface.prefix() == hc.prefix()
             });
             if attached {
                 adj.entry(hname).or_default().push(rname);
@@ -599,7 +573,7 @@ pub fn classify_failed(
     baseline: &DataPlane,
 ) -> Result<ScenarioDigest, SimError> {
     let sim = simulate(failed)?;
-    let comp = physical_components(failed);
+    let comp = physical_components(failed, &[]);
     let missing = PathSet::blackholed();
     let routers = NameJoin::new(sim.dataplane.routers(), baseline.routers());
     let mut digest = ScenarioDigest::new(baseline.len());
@@ -740,11 +714,84 @@ mod tests {
                 b: "r2".into(),
                 added: true, // no fake link exists between r1 and r2
             }),
+            FailureScenario {
+                faults: vec![
+                    Fault::RouterDown {
+                        router: "r1".into(),
+                    },
+                    Fault::RouterDown {
+                        router: "nope".into(),
+                    },
+                ],
+            },
         ] {
-            assert!(
-                matches!(sc.apply(&cfgs), Err(SimError::UnknownElement(_))),
+            let resolved = sc.shutdowns(&cfgs);
+            assert!(matches!(resolved, Err(SimError::UnknownElement(_))), "{sc}");
+            assert_eq!(
+                resolved.unwrap_err().to_string(),
+                sc.apply(&cfgs).unwrap_err().to_string(),
                 "{sc}"
             );
+        }
+    }
+
+    #[test]
+    fn overlapping_faults_list_each_interface_once() {
+        let sc = FailureScenario {
+            faults: vec![
+                Fault::RouterDown {
+                    router: "r1".into(),
+                },
+                Fault::LinkDown {
+                    a: "r1".into(),
+                    b: "r2".into(),
+                    added: false,
+                },
+            ],
+        };
+        let shut = |r: &str, i| (r.to_string(), i);
+        assert_eq!(
+            sc.shutdowns(&triangle()).unwrap(),
+            [shut("r1", 0), shut("r1", 1), shut("r1", 2), shut("r2", 0)]
+        );
+    }
+
+    #[test]
+    fn already_shut_interfaces_are_not_listed() {
+        let mut cfgs = triangle();
+        cfgs.routers.get_mut("r1").unwrap().interfaces[1].shutdown = true;
+        let sc = FailureScenario::single(Fault::RouterDown {
+            router: "r1".into(),
+        });
+        assert_eq!(
+            sc.shutdowns(&cfgs).unwrap(),
+            [("r1".to_string(), 0), ("r1".to_string(), 2)]
+        );
+        let iface = FailureScenario::single(Fault::InterfaceShutdown {
+            router: "r1".into(),
+            iface: "Ethernet0/1".into(),
+        });
+        assert!(iface.shutdowns(&cfgs).unwrap().is_empty());
+    }
+
+    #[test]
+    fn apply_sets_exactly_the_listed_shutdowns() {
+        let cfgs = triangle();
+        let mut scenarios = enumerate_single_link_failures(&cfgs);
+        scenarios.extend(sample_double_link_failures(&cfgs, 7, 3));
+        for router in ["r1", "r2", "r3"] {
+            scenarios.push(FailureScenario::single(Fault::RouterDown {
+                router: router.into(),
+            }));
+        }
+        for sc in &scenarios {
+            let mut want = cfgs.clone();
+            for (router, i) in sc.shutdowns(&cfgs).unwrap() {
+                let iface = &mut want.routers.get_mut(&router).unwrap().interfaces[i];
+                assert!(!iface.shutdown, "{sc}: listed twice or already shut");
+                iface.shutdown = true;
+            }
+            assert_eq!(sc.apply(&cfgs).unwrap(), want, "{sc}");
         }
     }
 

@@ -14,7 +14,7 @@
 use confmask_netgen::synthesize;
 use confmask_sim::fault::{enumerate_single_link_failures, FailureScenario, Fault};
 use confmask_sim::simulate;
-use confmask_sim_delta::{DeltaEngine, ScenarioScratch, ScenarioSweep};
+use confmask_sim_delta::{DeltaEngine, ScenarioSweep};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -41,7 +41,6 @@ fn streaming_digests_match_cold_folds_on_random_networks() {
         let engine = DeltaEngine::new(4);
         let base = engine.converged(&configs).expect("baseline converges");
         let sweep = ScenarioSweep::new(&engine, &base, &sim.dataplane);
-        let mut scratch = ScenarioScratch::default();
         let mut scenarios = enumerate_single_link_failures(&configs);
         for router in configs.routers.keys().take(2) {
             scenarios.push(FailureScenario::single(Fault::RouterDown {
@@ -51,7 +50,7 @@ fn streaming_digests_match_cold_folds_on_random_networks() {
         for scenario in scenarios {
             scenarios_checked += 1;
             let cold = confmask_sim::fault::run_scenario(&configs, &sim.dataplane, &scenario);
-            let warm = sweep.digest(&scenario, &mut scratch);
+            let warm = sweep.digest(&scenario);
             match (cold, warm) {
                 (Ok(c), Ok(w)) => {
                     assert_eq!(c, w, "seed {i}: {scenario}");

@@ -13,7 +13,7 @@ use confmask_netgen::{smallnets::university, synthesize};
 use confmask_sim::fault::enumerate_single_link_failures;
 use confmask_sim::simulate;
 use confmask_sim::sweep::{DigestList, ScenarioDigest};
-use confmask_sim_delta::{DeltaEngine, ScenarioScratch, ScenarioSweep};
+use confmask_sim_delta::{DeltaEngine, ScenarioSweep};
 use confmask_topology::kdegree::plan_k_degree;
 use confmask_topology::{LinkInfo, NodeKind, Topology};
 use rand::rngs::StdRng;
@@ -74,10 +74,9 @@ fn every_parallel_stage_is_byte_identical_across_thread_counts() {
         let engine = DeltaEngine::new(4);
         let base = engine.converged(&configs).expect("converges");
         let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
-        let mut scratch = ScenarioScratch::default();
         scenarios
             .iter()
-            .map(|s| sweep.digest(s, &mut scratch))
+            .map(|s| sweep.digest(s))
             .collect::<Vec<_>>()
     });
     let sweep_at = |n: usize| {

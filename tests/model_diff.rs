@@ -1,8 +1,10 @@
 //! Differential harness for the derived fault model: for every link-down,
 //! router-down and interface-down scenario, the model the delta planner
 //! derives from the cached one ([`SimNetwork::without_interfaces`] of the
-//! interfaces the scenario flipped) must equal [`SimNetwork::build`] of
-//! the failed configurations, field for field.
+//! interfaces the scenario shuts) must equal [`SimNetwork::build`] of
+//! the failed configurations, field for field, and the physical
+//! components of the healthy configurations with those interfaces listed
+//! as down must equal the flood fill over the failed configurations.
 //!
 //! Networks: random OSPF-only, RIP and two-AS BGP+OSPF networks, and the
 //! evaluation nets A–H (A–C speak BGP), plus ConfMask-anonymized net A,
@@ -14,7 +16,9 @@
 use confmask::{anonymize, Params};
 use confmask_config::NetworkConfigs;
 use confmask_netgen::synthesize;
-use confmask_sim::fault::{enumerate_single_link_failures, FailureScenario, Fault};
+use confmask_sim::fault::{
+    enumerate_single_link_failures, physical_components, FailureScenario, Fault,
+};
 use confmask_sim::SimNetwork;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,18 +46,28 @@ fn scenarios(configs: &NetworkConfigs) -> Vec<FailureScenario> {
     out
 }
 
-/// Asserts the derived model equals the built one for every scenario, and
-/// that derivation shares each router the removal leaves unchanged.
-/// Returns the scenario count.
+/// Asserts the derived model equals the built one for every scenario, that
+/// derivation shares each router the removal leaves unchanged, and that the
+/// flood fill over the listed shutdowns equals the one over the failed
+/// configurations. Returns the scenario count.
 fn assert_derived_equals_built(tag: &str, configs: &NetworkConfigs) -> usize {
     let base = SimNetwork::build(configs).expect("healthy model builds");
     let list = scenarios(configs);
     for scenario in &list {
-        let mut failed = configs.clone();
-        let flipped = scenario.apply_in_place(&mut failed).expect("fault applies");
+        let failed = scenario.apply(configs).expect("fault applies");
+        let shut = scenario.shutdowns(configs).expect("fault resolves");
+        assert_eq!(
+            physical_components(configs, &shut),
+            physical_components(&failed, &[]),
+            "{tag}: {scenario}: physical components differ"
+        );
+        let names: Vec<(String, String)> = shut
+            .iter()
+            .map(|(r, i)| (r.clone(), configs.routers[r].interfaces[*i].name.clone()))
+            .collect();
         let built = SimNetwork::build(&failed).expect("failed model builds");
         let (derived, remap) = base
-            .without_interfaces(&flipped)
+            .without_interfaces(&names)
             .unwrap_or_else(|| panic!("{tag}: {scenario}: derivation declined"));
         for (r, (d, b)) in derived.routers.iter().zip(&built.routers).enumerate() {
             assert_eq!(d, b, "{tag}: {scenario}: router #{r} differs");

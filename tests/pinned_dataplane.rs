@@ -20,7 +20,7 @@ use confmask::{
     anonymize, simulate, verify_failure_equivalence, DataPlane, NetworkConfigs, Params,
 };
 use confmask_sim::fault::{enumerate_single_link_failures, run_scenario, FailureScenario, Fault};
-use confmask_sim_delta::{DeltaEngine, ScenarioScratch, ScenarioSweep};
+use confmask_sim_delta::{DeltaEngine, ScenarioSweep};
 use std::collections::BTreeSet;
 
 /// Evaluation networks whose original data plane is pinned.
@@ -214,10 +214,9 @@ fn fake_element_sweep_digests_match_the_cold_loop_on_renamed_a() {
     let engine = DeltaEngine::new(4);
     let conv = engine.converged(&result.configs).expect("converges");
     let sweep = ScenarioSweep::new(&engine, &conv, &anon_base);
-    let mut scratch = ScenarioScratch::default();
     let mut changed = Vec::new();
     for scenario in &scenarios {
-        let warm = sweep.digest(scenario, &mut scratch).expect("sweep");
+        let warm = sweep.digest(scenario).expect("sweep");
         let cold = run_scenario(&result.configs, &anon_base, scenario).expect("cold");
         assert_eq!(warm.encode(), cold.encode(), "{scenario}");
         if cold.changed_classes().next().is_some() {
