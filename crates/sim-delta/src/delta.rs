@@ -47,6 +47,13 @@
 //!   unchanged modulo interface renumbering and no removed interface was
 //!   BGP-relevant (session endpoint, session carrier, or origin prefix
 //!   owner) — and fully recomputed otherwise.
+//! * **FIB merge** — a router whose merge inputs and interface numbering
+//!   are unchanged shares the cached FIB. Every other router goes through
+//!   the one merge a cold run uses ([`merge_router_fib`]), which reads its
+//!   OSPF rows through a row source ([`OspfRows`]): the plan's `PlanRows`
+//!   yields the recomputed row where the plan owns the prefix and the
+//!   cached row, renumbered as it is read, everywhere else. No merged
+//!   table is assembled first.
 //! * **Data plane** — the trace DFS consults exactly one FIB entry per
 //!   visited router: the longest-prefix match for the *destination host's*
 //!   address. The reuse criterion is therefore per (router, destination):
@@ -58,14 +65,18 @@
 //!   replays identically, so the cached set is reused unconditionally.
 //!   Otherwise only clean, non-truncated pairs are reusable (their
 //!   recorded paths are exactly the routers the walk visits) and only when
-//!   every on-path router's lookup is unchanged.
+//!   every on-path router's lookup is unchanged. The plan reports the
+//!   changed lookups sparsely, as sorted (destination host, router) keys
+//!   of merged routers only (a shared FIB changes no lookup), so the sweep
+//!   can look up the pairs each one can affect in its index instead of
+//!   testing every pair.
 
 use crate::{ConvergedSim, DeltaStats, NO_META};
 use confmask_net_types::{HostId, Ipv4Prefix, RouterId};
 use confmask_sim::ospf::RouterPaths;
 use confmask_sim::{
-    bgp, merge_router_fib, ospf, rip, BgpRoutes, FibEntry, Fibs, IfaceRemap, NextHop, SimError,
-    SimNetwork,
+    bgp, merge_router_fib, ospf, rip, BgpRoutes, FibEntry, Fibs, IfaceRemap, NextHop, OspfRows,
+    SimError, SimNetwork,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -79,11 +90,10 @@ pub(crate) struct ShutdownPlan {
     pub new_net: SimNetwork,
     /// The perturbed per-router FIBs.
     pub fibs: Fibs,
-    /// `lookup_changed[d][r]`: router `r` resolves destination host `d`'s
-    /// address differently than the cached base.
-    lookup_changed: Vec<Vec<bool>>,
-    /// Destination hosts no router resolves differently.
-    dst_untouched: Vec<bool>,
+    /// Every `(destination host, router)` whose lookup of that host's
+    /// address differs from the cached base's, sorted. Only merged routers
+    /// appear: a shared FIB changes no lookup.
+    changed_lookups: Vec<(u32, u32)>,
     /// Hosts whose attachment survived the perturbation.
     att_unchanged: Vec<bool>,
     /// Hosts that were unattached in the base network.
@@ -115,20 +125,43 @@ impl ShutdownPlan {
     ///   of those lookups unchanged.
     pub fn pair_reusable(&self, base: &ConvergedSim, si: usize, di: usize, idx: usize) -> bool {
         if !self.att_unchanged[si] || !self.att_unchanged[di] {
-            false
-        } else if self.unattached[si] || self.dst_untouched[di] {
-            true
-        } else {
-            match base.pair_meta[idx] {
-                NO_META => false,
-                meta => {
-                    let changed = &self.lookup_changed[di];
-                    base.on_path[meta as usize]
-                        .iter()
-                        .all(|&r| !changed[r as usize])
-                }
+            return false;
+        }
+        let changed = self.changed_toward(di as u32);
+        if self.unattached[si] || changed.is_empty() {
+            return true;
+        }
+        match base.pair_meta[idx] {
+            NO_META => false,
+            meta => {
+                let on_path = &base.on_path[meta as usize];
+                changed
+                    .iter()
+                    .all(|(_, r)| on_path.binary_search(r).is_err())
             }
         }
+    }
+
+    /// The changed lookups toward destination host `dst`.
+    fn changed_toward(&self, dst: u32) -> &[(u32, u32)] {
+        let lookups = &self.changed_lookups;
+        let from = lookups.partition_point(|&(d, _)| d < dst);
+        let to = from + lookups[from..].partition_point(|&(d, _)| d == dst);
+        &lookups[from..to]
+    }
+
+    /// Every `(destination host, router)` whose lookup changed, sorted.
+    pub fn changed_lookups(&self) -> &[(u32, u32)] {
+        &self.changed_lookups
+    }
+
+    /// Hosts whose attachment the shutdowns changed (ids ascending).
+    pub fn moved_hosts(&self) -> impl Iterator<Item = u32> + '_ {
+        self.att_unchanged
+            .iter()
+            .enumerate()
+            .filter(|(_, &same)| !same)
+            .map(|(h, _)| h as u32)
     }
 
     /// The delta statistics of the model and FIBs; the sweep adds the
@@ -145,6 +178,8 @@ impl ShutdownPlan {
             fibs_merged: self.fibs.per_router.len() - self.fibs_shared,
             pairs_total: 0,
             pairs_recomputed: 0,
+            pairs_visited: 0,
+            retraces_by_count: 0,
             dag_nodes: 0,
         }
     }
@@ -278,15 +313,23 @@ pub(crate) fn plan_shutdowns(
     // (identity-remapped = identical), and the recomputed OSPF rows (of
     // affected prefixes, and the router's own recomputed rows) equal to
     // the cached ones. Everything else goes through the same merge as a
-    // cold run, after the cached rows of its unaffected prefixes are
-    // spliced back in, renumbering interfaces (the remap is monotone, so
-    // sorted hop lists stay sorted). Only merged routers read those rows,
-    // so shared ones skip the splice. ----
+    // cold run, reading its OSPF rows through `PlanRows`: the recomputed
+    // row where the plan owns the prefix, else the cached row renumbered
+    // as it is read (the remap is monotone, so sorted hop lists stay
+    // sorted). ----
     let rip_silent = base.state.rip_dist.is_empty() && rip_routes.iter().all(|t| t.is_empty());
     let bgp_stable = bgp_reused != Some(false);
     let mut fib_shared = vec![false; n];
     let mut per_router = Vec::with_capacity(n);
     for r in 0..n {
+        let rows = PlanRows {
+            fresh: &ospf_routes[r],
+            cached: &base.state.ospf_routes[r],
+            affected: &affected,
+            recomputed: &recomputed_rows[r],
+            remap: &remap,
+            r,
+        };
         let identity = remap.is_identity(r);
         let reusable = identity
             && rip_silent
@@ -296,106 +339,80 @@ pub(crate) fn plan_shutdowns(
                 .iter()
                 .map(|(p, _)| p)
                 .chain(&recomputed_rows[r])
-                .all(|p| ospf_routes[r].get(p) == base.state.ospf_routes[r].get(p));
+                .all(|p| rows.fresh.get(p) == rows.cached.get(p));
         if reusable {
             fib_shared[r] = true;
             per_router.push(Arc::clone(&base.sim.fibs.per_router[r]));
             continue;
         }
-        for (prefix, _) in new_net.destinations.iter() {
-            if affected.contains(prefix) || recomputed_rows[r].contains(prefix) {
-                continue;
-            }
-            let Some(hops) = base.state.ospf_routes[r].get(prefix) else {
-                continue;
-            };
-            let mut mapped = Vec::with_capacity(hops.len());
-            for &(ii, v) in hops {
-                match remap.get(r, ii) {
-                    Some(ni) => mapped.push((ni, v)),
-                    // A candidate hop through a removed interface is a
-                    // removed tight edge, so the prefix would have been
-                    // affected or this row recomputed — reaching this
-                    // means the invariant broke.
-                    None => return Ok(None),
-                }
-            }
-            ospf_routes[r].insert(*prefix, mapped);
+        // A cached hop through a removed interface is a removed tight
+        // edge, so its prefix would have been affected or its row
+        // recomputed: reaching one means that invariant broke. Every row
+        // the plan does not own is checked, not only those the merge goes
+        // on to read (a connected or eBGP route shadows the rest).
+        if !identity && !rows.cached_rows_survive() {
+            return Ok(None);
         }
         let rid = RouterId(r as u32);
         per_router.push(Arc::new(merge_router_fib(
             &new_net,
             rid,
-            &ospf_routes,
+            &rows,
             &rip_routes,
             &bgp_routes,
         )));
     }
     let fibs = Fibs { per_router };
 
-    // ---- Data plane: re-trace only pairs the failure can have touched. ----
-    // Lockstep FIB diff per router (entries are prefix-sorted): the set of
-    // prefixes whose entry changed modulo renumbering. `None` marks a
-    // router whose FIB *key set* changed (entries appeared or vanished,
-    // e.g. a lost connected route) — longest-prefix matches there cannot
-    // be compared by key and fall back to actual lookups below.
-    let changed_prefixes: Vec<Option<BTreeSet<Ipv4Prefix>>> = (0..n)
-        .map(|r| {
-            if fib_shared[r] {
-                return Some(BTreeSet::new());
-            }
-            let rid = RouterId(r as u32);
-            let (bf, nf) = (base.sim.fibs.of(rid), fibs.of(rid));
-            if bf.len() != nf.len() {
-                return None;
-            }
-            let mut set = BTreeSet::new();
-            for (be, ne) in bf.entries().zip(nf.entries()) {
-                if be.prefix != ne.prefix {
-                    return None;
-                }
-                if !entry_remap_equal(be, ne, &remap, r) {
-                    set.insert(be.prefix);
-                }
-            }
-            Some(set)
-        })
-        .collect();
-
+    // ---- Data plane: which lookups changed. A pair's walk asks each
+    // router on it one FIB question, the longest-prefix match of the
+    // destination host's address, so the plan reports per destination
+    // the routers that now answer it differently; only merged routers can.
+    // Lockstep FIB diff per merged router (entries are prefix-sorted):
+    // the prefixes whose entry changed modulo renumbering. With an
+    // unchanged key set a host's match lands on the same prefix as at
+    // convergence (`host_match`), so the diff set answers directly; a
+    // changed key set (e.g. a lost connected route) falls back to actual
+    // lookups. ----
     let hosts: Vec<HostId> = new_net.hosts_iter().map(|(id, _)| id).collect();
-    // lookup_changed[d][r]: router r resolves destination host d's address
-    // differently than the cached base (the only FIB question `trace`
-    // asks). With an unchanged key set the match lands on the same prefix
-    // as at convergence (`host_match`), so the diff set answers directly.
-    let lookup_changed: Vec<Vec<bool>> = hosts
-        .iter()
-        .enumerate()
-        .map(|(di, &h)| {
-            let addr = new_net.host(h).addr;
-            (0..n)
-                .map(|r| match &changed_prefixes[r] {
-                    Some(set) if set.is_empty() => false,
-                    Some(set) => match base.host_match[di][r] {
-                        Some(k) => set.contains(&k),
-                        None => false,
-                    },
-                    None => {
-                        let rid = RouterId(r as u32);
-                        !lookup_remap_equal(
-                            base.sim.fibs.of(rid).lookup(addr),
-                            fibs.of(rid).lookup(addr),
-                            &remap,
-                            r,
-                        )
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let dst_untouched: Vec<bool> = lookup_changed
-        .iter()
-        .map(|row| row.iter().all(|&c| !c))
-        .collect();
+    let mut changed_lookups: Vec<(u32, u32)> = Vec::new();
+    for r in (0..n).filter(|&r| !fib_shared[r]) {
+        let rid = RouterId(r as u32);
+        let (bf, nf) = (base.sim.fibs.of(rid), fibs.of(rid));
+        let same_keys = bf.len() == nf.len()
+            && bf
+                .entries()
+                .zip(nf.entries())
+                .all(|(be, ne)| be.prefix == ne.prefix);
+        let key = |di: usize| (di as u32, r as u32);
+        if same_keys {
+            let diff: BTreeSet<Ipv4Prefix> = bf
+                .entries()
+                .zip(nf.entries())
+                .filter(|(be, ne)| !entry_remap_equal(be, ne, &remap, r))
+                .map(|(be, _)| be.prefix)
+                .collect();
+            if !diff.is_empty() {
+                changed_lookups.extend(
+                    (0..hosts.len())
+                        .filter(|&di| base.host_match[di][r].is_some_and(|k| diff.contains(&k)))
+                        .map(key),
+                );
+            }
+        } else {
+            changed_lookups.extend(
+                hosts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &h)| {
+                        let addr = new_net.host(h).addr;
+                        !lookup_remap_equal(bf.lookup(addr), nf.lookup(addr), &remap, r)
+                    })
+                    .map(|(di, _)| key(di)),
+            );
+        }
+    }
+    changed_lookups.sort_unstable();
 
     // Per host: whether its attachment survived the perturbation, and
     // whether it was unattached to begin with (hoisted out of the pair
@@ -419,8 +436,7 @@ pub(crate) fn plan_shutdowns(
         routers_shared,
         new_net,
         fibs,
-        lookup_changed,
-        dst_untouched,
+        changed_lookups,
         att_unchanged,
         unattached,
         ospf_prefixes_total,
@@ -429,6 +445,57 @@ pub(crate) fn plan_shutdowns(
         bgp_reused,
         fibs_shared: fib_shared.iter().filter(|&&shared| shared).count(),
     }))
+}
+
+/// One merged router's OSPF rows as the plan's FIB merge reads them: the
+/// recomputed row for a prefix the plan owns (an affected prefix, or one
+/// whose row this router recomputed), else the cached row, renumbered
+/// through the removal's remap as it is read.
+struct PlanRows<'a> {
+    fresh: &'a BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>>,
+    cached: &'a BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>>,
+    affected: &'a BTreeSet<Ipv4Prefix>,
+    recomputed: &'a [Ipv4Prefix],
+    remap: &'a IfaceRemap,
+    r: usize,
+}
+
+impl PlanRows<'_> {
+    fn owned(&self, prefix: &Ipv4Prefix) -> bool {
+        self.affected.contains(prefix) || self.recomputed.contains(prefix)
+    }
+
+    /// Whether every cached row the plan does not own renumbers, i.e. no
+    /// hop of one runs through a removed interface.
+    fn cached_rows_survive(&self) -> bool {
+        self.cached
+            .iter()
+            .filter(|(prefix, _)| !self.owned(prefix))
+            .all(|(_, hops)| {
+                hops.iter()
+                    .all(|&(i, _)| self.remap.get(self.r, i).is_some())
+            })
+    }
+}
+
+impl OspfRows for PlanRows<'_> {
+    fn row(
+        &self,
+        prefix: &Ipv4Prefix,
+    ) -> Option<impl ExactSizeIterator<Item = (usize, RouterId)> + '_> {
+        let owned = self.owned(prefix);
+        let hops = if owned { self.fresh } else { self.cached }.get(prefix)?;
+        Some(hops.iter().map(move |&(i, v)| {
+            let i = if owned {
+                i
+            } else {
+                self.remap
+                    .get(self.r, i)
+                    .expect("cached rows of a merged router renumber (checked before the merge)")
+            };
+            (i, v)
+        }))
+    }
 }
 
 /// Whether the cached IGP router-path matrix equals the fresh one after

@@ -14,9 +14,11 @@
 //!   ([`confmask_sim::fault::FailureScenario::shutdowns`]), read off the
 //!   cached configs without copying or mutating them; that list becomes a
 //!   delta plan that recomputes only what it touched (see `delta`'s
-//!   module docs for the per-protocol soundness argument), and every pair
-//!   is classified straight off the plan into a
-//!   [`confmask_sim::ScenarioDigest`], byte-identical to the cold
+//!   module docs for the per-protocol soundness argument). The sweep's
+//!   pair index, built once per baseline, finds the pairs the plan's
+//!   changed lookups and moved hosts can affect; those are classified
+//!   straight off the plan and the rest credited to `Unchanged`, into a
+//!   [`confmask_sim::ScenarioDigest`] byte-identical to the cold
 //!   [`confmask_sim::fault::run_scenario`] digest. A scenario the planner
 //!   declines falls back to the cold loop over a copy with the scenario
 //!   applied, explicitly and observably (`sim.delta.full_fallbacks`).
@@ -108,6 +110,11 @@ pub(crate) struct DeltaStats {
     pub pairs_total: usize,
     /// Ordered host pairs that were re-traced.
     pub pairs_recomputed: usize,
+    /// Ordered host pairs the sweep visited; it credits the rest to
+    /// `Unchanged` without looking at them.
+    pub pairs_visited: usize,
+    /// Re-traced pairs classified from their path set's shape alone.
+    pub retraces_by_count: usize,
     /// Routers the re-traces resolved, summed over their destinations.
     pub dag_nodes: u64,
 }
@@ -125,6 +132,8 @@ impl DeltaStats {
             fibs_merged: 0,
             pairs_total: 0,
             pairs_recomputed: 0,
+            pairs_visited: 0,
+            retraces_by_count: 0,
             dag_nodes: 0,
         }
     }
@@ -268,6 +277,11 @@ pub(crate) fn record_stats(stats: &DeltaStats) {
         "sim.delta.pairs_reused",
         (stats.pairs_total - stats.pairs_recomputed) as u64,
     );
+    confmask_obs::counter_add("sim.delta.pairs_visited", stats.pairs_visited as u64);
+    confmask_obs::counter_add(
+        "sim.delta.retraces_by_count",
+        stats.retraces_by_count as u64,
+    );
     confmask_obs::counter_add("sim.delta.dag_nodes", stats.dag_nodes);
     confmask_obs::observe(
         "sim.delta.recompute_fraction_pct",
@@ -299,6 +313,8 @@ pub fn register_metrics() {
         "sim.delta.fibs_merged",
         "sim.delta.pairs_recomputed",
         "sim.delta.pairs_reused",
+        "sim.delta.pairs_visited",
+        "sim.delta.retraces_by_count",
         "sim.delta.dag_nodes",
     ] {
         confmask_obs::counter_add(name, 0);
@@ -356,15 +372,18 @@ mod tests {
     }
 
     /// Checks a plan against a cold simulation of the same failed configs:
-    /// every router's FIB entry by entry, every pair the plan reuses against
-    /// its cold path set, and every other pair's re-trace over the plan.
-    /// Returns how many pairs the plan re-traces.
+    /// every router's FIB entry by entry, every pair the sweep's index
+    /// skips and every pair the plan reuses against its cold path set, and
+    /// every other pair's re-trace over the plan. Returns how many pairs
+    /// the plan re-traces.
     fn assert_plan_matches(
         tag: &str,
         base: &ConvergedSim,
         plan: &ShutdownPlan,
         cold: &Simulation,
     ) -> usize {
+        let engine = DeltaEngine::new(1);
+        let marked = ScenarioSweep::new(&engine, base, &base.sim.dataplane).marked(plan);
         assert_eq!(
             plan.fibs.per_router.len(),
             cold.fibs.per_router.len(),
@@ -388,7 +407,12 @@ mod tests {
         {
             assert_eq!(key, cold_key, "{tag}: pair order");
             let (si, di) = *key;
-            if plan.pair_reusable(base, si as usize, di as usize, idx) {
+            let reusable = plan.pair_reusable(base, si as usize, di as usize, idx);
+            assert!(
+                reusable || marked.get(idx),
+                "{tag}: the sweep skips pair {key:?}, which the plan re-traces"
+            );
+            if reusable {
                 assert_eq!(cached, want, "{tag}: reused pair {key:?} differs");
             } else {
                 retraced += 1;
@@ -578,6 +602,32 @@ mod tests {
             (stats.ospf_prefixes_recomputed, stats.ospf_prefixes_total),
             (1, 2)
         );
+    }
+
+    #[test]
+    fn a_cached_row_through_a_removed_interface_declines_the_plan() {
+        // r1–r3 costs 100 and carries no shortest path, so failing it
+        // recomputes nothing, and r1 and r3 merge from their cached rows.
+        let engine = DeltaEngine::new(4);
+        let mut cfgs = triangle();
+        cfgs.routers.get_mut("r1").unwrap().interfaces[1].ospf_cost = Some(100);
+        cfgs.routers.get_mut("r3").unwrap().interfaces[0].ospf_cost = Some(100);
+        let base = engine.converged(&cfgs).unwrap();
+        let scenario = link_down("r1", "r3");
+        let (plan, _) = planned_as_cold(&base, &scenario);
+        assert_eq!(plan.stats().ospf_prefixes_recomputed, 0);
+        // Corrupt r1's cached rows with a hop out of its removed
+        // Ethernet0/1: toward h2's LAN, a row the merge reads, and toward
+        // r1's own LAN, a row its connected route shadows. Either breaks
+        // the invariant the plan leans on, so either declines.
+        let (_, shut) = resolve(&base, &scenario);
+        let r1 = base.sim.net.router_id("r1").unwrap().0 as usize;
+        let r3 = base.sim.net.router_id("r3").unwrap();
+        for lan in ["10.1.2.0/24", "10.1.1.0/24"] {
+            let mut corrupt = ConvergedSim::clone(&base);
+            corrupt.state.ospf_routes[r1].insert(lan.parse().unwrap(), vec![(1, r3)]);
+            assert!(plan_shutdowns(&corrupt, &shut).unwrap().is_none(), "{lan}");
+        }
     }
 
     #[test]

@@ -3,31 +3,54 @@
 //! data plane.
 //!
 //! [`ScenarioSweep`] binds each pair of the sweep's baseline data plane to
-//! a cached base simulation ([`ConvergedSim`]) once, then classifies each
-//! failure scenario per-pair straight off the [`delta::ShutdownPlan`].
-//! Digest index `i` is the baseline's i-th entry:
+//! a cached base simulation ([`ConvergedSim`]) once, and indexes the pairs
+//! by what can change them. Per failure scenario it then visits only the
+//! pairs the [`delta::ShutdownPlan`] may have changed and credits every
+//! other pair to `Unchanged` in bulk. Digest index `i` is the baseline's
+//! i-th entry.
 //!
-//! * a **reusable** pair ([`delta::ShutdownPlan::pair_reusable`]) whose
-//!   baseline path set equals the base's classifies as `Unchanged`
-//!   without touching a path;
+//! The index (built by [`ScenarioSweep::new`], in compressed sparse rows)
+//! holds three lists:
+//!
+//! * per (destination host, router): the pairs toward that host whose base
+//!   path set crosses that router. A plan reports the lookups it changed
+//!   as such keys, so one read per changed lookup finds the pairs whose
+//!   reuse rule ([`delta::ShutdownPlan::pair_reusable`]) it can break;
+//! * per host: the pairs with that host as an endpoint, read for each host
+//!   whose attachment the failure changed;
+//! * the pairs visited in every scenario: those without reuse metadata (an
+//!   unclean or truncated walk), those the base lacks, and those whose
+//!   baseline differs from the base.
+//!
+//! A pair on none of the lists the plan names is reusable and equals its
+//! baseline, so it is `Unchanged`; a visited pair goes through the
+//! per-pair rule:
+//!
+//! * a **reusable** pair whose baseline path set equals the base's
+//!   classifies as `Unchanged` without touching a path;
 //! * a reusable pair whose sweep baseline *differs* from the base (a
 //!   masked-network sweep compared against the original's baseline)
 //!   classifies the cached base path set against the sweep baseline;
 //! * a **non-reusable** pair re-traces through the plan's lazy tracer for
 //!   its destination ([`DestTracer`]: one FIB lookup per router and one
-//!   path set per gateway, shared by every source behind it) and compares
-//!   against the baseline id by id: a slice compare when the baseline
-//!   shares the base's router table, a [`NameJoin`] remap when it does
-//!   not — no name is ever resolved.
+//!   path set per gateway, shared by every source behind it). Behind an
+//!   exact gateway the tracer knows the set's
+//!   [`PathShape`](confmask_sim::PathShape) before building it; when that
+//!   differs from the baseline's, the pair changed and the shape alone
+//!   decides its class (`sim.delta.retraces_by_count`). Only a
+//!   tie, an inexact gateway or a constant set is compared against the
+//!   baseline id by id: a slice compare when the baseline shares the
+//!   base's router table, a [`NameJoin`] remap when it does not — no name
+//!   is ever resolved.
 //!
 //! The result is byte-identical to the cold
 //! [`confmask_sim::fault::run_scenario`] digest (the differential gate in
 //! `tests/delta_diff.rs` asserts encode-level equality, and this crate's
 //! `plan_matches_cold_simulation_on_random_networks` checks the plan's
-//! FIBs and path sets against cold simulations), but a swept scenario
-//! allocates nothing that outlives its digest — the memory
-//! profile that makes exhaustive k = 2 enumeration and parallel sweeps on
-//! a single core viable.
+//! FIBs and path sets against cold simulations, and every pair the index
+//! skips against its cold set), but a swept scenario allocates nothing
+//! that outlives its digest — the memory profile that makes exhaustive
+//! k = 2 enumeration and parallel sweeps on a single core viable.
 //!
 //! A scenario is read, never applied: it resolves to the list of
 //! interfaces it shuts ([`FailureScenario::shutdowns`] against the base
@@ -37,14 +60,15 @@
 //! scenario and fall back to the cold loop
 //! ([`confmask_sim::fault::classify_failed`]).
 
-use crate::{delta, record_stats, ConvergedSim, DeltaEngine, DeltaStats};
+use crate::{delta, record_stats, ConvergedSim, DeltaEngine, DeltaStats, NO_META};
 use confmask_net_types::HostId;
 use confmask_sim::dataplane::{DataPlane, DestTracer, HostPair, NameJoin, Reach};
 use confmask_sim::fault::{
-    classify_failed, classify_pair, physical_components, DegradationClass, FailureScenario,
+    classify_changed, classify_failed, classify_pair, physical_components, DegradationClass,
+    FailureScenario,
 };
 use confmask_sim::sweep::{ScenarioDigest, SweepMeter, SweepReducer, SweepStats};
-use confmask_sim::{PathSet, SimError};
+use confmask_sim::{PairBits, PathSet, SimError};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -66,6 +90,38 @@ struct PairBinding {
     same_as_base: bool,
 }
 
+/// Lists of baseline pair indices under dense keys, in compressed sparse
+/// rows: key `k`'s list is `items[offsets[k]..offsets[k + 1]]`, ascending.
+struct Csr {
+    offsets: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Csr {
+    /// The lists of `keys` keys from `(key, pair)` entries in ascending
+    /// pair order (a counting sort, which keeps each list ascending).
+    fn new(keys: usize, entries: &[(u32, u32)]) -> Csr {
+        let mut offsets = vec![0u32; keys + 1];
+        for &(key, _) in entries {
+            offsets[key as usize + 1] += 1;
+        }
+        for k in 0..keys {
+            offsets[k + 1] += offsets[k];
+        }
+        let mut next = offsets[..keys].to_vec();
+        let mut items = vec![0; entries.len()];
+        for &(key, i) in entries {
+            items[next[key as usize] as usize] = i;
+            next[key as usize] += 1;
+        }
+        Csr { offsets, items }
+    }
+
+    fn get(&self, key: usize) -> &[u32] {
+        &self.items[self.offsets[key] as usize..self.offsets[key + 1] as usize]
+    }
+}
+
 /// A streaming fault sweep over one cached baseline.
 ///
 /// Built once per baseline; [`ScenarioSweep::digest`] folds one scenario,
@@ -80,6 +136,13 @@ pub struct ScenarioSweep<'a> {
     baseline: &'a DataPlane,
     /// One binding per entry of `baseline`, in entry order.
     binding: Vec<PairBinding>,
+    /// Per `destination host × routers + router`: the pairs toward that
+    /// host (and outside `always`) whose base path set crosses the router.
+    by_lookup: Csr,
+    /// Per host: the pairs outside `always` with that host as an endpoint.
+    by_host: Csr,
+    /// The pairs every scenario visits.
+    always: PairBits,
     /// The base network's router ids (what re-traces yield) joined onto
     /// the baseline's router table.
     routers: NameJoin,
@@ -106,7 +169,7 @@ impl<'a> ScenarioSweep<'a> {
         let hosts = NameJoin::new(baseline.hosts(), base_dp.hosts());
         let routers = NameJoin::new(base_dp.routers(), baseline.routers());
         let base_entries = base_dp.entries();
-        let binding = baseline
+        let binding: Vec<PairBinding> = baseline
             .entries()
             .iter()
             .map(|((s, d), ps)| {
@@ -136,11 +199,39 @@ impl<'a> ScenarioSweep<'a> {
             })
             .collect();
 
+        // Index the pairs by what can change them (module docs).
+        let n = base.sim.net.router_count();
+        let host_count = base.sim.net.hosts.len();
+        let mut always = PairBits::new(binding.len());
+        let mut by_lookup = Vec::new();
+        let mut by_host = Vec::new();
+        for (i, b) in binding.iter().enumerate() {
+            let meta = match b.base_idx {
+                u32::MAX => NO_META,
+                idx => base.pair_meta[idx as usize],
+            };
+            if meta == NO_META || !b.same_as_base {
+                always.set(i);
+                continue;
+            }
+            let i = i as u32;
+            by_host.extend([(b.si, i), (b.di, i)]);
+            let row = b.di as usize * n;
+            by_lookup.extend(
+                base.on_path[meta as usize]
+                    .iter()
+                    .map(|&r| ((row + r as usize) as u32, i)),
+            );
+        }
+
         ScenarioSweep {
             _engine: engine,
             base,
             baseline,
             binding,
+            by_lookup: Csr::new(host_count * n, &by_lookup),
+            by_host: Csr::new(host_count, &by_host),
+            always,
             routers,
             blackholed: PathSet::blackholed(),
             direct: PathSet::direct(),
@@ -148,9 +239,9 @@ impl<'a> ScenarioSweep<'a> {
     }
 
     /// Folds one scenario into its digest: resolve the interfaces it shuts
-    /// against the base configs, plan the delta, classify every bound pair
-    /// off the plan, and fall back to the cold loop over the applied
-    /// scenario when planning declines. Byte-identical to the cold
+    /// against the base configs, plan the delta, classify the pairs it may
+    /// have changed off the plan, and fall back to the cold loop over the
+    /// applied scenario when planning declines. Byte-identical to the cold
     /// [`run_scenario`](confmask_sim::fault::run_scenario) digest over this
     /// sweep's baseline.
     pub fn digest(&self, scenario: &FailureScenario) -> Result<ScenarioDigest, SimError> {
@@ -173,10 +264,30 @@ impl<'a> ScenarioSweep<'a> {
         Ok(digest)
     }
 
-    /// Classifies every bound pair against the plan with the cold loop's
-    /// `classify_pair`: a reused pair's cached path set and a re-traced
-    /// pair's trace are the cold path sets (the plan's contract), so the
-    /// digest matches the cold loop's bit for bit.
+    /// The pairs a plan may have changed: every pair of `always`, plus the
+    /// pairs indexed under a changed lookup or a moved host. Every other
+    /// pair is reusable under the plan and equals its baseline.
+    pub(crate) fn marked(&self, plan: &delta::ShutdownPlan) -> PairBits {
+        let mut marked = self.always.clone();
+        let n = self.base.sim.net.router_count();
+        for &(d, r) in plan.changed_lookups() {
+            for &i in self.by_lookup.get(d as usize * n + r as usize) {
+                marked.set(i as usize);
+            }
+        }
+        for h in plan.moved_hosts() {
+            for &i in self.by_host.get(h as usize) {
+                marked.set(i as usize);
+            }
+        }
+        marked
+    }
+
+    /// Classifies the marked pairs against the plan with the cold loop's
+    /// rules, in ascending order, and credits the rest to `Unchanged`: a
+    /// reused pair's cached path set and a re-traced pair's trace are the
+    /// cold path sets (the plan's contract), so the digest matches the
+    /// cold loop's bit for bit.
     fn digest_plan(
         &self,
         shut: &[(String, usize)],
@@ -197,15 +308,16 @@ impl<'a> ScenarioSweep<'a> {
             }
         };
         let base_entries = self.base.sim.dataplane.entries();
+        let entries = self.baseline.entries();
         // Re-traced pairs resolve through one lazy tracer per destination,
         // built on the first pair toward it that needs one.
         let mut tracers: Vec<Option<DestTracer>> = Vec::new();
         tracers.resize_with(plan.new_net.hosts.len(), || None);
         let mut digest = ScenarioDigest::new(self.binding.len());
-        let mut recomputed = 0usize;
-        for (i, (b, (key, baseline))) in
-            self.binding.iter().zip(self.baseline.entries()).enumerate()
-        {
+        let (mut visited, mut recomputed, mut by_count) = (0usize, 0usize, 0usize);
+        for i in self.marked(plan).iter_ones() {
+            let (b, (key, baseline)) = (&self.binding[i], &entries[i]);
+            visited += 1;
             let class = if b.base_idx == u32::MAX {
                 // The base simulation lacks this pair: the perturbed data
                 // plane cannot contain it either (delta runs start from
@@ -231,21 +343,35 @@ impl<'a> ScenarioSweep<'a> {
                 let tracer = tracers[b.di as usize].get_or_insert_with(|| {
                     DestTracer::new(&plan.new_net, &plan.fibs, HostId(b.di))
                 });
-                let reach = tracer.reach(HostId(b.si));
-                let after = match &reach {
-                    Reach::Unattached => &self.blackholed,
-                    Reach::SameLan => &self.direct,
-                    Reach::Paths(set) => &**set,
-                };
-                let unchanged = self.routers.same(after, baseline);
-                classify_pair(unchanged, after, || connected(*key))
+                let src = HostId(b.si);
+                match tracer.exact_shape(src) {
+                    // Sets of different shapes differ, and the shape
+                    // decides the class: no set is built.
+                    Some(shape) if shape != baseline.shape() => {
+                        by_count += 1;
+                        classify_changed(shape, || connected(*key))
+                    }
+                    _ => {
+                        let reach = tracer.reach(src);
+                        let after = match &reach {
+                            Reach::Unattached => &self.blackholed,
+                            Reach::SameLan => &self.direct,
+                            Reach::Paths(set) => &**set,
+                        };
+                        let unchanged = self.routers.same(after, baseline);
+                        classify_pair(unchanged, after, || connected(*key))
+                    }
+                }
             };
             digest.record(i, class);
         }
+        digest.record_unchanged(self.binding.len() - visited);
         let dag_nodes = tracers.iter().flatten().map(|t| t.stats().dag_nodes).sum();
         let stats = DeltaStats {
             pairs_total: self.binding.len(),
             pairs_recomputed: recomputed,
+            pairs_visited: visited,
+            retraces_by_count: by_count,
             dag_nodes,
             ..plan.stats()
         };
@@ -428,6 +554,173 @@ mod tests {
             let cold = run_scenario(&cfgs, &baseline, &sc).unwrap();
             assert_eq!(warm, cold, "{sc}");
             assert_eq!(warm.encode(), cold.encode(), "{sc}");
+        }
+    }
+
+    /// Plans `scenario` against `base` and digests it with `sweep`,
+    /// returning the digest with its delta statistics.
+    fn digest_with_stats(
+        sweep: &ScenarioSweep,
+        base: &ConvergedSim,
+        scenario: &FailureScenario,
+    ) -> (ScenarioDigest, DeltaStats) {
+        let shut = scenario.shutdowns(&base.configs).unwrap();
+        let plan = delta::plan_shutdowns(base, &shut).unwrap().unwrap();
+        sweep.digest_plan(&shut, &plan)
+    }
+
+    fn link_down(a: &str, b: &str) -> FailureScenario {
+        FailureScenario::single(Fault::LinkDown {
+            a: a.into(),
+            b: b.into(),
+            added: false,
+        })
+    }
+
+    /// Square r1–r2–r4–r3–r1 (all OSPF), hosts on r1 and r4. Both branches
+    /// are two links long, and r1–r3 costs 2 where every other link costs
+    /// 1, so h1 and h4 reach each other over r2 until r1–r2 fails.
+    fn preferred_branch() -> NetworkConfigs {
+        let router = |name: &str, links: &[(&str, u32)], lan: Option<&str>| {
+            let mut text = format!("hostname {name}\n!\n");
+            for (i, (addr, cost)) in links.iter().enumerate() {
+                text += &format!(
+                    "interface Ethernet0/{i}\n ip address {addr} 255.255.255.254\n ip ospf cost {cost}\n!\n"
+                );
+            }
+            if let Some(lan) = lan {
+                text += &format!("interface Ethernet1/0\n ip address {lan} 255.255.255.0\n!\n");
+            }
+            text += "router ospf 1\n network 10.0.0.0 0.0.255.255 area 0\n network 10.1.0.0 0.0.255.255 area 0\n!\n";
+            parse_router(&text).unwrap()
+        };
+        NetworkConfigs::new(
+            [
+                router(
+                    "r1",
+                    &[("10.0.12.0", 1), ("10.0.13.0", 2)],
+                    Some("10.1.1.1"),
+                ),
+                router("r2", &[("10.0.12.1", 1), ("10.0.24.0", 1)], None),
+                router("r3", &[("10.0.13.1", 2), ("10.0.34.0", 1)], None),
+                router(
+                    "r4",
+                    &[("10.0.24.1", 1), ("10.0.34.1", 1)],
+                    Some("10.1.4.1"),
+                ),
+            ],
+            [
+                host("h1", "10.1.1.100", "10.1.1.1"),
+                host("h4", "10.1.4.100", "10.1.4.1"),
+            ],
+        )
+    }
+
+    #[test]
+    fn a_reroute_of_the_same_shape_is_compared_not_counted() {
+        let engine = DeltaEngine::new(4);
+        let cfgs = preferred_branch();
+        let base = engine.converged(&cfgs).unwrap();
+        let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
+        let sc = link_down("r1", "r2");
+        let (warm, stats) = digest_with_stats(&sweep, &base, &sc);
+        let cold = run_scenario(&cfgs, &base.sim.dataplane, &sc).unwrap();
+        assert_eq!(warm.encode(), cold.encode());
+        // Both directions move from the r2 branch to the r3 branch: one
+        // path of three routers before and after, so only the re-traced
+        // set itself tells the reroute apart.
+        let rerouted = DegradationClass::Rerouted;
+        assert_eq!(
+            warm.changed_classes().collect::<Vec<_>>(),
+            [(0, rerouted), (1, rerouted)]
+        );
+        let shapes: Vec<_> = base
+            .sim
+            .dataplane
+            .entries()
+            .iter()
+            .map(|(_, ps)| ps.shape())
+            .collect();
+        assert!(
+            shapes.iter().all(|s| (s.paths, s.hops) == (1, 3)),
+            "{shapes:?}"
+        );
+        assert_eq!((stats.pairs_recomputed, stats.retraces_by_count), (2, 0));
+    }
+
+    #[test]
+    fn a_reroute_of_a_new_shape_is_classified_by_count() {
+        let engine = DeltaEngine::new(4);
+        let cfgs = triangle();
+        let base = engine.converged(&cfgs).unwrap();
+        let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
+        let sc = link_down("r1", "r2");
+        let (warm, stats) = digest_with_stats(&sweep, &base, &sc);
+        let cold = run_scenario(&cfgs, &base.sim.dataplane, &sc).unwrap();
+        assert_eq!(warm.encode(), cold.encode());
+        // h1 and h2 now reach each other over r3: three routers, not two.
+        assert_eq!(warm.histogram[DegradationClass::Rerouted.index()], 2);
+        assert_eq!((stats.pairs_recomputed, stats.retraces_by_count), (2, 2));
+    }
+
+    #[test]
+    fn a_host_lan_shutdown_visits_the_pairs_of_that_host() {
+        // Shutting h1's LAN interface detaches h1. r1 then lacks h1's
+        // connected route, so h2→h1 is found through r1's changed lookup;
+        // no lookup toward h2 changes, so only the per-host list finds
+        // h1→h2.
+        let engine = DeltaEngine::new(4);
+        let cfgs = triangle();
+        let base = engine.converged(&cfgs).unwrap();
+        let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
+        let sc = FailureScenario::single(Fault::InterfaceShutdown {
+            router: "r1".into(),
+            iface: "Ethernet0/2".into(),
+        });
+        let shut = sc.shutdowns(&cfgs).unwrap();
+        let plan = delta::plan_shutdowns(&base, &shut).unwrap().unwrap();
+        let h2 = base.sim.net.host_id("h2").unwrap().0;
+        assert!(plan.changed_lookups().iter().all(|&(d, _)| d != h2));
+        let (warm, stats) = sweep.digest_plan(&shut, &plan);
+        let cold = run_scenario(&cfgs, &base.sim.dataplane, &sc).unwrap();
+        assert_eq!(warm.encode(), cold.encode());
+        assert_eq!(warm.changed_count(), 2);
+        assert_eq!(stats.pairs_visited, 2);
+    }
+
+    /// The triangle with a third LAN, h3's, on r3.
+    fn triangle_with_h3() -> NetworkConfigs {
+        let mut cfgs = triangle();
+        let r3 = parse_router(
+            "hostname r3\n!\ninterface Ethernet0/0\n ip address 10.0.13.1 255.255.255.254\n!\ninterface Ethernet0/1\n ip address 10.0.23.1 255.255.255.254\n!\ninterface Ethernet0/2\n ip address 10.1.3.1 255.255.255.0\n!\nrouter ospf 1\n network 10.0.0.0 0.0.255.255 area 0\n network 10.1.3.0 0.0.0.255 area 0\n!\n",
+        )
+        .unwrap();
+        cfgs.routers.insert("r3".into(), r3);
+        cfgs.hosts
+            .insert("h3".into(), host("h3", "10.1.3.100", "10.1.3.1"));
+        cfgs
+    }
+
+    #[test]
+    fn warm_digests_match_a_baseline_with_pairs_the_base_lacks() {
+        // The baseline holds h3's four pairs, which the swept network has
+        // no host for: every scenario visits them, and they read as
+        // dropped, as in the cold loop.
+        let engine = DeltaEngine::new(4);
+        let cfgs = triangle();
+        let base = engine.converged(&cfgs).unwrap();
+        let baseline = simulate(&triangle_with_h3()).unwrap().dataplane;
+        assert_eq!(baseline.len(), 6);
+        let sweep = ScenarioSweep::new(&engine, &base, &baseline);
+        assert_eq!(sweep.always.count_ones(), 4);
+        for sc in scenarios(&cfgs) {
+            let warm = sweep.digest(&sc).unwrap();
+            let cold = run_scenario(&cfgs, &baseline, &sc).unwrap();
+            assert_eq!(warm.encode(), cold.encode(), "{sc}");
+            assert!(
+                warm.histogram[DegradationClass::Partitioned.index()] >= 4,
+                "{sc}"
+            );
         }
     }
 

@@ -154,6 +154,16 @@ impl PathSet {
         self.spans.len()
     }
 
+    /// The set's [`PathShape`].
+    pub fn shape(&self) -> PathShape {
+        PathShape {
+            paths: self.spans.len(),
+            hops: self.hops.len(),
+            blackhole: self.blackhole,
+            has_loop: self.has_loop,
+        }
+    }
+
     /// Iterates the paths as router-id slices (host endpoints excluded),
     /// in the set's order.
     pub fn paths(&self) -> impl ExactSizeIterator<Item = &[RouterId]> {
@@ -184,6 +194,21 @@ impl PathSet {
         spans.sort_by(|a, b| seg(a).cmp(seg(b)));
         spans.dedup_by(|a, b| seg(a) == seg(b));
     }
+}
+
+/// What two equal path sets agree on without reading a hop: the path and
+/// hop counts and the two flags. Two sets of different shapes differ, under
+/// any [`NameJoin`]; two of one shape may still differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathShape {
+    /// Number of paths.
+    pub paths: usize,
+    /// Hops summed over the paths.
+    pub hops: usize,
+    /// Some branch dropped traffic.
+    pub blackhole: bool,
+    /// Some branch entered a forwarding loop.
+    pub has_loop: bool,
 }
 
 /// The join by name of one name-sorted table (routers or hosts) onto
@@ -864,6 +889,27 @@ impl<'a> DestTracer<'a> {
                 }
             }
         }
+    }
+
+    /// The shape of the set [`DestTracer::reach`] gives `src` when `src`
+    /// sits behind an exact gateway, read off the gateway's resolved entry
+    /// without building the set; `None` for an unattached source, a
+    /// same-LAN source and an inexact gateway. Resolves what `reach` would.
+    pub fn exact_shape(&mut self, src: HostId) -> Option<PathShape> {
+        let Start::Gateway(gw) = start(self.net.host(src), self.net.host(self.dst)) else {
+            return None;
+        };
+        let g = gw.0 as usize;
+        if self.nodes[g].visit == Visit::New {
+            self.resolve(g);
+        }
+        let node = &self.nodes[g];
+        (!node.inexact).then_some(PathShape {
+            paths: node.paths as usize,
+            hops: node.hops as usize,
+            blackhole: node.blackhole,
+            has_loop: false,
+        })
     }
 
     /// The work done so far.

@@ -19,7 +19,7 @@
 //! topology) and compares the resulting data plane against a healthy
 //! baseline per host pair, yielding a [`DegradationClass`].
 
-use crate::dataplane::{DataPlane, NameJoin, PathSet};
+use crate::dataplane::{DataPlane, NameJoin, PathSet, PathShape};
 use crate::error::SimError;
 use crate::simulate;
 use crate::sweep::ScenarioDigest;
@@ -454,10 +454,20 @@ pub fn classify_pair(
     if unchanged {
         return DegradationClass::Unchanged;
     }
+    classify_changed(after.shape(), physically_connected)
+}
+
+/// The class of a pair whose path set changed, from the shape of the set
+/// it has now ([`PathShape`]): its flags and path count decide it, so a
+/// caller that knows only the shape needs no hops.
+pub fn classify_changed(
+    after: PathShape,
+    physically_connected: impl FnOnce() -> bool,
+) -> DegradationClass {
     if after.has_loop {
         return DegradationClass::Looping;
     }
-    if after.path_count() == 0 || after.blackhole {
+    if after.paths == 0 || after.blackhole {
         return if physically_connected() {
             DegradationClass::BlackHoled
         } else {

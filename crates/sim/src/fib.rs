@@ -164,12 +164,37 @@ impl Fibs {
     }
 }
 
+/// Where [`merge_router_fib`] reads one router's OSPF rows from: per
+/// prefix, the router's candidate hops `(interface, neighbour)` in the
+/// merged model's interface numbering, in row order.
+///
+/// A router's own table is a source as it stands. The incremental engine
+/// passes a source that reads the rows it recomputed and renumbers the
+/// cached rows of everything else as they are read, so no merged table is
+/// ever assembled for the merge to read.
+pub trait OspfRows {
+    /// The row toward `prefix`, or `None` when the router has none.
+    fn row(
+        &self,
+        prefix: &Ipv4Prefix,
+    ) -> Option<impl ExactSizeIterator<Item = (usize, RouterId)> + '_>;
+}
+
+impl OspfRows for BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>> {
+    fn row(
+        &self,
+        prefix: &Ipv4Prefix,
+    ) -> Option<impl ExactSizeIterator<Item = (usize, RouterId)> + '_> {
+        self.get(prefix).map(|hops| hops.iter().copied())
+    }
+}
+
 /// Merges per-protocol RIB contributions into FIBs by administrative
-/// distance. This is the *only* merge implementation — the incremental
-/// engine feeds it spliced (partly reused, partly recomputed) protocol
-/// tables and the warm control plane re-merges single routers through
-/// [`merge_router_fib`], so cold, delta and warm simulations go through
-/// byte-identical merge logic.
+/// distance. This is the *only* merge implementation: cold builds merge
+/// every router here, and the warm control plane and the incremental
+/// engine re-merge single routers through [`merge_router_fib`] (the
+/// engine reading its OSPF rows through its own [`OspfRows`] source), so
+/// cold, delta and warm simulations go through byte-identical merge logic.
 pub fn merge_fibs(
     net: &SimNetwork,
     ospf_routes: &ospf::IgpRoutes,
@@ -183,7 +208,7 @@ pub fn merge_fibs(
                 Arc::new(merge_router_fib(
                     net,
                     rid,
-                    ospf_routes,
+                    &ospf_routes[rid.0 as usize],
                     rip_routes,
                     bgp_routes,
                 ))
@@ -194,11 +219,12 @@ pub fn merge_fibs(
 
 /// Merges one router's RIB contributions into its FIB — the per-router
 /// body of [`merge_fibs`], exposed so the incremental engine can merge
-/// only the routers a perturbation touched (and share the rest).
+/// only the routers a perturbation touched (and share the rest). `ospf`
+/// is this router's OSPF rows; the RIP and BGP tables are every router's.
 pub fn merge_router_fib(
     net: &SimNetwork,
     rid: RouterId,
-    ospf_routes: &ospf::IgpRoutes,
+    ospf: &impl OspfRows,
     rip_routes: &rip::RipRoutes,
     bgp_routes: &[BTreeMap<Ipv4Prefix, bgp::BgpFibRoute>],
 ) -> Fib {
@@ -274,14 +300,13 @@ pub fn merge_router_fib(
             }
         }
         // 3. OSPF (AD 110).
-        if let Some(hops) = ospf_routes[r].get(prefix) {
-            if !hops.is_empty() {
+        if let Some(hops) = ospf.row(prefix) {
+            if hops.len() != 0 {
                 fib.insert(FibEntry {
                     prefix: *prefix,
                     source: RouteSource::Ospf,
                     next_hops: hops
-                        .iter()
-                        .map(|&(via_iface, router)| NextHop::Forward {
+                        .map(|(via_iface, router)| NextHop::Forward {
                             via_iface,
                             router,
                             session_peer: None,

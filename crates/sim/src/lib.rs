@@ -53,13 +53,15 @@ mod warm;
 
 pub use bgp::BgpFibRoute;
 pub use dataplane::{
-    DataPlane, DataPlaneBuilder, DestTracer, NameJoin, Pair, PairBits, PathSet, Reach, TracerStats,
+    DataPlane, DataPlaneBuilder, DestTracer, NameJoin, Pair, PairBits, PathSet, PathShape, Reach,
+    TracerStats,
 };
 pub use error::SimError;
 pub use fault::{DegradationClass, FailureScenario, Fault};
 pub use sweep::{DigestList, ScenarioDigest, SweepReducer, SweepStats, SweepSummary};
 pub use fib::{
-    merge_fibs, merge_router_fib, AdminDistance, Fib, FibEntry, Fibs, NextHop, RouteSource,
+    merge_fibs, merge_router_fib, AdminDistance, Fib, FibEntry, Fibs, NextHop, OspfRows,
+    RouteSource,
 };
 pub use network::{BgpSession, HostNode, IfaceNode, IfaceRemap, Peer, RouterNode, SimNetwork};
 pub use ospf::{IgpRoutes, OspfDist, RouterPaths};

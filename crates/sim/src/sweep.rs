@@ -77,6 +77,14 @@ impl ScenarioDigest {
         self.changed_n += 1;
     }
 
+    /// Records `n` more `Unchanged` pairs at once: what a caller that
+    /// visits only the pairs a scenario may have changed credits for the
+    /// rest. Unchanged pairs touch only the histogram, so this may come
+    /// before, between or after [`ScenarioDigest::record`] calls.
+    pub fn record_unchanged(&mut self, n: usize) {
+        self.histogram[DegradationClass::Unchanged.index()] += n as u32;
+    }
+
     /// Number of pairs the digest covers (the baseline's length).
     pub fn pairs(&self) -> usize {
         self.changed.len()
@@ -383,6 +391,28 @@ mod tests {
                 host("h2", "10.1.2.100", "10.1.2.1"),
             ],
         )
+    }
+
+    #[test]
+    fn bulk_unchanged_credit_equals_per_pair_records() {
+        let classes = [
+            DegradationClass::Unchanged,
+            DegradationClass::Rerouted,
+            DegradationClass::Unchanged,
+            DegradationClass::Partitioned,
+            DegradationClass::Unchanged,
+        ];
+        let mut each = ScenarioDigest::new(classes.len());
+        for (i, &class) in classes.iter().enumerate() {
+            each.record(i, class);
+        }
+        let mut bulk = ScenarioDigest::new(classes.len());
+        bulk.record_unchanged(1);
+        bulk.record(1, DegradationClass::Rerouted);
+        bulk.record(3, DegradationClass::Partitioned);
+        bulk.record_unchanged(2);
+        assert_eq!(bulk, each);
+        assert_eq!(bulk.encode(), each.encode());
     }
 
     #[test]

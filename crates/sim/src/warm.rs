@@ -196,7 +196,7 @@ impl WarmControlPlane {
         self.fibs.per_router[u] = Arc::new(merge_router_fib(
             &self.net,
             rid,
-            &self.state.ospf_routes,
+            &self.state.ospf_routes[u],
             &self.state.rip_routes,
             &self.state.bgp_routes,
         ));

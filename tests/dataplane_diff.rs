@@ -13,7 +13,8 @@
 //! ([`DestTracer`]) that fault sweeps re-trace through: asked about the
 //! sources in reverse order, or about one source alone, it must give what
 //! the per-pair DFS gives, and send the same pairs to the DFS as
-//! extraction does.
+//! extraction does; the shape it reports behind an exact gateway, before
+//! building the set, must be the per-pair set's.
 //!
 //! `DELTA_DIFF_SEEDS` controls how many random networks are generated
 //! (default 8; CI runs more).
@@ -63,6 +64,13 @@ fn assert_lazy_matches_per_pair(tag: &str, sim: &Simulation, alone: bool) -> u64
         for &s in hosts.iter().rev().filter(|&&s| s != d) {
             let oracle = dataplane::trace(&sim.net, &sim.fibs, s, d);
             let (sn, dn) = (&sim.net.host(s).name, &sim.net.host(d).name);
+            if let Some(shape) = tracer.exact_shape(s) {
+                assert_eq!(
+                    shape,
+                    oracle.shape(),
+                    "{tag}: lazy {sn}→{dn} shape differs from the per-pair DFS"
+                );
+            }
             assert_eq!(
                 reach_set(tracer.reach(s)),
                 oracle,
