@@ -43,6 +43,26 @@ fn wait_terminal(addr: &str, id: &str) -> wire::JobStatus {
     }
 }
 
+/// Polls a job until it reads `running`; reaching a terminal state first
+/// is a failure.
+fn wait_running(addr: &str, id: &str) {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let resp = client::get(addr, &format!("/v1/jobs/{id}")).expect("poll");
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        let status = wire::decode_status(&resp.body).expect("status json");
+        if status.state == "running" {
+            return;
+        }
+        assert!(
+            !status.is_terminal(),
+            "job {id} finished before it was seen running: {status:?}"
+        );
+        assert!(Instant::now() < deadline, "job {id} never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn example_body(seed: u64) -> String {
     let net = confmask_netgen::smallnets::example_network();
     wire::encode_submit(&net, &Params::new(3, 2).with_seed(seed), confmask::Vendor::Ios, confmask::Strategy::ConfMask)
@@ -201,12 +221,22 @@ fn eight_concurrent_submissions_all_finish() {
 
 #[test]
 fn full_queue_rejects_with_429_and_retry_after() {
-    // One worker, tiny queue, and 12 *simultaneous* submissions: even if
-    // the worker drains a job or two mid-flood, the burst lands within
-    // milliseconds and must overflow the cap-2 queue. (A sequential
-    // submit loop here is flaky — a fast worker can drain between
-    // round-trips and never leave the queue full.)
+    // One worker and a cap-2 queue. A slow job (ConfMask on net H,
+    // FatTree(8)) holds the worker first; only once it reads `running` do
+    // 12 simultaneous submissions arrive, so the worker cannot drain the
+    // queue mid-burst and the burst must overflow it.
     let (addr, handle) = start(1, 2);
+    let net_h = confmask_netgen::synthesize(&confmask_netgen::fattree::fattree_spec(8));
+    let body = wire::encode_submit(
+        &net_h,
+        &Params::new(3, 2),
+        confmask::Vendor::Ios,
+        confmask::Strategy::ConfMask,
+    );
+    let resp = submit_bundle(&addr, &body);
+    assert_eq!(resp.status, 202, "{}", resp.text());
+    let slow = wire::decode_job_created(&resp.body).unwrap();
+    wait_running(&addr, &slow);
     let responses: Vec<client::ClientResponse> = (0..12)
         .map(|i| {
             let addr = addr.clone();
@@ -216,7 +246,7 @@ fn full_queue_rejects_with_429_and_retry_after() {
         .into_iter()
         .map(|t| t.join().unwrap())
         .collect();
-    let mut accepted = Vec::new();
+    let mut accepted = vec![slow];
     let mut rejected = 0;
     for resp in responses {
         match resp.status {

@@ -6,8 +6,10 @@
 //! nothing applies them to a copy), this module builds a [`ShutdownPlan`]:
 //! the perturbed model, derived from the cached one
 //! ([`SimNetwork::without_interfaces`]), and the perturbed FIBs,
-//! recomputing only what the shutdowns can have touched, plus the per-pair
-//! predicate that says which cached path sets still hold. Shutdowns only
+//! recomputing only what the shutdowns can have touched, plus the lookups
+//! the new FIBs answer differently and the hosts whose attachment moved:
+//! the inputs from which the sweep's pair index (`crate::sweep`) finds the
+//! pairs whose cached path sets may no longer hold. Shutdowns only
 //! ever **remove** model elements, which is the monotonicity every
 //! warm-start argument below leans on, and the removal alone defines the
 //! interface renumbering ([`IfaceRemap`]) every splice below applies.
@@ -16,11 +18,11 @@
 //!
 //! The contract is **byte identity** with a cold `simulate()` of the
 //! perturbed configs: the plan's FIBs equal the cold FIBs entry by entry,
-//! every pair [`ShutdownPlan::pair_reusable`] accepts has a cached path set
-//! equal to the cold one, and every other pair's `trace` over the plan's
-//! model and FIBs equals the cold path set. The sweep (`crate::sweep`)
-//! classifies pairs straight off the plan, re-tracing through lazy
-//! per-destination tracers, and never builds a perturbed data plane.
+//! every pair the sweep's index leaves clean has a cached path set equal to
+//! the cold one, and every pair it marks dirty has a `trace` over the
+//! plan's model and FIBs equal to the cold path set. The sweep classifies
+//! pairs straight off the plan, re-tracing through lazy per-destination
+//! tracers, and never builds a perturbed data plane.
 //! Per-protocol strategy (soundness arguments inline):
 //!
 //! * **OSPF** — per-prefix SPFs are independent, so only *affected*
@@ -56,22 +58,20 @@
 //!   table is assembled first.
 //! * **Data plane** — the trace DFS consults exactly one FIB entry per
 //!   visited router: the longest-prefix match for the *destination host's*
-//!   address. The reuse criterion is therefore per (router, destination):
-//!   a pair reuses its cached [`PathSet`](confmask_sim::PathSet) when its
-//!   endpoints' attachments survived and, for its destination, no
-//!   reachable router resolves that address differently (modulo interface
-//!   renumbering). When *no* router's lookup for the destination changed,
-//!   the entire DFS — blackholes, loops, and ECMP truncation included —
-//!   replays identically, so the cached set is reused unconditionally.
-//!   Otherwise only clean, non-truncated pairs are reusable (their
-//!   recorded paths are exactly the routers the walk visits) and only when
-//!   every on-path router's lookup is unchanged. The plan reports the
-//!   changed lookups sparsely, as sorted (destination host, router) keys
-//!   of merged routers only (a shared FIB changes no lookup), so the sweep
-//!   can look up the pairs each one can affect in its index instead of
-//!   testing every pair.
+//!   address. So a pair keeps its cached [`PathSet`](confmask_sim::PathSet)
+//!   when its endpoints' attachments survived and, for its destination, no
+//!   router it can reach resolves that address differently (modulo
+//!   interface renumbering): the DFS then replays move for move,
+//!   blackholes, loops and ECMP truncation included. An unattached source
+//!   is a blackhole before any lookup, so its pairs always keep their sets.
+//!   A clean, non-truncated walk visits exactly the routers on its recorded
+//!   paths, so only a changed lookup at one of those routers can change it.
+//!   The plan reports the changed lookups sparsely, as sorted (destination
+//!   host, router) keys of merged routers only (a shared FIB changes no
+//!   lookup), and the hosts whose attachment moved; the sweep's index
+//!   turns both into the pairs to re-trace.
 
-use crate::{ConvergedSim, DeltaStats, NO_META};
+use crate::{ConvergedSim, DeltaStats};
 use confmask_net_types::{HostId, Ipv4Prefix, RouterId};
 use confmask_sim::ospf::RouterPaths;
 use confmask_sim::{
@@ -82,9 +82,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Everything the shutdown delta derives about a perturbed network: its
-/// model and FIBs plus the per-endpoint reuse predicates behind
-/// [`ShutdownPlan::pair_reusable`]. The sweep re-traces the pairs that
-/// predicate rejects over `new_net` and `fibs`.
+/// model and FIBs, and what the sweep's pair index needs to find the pairs
+/// they may have changed, which it re-traces over `new_net` and `fibs`.
 pub(crate) struct ShutdownPlan {
     /// The perturbed network model.
     pub new_net: SimNetwork,
@@ -93,101 +92,20 @@ pub(crate) struct ShutdownPlan {
     /// Every `(destination host, router)` whose lookup of that host's
     /// address differs from the cached base's, sorted. Only merged routers
     /// appear: a shared FIB changes no lookup.
-    changed_lookups: Vec<(u32, u32)>,
-    /// Hosts whose attachment survived the perturbation.
-    att_unchanged: Vec<bool>,
-    /// Hosts that were unattached in the base network.
-    unattached: Vec<bool>,
-    ospf_prefixes_total: usize,
-    ospf_prefixes_recomputed: usize,
-    rip_warm_started: bool,
-    bgp_reused: Option<bool>,
-    routers_shared: usize,
-    fibs_shared: usize,
-}
-
-impl ShutdownPlan {
-    /// Whether ordered pair `(si, di)` (host ids, which are the base data
-    /// plane's host indices; `idx` the pair's position in the base data
-    /// plane's entries) can reuse its cached path set.
-    ///
-    /// Soundness, in check order:
-    /// * endpoint attachments must have survived (the trace consults them
-    ///   before any FIB);
-    /// * an unattached source is an immediate blackhole regardless of any
-    ///   FIB, so its cached trace replays exactly;
-    /// * a fully untouched destination (no router resolves it differently)
-    ///   replays the DFS move for move — blackholes, loops, and ECMP
-    ///   truncation included;
-    /// * otherwise only clean, non-truncated walks are determined by the
-    ///   lookups of exactly the routers on their recorded paths
-    ///   (`pair_meta`, precomputed at convergence), and reuse requires all
-    ///   of those lookups unchanged.
-    pub fn pair_reusable(&self, base: &ConvergedSim, si: usize, di: usize, idx: usize) -> bool {
-        if !self.att_unchanged[si] || !self.att_unchanged[di] {
-            return false;
-        }
-        let changed = self.changed_toward(di as u32);
-        if self.unattached[si] || changed.is_empty() {
-            return true;
-        }
-        match base.pair_meta[idx] {
-            NO_META => false,
-            meta => {
-                let on_path = &base.on_path[meta as usize];
-                changed
-                    .iter()
-                    .all(|(_, r)| on_path.binary_search(r).is_err())
-            }
-        }
-    }
-
-    /// The changed lookups toward destination host `dst`.
-    fn changed_toward(&self, dst: u32) -> &[(u32, u32)] {
-        let lookups = &self.changed_lookups;
-        let from = lookups.partition_point(|&(d, _)| d < dst);
-        let to = from + lookups[from..].partition_point(|&(d, _)| d == dst);
-        &lookups[from..to]
-    }
-
-    /// Every `(destination host, router)` whose lookup changed, sorted.
-    pub fn changed_lookups(&self) -> &[(u32, u32)] {
-        &self.changed_lookups
-    }
-
-    /// Hosts whose attachment the shutdowns changed (ids ascending).
-    pub fn moved_hosts(&self) -> impl Iterator<Item = u32> + '_ {
-        self.att_unchanged
-            .iter()
-            .enumerate()
-            .filter(|(_, &same)| !same)
-            .map(|(h, _)| h as u32)
-    }
-
+    pub changed_lookups: Vec<(u32, u32)>,
+    /// Hosts whose attachment the shutdowns changed, ascending.
+    pub moved_hosts: Vec<u32>,
     /// The delta statistics of the model and FIBs; the sweep adds the
     /// data-plane tallies.
-    pub fn stats(&self) -> DeltaStats {
-        DeltaStats {
-            full_fallback: false,
-            ospf_prefixes_total: self.ospf_prefixes_total,
-            ospf_prefixes_recomputed: self.ospf_prefixes_recomputed,
-            rip_warm_started: self.rip_warm_started,
-            bgp_reused: self.bgp_reused,
-            routers_shared: self.routers_shared,
-            fibs_shared: self.fibs_shared,
-            fibs_merged: self.fibs.per_router.len() - self.fibs_shared,
-            pairs_total: 0,
-            pairs_recomputed: 0,
-            pairs_visited: 0,
-            retraces_by_count: 0,
-            dag_nodes: 0,
-        }
-    }
+    pub stats: DeltaStats,
 }
 
 /// Builds the [`ShutdownPlan`] for shutting the `(router, interface
-/// index)`s listed in `shut`: model, FIBs (both incremental where
-/// provable), and the per-endpoint reuse predicates. The model is derived
+/// index)`s listed in `shut`: model and FIBs (both incremental where
+/// provable), the lookups they change and the hosts they move. `matched`
+/// holds, per `host × routers + router`, the FIB prefix the base router's
+/// longest-prefix match resolves that host's address to (`None` = no
+/// route); the sweep computes it once per baseline. The model is derived
 /// from the cached one ([`SimNetwork::without_interfaces`]), sharing every
 /// router the shutdowns leave unchanged, and its interface renumbering
 /// drives every splice below.
@@ -204,6 +122,7 @@ impl ShutdownPlan {
 /// [`FailureScenario::shutdowns`]: confmask_sim::fault::FailureScenario::shutdowns
 pub(crate) fn plan_shutdowns(
     base: &ConvergedSim,
+    matched: &[Option<Ipv4Prefix>],
     shut: &[(String, usize)],
 ) -> Result<Option<ShutdownPlan>, SimError> {
     // The model finds interfaces by name, so a stanza whose name another
@@ -370,8 +289,8 @@ pub(crate) fn plan_shutdowns(
     // the routers that now answer it differently; only merged routers can.
     // Lockstep FIB diff per merged router (entries are prefix-sorted):
     // the prefixes whose entry changed modulo renumbering. With an
-    // unchanged key set a host's match lands on the same prefix as at
-    // convergence (`host_match`), so the diff set answers directly; a
+    // unchanged key set a host's match lands on the same prefix as in the
+    // base (`matched`), so the diff set answers directly; a
     // changed key set (e.g. a lost connected route) falls back to actual
     // lookups. ----
     let hosts: Vec<HostId> = new_net.hosts_iter().map(|(id, _)| id).collect();
@@ -395,7 +314,7 @@ pub(crate) fn plan_shutdowns(
             if !diff.is_empty() {
                 changed_lookups.extend(
                     (0..hosts.len())
-                        .filter(|&di| base.host_match[di][r].is_some_and(|k| diff.contains(&k)))
+                        .filter(|&di| matched[di * n + r].is_some_and(|k| diff.contains(&k)))
                         .map(key),
                 );
             }
@@ -414,36 +333,33 @@ pub(crate) fn plan_shutdowns(
     }
     changed_lookups.sort_unstable();
 
-    // Per host: whether its attachment survived the perturbation, and
-    // whether it was unattached to begin with (hoisted out of the pair
-    // loop — both depend only on the endpoint, not the pair).
-    let att_unchanged: Vec<bool> = hosts
+    let moved_hosts = hosts
         .iter()
-        .map(|&h| attachment_unchanged(base_net, &new_net, &remap, h))
+        .filter(|&&h| !attachment_unchanged(base_net, &new_net, &remap, h))
+        .map(|h| h.0)
         .collect();
-    let unattached: Vec<bool> = hosts
-        .iter()
-        .map(|&h| base_net.host(h).attachment.is_none())
-        .collect();
-
     let routers_shared = new_net
         .routers
         .iter()
         .zip(&base_net.routers)
         .filter(|(new, old)| Arc::ptr_eq(new, old))
         .count();
+    let fibs_shared = fib_shared.iter().filter(|&&shared| shared).count();
     Ok(Some(ShutdownPlan {
-        routers_shared,
         new_net,
         fibs,
         changed_lookups,
-        att_unchanged,
-        unattached,
-        ospf_prefixes_total,
-        ospf_prefixes_recomputed,
-        rip_warm_started,
-        bgp_reused,
-        fibs_shared: fib_shared.iter().filter(|&&shared| shared).count(),
+        moved_hosts,
+        stats: DeltaStats {
+            ospf_prefixes_total,
+            ospf_prefixes_recomputed,
+            rip_warm_started,
+            bgp_reused,
+            routers_shared,
+            fibs_shared,
+            fibs_merged: n - fibs_shared,
+            ..DeltaStats::default()
+        },
     }))
 }
 

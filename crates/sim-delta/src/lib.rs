@@ -8,17 +8,19 @@
 //!
 //! * [`DeltaEngine::converged`] memoizes full simulations behind a stable
 //!   structural hash of the configurations ([`hash::structural_hash`]),
-//!   with an LRU bound and collision-proof equality checks.
+//!   with an LRU bound and collision-proof equality checks. An entry holds
+//!   the simulation, its control-plane state and its configs, nothing
+//!   only a fault sweep reads: most converged networks are never swept.
 //! * [`ScenarioSweep`] streams failure scenarios over a cached baseline.
 //!   Each scenario resolves to the interfaces it shuts
 //!   ([`confmask_sim::fault::FailureScenario::shutdowns`]), read off the
 //!   cached configs without copying or mutating them; that list becomes a
 //!   delta plan that recomputes only what it touched (see `delta`'s
 //!   module docs for the per-protocol soundness argument). The sweep's
-//!   pair index, built once per baseline, finds the pairs the plan's
-//!   changed lookups and moved hosts can affect; those are classified
-//!   straight off the plan and the rest credited to `Unchanged`, into a
-//!   [`confmask_sim::ScenarioDigest`] byte-identical to the cold
+//!   pair index, built per sweep, is the reuse rule: the pairs it lists
+//!   under the plan's changed lookups and moved hosts are re-traced
+//!   straight off the plan and every other pair keeps its base path set,
+//!   into a [`confmask_sim::ScenarioDigest`] byte-identical to the cold
 //!   [`confmask_sim::fault::run_scenario`] digest. A scenario the planner
 //!   declines falls back to the cold loop over a copy with the scenario
 //!   applied, explicitly and observably (`sim.delta.full_fallbacks`).
@@ -43,9 +45,7 @@ pub use cache::SimCache;
 pub use sweep::ScenarioSweep;
 
 use confmask_config::NetworkConfigs;
-use confmask_net_types::{Ipv4Prefix, RouterId};
-use confmask_sim::{ControlState, PathSet, SimError, Simulation};
-use std::collections::HashMap;
+use confmask_sim::{ControlState, SimError, Simulation};
 use std::sync::{Arc, OnceLock};
 
 /// Default capacity of the per-process global cache: big enough for every
@@ -65,28 +65,10 @@ pub struct ConvergedSim {
     pub sim: Simulation,
     /// The converged per-protocol control-plane state (delta inputs).
     pub state: ControlState,
-    /// Per (host, router): the FIB prefix the router's longest-prefix
-    /// match resolves that host's address to (`None` = no route).
-    /// Precomputed once so every delta run can tell which lookups a
-    /// perturbation changed without re-running longest-prefix matches.
-    pub host_match: Vec<Vec<Option<Ipv4Prefix>>>,
-    /// Per data-plane pair (in
-    /// [`DataPlane::entries`](confmask_sim::DataPlane::entries) order): an
-    /// index into `on_path`, or [`NO_META`] for a walk whose shape the
-    /// recorded paths do not fully determine (blackholed, looping, empty,
-    /// or ECMP-truncated). Precomputed from the id paths so delta runs test
-    /// pair reusability against a bool mask instead of re-walking paths.
-    pub(crate) pair_meta: Vec<u32>,
-    /// Per distinct path set with reuse metadata: the deduped router ids
-    /// its recorded paths traverse.
-    pub(crate) on_path: Vec<Box<[u32]>>,
 }
 
-/// [`ConvergedSim::pair_meta`]'s marker for a pair without reuse metadata.
-pub(crate) const NO_META: u32 = u32::MAX;
-
 /// What a delta plan reused versus recomputed.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct DeltaStats {
     /// The scenario was not planned (an invariant check failed) and the
     /// cold loop classified it instead.
@@ -123,18 +105,7 @@ impl DeltaStats {
     pub(crate) fn full() -> Self {
         DeltaStats {
             full_fallback: true,
-            ospf_prefixes_total: 0,
-            ospf_prefixes_recomputed: 0,
-            rip_warm_started: false,
-            bgp_reused: None,
-            routers_shared: 0,
-            fibs_shared: 0,
-            fibs_merged: 0,
-            pairs_total: 0,
-            pairs_recomputed: 0,
-            pairs_visited: 0,
-            retraces_by_count: 0,
-            dag_nodes: 0,
+            ..DeltaStats::default()
         }
     }
 
@@ -188,54 +159,11 @@ impl DeltaEngine {
             return Ok(hit);
         }
         let (sim, state) = confmask_sim::simulate_with_state(configs)?;
-        let host_match = sim
-            .net
-            .hosts_iter()
-            .map(|(_, h)| {
-                (0..sim.net.router_count())
-                    .map(|r| {
-                        sim.fibs
-                            .of(RouterId(r as u32))
-                            .lookup(h.addr)
-                            .map(|e| e.prefix)
-                    })
-                    .collect()
-            })
-            .collect();
-        // Reuse metadata is a function of the path set alone, so it is
-        // computed once per shared set (every source behind one gateway
-        // shares its set toward a destination).
-        let mut meta_of: HashMap<*const PathSet, u32> = HashMap::new();
-        let mut on_path: Vec<Box<[u32]>> = Vec::new();
-        let pair_meta = sim
-            .dataplane
-            .entries()
-            .iter()
-            .map(|(_, ps)| {
-                if ps.blackhole
-                    || ps.has_loop
-                    || ps.path_count() == 0
-                    || ps.path_count() >= confmask_sim::dataplane::MAX_PATHS_PER_PAIR
-                {
-                    return NO_META;
-                }
-                *meta_of.entry(Arc::as_ptr(ps)).or_insert_with(|| {
-                    let mut ids: Vec<u32> = ps.paths().flatten().map(|r| r.0).collect();
-                    ids.sort_unstable();
-                    ids.dedup();
-                    on_path.push(ids.into());
-                    (on_path.len() - 1) as u32
-                })
-            })
-            .collect();
         let converged = Arc::new(ConvergedSim {
             key,
             configs: configs.clone(),
             sim,
             state,
-            host_match,
-            pair_meta,
-            on_path,
         });
         self.cache.insert(Arc::clone(&converged));
         Ok(converged)
@@ -326,7 +254,7 @@ pub fn register_metrics() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::{plan_shutdowns, ShutdownPlan};
+    use crate::delta::ShutdownPlan;
     use crate::random_net::random_spec;
     use confmask_config::{parse_router, HostConfig};
     use confmask_net_types::HostId;
@@ -372,18 +300,18 @@ mod tests {
     }
 
     /// Checks a plan against a cold simulation of the same failed configs:
-    /// every router's FIB entry by entry, every pair the sweep's index
-    /// skips and every pair the plan reuses against its cold path set, and
-    /// every other pair's re-trace over the plan. Returns how many pairs
-    /// the plan re-traces.
+    /// every router's FIB entry by entry, every pair `sweep` (over the
+    /// base's own data plane) leaves clean against its cold path set, and
+    /// every pair it marks dirty by its re-trace over the plan. Returns how
+    /// many pairs are dirty.
     fn assert_plan_matches(
         tag: &str,
         base: &ConvergedSim,
+        sweep: &ScenarioSweep,
         plan: &ShutdownPlan,
         cold: &Simulation,
     ) -> usize {
-        let engine = DeltaEngine::new(1);
-        let marked = ScenarioSweep::new(&engine, base, &base.sim.dataplane).marked(plan);
+        let dirty = sweep.dirty(plan);
         assert_eq!(
             plan.fibs.per_router.len(),
             cold.fibs.per_router.len(),
@@ -401,26 +329,29 @@ mod tests {
         assert_eq!(base_dp.hosts(), cold_dp.hosts(), "{tag}: host table");
         assert_eq!(base_dp.routers(), cold_dp.routers(), "{tag}: router table");
         assert_eq!(base_dp.len(), cold_dp.len(), "{tag}: pair count");
-        let mut retraced = 0;
         for (idx, ((key, cached), (cold_key, want))) in
             base_dp.entries().iter().zip(cold_dp.entries()).enumerate()
         {
             assert_eq!(key, cold_key, "{tag}: pair order");
-            let (si, di) = *key;
-            let reusable = plan.pair_reusable(base, si as usize, di as usize, idx);
-            assert!(
-                reusable || marked.get(idx),
-                "{tag}: the sweep skips pair {key:?}, which the plan re-traces"
-            );
-            if reusable {
-                assert_eq!(cached, want, "{tag}: reused pair {key:?} differs");
-            } else {
-                retraced += 1;
+            if dirty.get(idx) {
+                let (si, di) = *key;
                 let got = trace(&plan.new_net, &plan.fibs, HostId(si), HostId(di));
-                assert_eq!(&got, &**want, "{tag}: re-traced pair {key:?} differs");
+                assert_eq!(&got, &**want, "{tag}: dirty pair {key:?} differs");
+            } else {
+                assert_eq!(cached, want, "{tag}: clean pair {key:?} differs");
             }
         }
-        retraced
+        dirty.count_ones()
+    }
+
+    /// Plans shutting `shut` against `base`, as a sweep over the base's own
+    /// data plane does.
+    fn plan_for(
+        base: &ConvergedSim,
+        shut: &[(String, usize)],
+    ) -> Result<Option<ShutdownPlan>, SimError> {
+        let engine = DeltaEngine::new(1);
+        ScenarioSweep::new(&engine, base, &base.sim.dataplane).plan(shut)
     }
 
     /// Applies `scenario` to the base configs: the failed configs and the
@@ -435,15 +366,18 @@ mod tests {
     }
 
     /// Plans `scenario`, which must be plannable, and checks the plan
-    /// against a cold simulation; returns it with its re-traced pair count.
+    /// against a cold simulation; returns it with its dirty pair count.
     fn planned_as_cold(base: &ConvergedSim, scenario: &FailureScenario) -> (ShutdownPlan, usize) {
         let tag = scenario.to_string();
         let (failed, shut) = resolve(base, scenario);
-        let plan = plan_shutdowns(base, &shut)
+        let engine = DeltaEngine::new(1);
+        let sweep = ScenarioSweep::new(&engine, base, &base.sim.dataplane);
+        let plan = sweep
+            .plan(&shut)
             .unwrap()
             .unwrap_or_else(|| panic!("{tag}: shutdowns must plan"));
-        let retraced = assert_plan_matches(&tag, base, &plan, &simulate(&failed).unwrap());
-        (plan, retraced)
+        let dirty = assert_plan_matches(&tag, base, &sweep, &plan, &simulate(&failed).unwrap());
+        (plan, dirty)
     }
 
     fn link_down(a: &str, b: &str) -> FailureScenario {
@@ -466,9 +400,9 @@ mod tests {
 
     /// The plan's byte-identity contract on random networks across protocol
     /// flavors (OSPF, RIP, two-AS BGP+OSPF): for every k = 1 link failure
-    /// plus two router-down faults, the plan's FIBs, reused pairs and
-    /// re-traced pairs equal a cold `simulate()` of the failed configs, and
-    /// both report the same error when simulation fails.
+    /// plus two router-down faults, the plan's FIBs, the sweep's clean pairs
+    /// and its re-traced dirty pairs equal a cold `simulate()` of the failed
+    /// configs, and both report the same error when simulation fails.
     /// `DELTA_DIFF_SEEDS` sets how many networks are generated (default 8;
     /// CI runs more).
     #[test]
@@ -490,6 +424,7 @@ mod tests {
                 continue;
             };
             networks_checked += 1;
+            let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
             let mut scenarios = enumerate_single_link_failures(&configs);
             for router in configs.routers.keys().take(2) {
                 scenarios.push(FailureScenario::single(Fault::RouterDown {
@@ -500,9 +435,9 @@ mod tests {
                 let tag = format!("seed {i} flavor {flavor}: {scenario}");
                 let (failed, shut) = resolve(&base, &scenario);
                 scenarios_checked += 1;
-                match (simulate(&failed), plan_shutdowns(&base, &shut)) {
+                match (simulate(&failed), sweep.plan(&shut)) {
                     (Ok(cold), Ok(Some(plan))) => {
-                        assert_plan_matches(&tag, &base, &plan, &cold);
+                        assert_plan_matches(&tag, &base, &sweep, &plan, &cold);
                     }
                     // Post-failure divergence (e.g. BGP oscillation) must be
                     // reported identically by both.
@@ -537,8 +472,8 @@ mod tests {
         let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
         for scenario in enumerate_single_link_failures(&cfgs) {
             let (_, shut) = resolve(&base, &scenario);
-            let plan = plan_shutdowns(&base, &shut).unwrap().unwrap();
-            assert_eq!(plan.stats().bgp_reused, None, "{scenario}");
+            let plan = sweep.plan(&shut).unwrap().unwrap();
+            assert_eq!(plan.stats.bgp_reused, None, "{scenario}");
             sweep.digest(&scenario).unwrap();
         }
         assert!(counter("sim.delta.sims") >= sims + 3);
@@ -597,7 +532,7 @@ mod tests {
         // Toward h4, r1 keeps its distance over r3 and only its own row
         // changes; toward h1, r2 loses its only shortest path, so that
         // prefix alone takes a fresh SPF.
-        let stats = plan.stats();
+        let stats = plan.stats;
         assert_eq!(
             (stats.ospf_prefixes_recomputed, stats.ospf_prefixes_total),
             (1, 2)
@@ -615,7 +550,7 @@ mod tests {
         let base = engine.converged(&cfgs).unwrap();
         let scenario = link_down("r1", "r3");
         let (plan, _) = planned_as_cold(&base, &scenario);
-        assert_eq!(plan.stats().ospf_prefixes_recomputed, 0);
+        assert_eq!(plan.stats.ospf_prefixes_recomputed, 0);
         // Corrupt r1's cached rows with a hop out of its removed
         // Ethernet0/1: toward h2's LAN, a row the merge reads, and toward
         // r1's own LAN, a row its connected route shadows. Either breaks
@@ -626,7 +561,7 @@ mod tests {
         for lan in ["10.1.2.0/24", "10.1.1.0/24"] {
             let mut corrupt = ConvergedSim::clone(&base);
             corrupt.state.ospf_routes[r1].insert(lan.parse().unwrap(), vec![(1, r3)]);
-            assert!(plan_shutdowns(&corrupt, &shut).unwrap().is_none(), "{lan}");
+            assert!(plan_for(&corrupt, &shut).unwrap().is_none(), "{lan}");
         }
     }
 
@@ -638,10 +573,10 @@ mod tests {
         let r3_down = FailureScenario::single(Fault::RouterDown {
             router: "r3".into(),
         });
-        let (_, retraced) = planned_as_cold(&base, &r3_down);
+        let (_, dirty) = planned_as_cold(&base, &r3_down);
         // r3 carries no baseline traffic between h1 and h2 and hosts no
         // LAN: the h1↔h2 pairs reuse their cached traces.
-        assert!(retraced < base.sim.dataplane.len());
+        assert!(dirty < base.sim.dataplane.len());
     }
 
     #[test]
@@ -652,7 +587,7 @@ mod tests {
         let (plan, _) = planned_as_cold(&base, &link_down("r1", "r2"));
         // r1 and r2 lose an interface and re-merge; r3 keeps its routes
         // to both LANs and shares the baseline's table.
-        let stats = plan.stats();
+        let stats = plan.stats;
         assert_eq!((stats.fibs_shared, stats.fibs_merged), (1, 2));
         let shared: Vec<bool> = (0..3)
             .map(|r| Arc::ptr_eq(&plan.fibs.per_router[r], &base.sim.fibs.per_router[r]))
@@ -669,12 +604,12 @@ mod tests {
         let shut = |router: &str| [(router.to_string(), 0)];
         // A router the base lacks cannot lose an interface: the planner
         // declines rather than guess.
-        assert!(plan_shutdowns(&down_base, &shut("r9")).unwrap().is_none());
+        assert!(plan_for(&down_base, &shut("r9")).unwrap().is_none());
         // r1's Ethernet0/0 is already down, so the base model lacks it and
         // shutting it again removes nothing.
-        let plan = plan_shutdowns(&down_base, &shut("r1")).unwrap().unwrap();
+        let plan = plan_for(&down_base, &shut("r1")).unwrap().unwrap();
         assert_eq!(plan.new_net, *down_base.sim.net);
-        assert_eq!(plan.stats().fibs_merged, 0);
+        assert_eq!(plan.stats.fibs_merged, 0);
     }
 
     #[test]

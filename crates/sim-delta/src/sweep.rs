@@ -4,53 +4,59 @@
 //!
 //! [`ScenarioSweep`] binds each pair of the sweep's baseline data plane to
 //! a cached base simulation ([`ConvergedSim`]) once, and indexes the pairs
-//! by what can change them. Per failure scenario it then visits only the
-//! pairs the [`delta::ShutdownPlan`] may have changed and credits every
-//! other pair to `Unchanged` in bulk. Digest index `i` is the baseline's
-//! i-th entry.
+//! by what can change them. That index is the reuse rule: per failure
+//! scenario, the pairs it lists under what the [`delta::ShutdownPlan`]
+//! changed are *dirty* and re-traced, and every other pair keeps its base
+//! path set (`delta`'s module docs argue why). Digest index `i` is the
+//! baseline's i-th entry.
 //!
-//! The index (built by [`ScenarioSweep::new`], in compressed sparse rows)
-//! holds three lists:
+//! [`ScenarioSweep::new`] builds the index from the base simulation and the
+//! baseline, once per sweep: per (host, router) the FIB prefix the router
+//! matches for the host's address (the planner's lookup diff reads it), the
+//! router list of each distinct base path set a baseline pair uses, and
+//! three lists in compressed sparse rows:
 //!
-//! * per (destination host, router): the pairs toward that host whose base
-//!   path set crosses that router. A plan reports the lookups it changed
-//!   as such keys, so one read per changed lookup finds the pairs whose
-//!   reuse rule ([`delta::ShutdownPlan::pair_reusable`]) it can break;
-//! * per host: the pairs with that host as an endpoint, read for each host
-//!   whose attachment the failure changed;
-//! * the pairs visited in every scenario: those without reuse metadata (an
-//!   unclean or truncated walk), those the base lacks, and those whose
-//!   baseline differs from the base.
+//! * per (destination host, router): the clean pairs toward that host
+//!   whose base path set crosses that router. A clean, non-truncated walk
+//!   visits exactly the routers on its recorded paths, so a changed lookup
+//!   there dirties exactly these;
+//! * per destination host: the unclean pairs toward it (blackholed,
+//!   looping, empty or truncated), whose recorded paths do not determine
+//!   the walk, so any changed lookup toward the host dirties them all;
+//! * per host: every pair with that host as an endpoint, dirtied when the
+//!   host's attachment moves.
 //!
-//! A pair on none of the lists the plan names is reusable and equals its
-//! baseline, so it is `Unchanged`; a visited pair goes through the
-//! per-pair rule:
+//! A pair whose source is unattached is a blackhole before any lookup, so
+//! only the per-host list holds it. The pairs the base lacks, and those
+//! whose baseline differs from the base (a masked-network sweep classified
+//! against the original's baseline), are *foreign*. A scenario visits the
+//! foreign and dirty pairs in ascending order and credits every other pair
+//! to `Unchanged` in bulk:
 //!
-//! * a **reusable** pair whose baseline path set equals the base's
-//!   classifies as `Unchanged` without touching a path;
-//! * a reusable pair whose sweep baseline *differs* from the base (a
-//!   masked-network sweep compared against the original's baseline)
-//!   classifies the cached base path set against the sweep baseline;
-//! * a **non-reusable** pair re-traces through the plan's lazy tracer for
-//!   its destination ([`DestTracer`]: one FIB lookup per router and one
-//!   path set per gateway, shared by every source behind it). Behind an
-//!   exact gateway the tracer knows the set's
+//! * a pair the base lacks reads as blackholed;
+//! * a dirty pair re-traces through the plan's lazy tracer for its
+//!   destination ([`DestTracer`]: one FIB lookup per router and one path
+//!   set per gateway, shared by every source behind it). Behind an exact
+//!   gateway the tracer knows the set's
 //!   [`PathShape`](confmask_sim::PathShape) before building it; when that
 //!   differs from the baseline's, the pair changed and the shape alone
-//!   decides its class (`sim.delta.retraces_by_count`). Only a
-//!   tie, an inexact gateway or a constant set is compared against the
-//!   baseline id by id: a slice compare when the baseline shares the
-//!   base's router table, a [`NameJoin`] remap when it does not — no name
-//!   is ever resolved.
+//!   decides its class (`sim.delta.retraces_by_count`). Only a tie, an
+//!   inexact gateway or a constant set is compared against the baseline id
+//!   by id: a slice compare when the baseline shares the base's router
+//!   table, a [`NameJoin`] remap when it does not — no name is ever
+//!   resolved;
+//! * a clean foreign pair classifies its cached base path set against the
+//!   baseline.
 //!
 //! The result is byte-identical to the cold
 //! [`confmask_sim::fault::run_scenario`] digest (the differential gate in
 //! `tests/delta_diff.rs` asserts encode-level equality, and this crate's
 //! `plan_matches_cold_simulation_on_random_networks` checks the plan's
-//! FIBs and path sets against cold simulations, and every pair the index
-//! skips against its cold set), but a swept scenario allocates nothing
-//! that outlives its digest — the memory profile that makes exhaustive
-//! k = 2 enumeration and parallel sweeps on a single core viable.
+//! FIBs against cold simulations, every pair the index leaves clean
+//! against its cold set, and every dirty pair's re-trace), but a swept
+//! scenario allocates nothing that outlives its digest — the memory
+//! profile that makes exhaustive k = 2 enumeration and parallel sweeps on
+//! a single core viable.
 //!
 //! A scenario is read, never applied: it resolves to the list of
 //! interfaces it shuts ([`FailureScenario::shutdowns`] against the base
@@ -60,17 +66,18 @@
 //! scenario and fall back to the cold loop
 //! ([`confmask_sim::fault::classify_failed`]).
 
-use crate::{delta, record_stats, ConvergedSim, DeltaEngine, DeltaStats, NO_META};
-use confmask_net_types::HostId;
-use confmask_sim::dataplane::{DataPlane, DestTracer, HostPair, NameJoin, Reach};
+use crate::{delta, record_stats, ConvergedSim, DeltaEngine, DeltaStats};
+use confmask_net_types::{HostId, Ipv4Prefix, RouterId};
+use confmask_sim::dataplane::{
+    DataPlane, DestTracer, HostPair, NameJoin, Reach, MAX_PATHS_PER_PAIR,
+};
 use confmask_sim::fault::{
-    classify_changed, classify_failed, classify_pair, physical_components, DegradationClass,
-    FailureScenario,
+    classify_changed, classify_failed, classify_pair, physical_components, FailureScenario,
 };
 use confmask_sim::sweep::{ScenarioDigest, SweepMeter, SweepReducer, SweepStats};
 use confmask_sim::{PairBits, PathSet, SimError};
 use std::cell::OnceCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// One baseline pair's precomputed binding to the base simulation: where
@@ -83,8 +90,8 @@ struct PairBinding {
     si: u32,
     /// Destination host id.
     di: u32,
-    /// Index of this pair in the base data plane's entries (and thus into
-    /// `pair_meta`); `u32::MAX` when the base lacks the pair.
+    /// Index of this pair in the base data plane's entries; `u32::MAX`
+    /// when the base lacks the pair.
     base_idx: u32,
     /// Whether the baseline's path set equals the base's for this pair.
     same_as_base: bool,
@@ -122,6 +129,12 @@ impl Csr {
     }
 }
 
+/// Whether the recorded paths of a set leave its walk undetermined: a
+/// blackhole, a loop, no path, or truncation at the cap.
+fn unclean(ps: &PathSet) -> bool {
+    ps.blackhole || ps.has_loop || ps.path_count() == 0 || ps.path_count() >= MAX_PATHS_PER_PAIR
+}
+
 /// A streaming fault sweep over one cached baseline.
 ///
 /// Built once per baseline; [`ScenarioSweep::digest`] folds one scenario,
@@ -136,13 +149,20 @@ pub struct ScenarioSweep<'a> {
     baseline: &'a DataPlane,
     /// One binding per entry of `baseline`, in entry order.
     binding: Vec<PairBinding>,
-    /// Per `destination host × routers + router`: the pairs toward that
-    /// host (and outside `always`) whose base path set crosses the router.
+    /// Per `host × routers + router`: the prefix of the base FIB entry the
+    /// router matches for that host's address (`None` = no route).
+    matched: Vec<Option<Ipv4Prefix>>,
+    /// Per `destination host × routers + router`: the clean pairs toward
+    /// that host, with an attached source, whose base path set crosses the
+    /// router.
     by_lookup: Csr,
-    /// Per host: the pairs outside `always` with that host as an endpoint.
+    /// Per destination host: the unclean pairs toward it with an attached
+    /// source.
+    unclean: Csr,
+    /// Per host: the pairs the base has with that host as an endpoint.
     by_host: Csr,
-    /// The pairs every scenario visits.
-    always: PairBits,
+    /// The pairs the base lacks or whose baseline differs from the base.
+    foreign: PairBits,
     /// The base network's router ids (what re-traces yield) joined onto
     /// the baseline's router table.
     routers: NameJoin,
@@ -199,26 +219,60 @@ impl<'a> ScenarioSweep<'a> {
             })
             .collect();
 
-        // Index the pairs by what can change them (module docs).
-        let n = base.sim.net.router_count();
-        let host_count = base.sim.net.hosts.len();
-        let mut always = PairBits::new(binding.len());
-        let mut by_lookup = Vec::new();
-        let mut by_host = Vec::new();
+        let net = &base.sim.net;
+        let n = net.router_count();
+        let host_count = net.hosts.len();
+        let matched = net
+            .hosts_iter()
+            .flat_map(|(_, h)| {
+                (0..n).map(move |r| {
+                    let fib = base.sim.fibs.of(RouterId(r as u32));
+                    fib.lookup(h.addr).map(|e| e.prefix)
+                })
+            })
+            .collect();
+
+        // Index the pairs by what can change them (module docs). A clean
+        // set's router list is built once per distinct set (every source
+        // behind one gateway shares its set toward a destination), each
+        // router kept once by stamping it with the set's epoch.
+        let mut foreign = PairBits::new(binding.len());
+        let (mut by_lookup, mut unclean_to, mut by_host) = (Vec::new(), Vec::new(), Vec::new());
+        let mut lists: HashMap<*const PathSet, (usize, usize)> = HashMap::new();
+        let mut crossed: Vec<u32> = Vec::new();
+        let mut stamp = vec![0u32; n];
         for (i, b) in binding.iter().enumerate() {
-            let meta = match b.base_idx {
-                u32::MAX => NO_META,
-                idx => base.pair_meta[idx as usize],
-            };
-            if meta == NO_META || !b.same_as_base {
-                always.set(i);
+            if !b.same_as_base {
+                foreign.set(i);
+            }
+            if b.base_idx == u32::MAX {
                 continue;
             }
             let i = i as u32;
             by_host.extend([(b.si, i), (b.di, i)]);
+            if net.host(HostId(b.si)).attachment.is_none() {
+                continue;
+            }
+            let ps = &base_entries[b.base_idx as usize].1;
+            if unclean(ps) {
+                unclean_to.push((b.di, i));
+                continue;
+            }
+            let epoch = lists.len() as u32 + 1;
+            let (from, to) = *lists.entry(Arc::as_ptr(ps)).or_insert_with(|| {
+                let from = crossed.len();
+                for r in ps.paths().flatten() {
+                    let seen = &mut stamp[r.0 as usize];
+                    if *seen != epoch {
+                        *seen = epoch;
+                        crossed.push(r.0);
+                    }
+                }
+                (from, crossed.len())
+            });
             let row = b.di as usize * n;
             by_lookup.extend(
-                base.on_path[meta as usize]
+                crossed[from..to]
                     .iter()
                     .map(|&r| ((row + r as usize) as u32, i)),
             );
@@ -229,9 +283,11 @@ impl<'a> ScenarioSweep<'a> {
             base,
             baseline,
             binding,
+            matched,
             by_lookup: Csr::new(host_count * n, &by_lookup),
+            unclean: Csr::new(host_count, &unclean_to),
             by_host: Csr::new(host_count, &by_host),
-            always,
+            foreign,
             routers,
             blackholed: PathSet::blackholed(),
             direct: PathSet::direct(),
@@ -252,7 +308,7 @@ impl<'a> ScenarioSweep<'a> {
         let shut = scenario.shutdowns(configs)?;
         let sp = confmask_obs::span("sim.delta.sim");
         confmask_obs::counter_add("sim.delta.sims", 1);
-        let (digest, stats) = match delta::plan_shutdowns(self.base, &shut)? {
+        let (digest, stats) = match self.plan(&shut)? {
             Some(plan) => self.digest_plan(&shut, &plan),
             None => (
                 classify_failed(&scenario.apply(configs)?, self.baseline)?,
@@ -264,30 +320,45 @@ impl<'a> ScenarioSweep<'a> {
         Ok(digest)
     }
 
-    /// The pairs a plan may have changed: every pair of `always`, plus the
-    /// pairs indexed under a changed lookup or a moved host. Every other
-    /// pair is reusable under the plan and equals its baseline.
-    pub(crate) fn marked(&self, plan: &delta::ShutdownPlan) -> PairBits {
-        let mut marked = self.always.clone();
-        let n = self.base.sim.net.router_count();
-        for &(d, r) in plan.changed_lookups() {
-            for &i in self.by_lookup.get(d as usize * n + r as usize) {
-                marked.set(i as usize);
-            }
-        }
-        for h in plan.moved_hosts() {
-            for &i in self.by_host.get(h as usize) {
-                marked.set(i as usize);
-            }
-        }
-        marked
+    /// Plans shutting the interfaces `shut` lists against this sweep's base.
+    pub(crate) fn plan(
+        &self,
+        shut: &[(String, usize)],
+    ) -> Result<Option<delta::ShutdownPlan>, SimError> {
+        delta::plan_shutdowns(self.base, &self.matched, shut)
     }
 
-    /// Classifies the marked pairs against the plan with the cold loop's
-    /// rules, in ascending order, and credits the rest to `Unchanged`: a
-    /// reused pair's cached path set and a re-traced pair's trace are the
-    /// cold path sets (the plan's contract), so the digest matches the
-    /// cold loop's bit for bit.
+    /// The pairs a plan dirties: those listed under each changed lookup,
+    /// under each destination with a changed lookup as unclean, and under
+    /// each moved host. Every other pair the base has keeps its base set.
+    pub(crate) fn dirty(&self, plan: &delta::ShutdownPlan) -> PairBits {
+        let n = self.base.sim.net.router_count();
+        let lookups = &plan.changed_lookups;
+        let lists = lookups
+            .iter()
+            .map(|&(d, r)| self.by_lookup.get(d as usize * n + r as usize))
+            .chain(
+                lookups
+                    .chunk_by(|a, b| a.0 == b.0)
+                    .map(|toward| self.unclean.get(toward[0].0 as usize)),
+            )
+            .chain(
+                plan.moved_hosts
+                    .iter()
+                    .map(|&h| self.by_host.get(h as usize)),
+            );
+        let mut dirty = PairBits::new(self.binding.len());
+        for &i in lists.flatten() {
+            dirty.set(i as usize);
+        }
+        dirty
+    }
+
+    /// Classifies the foreign and dirty pairs against the plan with the
+    /// cold loop's rules, in ascending order, and credits the rest to
+    /// `Unchanged`: a clean pair's cached path set and a dirty pair's trace
+    /// are the cold path sets (the plan's contract), so the digest matches
+    /// the cold loop's bit for bit.
     fn digest_plan(
         &self,
         shut: &[(String, usize)],
@@ -309,13 +380,18 @@ impl<'a> ScenarioSweep<'a> {
         };
         let base_entries = self.base.sim.dataplane.entries();
         let entries = self.baseline.entries();
+        let dirty = self.dirty(plan);
+        let mut visit = self.foreign.clone();
+        for i in dirty.iter_ones() {
+            visit.set(i);
+        }
         // Re-traced pairs resolve through one lazy tracer per destination,
         // built on the first pair toward it that needs one.
         let mut tracers: Vec<Option<DestTracer>> = Vec::new();
         tracers.resize_with(plan.new_net.hosts.len(), || None);
         let mut digest = ScenarioDigest::new(self.binding.len());
         let (mut visited, mut recomputed, mut by_count) = (0usize, 0usize, 0usize);
-        for i in self.marked(plan).iter_ones() {
+        for i in visit.iter_ones() {
             let (b, (key, baseline)) = (&self.binding[i], &entries[i]);
             visited += 1;
             let class = if b.base_idx == u32::MAX {
@@ -325,19 +401,10 @@ impl<'a> ScenarioSweep<'a> {
                 let missing = &self.blackholed;
                 let unchanged = self.routers.same(missing, baseline);
                 classify_pair(unchanged, missing, || connected(*key))
-            } else if plan.pair_reusable(
-                self.base,
-                b.si as usize,
-                b.di as usize,
-                b.base_idx as usize,
-            ) {
-                if b.same_as_base {
-                    // Reused ⇒ post-failure == base == this baseline.
-                    DegradationClass::Unchanged
-                } else {
-                    let after = &base_entries[b.base_idx as usize].1;
-                    classify_pair(false, after, || connected(*key))
-                }
+            } else if !dirty.get(i) {
+                // A clean foreign pair: post-failure == base ≠ baseline.
+                let after = &base_entries[b.base_idx as usize].1;
+                classify_pair(false, after, || connected(*key))
             } else {
                 recomputed += 1;
                 let tracer = tracers[b.di as usize].get_or_insert_with(|| {
@@ -373,7 +440,7 @@ impl<'a> ScenarioSweep<'a> {
             pairs_visited: visited,
             retraces_by_count: by_count,
             dag_nodes,
-            ..plan.stats()
+            ..plan.stats
         };
         (digest, stats)
     }
@@ -416,9 +483,11 @@ impl<'a> ScenarioSweep<'a> {
 mod tests {
     use super::*;
     use confmask_config::{parse_router, HostConfig, NetworkConfigs};
-    use confmask_sim::fault::{enumerate_single_link_failures, run_scenario, Fault};
-    use confmask_sim::sweep::DigestList;
+    use confmask_sim::fault::{
+        enumerate_single_link_failures, run_scenario, DegradationClass, Fault,
+    };
     use confmask_sim::simulate;
+    use confmask_sim::sweep::DigestList;
 
     fn host(name: &str, addr: &str, gw: &str) -> HostConfig {
         HostConfig {
@@ -457,7 +526,9 @@ mod tests {
     fn scenarios(cfgs: &NetworkConfigs) -> Vec<FailureScenario> {
         let mut out = enumerate_single_link_failures(cfgs);
         for r in ["r1", "r2", "r3"] {
-            out.push(FailureScenario::single(Fault::RouterDown { router: r.into() }));
+            out.push(FailureScenario::single(Fault::RouterDown {
+                router: r.into(),
+            }));
         }
         out
     }
@@ -561,11 +632,10 @@ mod tests {
     /// returning the digest with its delta statistics.
     fn digest_with_stats(
         sweep: &ScenarioSweep,
-        base: &ConvergedSim,
         scenario: &FailureScenario,
     ) -> (ScenarioDigest, DeltaStats) {
-        let shut = scenario.shutdowns(&base.configs).unwrap();
-        let plan = delta::plan_shutdowns(base, &shut).unwrap().unwrap();
+        let shut = scenario.shutdowns(&sweep.base.configs).unwrap();
+        let plan = sweep.plan(&shut).unwrap().unwrap();
         sweep.digest_plan(&shut, &plan)
     }
 
@@ -623,7 +693,7 @@ mod tests {
         let base = engine.converged(&cfgs).unwrap();
         let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
         let sc = link_down("r1", "r2");
-        let (warm, stats) = digest_with_stats(&sweep, &base, &sc);
+        let (warm, stats) = digest_with_stats(&sweep, &sc);
         let cold = run_scenario(&cfgs, &base.sim.dataplane, &sc).unwrap();
         assert_eq!(warm.encode(), cold.encode());
         // Both directions move from the r2 branch to the r3 branch: one
@@ -655,7 +725,7 @@ mod tests {
         let base = engine.converged(&cfgs).unwrap();
         let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
         let sc = link_down("r1", "r2");
-        let (warm, stats) = digest_with_stats(&sweep, &base, &sc);
+        let (warm, stats) = digest_with_stats(&sweep, &sc);
         let cold = run_scenario(&cfgs, &base.sim.dataplane, &sc).unwrap();
         assert_eq!(warm.encode(), cold.encode());
         // h1 and h2 now reach each other over r3: three routers, not two.
@@ -678,9 +748,9 @@ mod tests {
             iface: "Ethernet0/2".into(),
         });
         let shut = sc.shutdowns(&cfgs).unwrap();
-        let plan = delta::plan_shutdowns(&base, &shut).unwrap().unwrap();
+        let plan = sweep.plan(&shut).unwrap().unwrap();
         let h2 = base.sim.net.host_id("h2").unwrap().0;
-        assert!(plan.changed_lookups().iter().all(|&(d, _)| d != h2));
+        assert!(plan.changed_lookups.iter().all(|&(d, _)| d != h2));
         let (warm, stats) = sweep.digest_plan(&shut, &plan);
         let cold = run_scenario(&cfgs, &base.sim.dataplane, &sc).unwrap();
         assert_eq!(warm.encode(), cold.encode());
@@ -712,13 +782,86 @@ mod tests {
         let baseline = simulate(&triangle_with_h3()).unwrap().dataplane;
         assert_eq!(baseline.len(), 6);
         let sweep = ScenarioSweep::new(&engine, &base, &baseline);
-        assert_eq!(sweep.always.count_ones(), 4);
+        assert_eq!(sweep.foreign.count_ones(), 4);
         for sc in scenarios(&cfgs) {
             let warm = sweep.digest(&sc).unwrap();
             let cold = run_scenario(&cfgs, &baseline, &sc).unwrap();
             assert_eq!(warm.encode(), cold.encode(), "{sc}");
             assert!(
                 warm.histogram[DegradationClass::Partitioned.index()] >= 4,
+                "{sc}"
+            );
+        }
+    }
+
+    /// The triangle plus two hosts: hx on a LAN of r3 that OSPF does not
+    /// advertise, reached only over r1's static route toward r3, and hu,
+    /// whose gateway no router owns. So h2→hx is blackholed at r2, every
+    /// pair toward hu is blackholed, and hu, unattached, reaches nothing.
+    fn triangle_with_unclean_pairs() -> NetworkConfigs {
+        let mut cfgs = triangle();
+        let r1 = cfgs.routers.get_mut("r1").unwrap();
+        r1.static_routes.push(confmask_config::StaticRoute {
+            prefix: "10.2.3.0/24".parse().unwrap(),
+            next_hop: "10.0.13.1".parse().unwrap(),
+            added: false,
+        });
+        let mut lan = r1.interfaces[2].clone();
+        lan.name = "Ethernet0/2".into();
+        lan.address = Some(("10.2.3.1".parse().unwrap(), 24));
+        cfgs.routers.get_mut("r3").unwrap().interfaces.push(lan);
+        cfgs.hosts
+            .insert("hx".into(), host("hx", "10.2.3.100", "10.2.3.1"));
+        cfgs.hosts
+            .insert("hu".into(), host("hu", "10.9.9.100", "10.9.9.1"));
+        cfgs
+    }
+
+    #[test]
+    fn unclean_pairs_are_re_traced_only_when_a_lookup_toward_them_changes() {
+        let engine = DeltaEngine::new(4);
+        let cfgs = triangle_with_unclean_pairs();
+        let base = engine.converged(&cfgs).unwrap();
+        let dp = &base.sim.dataplane;
+        let net = &base.sim.net;
+        let id = |h: &str| net.host_id(h).unwrap().0;
+        let (hx, hu) = (id("hx"), id("hu"));
+        assert!(net.host(HostId(hu)).attachment.is_none());
+        let unclean_pairs: Vec<_> = dp
+            .entries()
+            .iter()
+            .filter(|(_, ps)| unclean(ps))
+            .map(|(key, _)| *key)
+            .collect();
+        // h2→hx, the three pairs toward hu and the three from it.
+        assert_eq!(unclean_pairs.len(), 7, "{unclean_pairs:?}");
+        assert!(unclean_pairs.contains(&(id("h2"), hx)));
+        let sweep = ScenarioSweep::new(&engine, &base, dp);
+        let at = |s: &str, d: u32| {
+            let key = (id(s), d);
+            dp.entries().binary_search_by_key(&key, |e| e.0).unwrap()
+        };
+        // r1–r2 changes the lookups toward h1 and h2 only: h1↔h2 re-trace,
+        // and no unclean pair is visited. r1–r3 takes r1's static route to
+        // hx's LAN away, so h1→hx and hx→h1 re-trace, and so does the
+        // unclean h2→hx; hu→hx has an unattached source and stays put.
+        for (sc, toward_hx, counts) in [
+            (link_down("r1", "r2"), false, (2, 2)),
+            (link_down("r1", "r3"), true, (3, 3)),
+        ] {
+            let shut = sc.shutdowns(&cfgs).unwrap();
+            let plan = sweep.plan(&shut).unwrap().unwrap();
+            let changed = plan.changed_lookups.iter().any(|&(d, _)| d == hx);
+            assert_eq!(changed, toward_hx, "{sc}");
+            let dirty = sweep.dirty(&plan);
+            assert_eq!(dirty.get(at("h2", hx)), toward_hx, "{sc}");
+            assert!(!dirty.get(at("hu", hx)), "{sc}");
+            let (warm, stats) = sweep.digest_plan(&shut, &plan);
+            let cold = run_scenario(&cfgs, dp, &sc).unwrap();
+            assert_eq!(warm.encode(), cold.encode(), "{sc}");
+            assert_eq!(
+                (stats.pairs_visited, stats.pairs_recomputed),
+                counts,
                 "{sc}"
             );
         }
@@ -755,9 +898,6 @@ mod tests {
         let stats = sweep.run([bad], &mut list);
         assert_eq!(stats.scenarios, 0);
         assert_eq!(stats.errors, 1);
-        assert!(matches!(
-            list.results[0],
-            Err(SimError::UnknownElement(_))
-        ));
+        assert!(matches!(list.results[0], Err(SimError::UnknownElement(_))));
     }
 }
