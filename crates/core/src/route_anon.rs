@@ -101,7 +101,7 @@ pub fn anonymize_routes<R: Rng>(
             .of(rid)
             .entries()
             .filter(|e| fake_prefixes.contains(&e.prefix))
-            .map(|e| (e.prefix, e.next_hops.clone()))
+            .map(|e| (e.prefix, e.next_hops.to_vec()))
             .collect();
         for (prefix, next_hops) in entries {
             for nh in next_hops {

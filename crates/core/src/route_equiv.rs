@@ -185,7 +185,7 @@ fn scan_and_filter(
                 })
                 .unwrap_or_default();
 
-            for nh in &entry.next_hops {
+            for nh in entry.next_hops {
                 let Some(nxt) = nh.router() else { continue };
                 let nxt_name = &net.router(nxt).name;
                 if orig_next.contains(nxt_name) {

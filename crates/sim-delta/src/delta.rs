@@ -12,7 +12,7 @@
 //! pairs whose cached path sets may no longer hold. Shutdowns only
 //! ever **remove** model elements, which is the monotonicity every
 //! warm-start argument below leans on, and the removal alone defines the
-//! interface renumbering ([`IfaceRemap`]) every splice below applies.
+//! interface renumbering ([`IfaceRemap`]) every reuse below applies.
 //!
 //! [`FailureScenario::shutdowns`]: confmask_sim::fault::FailureScenario::shutdowns
 //!
@@ -26,7 +26,7 @@
 //! Per-protocol strategy (soundness arguments inline):
 //!
 //! * **OSPF** — per-prefix SPFs are independent, so only *affected*
-//!   prefixes re-run ([`ospf::compute_subset`]); the rest splice in the
+//!   prefixes re-run ([`ospf::compute_subset`]); the rest keep the
 //!   cached routes with interface indices remapped. A prefix is affected
 //!   iff a failed interface sits directly on it (advertiser seeds and the
 //!   connected-route skip change) or a removed OSPF edge lies on its
@@ -50,12 +50,18 @@
 //!   BGP-relevant (session endpoint, session carrier, or origin prefix
 //!   owner) — and fully recomputed otherwise.
 //! * **FIB merge** — a router whose merge inputs and interface numbering
-//!   are unchanged shares the cached FIB. Every other router goes through
-//!   the one merge a cold run uses ([`merge_router_fib`]), which reads its
-//!   OSPF rows through a row source ([`OspfRows`]): the plan's `PlanRows`
-//!   yields the recomputed row where the plan owns the prefix and the
-//!   cached row, renumbered as it is read, everywhere else. No merged
-//!   table is assembled first.
+//!   are unchanged shares the cached FIB. One with silent RIP, absent or
+//!   reused BGP and no static routes is patched: the base table is copied
+//!   with its hops renumbered and only the prefixes the plan owns go
+//!   through the per-prefix merge rule
+//!   ([`Fib::patched`],
+//!   [`PrefixMerge::merge_prefix`]); every other input of a non-owned
+//!   prefix is the base's modulo renumbering, so the rule would rebuild
+//!   the base entry. Every other router goes through the full merge a cold
+//!   run uses ([`merge_router_fib`]). The rule reads OSPF rows through a
+//!   row source ([`OspfRows`]): the plan's `PlanRows` yields the
+//!   recomputed row where the plan owns the prefix and the cached row,
+//!   renumbered as it is read, everywhere else.
 //! * **Data plane** — the trace DFS consults exactly one FIB entry per
 //!   visited router: the longest-prefix match for the *destination host's*
 //!   address. So a pair keeps its cached [`PathSet`](confmask_sim::PathSet)
@@ -75,8 +81,8 @@ use crate::{ConvergedSim, DeltaStats};
 use confmask_net_types::{HostId, Ipv4Prefix, RouterId};
 use confmask_sim::ospf::RouterPaths;
 use confmask_sim::{
-    bgp, merge_router_fib, ospf, rip, BgpRoutes, FibEntry, Fibs, IfaceRemap, NextHop, OspfRows,
-    SimError, SimNetwork,
+    bgp, merge_router_fib, ospf, rip, BgpRoutes, Fib, FibEntry, Fibs, IfaceRemap, NextHop,
+    OspfRows, PrefixMerge, SimError, SimNetwork,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -108,7 +114,7 @@ pub(crate) struct ShutdownPlan {
 /// route); the sweep computes it once per baseline. The model is derived
 /// from the cached one ([`SimNetwork::without_interfaces`]), sharing every
 /// router the shutdowns leave unchanged, and its interface renumbering
-/// drives every splice below.
+/// drives every reuse below.
 ///
 /// Precondition: `shut` is [`FailureScenario::shutdowns`] of
 /// `base.configs` (interfaces that are up there);
@@ -229,38 +235,60 @@ pub(crate) fn plan_shutdowns(
     // interface (so connected routes and hop indices keep their bytes), no
     // static routes (their resolution peeks at neighbors' interface
     // tables), RIP silent on both sides, BGP absent or reused
-    // (identity-remapped = identical), and the recomputed OSPF rows (of
-    // affected prefixes, and the router's own recomputed rows) equal to
-    // the cached ones. Everything else goes through the same merge as a
-    // cold run, reading its OSPF rows through `PlanRows`: the recomputed
-    // row where the plan owns the prefix, else the cached row renumbered
-    // as it is read (the remap is monotone, so sorted hop lists stay
-    // sorted). ----
+    // (identity-remapped = identical), and the recomputed OSPF rows of the
+    // prefixes the plan owns (affected prefixes, and the router's own
+    // recomputed rows) equal to the cached ones. A router that meets every
+    // condition but the last two is patched: its base table is copied,
+    // renumbered, with only the owned prefixes re-merged
+    // (`Fib::patched`). Every non-owned prefix's merge inputs are the
+    // base's modulo renumbering — no removed interface sits on it (that
+    // would make it affected), its OSPF row is the cached one, BGP is the
+    // base's, RIP has nothing — so the per-prefix rule would rebuild the
+    // base entry, renumbered. The rest (static routes, RIP, recomputed
+    // BGP) take the full merge, reading their OSPF rows through
+    // `PlanRows`: the recomputed row where the plan owns the prefix, else
+    // the cached row renumbered as it is read (the remap is monotone, so
+    // sorted hop lists stay sorted). ----
+    //
+    // ---- Data plane: which lookups changed. A pair's walk asks each
+    // router on it one FIB question, the longest-prefix match of the
+    // destination host's address, so the plan reports per destination
+    // the routers that now answer it differently; only merged routers can.
+    // The prefixes whose entry changed modulo renumbering are found among
+    // the owned ones of a patched table and among all of a fully merged
+    // one. With an unchanged key set a host's match lands on the same
+    // prefix as in the base (`matched`), so the diff set answers
+    // directly; a changed key set (e.g. a lost route) falls back to
+    // actual lookups. ----
     let rip_silent = base.state.rip_dist.is_empty() && rip_routes.iter().all(|t| t.is_empty());
     let bgp_stable = bgp_reused != Some(false);
-    let mut fib_shared = vec![false; n];
+    let affected_keys: Vec<Ipv4Prefix> = affected_dests.iter().map(|(p, _)| *p).collect();
+    let hosts: Vec<HostId> = new_net.hosts_iter().map(|(id, _)| id).collect();
+    let mut changed_lookups: Vec<(u32, u32)> = Vec::new();
+    let (mut fibs_shared, mut fib_entries_merged, mut fib_entries_copied) = (0, 0, 0);
     let mut per_router = Vec::with_capacity(n);
+    let mut owned: Vec<Ipv4Prefix> = Vec::new();
     for r in 0..n {
+        owned.clear();
+        owned.extend(affected_keys.iter().chain(&recomputed_rows[r]));
+        owned.sort_unstable();
+        owned.dedup();
         let rows = PlanRows {
             fresh: &ospf_routes[r],
             cached: &base.state.ospf_routes[r],
-            affected: &affected,
-            recomputed: &recomputed_rows[r],
+            owned: &owned,
             remap: &remap,
             r,
         };
         let identity = remap.is_identity(r);
-        let reusable = identity
-            && rip_silent
-            && bgp_stable
-            && new_net.routers[r].static_routes.is_empty()
-            && affected_dests
+        let patchable = rip_silent && bgp_stable && new_net.routers[r].static_routes.is_empty();
+        if identity
+            && patchable
+            && owned
                 .iter()
-                .map(|(p, _)| p)
-                .chain(&recomputed_rows[r])
-                .all(|p| rows.fresh.get(p) == rows.cached.get(p));
-        if reusable {
-            fib_shared[r] = true;
+                .all(|p| rows.fresh.get(p) == rows.cached.get(p))
+        {
+            fibs_shared += 1;
             per_router.push(Arc::clone(&base.sim.fibs.per_router[r]));
             continue;
         }
@@ -273,64 +301,56 @@ pub(crate) fn plan_shutdowns(
             return Ok(None);
         }
         let rid = RouterId(r as u32);
-        per_router.push(Arc::new(merge_router_fib(
-            &new_net,
-            rid,
-            &rows,
-            &rip_routes,
-            &bgp_routes,
-        )));
-    }
-    let fibs = Fibs { per_router };
-
-    // ---- Data plane: which lookups changed. A pair's walk asks each
-    // router on it one FIB question, the longest-prefix match of the
-    // destination host's address, so the plan reports per destination
-    // the routers that now answer it differently; only merged routers can.
-    // Lockstep FIB diff per merged router (entries are prefix-sorted):
-    // the prefixes whose entry changed modulo renumbering. With an
-    // unchanged key set a host's match lands on the same prefix as in the
-    // base (`matched`), so the diff set answers directly; a
-    // changed key set (e.g. a lost connected route) falls back to actual
-    // lookups. ----
-    let hosts: Vec<HostId> = new_net.hosts_iter().map(|(id, _)| id).collect();
-    let mut changed_lookups: Vec<(u32, u32)> = Vec::new();
-    for r in (0..n).filter(|&r| !fib_shared[r]) {
-        let rid = RouterId(r as u32);
-        let (bf, nf) = (base.sim.fibs.of(rid), fibs.of(rid));
-        let same_keys = bf.len() == nf.len()
-            && bf
-                .entries()
-                .zip(nf.entries())
-                .all(|(be, ne)| be.prefix == ne.prefix);
-        let key = |di: usize| (di as u32, r as u32);
-        if same_keys {
-            let diff: BTreeSet<Ipv4Prefix> = bf
-                .entries()
-                .zip(nf.entries())
-                .filter(|(be, ne)| !entry_remap_equal(be, ne, &remap, r))
-                .map(|(be, _)| be.prefix)
-                .collect();
-            if !diff.is_empty() {
-                changed_lookups.extend(
-                    (0..hosts.len())
-                        .filter(|&di| matched[di * n + r].is_some_and(|k| diff.contains(&k)))
-                        .map(key),
-                );
-            }
+        let base_fib = base.sim.fibs.of(rid);
+        // Only an entry the merge decided afresh can differ from the base:
+        // the owned ones of a patched table, any one of a full merge.
+        let (fib, diff) = if patchable {
+            let merge = PrefixMerge::new(&new_net, rid, &rows, &rip_routes, &bgp_routes);
+            // A copied entry through a removed interface breaks the same
+            // invariant as a cached row through one.
+            let renumber = |hop: NextHop| hop.renumbered(|i| remap.get(r, i));
+            let Some(fib) = base_fib.patched(&owned, renumber, |b, p| merge.merge_prefix(b, p))
+            else {
+                return Ok(None);
+            };
+            let merged = owned.iter().filter(|p| fib.entry(p).is_some()).count();
+            fib_entries_merged += owned.len();
+            fib_entries_copied += fib.len() - merged;
+            let diff = changed_entries(base_fib, &fib, owned.iter().copied(), &remap, r);
+            (fib, diff)
         } else {
-            changed_lookups.extend(
+            let fib = merge_router_fib(&new_net, rid, &rows, &rip_routes, &bgp_routes);
+            fib_entries_merged += new_net.destinations.len();
+            let keys = base_fib.entries().map(|e| e.prefix);
+            let diff = (base_fib.len() == fib.len())
+                .then(|| changed_entries(base_fib, &fib, keys, &remap, r))
+                .flatten();
+            (fib, diff)
+        };
+        let key = |di: usize| (di as u32, r as u32);
+        match diff {
+            None => changed_lookups.extend(
                 hosts
                     .iter()
                     .enumerate()
                     .filter(|(_, &h)| {
                         let addr = new_net.host(h).addr;
-                        !lookup_remap_equal(bf.lookup(addr), nf.lookup(addr), &remap, r)
+                        !lookup_remap_equal(base_fib.lookup(addr), fib.lookup(addr), &remap, r)
                     })
                     .map(|(di, _)| key(di)),
-            );
+            ),
+            Some(diff) if !diff.is_empty() => changed_lookups.extend(
+                (0..hosts.len())
+                    .filter(|&di| {
+                        matched[di * n + r].is_some_and(|k| diff.binary_search(&k).is_ok())
+                    })
+                    .map(key),
+            ),
+            Some(_) => {}
         }
+        per_router.push(Arc::new(fib));
     }
+    let fibs = Fibs { per_router };
     changed_lookups.sort_unstable();
 
     let moved_hosts = hosts
@@ -344,7 +364,6 @@ pub(crate) fn plan_shutdowns(
         .zip(&base_net.routers)
         .filter(|(new, old)| Arc::ptr_eq(new, old))
         .count();
-    let fibs_shared = fib_shared.iter().filter(|&&shared| shared).count();
     Ok(Some(ShutdownPlan {
         new_net,
         fibs,
@@ -358,6 +377,8 @@ pub(crate) fn plan_shutdowns(
             routers_shared,
             fibs_shared,
             fibs_merged: n - fibs_shared,
+            fib_entries_merged,
+            fib_entries_copied,
             ..DeltaStats::default()
         },
     }))
@@ -370,15 +391,15 @@ pub(crate) fn plan_shutdowns(
 struct PlanRows<'a> {
     fresh: &'a BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>>,
     cached: &'a BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>>,
-    affected: &'a BTreeSet<Ipv4Prefix>,
-    recomputed: &'a [Ipv4Prefix],
+    /// The prefixes the plan owns at this router, ascending.
+    owned: &'a [Ipv4Prefix],
     remap: &'a IfaceRemap,
     r: usize,
 }
 
 impl PlanRows<'_> {
-    fn owned(&self, prefix: &Ipv4Prefix) -> bool {
-        self.affected.contains(prefix) || self.recomputed.contains(prefix)
+    fn owns(&self, prefix: &Ipv4Prefix) -> bool {
+        self.owned.binary_search(prefix).is_ok()
     }
 
     /// Whether every cached row the plan does not own renumbers, i.e. no
@@ -386,7 +407,7 @@ impl PlanRows<'_> {
     fn cached_rows_survive(&self) -> bool {
         self.cached
             .iter()
-            .filter(|(prefix, _)| !self.owned(prefix))
+            .filter(|(prefix, _)| !self.owns(prefix))
             .all(|(_, hops)| {
                 hops.iter()
                     .all(|&(i, _)| self.remap.get(self.r, i).is_some())
@@ -399,7 +420,7 @@ impl OspfRows for PlanRows<'_> {
         &self,
         prefix: &Ipv4Prefix,
     ) -> Option<impl ExactSizeIterator<Item = (usize, RouterId)> + '_> {
-        let owned = self.owned(prefix);
+        let owned = self.owns(prefix);
         let hops = if owned { self.fresh } else { self.cached }.get(prefix)?;
         Some(hops.iter().map(move |&(i, v)| {
             let i = if owned {
@@ -484,41 +505,46 @@ fn remap_bgp_routes(base: &BgpRoutes, remap: &IfaceRemap) -> Option<BgpRoutes> {
     Some(out)
 }
 
+/// The prefixes among `keys` (ascending) at which router `r`'s `base` and
+/// `new` tables hold entries that differ modulo renumbering; `None` when
+/// one table has an entry at one of them and the other does not (the key
+/// sets differ, so a host's match may have moved).
+fn changed_entries(
+    base: &Fib,
+    new: &Fib,
+    keys: impl Iterator<Item = Ipv4Prefix>,
+    remap: &IfaceRemap,
+    r: usize,
+) -> Option<Vec<Ipv4Prefix>> {
+    let mut diff = Vec::new();
+    for p in keys {
+        match (base.entry(&p), new.entry(&p)) {
+            (Some(be), Some(ne)) if !entry_remap_equal(be, ne, remap, r) => diff.push(p),
+            (Some(_), Some(_)) | (None, None) => {}
+            _ => return None,
+        }
+    }
+    Some(diff)
+}
+
 /// Whether two FIB entries of router `r` are equal after interface
 /// renumbering.
-fn entry_remap_equal(be: &FibEntry, ne: &FibEntry, remap: &IfaceRemap, r: usize) -> bool {
+fn entry_remap_equal(be: FibEntry, ne: FibEntry, remap: &IfaceRemap, r: usize) -> bool {
     be.prefix == ne.prefix
         && be.source == ne.source
         && be.next_hops.len() == ne.next_hops.len()
         && be
             .next_hops
             .iter()
-            .zip(ne.next_hops.iter())
-            .all(|(bh, nh)| match (bh, nh) {
-                (NextHop::Deliver { iface: bi }, NextHop::Deliver { iface: ni }) => {
-                    remap.get(r, *bi) == Some(*ni)
-                }
-                (
-                    NextHop::Forward {
-                        via_iface: bi,
-                        router: br,
-                        session_peer: bp,
-                    },
-                    NextHop::Forward {
-                        via_iface: ni,
-                        router: nr,
-                        session_peer: np,
-                    },
-                ) => remap.get(r, *bi) == Some(*ni) && br == nr && bp == np,
-                _ => false,
-            })
+            .zip(ne.next_hops)
+            .all(|(bh, nh)| bh.renumbered(|i| remap.get(r, i)) == Some(*nh))
 }
 
 /// Whether two longest-prefix-match results agree after renumbering: both
 /// miss, or both hit the same entry modulo interface indices.
 fn lookup_remap_equal(
-    base: Option<&FibEntry>,
-    new: Option<&FibEntry>,
+    base: Option<FibEntry>,
+    new: Option<FibEntry>,
     remap: &IfaceRemap,
     r: usize,
 ) -> bool {

@@ -88,6 +88,11 @@ pub(crate) struct DeltaStats {
     pub fibs_shared: usize,
     /// Routers whose FIB was re-merged.
     pub fibs_merged: usize,
+    /// Destination prefixes of re-merged FIBs that went through the
+    /// per-prefix merge rule.
+    pub fib_entries_merged: usize,
+    /// FIB entries a patched table copied from the base, renumbered.
+    pub fib_entries_copied: usize,
     /// Ordered host pairs in the network.
     pub pairs_total: usize,
     /// Ordered host pairs that were re-traced.
@@ -200,6 +205,14 @@ pub(crate) fn record_stats(stats: &DeltaStats) {
     confmask_obs::counter_add("sim.delta.routers_shared", stats.routers_shared as u64);
     confmask_obs::counter_add("sim.delta.fibs_shared", stats.fibs_shared as u64);
     confmask_obs::counter_add("sim.delta.fibs_merged", stats.fibs_merged as u64);
+    confmask_obs::counter_add(
+        "sim.delta.fib_entries_merged",
+        stats.fib_entries_merged as u64,
+    );
+    confmask_obs::counter_add(
+        "sim.delta.fib_entries_copied",
+        stats.fib_entries_copied as u64,
+    );
     confmask_obs::counter_add("sim.delta.pairs_recomputed", stats.pairs_recomputed as u64);
     confmask_obs::counter_add(
         "sim.delta.pairs_reused",
@@ -239,6 +252,8 @@ pub fn register_metrics() {
         "sim.delta.routers_shared",
         "sim.delta.fibs_shared",
         "sim.delta.fibs_merged",
+        "sim.delta.fib_entries_merged",
+        "sim.delta.fib_entries_copied",
         "sim.delta.pairs_recomputed",
         "sim.delta.pairs_reused",
         "sim.delta.pairs_visited",
@@ -255,13 +270,13 @@ pub fn register_metrics() {
 mod tests {
     use super::*;
     use crate::delta::ShutdownPlan;
-    use crate::random_net::random_spec;
+    use crate::random_net::{add_static_routes, random_spec};
     use confmask_config::{parse_router, HostConfig};
-    use confmask_net_types::HostId;
+    use confmask_net_types::{HostId, RouterId};
     use confmask_netgen::synthesize;
     use confmask_sim::dataplane::trace;
     use confmask_sim::fault::{enumerate_single_link_failures, FailureScenario, Fault};
-    use confmask_sim::simulate;
+    use confmask_sim::{merge_router_fib, simulate_with_state, FibBuilder, NextHop, RouteSource};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -300,16 +315,18 @@ mod tests {
     }
 
     /// Checks a plan against a cold simulation of the same failed configs:
-    /// every router's FIB entry by entry, every pair `sweep` (over the
-    /// base's own data plane) leaves clean against its cold path set, and
-    /// every pair it marks dirty by its re-trace over the plan. Returns how
-    /// many pairs are dirty.
+    /// every router's FIB entry by entry, every re-merged router's FIB
+    /// against a full [`merge_router_fib`] of the plan's model over the
+    /// cold protocol state, every pair `sweep` (over the base's own data
+    /// plane) leaves clean against its cold path set, and every pair it
+    /// marks dirty by its re-trace over the plan. Returns how many pairs
+    /// are dirty.
     fn assert_plan_matches(
         tag: &str,
         base: &ConvergedSim,
         sweep: &ScenarioSweep,
         plan: &ShutdownPlan,
-        cold: &Simulation,
+        (cold, state): &(Simulation, ControlState),
     ) -> usize {
         let dirty = sweep.dirty(plan);
         assert_eq!(
@@ -323,6 +340,20 @@ mod tests {
                 fp.entries().collect::<Vec<_>>(),
                 fc.entries().collect::<Vec<_>>(),
                 "{tag}: FIB of router #{r} differs"
+            );
+            if Arc::ptr_eq(fp, &base.sim.fibs.per_router[r]) {
+                continue;
+            }
+            let full = merge_router_fib(
+                &plan.new_net,
+                RouterId(r as u32),
+                &state.ospf_routes[r],
+                &state.rip_routes,
+                &state.bgp_routes,
+            );
+            assert_eq!(
+                **fp, full,
+                "{tag}: re-merged FIB of router #{r} differs from a full merge"
             );
         }
         let (base_dp, cold_dp) = (&base.sim.dataplane, &cold.dataplane);
@@ -376,7 +407,8 @@ mod tests {
             .plan(&shut)
             .unwrap()
             .unwrap_or_else(|| panic!("{tag}: shutdowns must plan"));
-        let dirty = assert_plan_matches(&tag, base, &sweep, &plan, &simulate(&failed).unwrap());
+        let cold = simulate_with_state(&failed).unwrap();
+        let dirty = assert_plan_matches(&tag, base, &sweep, &plan, &cold);
         (plan, dirty)
     }
 
@@ -399,7 +431,8 @@ mod tests {
     }
 
     /// The plan's byte-identity contract on random networks across protocol
-    /// flavors (OSPF, RIP, two-AS BGP+OSPF): for every k = 1 link failure
+    /// flavors (OSPF, RIP, two-AS BGP+OSPF), each also with static routes
+    /// added (a static loop among them): for every k = 1 link failure
     /// plus two router-down faults, the plan's FIBs, the sweep's clean pairs
     /// and its re-traced dirty pairs equal a cold `simulate()` of the failed
     /// configs, and both report the same error when simulation fails.
@@ -413,51 +446,72 @@ mod tests {
             .unwrap_or(8);
         let mut networks_checked = 0u64;
         let mut scenarios_checked = 0u64;
+        let (mut entries_merged, mut entries_copied) = (0, 0);
+        let mut unclean_retraced = 0;
         for i in 0..seeds {
             let mut rng = StdRng::seed_from_u64(0xD1FF_0000 ^ i);
             let flavor = (i % 3) as u8;
-            let configs = synthesize(&random_spec(&mut rng, flavor));
-            let engine = DeltaEngine::new(4);
-            // An unsimulatable healthy network is a generator artifact (e.g.
-            // a BGP split isolating hosts), not a planning case: skip it.
-            let Ok(base) = engine.converged(&configs) else {
-                continue;
-            };
-            networks_checked += 1;
-            let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
-            let mut scenarios = enumerate_single_link_failures(&configs);
-            for router in configs.routers.keys().take(2) {
-                scenarios.push(FailureScenario::single(Fault::RouterDown {
-                    router: router.clone(),
-                }));
-            }
-            for scenario in scenarios {
-                let tag = format!("seed {i} flavor {flavor}: {scenario}");
-                let (failed, shut) = resolve(&base, &scenario);
-                scenarios_checked += 1;
-                match (simulate(&failed), sweep.plan(&shut)) {
-                    (Ok(cold), Ok(Some(plan))) => {
-                        assert_plan_matches(&tag, &base, &sweep, &plan, &cold);
+            let plain = synthesize(&random_spec(&mut rng, flavor));
+            let mut with_statics = plain.clone();
+            add_static_routes(&mut rng, &mut with_statics);
+            for (variant, configs) in [("", plain), (" + static routes", with_statics)] {
+                let engine = DeltaEngine::new(4);
+                // An unsimulatable healthy network is a generator artifact
+                // (e.g. a BGP split isolating hosts), not a planning case:
+                // skip it.
+                let Ok(base) = engine.converged(&configs) else {
+                    continue;
+                };
+                networks_checked += 1;
+                let sweep = ScenarioSweep::new(&engine, &base, &base.sim.dataplane);
+                let mut scenarios = enumerate_single_link_failures(&configs);
+                for router in configs.routers.keys().take(2) {
+                    scenarios.push(FailureScenario::single(Fault::RouterDown {
+                        router: router.clone(),
+                    }));
+                }
+                for scenario in scenarios {
+                    let tag = format!("seed {i} flavor {flavor}{variant}: {scenario}");
+                    let (failed, shut) = resolve(&base, &scenario);
+                    scenarios_checked += 1;
+                    match (simulate_with_state(&failed), sweep.plan(&shut)) {
+                        (Ok(cold), Ok(Some(plan))) => {
+                            assert_plan_matches(&tag, &base, &sweep, &plan, &cold);
+                            entries_merged += plan.stats.fib_entries_merged;
+                            entries_copied += plan.stats.fib_entries_copied;
+                            let dirty = sweep.dirty(&plan);
+                            let entries = base.sim.dataplane.entries().iter();
+                            unclean_retraced += entries
+                                .enumerate()
+                                .filter(|(idx, (_, set))| dirty.get(*idx) && !set.clean())
+                                .count();
+                        }
+                        // Post-failure divergence (e.g. BGP oscillation)
+                        // must be reported identically by both.
+                        (Err(cold), Err(plan)) => {
+                            assert_eq!(cold.to_string(), plan.to_string(), "{tag}: error mismatch")
+                        }
+                        (cold, plan) => panic!(
+                            "{tag}: outcome mismatch — cold {:?} vs plan {:?}",
+                            cold.map(|_| "ok").map_err(|e| e.to_string()),
+                            plan.map(|p| if p.is_some() { "planned" } else { "declined" })
+                                .map_err(|e| e.to_string()),
+                        ),
                     }
-                    // Post-failure divergence (e.g. BGP oscillation) must be
-                    // reported identically by both.
-                    (Err(cold), Err(plan)) => {
-                        assert_eq!(cold.to_string(), plan.to_string(), "{tag}: error mismatch")
-                    }
-                    (cold, plan) => panic!(
-                        "{tag}: outcome mismatch — cold {:?} vs plan {:?}",
-                        cold.map(|_| "ok").map_err(|e| e.to_string()),
-                        plan.map(|p| if p.is_some() { "planned" } else { "declined" })
-                            .map_err(|e| e.to_string()),
-                    ),
                 }
             }
         }
         assert!(networks_checked > 0, "every network was degenerate");
         assert!(scenarios_checked > 0);
+        // Both FIB paths ran (patched tables copied entries, and the rule
+        // re-merged some), and pairs the base forwards uncleanly (the
+        // static loops) were re-traced.
+        assert!(entries_merged > 0 && entries_copied > 0);
+        assert!(unclean_retraced > 0, "no unclean pair was re-traced");
         eprintln!(
             "plan-diff: {scenarios_checked} scenario(s) across {networks_checked} network(s), \
-             zero mismatches"
+             zero mismatches; FIB entries merged {entries_merged}, copied {entries_copied}; \
+             {unclean_retraced} unclean pair(s) re-traced"
         );
     }
 
@@ -563,6 +617,23 @@ mod tests {
             corrupt.state.ospf_routes[r1].insert(lan.parse().unwrap(), vec![(1, r3)]);
             assert!(plan_for(&corrupt, &shut).unwrap().is_none(), "{lan}");
         }
+        // The same break in r1's base FIB, whose entries r1's patched
+        // table copies: the copy fails to renumber and declines too.
+        assert_eq!(plan.stats.fib_entries_copied, 4, "both tables patched");
+        let mut corrupt = ConvergedSim::clone(&base);
+        let fib = Arc::make_mut(&mut corrupt.sim.fibs.per_router[r1]);
+        let mut edited = FibBuilder::default();
+        for e in fib.entries() {
+            edited.push(e.prefix, e.source, e.next_hops.iter().copied());
+        }
+        let hop = NextHop::Forward {
+            via_iface: 1,
+            router: r3,
+            session_peer: None,
+        };
+        edited.push("10.1.2.0/24".parse().unwrap(), RouteSource::Ospf, [hop]);
+        *fib = edited.build();
+        assert!(plan_for(&corrupt, &shut).unwrap().is_none());
     }
 
     #[test]

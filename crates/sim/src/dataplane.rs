@@ -929,7 +929,7 @@ impl<'a> DestTracer<'a> {
         match self.fibs.of(RouterId(r as u32)).lookup(dst.addr) {
             None => node.blackhole = true,
             Some(entry) => {
-                for nh in &entry.next_hops {
+                for nh in entry.next_hops {
                     match *nh {
                         NextHop::Deliver { iface } => {
                             if dst.attachment == Some((RouterId(r as u32), iface)) {
@@ -1047,7 +1047,7 @@ fn dfs(net: &SimNetwork, fibs: &Fibs, dst: HostId, walk: &mut Vec<RouterId>, out
         out.blackhole = true;
         return;
     };
-    for nh in &entry.next_hops {
+    for nh in entry.next_hops {
         match nh {
             NextHop::Deliver { iface } => {
                 // Delivery succeeds only if the destination host actually
@@ -1097,7 +1097,7 @@ pub fn reachable_hosts_from_router(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{simulate, FibEntry, RouteSource};
+    use crate::{simulate, FibBuilder, RouteSource};
     use confmask_config::{parse_router, HostConfig, NetworkConfigs};
 
     fn host(name: &str, addr: &str, gw: &str) -> HostConfig {
@@ -1397,11 +1397,13 @@ mod tests {
         fn route(&mut self, at: &str, dst: &str, next_hops: Vec<NextHop>) {
             let prefix = self.sim.net.host(self.sim.net.host_id(dst).unwrap()).prefix;
             let r = self.router(at);
-            Arc::make_mut(&mut self.sim.fibs.per_router[r.0 as usize]).insert(FibEntry {
-                prefix,
-                source: RouteSource::Static,
-                next_hops,
-            });
+            let fib = Arc::make_mut(&mut self.sim.fibs.per_router[r.0 as usize]);
+            let mut edited = FibBuilder::default();
+            for e in fib.entries() {
+                edited.push(e.prefix, e.source, e.next_hops.iter().copied());
+            }
+            edited.push(prefix, RouteSource::Static, next_hops);
+            *fib = edited.build();
         }
 
         /// Extracts, asserts every pair equals the per-pair DFS, and

@@ -1,8 +1,13 @@
 //! Forwarding tables: RIB merge by administrative distance and
 //! longest-prefix-match lookup.
+//!
+//! A [`Fib`] is one flat, prefix-sorted table (DESIGN.md §5): an entry
+//! array whose entries each own a span of one shared next-hop vector. A
+//! [`FibBuilder`] assembles one, and [`PrefixMerge::merge_prefix`] is the
+//! one rule that decides an entry.
 
 use crate::bgp;
-use crate::network::SimNetwork;
+use crate::network::{RouterNode, SimNetwork};
 use crate::ospf;
 use crate::rip;
 use confmask_net_types::{Ipv4Addr, Ipv4Prefix, RouterId};
@@ -73,37 +78,73 @@ impl NextHop {
             NextHop::Deliver { .. } => None,
         }
     }
+
+    /// This hop with its interface index passed through `iface` (a
+    /// renumbering); `None` when `iface` maps the index to nothing.
+    pub fn renumbered(self, iface: impl FnOnce(usize) -> Option<usize>) -> Option<NextHop> {
+        Some(match self {
+            NextHop::Deliver { iface: i } => NextHop::Deliver { iface: iface(i)? },
+            NextHop::Forward {
+                via_iface,
+                router,
+                session_peer,
+            } => NextHop::Forward {
+                via_iface: iface(via_iface)?,
+                router,
+                session_peer,
+            },
+        })
+    }
 }
 
-/// A FIB entry: the winning route for one destination prefix.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FibEntry {
+/// A FIB entry: the winning route for one destination prefix, borrowed
+/// from its table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FibEntry<'a> {
     /// Destination prefix.
     pub prefix: Ipv4Prefix,
     /// Protocol that won the RIB race.
     pub source: RouteSource,
     /// ECMP next-hop set (non-empty).
-    pub next_hops: Vec<NextHop>,
+    pub next_hops: &'a [NextHop],
 }
 
-/// One router's forwarding table.
+/// One entry of a [`Fib`]: its key, its source and where its next hops
+/// end in the table's shared hop vector (they start at the previous
+/// entry's end).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    prefix: Ipv4Prefix,
+    source: RouteSource,
+    end: u32,
+}
+
+/// One router's forwarding table: one prefix-sorted entry array whose
+/// entries each own a span of one shared next-hop vector, so a table is
+/// two allocations however many entries it has. The layout is canonical
+/// (unique keys, ascending, hop spans in entry order), so two tables are
+/// equal exactly when their entries are. Build one with [`FibBuilder`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Fib {
-    entries: BTreeMap<Ipv4Prefix, FibEntry>,
+    slots: Vec<Slot>,
+    hops: Vec<NextHop>,
     /// Bit `l` is set when some entry has prefix length `l` (0–32).
     lens: u64,
 }
 
 impl Fib {
-    /// Inserts an entry (replacing any entry at the same prefix).
-    pub fn insert(&mut self, entry: FibEntry) {
-        debug_assert!(
-            Ipv4Prefix::new(entry.prefix.network(), entry.prefix.len())
-                .is_ok_and(|p| p == entry.prefix),
-            "FIB keys are canonical prefixes"
-        );
-        self.lens |= 1 << entry.prefix.len();
-        self.entries.insert(entry.prefix, entry);
+    fn at(&self, i: usize) -> FibEntry<'_> {
+        let start = if i == 0 { 0 } else { self.slots[i - 1].end };
+        let slot = &self.slots[i];
+        FibEntry {
+            prefix: slot.prefix,
+            source: slot.source,
+            next_hops: &self.hops[start as usize..slot.end as usize],
+        }
+    }
+
+    fn find(&self, prefix: &Ipv4Prefix) -> Option<usize> {
+        self.slots.binary_search_by(|s| s.prefix.cmp(prefix)).ok()
     }
 
     /// Longest-prefix-match lookup: probes the prefix lengths present,
@@ -112,37 +153,154 @@ impl Fib {
     /// This is the longest matching entry because `Ipv4Prefix::new`
     /// clears the host bits, so at each length exactly one key can contain
     /// `addr` — the probe key itself.
-    pub fn lookup(&self, addr: Ipv4Addr) -> Option<&FibEntry> {
+    pub fn lookup(&self, addr: Ipv4Addr) -> Option<FibEntry<'_>> {
         let mut lens = self.lens;
         while lens != 0 {
             let len = 63 - lens.leading_zeros();
             lens &= !(1 << len);
             let key = Ipv4Prefix::new(addr, len as u8).expect("prefix lengths are at most 32");
-            if let Some(entry) = self.entries.get(&key) {
-                return Some(entry);
+            if let Some(i) = self.find(&key) {
+                return Some(self.at(i));
             }
         }
         None
     }
 
     /// Exact-prefix entry.
-    pub fn entry(&self, prefix: &Ipv4Prefix) -> Option<&FibEntry> {
-        self.entries.get(prefix)
+    pub fn entry(&self, prefix: &Ipv4Prefix) -> Option<FibEntry<'_>> {
+        self.find(prefix).map(|i| self.at(i))
     }
 
     /// All entries, ordered by prefix.
-    pub fn entries(&self) -> impl Iterator<Item = &FibEntry> {
-        self.entries.values()
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = FibEntry<'_>> {
+        (0..self.slots.len()).map(|i| self.at(i))
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// True when the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
+    }
+
+    /// A copy of this table with the entries at `owned` (ascending)
+    /// replaced: `merge` pushes each owned prefix's new entry, or none,
+    /// and every other entry is copied with its next hops passed through
+    /// `renumber`. `None` when `renumber` rejects a hop of a copied entry.
+    pub fn patched(
+        &self,
+        owned: &[Ipv4Prefix],
+        renumber: impl Fn(NextHop) -> Option<NextHop>,
+        mut merge: impl FnMut(&mut FibBuilder, &Ipv4Prefix),
+    ) -> Option<Fib> {
+        debug_assert!(owned.windows(2).all(|w| w[0] < w[1]), "owned keys ascend");
+        let mut out = FibBuilder::with_capacity(self.len() + owned.len(), self.hops.len());
+        let mut owned = owned.iter().peekable();
+        let mut start = 0;
+        for slot in &self.slots {
+            let mut replaced = false;
+            while let Some(p) = owned.next_if(|p| **p <= slot.prefix) {
+                merge(&mut out, p);
+                replaced = *p == slot.prefix;
+            }
+            let hops = &self.hops[start as usize..slot.end as usize];
+            start = slot.end;
+            if replaced {
+                continue;
+            }
+            for &hop in hops {
+                out.hops.push(renumber(hop)?);
+            }
+            out.push_slot(slot.prefix, slot.source);
+        }
+        for p in owned {
+            merge(&mut out, p);
+        }
+        Some(out.build())
+    }
+}
+
+/// Assembles a [`Fib`]. Entries may be pushed in any order; at a prefix
+/// pushed more than once the last push wins.
+#[derive(Debug, Default)]
+pub struct FibBuilder {
+    slots: Vec<Slot>,
+    hops: Vec<NextHop>,
+    /// Some push did not come strictly after the one before it.
+    unsorted: bool,
+}
+
+impl FibBuilder {
+    /// A builder with room for `entries` entries and `hops` next hops.
+    pub fn with_capacity(entries: usize, hops: usize) -> Self {
+        FibBuilder {
+            slots: Vec::with_capacity(entries),
+            hops: Vec::with_capacity(hops),
+            unsorted: false,
+        }
+    }
+
+    /// Adds the entry `prefix → next_hops`, won by `source`.
+    pub fn push(
+        &mut self,
+        prefix: Ipv4Prefix,
+        source: RouteSource,
+        next_hops: impl IntoIterator<Item = NextHop>,
+    ) {
+        self.hops.extend(next_hops);
+        self.push_slot(prefix, source);
+    }
+
+    /// Closes an entry over the hops pushed since the previous one.
+    fn push_slot(&mut self, prefix: Ipv4Prefix, source: RouteSource) {
+        debug_assert!(
+            Ipv4Prefix::new(prefix.network(), prefix.len()).is_ok_and(|p| p == prefix),
+            "FIB keys are canonical prefixes"
+        );
+        self.unsorted |= self.slots.last().is_some_and(|s| s.prefix >= prefix);
+        self.slots.push(Slot {
+            prefix,
+            source,
+            end: u32::try_from(self.hops.len()).expect("a FIB holds fewer than 2^32 next hops"),
+        });
+    }
+
+    /// The table: entries sorted by prefix, the last push at each prefix
+    /// kept.
+    pub fn build(self) -> Fib {
+        let FibBuilder {
+            slots,
+            hops,
+            unsorted,
+        } = self;
+        let (slots, hops) = if unsorted {
+            // A stable sort keeps pushes at one prefix in push order, so
+            // the last of each run is the one that wins.
+            let mut order: Vec<usize> = (0..slots.len()).collect();
+            order.sort_by_key(|&i| slots[i].prefix);
+            let mut sorted = FibBuilder::with_capacity(slots.len(), hops.len());
+            for (k, &i) in order.iter().enumerate() {
+                if order
+                    .get(k + 1)
+                    .is_some_and(|&j| slots[j].prefix == slots[i].prefix)
+                {
+                    continue;
+                }
+                let start = if i == 0 { 0 } else { slots[i - 1].end };
+                sorted
+                    .hops
+                    .extend_from_slice(&hops[start as usize..slots[i].end as usize]);
+                sorted.push_slot(slots[i].prefix, slots[i].source);
+            }
+            (sorted.slots, sorted.hops)
+        } else {
+            (slots, hops)
+        };
+        let lens = slots.iter().fold(0, |m, s| m | 1 << s.prefix.len());
+        Fib { slots, hops, lens }
     }
 }
 
@@ -164,9 +322,9 @@ impl Fibs {
     }
 }
 
-/// Where [`merge_router_fib`] reads one router's OSPF rows from: per
-/// prefix, the router's candidate hops `(interface, neighbour)` in the
-/// merged model's interface numbering, in row order.
+/// Where [`PrefixMerge`] reads one router's OSPF rows from: per prefix,
+/// the router's candidate hops `(interface, neighbour)` in the merged
+/// model's interface numbering, in row order.
 ///
 /// A router's own table is a source as it stands. The incremental engine
 /// passes a source that reads the rows it recomputed and renumbers the
@@ -190,11 +348,7 @@ impl OspfRows for BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>> {
 }
 
 /// Merges per-protocol RIB contributions into FIBs by administrative
-/// distance. This is the *only* merge implementation: cold builds merge
-/// every router here, and the warm control plane and the incremental
-/// engine re-merge single routers through [`merge_router_fib`] (the
-/// engine reading its OSPF rows through its own [`OspfRows`] source), so
-/// cold, delta and warm simulations go through byte-identical merge logic.
+/// distance, one [`merge_router_fib`] per router.
 pub fn merge_fibs(
     net: &SimNetwork,
     ospf_routes: &ospf::IgpRoutes,
@@ -217,10 +371,13 @@ pub fn merge_fibs(
     }
 }
 
-/// Merges one router's RIB contributions into its FIB — the per-router
-/// body of [`merge_fibs`], exposed so the incremental engine can merge
-/// only the routers a perturbation touched (and share the rest). `ospf`
-/// is this router's OSPF rows; the RIP and BGP tables are every router's.
+/// Merges one router's RIB contributions into its FIB: its static routes,
+/// then [`PrefixMerge::merge_prefix`] at every destination prefix that no
+/// static route claims. `ospf` is this router's OSPF rows; the RIP and BGP
+/// tables are every router's. Cold builds merge every router here, the
+/// warm control plane re-merges the routers a filter edit touched, and the
+/// incremental engine re-merges the routers a shutdown may have changed
+/// here or, prefix by prefix, through [`Fib::patched`].
 pub fn merge_router_fib(
     net: &SimNetwork,
     rid: RouterId,
@@ -228,13 +385,17 @@ pub fn merge_router_fib(
     rip_routes: &rip::RipRoutes,
     bgp_routes: &[BTreeMap<Ipv4Prefix, bgp::BgpFibRoute>],
 ) -> Fib {
-    let mut fib = Fib::default();
     let router = net.router(rid);
-    let r = rid.0 as usize;
+    let mut fib = FibBuilder::with_capacity(
+        net.destinations.len() + router.static_routes.len(),
+        net.destinations.len(),
+    );
     // Static routes install at their own prefixes (longest-prefix match
     // then decides against dynamic routes; at equal prefixes, AD 1 wins
-    // over everything but Connected). Unresolvable next hops are
-    // ignored, like a real RIB.
+    // over everything but Connected, and a static route at a connected
+    // prefix is not installed). Unresolvable next hops are ignored, like a
+    // real RIB.
+    let mut statics: Vec<Ipv4Prefix> = Vec::new();
     for sr in &router.static_routes {
         let resolved = router.ifaces.iter().enumerate().find_map(|(ii, iface)| {
             if !iface.prefix.contains_addr(sr.next_hop) {
@@ -251,110 +412,104 @@ pub fn merge_router_fib(
         if let Some((via_iface, peer)) = resolved {
             let connected_same = router.ifaces.iter().any(|i| i.prefix == sr.prefix);
             if !connected_same {
-                fib.insert(FibEntry {
-                    prefix: sr.prefix,
-                    source: RouteSource::Static,
-                    next_hops: vec![NextHop::Forward {
+                fib.push(
+                    sr.prefix,
+                    RouteSource::Static,
+                    [NextHop::Forward {
                         via_iface,
                         router: peer,
                         session_peer: None,
                     }],
-                });
+                );
+                statics.push(sr.prefix);
             }
         }
     }
+    let merge = PrefixMerge::new(net, rid, ospf, rip_routes, bgp_routes);
     for (prefix, _hosts) in net.destinations.iter() {
-        // 1. Connected.
-        if let Some(iface) = router.ifaces.iter().position(|i| i.prefix == *prefix) {
-            fib.insert(FibEntry {
-                prefix: *prefix,
-                source: RouteSource::Connected,
-                next_hops: vec![NextHop::Deliver { iface }],
-            });
-            continue;
+        if !statics.contains(prefix) {
+            merge.merge_prefix(&mut fib, prefix);
         }
-        // 1b. Static at the exact destination prefix (AD 1).
-        if fib
-            .entry(prefix)
-            .is_some_and(|e| e.source == RouteSource::Static)
-        {
-            continue;
-        }
-        // 2. eBGP (AD 20).
-        if let Some(b) = bgp_routes[r].get(prefix) {
-            if b.source == RouteSource::Ebgp && !b.next_hops.is_empty() {
-                fib.insert(FibEntry {
-                    prefix: *prefix,
-                    source: RouteSource::Ebgp,
-                    next_hops: b
-                        .next_hops
-                        .iter()
-                        .map(|&(via_iface, router)| NextHop::Forward {
-                            via_iface,
-                            router,
-                            session_peer: b.session_peer,
-                        })
-                        .collect(),
-                });
-                continue;
-            }
-        }
-        // 3. OSPF (AD 110).
-        if let Some(hops) = ospf.row(prefix) {
-            if hops.len() != 0 {
-                fib.insert(FibEntry {
-                    prefix: *prefix,
-                    source: RouteSource::Ospf,
-                    next_hops: hops
-                        .map(|(via_iface, router)| NextHop::Forward {
-                            via_iface,
-                            router,
-                            session_peer: None,
-                        })
-                        .collect(),
-                });
-                continue;
-            }
-        }
-        // 4. RIP (AD 120).
-        if let Some(hops) = rip_routes[r].get(prefix) {
-            if !hops.is_empty() {
-                fib.insert(FibEntry {
-                    prefix: *prefix,
-                    source: RouteSource::Rip,
-                    next_hops: hops
-                        .iter()
-                        .map(|&(via_iface, router)| NextHop::Forward {
-                            via_iface,
-                            router,
-                            session_peer: None,
-                        })
-                        .collect(),
-                });
-                continue;
-            }
-        }
-        // 5. iBGP (AD 200).
-        if let Some(b) = bgp_routes[r].get(prefix) {
-            if b.source == RouteSource::Ibgp && !b.next_hops.is_empty() {
-                fib.insert(FibEntry {
-                    prefix: *prefix,
-                    source: RouteSource::Ibgp,
-                    next_hops: b
-                        .next_hops
-                        .iter()
-                        .map(|&(via_iface, router)| NextHop::Forward {
-                            via_iface,
-                            router,
-                            session_peer: None,
-                        })
-                        .collect(),
-                });
-            }
+    }
+    fib.build()
+}
+
+/// One router's RIB contributions, and the per-prefix rule that merges
+/// them by administrative distance. This is the *only* merge rule: cold
+/// builds, the warm control plane and the incremental engine all reach
+/// it, so cold, delta and warm simulations go through byte-identical merge
+/// logic.
+pub struct PrefixMerge<'a, O> {
+    router: &'a RouterNode,
+    ospf: &'a O,
+    rip: &'a BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>>,
+    bgp: &'a BTreeMap<Ipv4Prefix, bgp::BgpFibRoute>,
+}
+
+impl<'a, O: OspfRows> PrefixMerge<'a, O> {
+    /// Router `rid`'s inputs: its OSPF rows `ospf`, and its rows of every
+    /// router's RIP and BGP tables.
+    pub fn new(
+        net: &'a SimNetwork,
+        rid: RouterId,
+        ospf: &'a O,
+        rip_routes: &'a rip::RipRoutes,
+        bgp_routes: &'a [BTreeMap<Ipv4Prefix, bgp::BgpFibRoute>],
+    ) -> Self {
+        let r = rid.0 as usize;
+        PrefixMerge {
+            router: net.router(rid),
+            ospf,
+            rip: &rip_routes[r],
+            bgp: &bgp_routes[r],
         }
     }
 
-    fib
+    /// Pushes the winning route toward the destination `prefix`, if any
+    /// protocol has one, onto `fib`: connected, then eBGP, OSPF, RIP and
+    /// iBGP (a static route at `prefix` is the caller's to honour).
+    pub fn merge_prefix(&self, fib: &mut FibBuilder, prefix: &Ipv4Prefix) {
+        let forward = |&(via_iface, router): &(usize, RouterId), session_peer| NextHop::Forward {
+            via_iface,
+            router,
+            session_peer,
+        };
+        // 1. Connected.
+        if let Some(iface) = self.router.ifaces.iter().position(|i| i.prefix == *prefix) {
+            fib.push(
+                *prefix,
+                RouteSource::Connected,
+                [NextHop::Deliver { iface }],
+            );
+            return;
+        }
+        let bgp = self.bgp.get(prefix).filter(|b| !b.next_hops.is_empty());
+        // 2. eBGP (AD 20).
+        if let Some(b) = bgp.filter(|b| b.source == RouteSource::Ebgp) {
+            let hops = b.next_hops.iter().map(|h| forward(h, b.session_peer));
+            fib.push(*prefix, RouteSource::Ebgp, hops);
+            return;
+        }
+        // 3. OSPF (AD 110).
+        if let Some(hops) = self.ospf.row(prefix).filter(|hops| hops.len() != 0) {
+            fib.push(*prefix, RouteSource::Ospf, hops.map(|h| forward(&h, None)));
+            return;
+        }
+        // 4. RIP (AD 120).
+        if let Some(hops) = self.rip.get(prefix).filter(|hops| !hops.is_empty()) {
+            fib.push(
+                *prefix,
+                RouteSource::Rip,
+                hops.iter().map(|h| forward(h, None)),
+            );
+            return;
+        }
+        // 5. iBGP (AD 200).
+        if let Some(b) = bgp.filter(|b| b.source == RouteSource::Ibgp) {
+            let hops = b.next_hops.iter().map(|h| forward(h, None));
+            fib.push(*prefix, RouteSource::Ibgp, hops);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -367,17 +522,18 @@ mod tests {
 
     #[test]
     fn lpm_prefers_longest() {
-        let mut fib = Fib::default();
-        fib.insert(FibEntry {
-            prefix: p("10.0.0.0/8"),
-            source: RouteSource::Ospf,
-            next_hops: vec![NextHop::Deliver { iface: 0 }],
-        });
-        fib.insert(FibEntry {
-            prefix: p("10.1.0.0/16"),
-            source: RouteSource::Ospf,
-            next_hops: vec![NextHop::Deliver { iface: 1 }],
-        });
+        let mut fib = FibBuilder::default();
+        fib.push(
+            p("10.1.0.0/16"),
+            RouteSource::Ospf,
+            [NextHop::Deliver { iface: 1 }],
+        );
+        fib.push(
+            p("10.0.0.0/8"),
+            RouteSource::Ospf,
+            [NextHop::Deliver { iface: 0 }],
+        );
+        let fib = fib.build();
         let hit = fib.lookup("10.1.2.3".parse().unwrap()).unwrap();
         assert_eq!(hit.prefix, p("10.1.0.0/16"));
         let hit = fib.lookup("10.2.2.3".parse().unwrap()).unwrap();
@@ -387,14 +543,11 @@ mod tests {
 
     #[test]
     fn lpm_reaches_default_and_host_routes() {
-        let mut fib = Fib::default();
+        let mut fib = FibBuilder::default();
         for (prefix, iface) in [("0.0.0.0/0", 0), ("10.1.0.0/16", 1), ("10.1.2.3/32", 2)] {
-            fib.insert(FibEntry {
-                prefix: p(prefix),
-                source: RouteSource::Static,
-                next_hops: vec![NextHop::Deliver { iface }],
-            });
+            fib.push(p(prefix), RouteSource::Static, [NextHop::Deliver { iface }]);
         }
+        let fib = fib.build();
         let at = |addr: &str| fib.lookup(addr.parse().unwrap()).unwrap().prefix;
         assert_eq!(at("10.1.2.3"), p("10.1.2.3/32"));
         assert_eq!(at("10.1.2.4"), p("10.1.0.0/16"));

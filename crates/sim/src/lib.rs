@@ -60,8 +60,8 @@ pub use error::SimError;
 pub use fault::{DegradationClass, FailureScenario, Fault};
 pub use sweep::{DigestList, ScenarioDigest, SweepReducer, SweepStats, SweepSummary};
 pub use fib::{
-    merge_fibs, merge_router_fib, AdminDistance, Fib, FibEntry, Fibs, NextHop, OspfRows,
-    RouteSource,
+    merge_fibs, merge_router_fib, AdminDistance, Fib, FibBuilder, FibEntry, Fibs, NextHop,
+    OspfRows, PrefixMerge, RouteSource,
 };
 pub use network::{BgpSession, HostNode, IfaceNode, IfaceRemap, Peer, RouterNode, SimNetwork};
 pub use ospf::{IgpRoutes, OspfDist, RouterPaths};

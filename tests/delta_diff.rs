@@ -1,5 +1,6 @@
 //! Differential harness for the incremental fault sweep: on random
-//! networks across protocol flavors (OSPF, RIP, two-AS BGP+OSPF), every
+//! networks across protocol flavors (OSPF, RIP, two-AS BGP+OSPF), each
+//! also with static routes added (a static loop among them), every
 //! k = 1 fault plus router-down faults digested through [`ScenarioSweep`]
 //! must be **byte-identical** (down to the wire encoding) to the cold
 //! `run_scenario` digest, and both must report the same error when
@@ -20,11 +21,12 @@ use rand::SeedableRng;
 
 #[path = "support/random_net.rs"]
 mod random_net;
-use random_net::random_spec;
+use random_net::{add_static_routes, random_spec};
 
 /// The streaming sweep's digests must be byte-identical (down to the wire
 /// encoding) to the cold `run_scenario` digests — for every k = 1 fault
-/// plus router-down faults, on random networks across protocol flavors.
+/// plus router-down faults, on random networks across protocol flavors,
+/// with and without static routes.
 #[test]
 fn streaming_digests_match_cold_folds_on_random_networks() {
     let seeds: u64 = std::env::var("DELTA_DIFF_SEEDS")
@@ -36,36 +38,39 @@ fn streaming_digests_match_cold_folds_on_random_networks() {
     for i in 0..seeds {
         let mut rng = StdRng::seed_from_u64(0xD16E_0000 ^ i);
         let spec = random_spec(&mut rng, (i % 3) as u8);
-        let configs = synthesize(&spec);
-        let Ok(sim) = simulate(&configs) else { continue };
-        let engine = DeltaEngine::new(4);
-        let base = engine.converged(&configs).expect("baseline converges");
-        let sweep = ScenarioSweep::new(&engine, &base, &sim.dataplane);
-        let mut scenarios = enumerate_single_link_failures(&configs);
-        for router in configs.routers.keys().take(2) {
-            scenarios.push(FailureScenario::single(Fault::RouterDown {
-                router: router.clone(),
-            }));
-        }
-        for scenario in scenarios {
-            scenarios_checked += 1;
-            let cold = confmask_sim::fault::run_scenario(&configs, &sim.dataplane, &scenario);
-            let warm = sweep.digest(&scenario);
-            match (cold, warm) {
-                (Ok(c), Ok(w)) => {
-                    assert_eq!(c, w, "seed {i}: {scenario}");
-                    assert_eq!(
-                        c.encode(),
-                        w.encode(),
-                        "seed {i}: {scenario}: wire encoding differs"
-                    );
+        let plain = synthesize(&spec);
+        let mut with_statics = plain.clone();
+        add_static_routes(&mut rng, &mut with_statics);
+        for (variant, configs) in [("", plain), (" + static routes", with_statics)] {
+            let Ok(sim) = simulate(&configs) else {
+                continue;
+            };
+            let engine = DeltaEngine::new(4);
+            let base = engine.converged(&configs).expect("baseline converges");
+            let sweep = ScenarioSweep::new(&engine, &base, &sim.dataplane);
+            let mut scenarios = enumerate_single_link_failures(&configs);
+            for router in configs.routers.keys().take(2) {
+                scenarios.push(FailureScenario::single(Fault::RouterDown {
+                    router: router.clone(),
+                }));
+            }
+            for scenario in scenarios {
+                scenarios_checked += 1;
+                let tag = format!("seed {i}{variant}: {scenario}");
+                let cold = confmask_sim::fault::run_scenario(&configs, &sim.dataplane, &scenario);
+                let warm = sweep.digest(&scenario);
+                match (cold, warm) {
+                    (Ok(c), Ok(w)) => {
+                        assert_eq!(c, w, "{tag}");
+                        assert_eq!(c.encode(), w.encode(), "{tag}: wire encoding differs");
+                    }
+                    (Err(c), Err(w)) => assert_eq!(c.to_string(), w.to_string()),
+                    (c, w) => panic!(
+                        "{tag}: outcome mismatch — cold {:?} vs warm {:?}",
+                        c.map(|_| "ok").map_err(|e| e.to_string()),
+                        w.map(|_| "ok").map_err(|e| e.to_string()),
+                    ),
                 }
-                (Err(c), Err(w)) => assert_eq!(c.to_string(), w.to_string()),
-                (c, w) => panic!(
-                    "seed {i}: {scenario}: outcome mismatch — cold {:?} vs warm {:?}",
-                    c.map(|_| "ok").map_err(|e| e.to_string()),
-                    w.map(|_| "ok").map_err(|e| e.to_string()),
-                ),
             }
         }
     }
