@@ -18,7 +18,8 @@ use crate::Error;
 use confmask_config::patch::Patcher;
 use confmask_net_types::{HostId, Ipv4Addr, Ipv4Prefix, PrefixAllocator, RouterId};
 use confmask_sim::dataplane::reachable_hosts_from_router;
-use confmask_sim::{NextHop, WarmControlPlane};
+use confmask_sim::NextHop;
+use confmask_sim_delta::WarmControlPlane;
 use rand::Rng;
 use std::collections::BTreeSet;
 

@@ -21,7 +21,8 @@ use crate::preprocess::Baseline;
 use crate::Error;
 use confmask_config::patch::Patcher;
 use confmask_net_types::{Ipv4Prefix, RouterId};
-use confmask_sim::{Fibs, NextHop, SimNetwork, WarmControlPlane};
+use confmask_sim::{Fibs, NextHop, SimNetwork};
+use confmask_sim_delta::WarmControlPlane;
 use std::collections::BTreeSet;
 
 /// Outcome of the route-equivalence stage.

@@ -1,29 +1,34 @@
-//! Delta planning for fault perturbations.
+//! The one incremental control-plane planner.
 //!
-//! Given a cached converged simulation of a base network and the
-//! interfaces a scenario administratively shuts (`shutdown: false → true`,
-//! as [`FailureScenario::shutdowns`] lists them against the base configs;
-//! nothing applies them to a copy), this module builds a [`ShutdownPlan`]:
-//! the perturbed model, derived from the cached one
-//! ([`SimNetwork::without_interfaces`]), and the perturbed FIBs,
-//! recomputing only what the shutdowns can have touched, plus the lookups
-//! the new FIBs answer differently and the hosts whose attachment moved:
-//! the inputs from which the sweep's pair index (`crate::sweep`) finds the
-//! pairs whose cached path sets may no longer hold. Shutdowns only
-//! ever **remove** model elements, which is the monotonicity every
-//! warm-start argument below leans on, and the removal alone defines the
-//! interface renumbering ([`IfaceRemap`]) every reuse below applies.
+//! Given a converged base network (model, FIBs and per-protocol state) and
+//! a list of edits, [`plan`] derives the edited network's model and FIBs,
+//! recomputing only what the edits can have touched. Edits come in two
+//! kinds ([`Edits`]):
+//!
+//! * **interface shut** — what a failure scenario does
+//!   (`shutdown: false → true`, as [`FailureScenario::shutdowns`] lists
+//!   them against the base configs; nothing applies them to a copy). The
+//!   fault sweep (`crate::sweep`) plans these;
+//! * **router re-filtered** — a router's inbound IGP filters changed, what
+//!   the repair loops of Algorithms 1 and 2 do. [`crate::WarmControlPlane`]
+//!   plans these.
 //!
 //! [`FailureScenario::shutdowns`]: confmask_sim::fault::FailureScenario::shutdowns
 //!
-//! The contract is **byte identity** with a cold `simulate()` of the
-//! perturbed configs: the plan's FIBs equal the cold FIBs entry by entry,
-//! every pair the sweep's index leaves clean has a cached path set equal to
-//! the cold one, and every pair it marks dirty has a `trace` over the
-//! plan's model and FIBs equal to the cold path set. The sweep classifies
-//! pairs straight off the plan, re-tracing through lazy per-destination
-//! tracers, and never builds a perturbed data plane.
-//! Per-protocol strategy (soundness arguments inline):
+//! A shutdown only ever **removes** (edges, seeds, connected routes),
+//! which is the monotonicity the warm starts below lean on, and the
+//! shutdowns alone define the interface renumbering ([`IfaceRemap`])
+//! every reuse below applies. A filter edit, whether it adds or drops a
+//! deny, moves no distance at all: OSPF filters are RIB-local, so only
+//! the filtering router's own candidate hops can change. The model is
+//! derived from the base's ([`SimNetwork::without_interfaces`], then
+//! [`SimNetwork::set_igp_filters`]).
+//!
+//! The contract is **byte identity** with a cold build of the edited
+//! configs: the plan's FIBs equal the cold FIBs entry by entry, and its
+//! OSPF rows at the prefixes it owns equal the cold rows. The sweep's pair
+//! index and the warm handle's row swap both rest on that.
+//! Per-protocol strategy (soundness arguments inline, DESIGN.md §10.2):
 //!
 //! * **OSPF** — per-prefix SPFs are independent, so only *affected*
 //!   prefixes re-run ([`ospf::compute_subset`]); the rest keep the
@@ -37,116 +42,121 @@
 //!   sets (every candidate edge satisfies the DAG equation). Removing a
 //!   DAG edge at a router that keeps a witness (a surviving seed or DAG
 //!   edge) changes no distance either, so only that router's row is
-//!   recomputed, against the cached distances ([`ospf::candidate_row`]);
-//!   on ECMP-rich networks most link failures are of this kind.
+//!   recomputed, against the cached distances ([`ospf::candidate_rows`]);
+//!   on ECMP-rich networks most link failures are of this kind. A filter
+//!   changes no distance at all (LSAs flood regardless of filters), and
+//!   filters enter only the filtering router's own candidate rule, so a
+//!   re-filtered router recomputes every row against the cached
+//!   distances and no other router's row moves.
 //! * **RIP** — Bellman–Ford re-runs for every prefix but warm-starts from
 //!   the cached fixpoint ([`rip::compute_with_state`]), which is sound for
-//!   removal-only perturbations (see the proof on that function).
+//!   removal-only perturbations (see the proof on that function). A RIP
+//!   filter moves distances at other routers, so a filter edit on a model
+//!   with a RIP-active interface is declined.
 //! * **BGP** — warm-starting a path-vector protocol is *unsound* (BGP has
 //!   multiple equilibria; a warm start can land in a different one than a
 //!   cold run). Instead, the cached routes are reused wholesale when the
 //!   iteration is provably isomorphic — the IGP router-path matrix is
 //!   unchanged modulo interface renumbering and no removed interface was
 //!   BGP-relevant (session endpoint, session carrier, or origin prefix
-//!   owner) — and fully recomputed otherwise.
+//!   owner) — and fully recomputed otherwise. BGP reads IGP filters when
+//!   it selects and re-advertises iBGP routes, so a filter edit on a model
+//!   with a BGP speaker is declined.
 //! * **FIB merge** — a router whose merge inputs and interface numbering
 //!   are unchanged shares the cached FIB. One with silent RIP, absent or
 //!   reused BGP and no static routes is patched: the base table is copied
 //!   with its hops renumbered and only the prefixes the plan owns go
 //!   through the per-prefix merge rule
-//!   ([`Fib::patched`],
+//!   ([`Fib::patched`](confmask_sim::Fib::patched),
 //!   [`PrefixMerge::merge_prefix`]); every other input of a non-owned
 //!   prefix is the base's modulo renumbering, so the rule would rebuild
 //!   the base entry. Every other router goes through the full merge a cold
 //!   run uses ([`merge_router_fib`]). The rule reads OSPF rows through a
 //!   row source ([`OspfRows`]): the plan's `PlanRows` yields the
 //!   recomputed row where the plan owns the prefix and the cached row,
-//!   renumbered as it is read, everywhere else.
-//! * **Data plane** — the trace DFS consults exactly one FIB entry per
-//!   visited router: the longest-prefix match for the *destination host's*
-//!   address. So a pair keeps its cached [`PathSet`](confmask_sim::PathSet)
-//!   when its endpoints' attachments survived and, for its destination, no
-//!   router it can reach resolves that address differently (modulo
-//!   interface renumbering): the DFS then replays move for move,
-//!   blackholes, loops and ECMP truncation included. An unattached source
-//!   is a blackhole before any lookup, so its pairs always keep their sets.
-//!   A clean, non-truncated walk visits exactly the routers on its recorded
-//!   paths, so only a changed lookup at one of those routers can change it.
-//!   The plan reports the changed lookups sparsely, as sorted (destination
-//!   host, router) keys of merged routers only (a shared FIB changes no
-//!   lookup), and the hosts whose attachment moved; the sweep's index
-//!   turns both into the pairs to re-trace.
+//!   renumbered as it is read, everywhere else. The plan lists each
+//!   re-merged router with the entries it decided afresh, from which the
+//!   sweep finds the lookups that changed.
 
-use crate::{ConvergedSim, DeltaStats};
+use crate::DeltaStats;
 use confmask_net_types::{HostId, Ipv4Prefix, RouterId};
 use confmask_sim::ospf::RouterPaths;
 use confmask_sim::{
-    bgp, merge_router_fib, ospf, rip, BgpRoutes, Fib, FibEntry, Fibs, IfaceRemap, NextHop,
-    OspfRows, PrefixMerge, SimError, SimNetwork,
+    bgp, merge_router_fib, ospf, rip, BgpRoutes, ControlState, Fibs, IfaceRemap, IgpRoutes,
+    NextHop, OspfRows, PrefixMerge, RouterNode, SimError, SimNetwork,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Everything the shutdown delta derives about a perturbed network: its
-/// model and FIBs, and what the sweep's pair index needs to find the pairs
-/// they may have changed, which it re-traces over `new_net` and `fibs`.
-pub(crate) struct ShutdownPlan {
-    /// The perturbed network model.
-    pub new_net: SimNetwork,
-    /// The perturbed per-router FIBs.
+/// The edits a plan applies to its base: a shut interface takes its
+/// edges, seeds and connected route away, and a re-filtered router's new
+/// inbound filters deny more or fewer of its own candidate hops, never
+/// moving a distance.
+#[derive(Debug, Default)]
+pub(crate) struct Edits {
+    /// Interfaces administratively shut, as `(router, interface)` names.
+    pub shut: Vec<(String, String)>,
+    /// Routers whose inbound IGP filters changed: each id of the base model
+    /// with its freshly resolved node, of which only the interfaces'
+    /// filters are read ([`SimNetwork::set_igp_filters`]).
+    pub refiltered: Vec<(RouterId, RouterNode)>,
+}
+
+/// The control plane of an edited network, derived from its base.
+pub(crate) struct Plan {
+    /// The edited network model.
+    pub net: SimNetwork,
+    /// The interface renumbering the shutdowns define.
+    pub remap: IfaceRemap,
+    /// The edited per-router FIBs.
     pub fibs: Fibs,
-    /// Every `(destination host, router)` whose lookup of that host's
-    /// address differs from the cached base's, sorted. Only merged routers
-    /// appear: a shared FIB changes no lookup.
-    pub changed_lookups: Vec<(u32, u32)>,
-    /// Hosts whose attachment the shutdowns changed, ascending.
-    pub moved_hosts: Vec<u32>,
+    /// Per router, the OSPF rows of the prefixes the plan owns there (an
+    /// owned prefix without a row has none); every other row is the
+    /// base's, renumbered. A re-filtered router owns every prefix.
+    pub ospf_rows: IgpRoutes,
+    /// Every router whose FIB was re-merged, ascending, with the prefixes
+    /// whose entries it decided afresh (ascending; `None` when it decided
+    /// every entry, a full merge). Every other entry is the base's,
+    /// renumbered.
+    pub remerged: Vec<(usize, Option<Vec<Ipv4Prefix>>)>,
     /// The delta statistics of the model and FIBs; the sweep adds the
     /// data-plane tallies.
     pub stats: DeltaStats,
 }
 
-/// Builds the [`ShutdownPlan`] for shutting the `(router, interface
-/// index)`s listed in `shut`: model and FIBs (both incremental where
-/// provable), the lookups they change and the hosts they move. `matched`
-/// holds, per `host × routers + router`, the FIB prefix the base router's
-/// longest-prefix match resolves that host's address to (`None` = no
-/// route); the sweep computes it once per baseline. The model is derived
-/// from the cached one ([`SimNetwork::without_interfaces`]), sharing every
-/// router the shutdowns leave unchanged, and its interface renumbering
-/// drives every reuse below.
+/// Plans `edits` against the base model `base_net` with its FIBs
+/// `base_fibs` and converged protocol state `state`: the edited model and
+/// FIBs, both incremental where provable (module docs). The model is
+/// derived from the base's ([`SimNetwork::without_interfaces`], then
+/// [`SimNetwork::set_igp_filters`]), sharing every router the edits
+/// leave unchanged, and the removal's interface renumbering drives every
+/// reuse below.
 ///
-/// Precondition: `shut` is [`FailureScenario::shutdowns`] of
-/// `base.configs` (interfaces that are up there);
-/// [`ScenarioSweep::digest`](crate::ScenarioSweep::digest) is the only
-/// caller and passes nothing else. Returns `Ok(None)` when a listed
-/// interface's name does not name exactly one interface of a base router,
+/// Returns `Ok(None)`, and the caller runs cold, when a shut router is
+/// unknown, when a filter edit meets a model with a BGP speaker or a
+/// RIP-active interface (there a filter can move state at other routers),
 /// or when a defensive invariant check fails (a cached OSPF row through a
-/// removed interface, for one), and the caller should fall back to a cold
-/// run.
-///
-/// [`FailureScenario::shutdowns`]: confmask_sim::fault::FailureScenario::shutdowns
-pub(crate) fn plan_shutdowns(
-    base: &ConvergedSim,
-    matched: &[Option<Ipv4Prefix>],
-    shut: &[(String, usize)],
-) -> Result<Option<ShutdownPlan>, SimError> {
-    // The model finds interfaces by name, so a stanza whose name another
-    // stanza of its router shares cannot be removed from it: such a
-    // scenario goes to the cold loop, as does a router the base lacks.
-    let unique_name = |(router, i): &(String, usize)| {
-        let rc = base.configs.routers.get(router)?;
-        let name = &rc.interfaces.get(*i)?.name;
-        let shared = rc.interfaces.iter().filter(|f| f.name == *name).count() != 1;
-        (!shared).then(|| (router.clone(), name.clone()))
-    };
-    let Some(names) = shut.iter().map(unique_name).collect::<Option<Vec<_>>>() else {
+/// removed interface, for one).
+pub(crate) fn plan(
+    base_net: &SimNetwork,
+    base_fibs: &Fibs,
+    state: &ControlState,
+    edits: &Edits,
+) -> Result<Option<Plan>, SimError> {
+    let any_bgp = base_net.routers.iter().any(|r| r.asn.is_some());
+    if !edits.refiltered.is_empty()
+        && (any_bgp
+            || base_net
+                .routers
+                .iter()
+                .any(|r| r.ifaces.iter().any(|i| i.rip_active)))
+    {
+        return Ok(None);
+    }
+    let Some((mut net, remap)) = base_net.without_interfaces(&edits.shut) else {
         return Ok(None);
     };
-    let base_net = &base.sim.net;
-    let Some((new_net, remap)) = base_net.without_interfaces(&names) else {
-        return Ok(None);
-    };
+    net.set_igp_filters(&edits.refiltered);
     let n = base_net.router_count();
     let failed: Vec<(usize, usize)> = remap.removed().collect();
 
@@ -162,56 +172,75 @@ pub(crate) fn plan_shutdowns(
     }
     // A removed OSPF edge on a prefix's shortest-path DAG either keeps
     // every distance, and then only the routers that lost a DAG edge get
-    // new rows, or forces a fresh SPF of the prefix.
-    let mut touched: Vec<(Ipv4Prefix, Vec<usize>)> = Vec::new();
-    for (prefix, dist) in &base.state.ospf_dist {
-        if affected.contains(prefix) {
-            continue;
-        }
-        match ospf::distances_survive_removal(base_net, prefix, dist, &failed) {
-            None => {
-                affected.insert(*prefix);
+    // new rows, or forces a fresh SPF of the prefix. Per router, the
+    // unaffected prefixes whose row is recomputed against the unchanged
+    // distances, ascending.
+    let mut recomputed: Vec<Vec<Ipv4Prefix>> = vec![Vec::new(); n];
+    if !failed.is_empty() {
+        for (prefix, dist) in &state.ospf_dist {
+            if affected.contains(prefix) {
+                continue;
             }
-            Some(routers) if routers.is_empty() => {}
-            Some(routers) => touched.push((*prefix, routers)),
+            match ospf::distances_survive_removal(base_net, prefix, dist, &failed) {
+                None => {
+                    affected.insert(*prefix);
+                }
+                Some(routers) => {
+                    for u in routers {
+                        recomputed[u].push(*prefix);
+                    }
+                }
+            }
         }
     }
+    // A filter is RIB-local: no distance moves, and a re-filtered router
+    // owns every prefix, its every row recomputed (against the cached
+    // distances where no shutdown affected the prefix).
+    let mut whole = vec![false; n];
+    for (rid, _) in &edits.refiltered {
+        whole[rid.0 as usize] = true;
+    }
 
-    let affected_dests: Vec<(Ipv4Prefix, Vec<HostId>)> = new_net
+    let affected_dests: Vec<(Ipv4Prefix, Vec<HostId>)> = net
         .destinations
         .iter()
         .filter(|(p, _)| affected.contains(p))
         .cloned()
         .collect();
-    let ospf_prefixes_total = new_net.destinations.len();
+    let ospf_prefixes_total = net.destinations.len();
     let ospf_prefixes_recomputed = affected_dests.len();
-    let (mut ospf_routes, _) = ospf::compute_subset(&new_net, &affected_dests);
-    // Per router: the unaffected prefixes whose row was recomputed against
-    // the unchanged distances.
-    let mut recomputed_rows: Vec<Vec<Ipv4Prefix>> = vec![Vec::new(); n];
-    for (prefix, routers) in &touched {
-        let dist = &base.state.ospf_dist[prefix];
-        for &u in routers {
-            let row = ospf::candidate_row(&new_net, RouterId(u as u32), dist, prefix);
-            if !row.is_empty() {
-                ospf_routes[u].insert(*prefix, row);
+    let (mut ospf_rows, _) = ospf::compute_subset(&net, &affected_dests);
+    for (u, prefixes) in recomputed.iter().enumerate() {
+        let rid = RouterId(u as u32);
+        let rows = &mut ospf_rows[u];
+        if whole[u] {
+            let dists = state
+                .ospf_dist
+                .iter()
+                .filter(|(p, _)| !affected.contains(p));
+            let fresh = ospf::candidate_rows(&net, rid, dists.map(|(p, d)| (p, &d[..])));
+            // Rows come in prefix order, so an empty table is built in bulk.
+            if rows.is_empty() {
+                *rows = fresh.collect();
+            } else {
+                rows.extend(fresh);
             }
-            recomputed_rows[u].push(*prefix);
+        } else if !prefixes.is_empty() {
+            let dists = prefixes.iter().map(|p| (p, &state.ospf_dist[p][..]));
+            rows.extend(ospf::candidate_rows(&net, rid, dists));
         }
     }
 
     // ---- RIP: warm-start the fixpoint (sound under removal-only). ----
-    let (rip_routes, _rip_dist) = rip::compute_with_state(&new_net, Some(&base.state.rip_dist));
-    let rip_warm_started = !base.state.rip_dist.is_empty();
+    let (rip_routes, _rip_dist) = rip::compute_with_state(&net, Some(&state.rip_dist));
+    let rip_warm_started = !state.rip_dist.is_empty();
 
     // ---- BGP: reuse when provably isomorphic, else recompute. ----
-    let any_bgp = new_net.routers.iter().any(|r| r.asn.is_some());
     let (bgp_routes, bgp_reused) = if !any_bgp {
         (vec![BTreeMap::new(); n], None)
     } else {
-        let rp_new = ospf::router_paths(&new_net);
-        let isomorphic = base
-            .state
+        let rp_new = ospf::router_paths(&net);
+        let isomorphic = state
             .router_paths
             .as_ref()
             .is_some_and(|rp| router_paths_equal_after_remap(rp, &rp_new, &remap))
@@ -219,13 +248,13 @@ pub(crate) fn plan_shutdowns(
                 .iter()
                 .any(|&(r, bi)| iface_bgp_relevant(base_net, r, bi));
         let reused = if isomorphic {
-            remap_bgp_routes(&base.state.bgp_routes, &remap)
+            remap_bgp_routes(&state.bgp_routes, &remap)
         } else {
             None
         };
         match reused {
             Some(routes) => (routes, Some(true)),
-            None => (bgp::compute(&new_net, &rp_new)?, Some(false)),
+            None => (bgp::compute(&net, &rp_new)?, Some(false)),
         }
     };
 
@@ -233,63 +262,61 @@ pub(crate) fn plan_shutdowns(
     // shared with the base (an `Arc` clone) when every merge input is
     // unchanged *and* its interface numbering is the identity: no removed
     // interface (so connected routes and hop indices keep their bytes), no
-    // static routes (their resolution peeks at neighbors' interface
-    // tables), RIP silent on both sides, BGP absent or reused
-    // (identity-remapped = identical), and the recomputed OSPF rows of the
-    // prefixes the plan owns (affected prefixes, and the router's own
-    // recomputed rows) equal to the cached ones. A router that meets every
-    // condition but the last two is patched: its base table is copied,
-    // renumbered, with only the owned prefixes re-merged
-    // (`Fib::patched`). Every non-owned prefix's merge inputs are the
-    // base's modulo renumbering — no removed interface sits on it (that
-    // would make it affected), its OSPF row is the cached one, BGP is the
-    // base's, RIP has nothing — so the per-prefix rule would rebuild the
-    // base entry, renumbered. The rest (static routes, RIP, recomputed
-    // BGP) take the full merge, reading their OSPF rows through
-    // `PlanRows`: the recomputed row where the plan owns the prefix, else
-    // the cached row renumbered as it is read (the remap is monotone, so
-    // sorted hop lists stay sorted). ----
-    //
-    // ---- Data plane: which lookups changed. A pair's walk asks each
-    // router on it one FIB question, the longest-prefix match of the
-    // destination host's address, so the plan reports per destination
-    // the routers that now answer it differently; only merged routers can.
-    // The prefixes whose entry changed modulo renumbering are found among
-    // the owned ones of a patched table and among all of a fully merged
-    // one. With an unchanged key set a host's match lands on the same
-    // prefix as in the base (`matched`), so the diff set answers
-    // directly; a changed key set (e.g. a lost route) falls back to
-    // actual lookups. ----
-    let rip_silent = base.state.rip_dist.is_empty() && rip_routes.iter().all(|t| t.is_empty());
+    // static route whose resolution can move (it peeks at neighbors'
+    // interface tables, which only a removal changes), RIP silent on both
+    // sides, BGP absent or reused (identity-remapped = identical), and the
+    // recomputed OSPF rows of the prefixes the plan owns (affected
+    // prefixes, and the router's own recomputed rows) equal to the cached
+    // ones. Filters enter a FIB only through the OSPF rows, so a
+    // re-filtered router whose rows did not move shares its table too. A
+    // router that meets every condition but the last two, and has no
+    // static routes, is patched: its base table is copied, renumbered,
+    // with only the owned prefixes re-merged (`Fib::patched`). Every
+    // non-owned prefix's merge inputs are the base's modulo renumbering —
+    // no removed interface sits on it (that would make it affected), its
+    // OSPF row is the cached one, BGP is the base's, RIP has nothing — so
+    // the per-prefix rule would rebuild the base entry, renumbered. The
+    // rest (static routes, RIP, recomputed BGP) take the full merge,
+    // reading their OSPF rows through `PlanRows`: the recomputed row where
+    // the plan owns the prefix, else the cached row renumbered as it is
+    // read (the remap is monotone, so sorted hop lists stay sorted). ----
+    let rip_silent = state.rip_dist.is_empty() && rip_routes.iter().all(|t| t.is_empty());
     let bgp_stable = bgp_reused != Some(false);
     let affected_keys: Vec<Ipv4Prefix> = affected_dests.iter().map(|(p, _)| *p).collect();
-    let hosts: Vec<HostId> = new_net.hosts_iter().map(|(id, _)| id).collect();
-    let mut changed_lookups: Vec<(u32, u32)> = Vec::new();
     let (mut fibs_shared, mut fib_entries_merged, mut fib_entries_copied) = (0, 0, 0);
     let mut per_router = Vec::with_capacity(n);
+    let mut remerged = Vec::new();
     let mut owned: Vec<Ipv4Prefix> = Vec::new();
     for r in 0..n {
         owned.clear();
-        owned.extend(affected_keys.iter().chain(&recomputed_rows[r]));
+        owned.extend(affected_keys.iter().chain(&recomputed[r]));
         owned.sort_unstable();
         owned.dedup();
         let rows = PlanRows {
-            fresh: &ospf_routes[r],
-            cached: &base.state.ospf_routes[r],
+            fresh: &ospf_rows[r],
+            cached: &state.ospf_routes[r],
             owned: &owned,
             remap: &remap,
             r,
         };
         let identity = remap.is_identity(r);
-        let patchable = rip_silent && bgp_stable && new_net.routers[r].static_routes.is_empty();
-        if identity
-            && patchable
-            && owned
+        let static_free = net.routers[r].static_routes.is_empty();
+        let patchable = rip_silent && bgp_stable && static_free;
+        let rows_unchanged = if whole[r] {
+            rows.fresh == rows.cached
+        } else {
+            owned
                 .iter()
                 .all(|p| rows.fresh.get(p) == rows.cached.get(p))
+        };
+        if identity
+            && rip_silent
+            && bgp_stable
+            && (static_free || failed.is_empty())
+            && rows_unchanged
         {
             fibs_shared += 1;
-            per_router.push(Arc::clone(&base.sim.fibs.per_router[r]));
+            per_router.push(Arc::clone(&base_fibs.per_router[r]));
             continue;
         }
         // A cached hop through a removed interface is a removed tight
@@ -297,18 +324,20 @@ pub(crate) fn plan_shutdowns(
         // recomputed: reaching one means that invariant broke. Every row
         // the plan does not own is checked, not only those the merge goes
         // on to read (a connected or eBGP route shadows the rest).
-        if !identity && !rows.cached_rows_survive() {
+        if !identity && !whole[r] && !rows.cached_rows_survive() {
             return Ok(None);
         }
         let rid = RouterId(r as u32);
-        let base_fib = base.sim.fibs.of(rid);
-        // Only an entry the merge decided afresh can differ from the base:
-        // the owned ones of a patched table, any one of a full merge.
-        let (fib, diff) = if patchable {
-            let merge = PrefixMerge::new(&new_net, rid, &rows, &rip_routes, &bgp_routes);
+        let fib = if whole[r] {
+            fib_entries_merged += net.destinations.len();
+            remerged.push((r, None));
+            merge_router_fib(&net, rid, rows.fresh, &rip_routes, &bgp_routes)
+        } else if patchable {
+            let merge = PrefixMerge::new(&net, rid, &rows, &rip_routes, &bgp_routes);
             // A copied entry through a removed interface breaks the same
             // invariant as a cached row through one.
             let renumber = |hop: NextHop| hop.renumbered(|i| remap.get(r, i));
+            let base_fib = base_fibs.of(rid);
             let Some(fib) = base_fib.patched(&owned, renumber, |b, p| merge.merge_prefix(b, p))
             else {
                 return Ok(None);
@@ -316,59 +345,28 @@ pub(crate) fn plan_shutdowns(
             let merged = owned.iter().filter(|p| fib.entry(p).is_some()).count();
             fib_entries_merged += owned.len();
             fib_entries_copied += fib.len() - merged;
-            let diff = changed_entries(base_fib, &fib, owned.iter().copied(), &remap, r);
-            (fib, diff)
+            remerged.push((r, Some(std::mem::take(&mut owned))));
+            fib
         } else {
-            let fib = merge_router_fib(&new_net, rid, &rows, &rip_routes, &bgp_routes);
-            fib_entries_merged += new_net.destinations.len();
-            let keys = base_fib.entries().map(|e| e.prefix);
-            let diff = (base_fib.len() == fib.len())
-                .then(|| changed_entries(base_fib, &fib, keys, &remap, r))
-                .flatten();
-            (fib, diff)
+            fib_entries_merged += net.destinations.len();
+            remerged.push((r, None));
+            merge_router_fib(&net, rid, &rows, &rip_routes, &bgp_routes)
         };
-        let key = |di: usize| (di as u32, r as u32);
-        match diff {
-            None => changed_lookups.extend(
-                hosts
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &h)| {
-                        let addr = new_net.host(h).addr;
-                        !lookup_remap_equal(base_fib.lookup(addr), fib.lookup(addr), &remap, r)
-                    })
-                    .map(|(di, _)| key(di)),
-            ),
-            Some(diff) if !diff.is_empty() => changed_lookups.extend(
-                (0..hosts.len())
-                    .filter(|&di| {
-                        matched[di * n + r].is_some_and(|k| diff.binary_search(&k).is_ok())
-                    })
-                    .map(key),
-            ),
-            Some(_) => {}
-        }
         per_router.push(Arc::new(fib));
     }
-    let fibs = Fibs { per_router };
-    changed_lookups.sort_unstable();
 
-    let moved_hosts = hosts
-        .iter()
-        .filter(|&&h| !attachment_unchanged(base_net, &new_net, &remap, h))
-        .map(|h| h.0)
-        .collect();
-    let routers_shared = new_net
+    let routers_shared = net
         .routers
         .iter()
         .zip(&base_net.routers)
         .filter(|(new, old)| Arc::ptr_eq(new, old))
         .count();
-    Ok(Some(ShutdownPlan {
-        new_net,
-        fibs,
-        changed_lookups,
-        moved_hosts,
+    Ok(Some(Plan {
+        net,
+        remap,
+        fibs: Fibs { per_router },
+        ospf_rows,
+        remerged,
         stats: DeltaStats {
             ospf_prefixes_total,
             ospf_prefixes_recomputed,
@@ -503,69 +501,4 @@ fn remap_bgp_routes(base: &BgpRoutes, remap: &IfaceRemap) -> Option<BgpRoutes> {
         out.push(mapped);
     }
     Some(out)
-}
-
-/// The prefixes among `keys` (ascending) at which router `r`'s `base` and
-/// `new` tables hold entries that differ modulo renumbering; `None` when
-/// one table has an entry at one of them and the other does not (the key
-/// sets differ, so a host's match may have moved).
-fn changed_entries(
-    base: &Fib,
-    new: &Fib,
-    keys: impl Iterator<Item = Ipv4Prefix>,
-    remap: &IfaceRemap,
-    r: usize,
-) -> Option<Vec<Ipv4Prefix>> {
-    let mut diff = Vec::new();
-    for p in keys {
-        match (base.entry(&p), new.entry(&p)) {
-            (Some(be), Some(ne)) if !entry_remap_equal(be, ne, remap, r) => diff.push(p),
-            (Some(_), Some(_)) | (None, None) => {}
-            _ => return None,
-        }
-    }
-    Some(diff)
-}
-
-/// Whether two FIB entries of router `r` are equal after interface
-/// renumbering.
-fn entry_remap_equal(be: FibEntry, ne: FibEntry, remap: &IfaceRemap, r: usize) -> bool {
-    be.prefix == ne.prefix
-        && be.source == ne.source
-        && be.next_hops.len() == ne.next_hops.len()
-        && be
-            .next_hops
-            .iter()
-            .zip(ne.next_hops)
-            .all(|(bh, nh)| bh.renumbered(|i| remap.get(r, i)) == Some(*nh))
-}
-
-/// Whether two longest-prefix-match results agree after renumbering: both
-/// miss, or both hit the same entry modulo interface indices.
-fn lookup_remap_equal(
-    base: Option<FibEntry>,
-    new: Option<FibEntry>,
-    remap: &IfaceRemap,
-    r: usize,
-) -> bool {
-    match (base, new) {
-        (None, None) => true,
-        (Some(be), Some(ne)) => entry_remap_equal(be, ne, remap, r),
-        _ => false,
-    }
-}
-
-/// Whether a host's attachment survived the shutdowns unchanged (modulo
-/// interface renumbering).
-fn attachment_unchanged(
-    base_net: &SimNetwork,
-    new_net: &SimNetwork,
-    remap: &IfaceRemap,
-    h: HostId,
-) -> bool {
-    match (base_net.host(h).attachment, new_net.host(h).attachment) {
-        (None, None) => true,
-        (Some((br, bi)), Some((nr, ni))) => br == nr && remap.get(br.0 as usize, bi) == Some(ni),
-        _ => false,
-    }
 }

@@ -36,6 +36,7 @@ mod cache;
 mod delta;
 pub mod hash;
 pub mod sweep;
+mod warm;
 
 #[cfg(test)]
 #[path = "../../../tests/support/random_net.rs"]
@@ -43,6 +44,7 @@ mod random_net;
 
 pub use cache::SimCache;
 pub use sweep::ScenarioSweep;
+pub use warm::WarmControlPlane;
 
 use confmask_config::NetworkConfigs;
 use confmask_sim::{ControlState, SimError, Simulation};
@@ -259,6 +261,8 @@ pub fn register_metrics() {
         "sim.delta.pairs_visited",
         "sim.delta.retraces_by_count",
         "sim.delta.dag_nodes",
+        "sim.warm.refreshes",
+        "sim.warm.full_fallbacks",
     ] {
         confmask_obs::counter_add(name, 0);
     }
@@ -269,7 +273,7 @@ pub fn register_metrics() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::ShutdownPlan;
+    use crate::delta::Plan;
     use crate::random_net::{add_static_routes, random_spec};
     use confmask_config::{parse_router, HostConfig};
     use confmask_net_types::{HostId, RouterId};
@@ -325,7 +329,7 @@ mod tests {
         tag: &str,
         base: &ConvergedSim,
         sweep: &ScenarioSweep,
-        plan: &ShutdownPlan,
+        plan: &Plan,
         (cold, state): &(Simulation, ControlState),
     ) -> usize {
         let dirty = sweep.dirty(plan);
@@ -345,7 +349,7 @@ mod tests {
                 continue;
             }
             let full = merge_router_fib(
-                &plan.new_net,
+                &plan.net,
                 RouterId(r as u32),
                 &state.ospf_routes[r],
                 &state.rip_routes,
@@ -366,7 +370,7 @@ mod tests {
             assert_eq!(key, cold_key, "{tag}: pair order");
             if dirty.get(idx) {
                 let (si, di) = *key;
-                let got = trace(&plan.new_net, &plan.fibs, HostId(si), HostId(di));
+                let got = trace(&plan.net, &plan.fibs, HostId(si), HostId(di));
                 assert_eq!(&got, &**want, "{tag}: dirty pair {key:?} differs");
             } else {
                 assert_eq!(cached, want, "{tag}: clean pair {key:?} differs");
@@ -380,7 +384,7 @@ mod tests {
     fn plan_for(
         base: &ConvergedSim,
         shut: &[(String, usize)],
-    ) -> Result<Option<ShutdownPlan>, SimError> {
+    ) -> Result<Option<Plan>, SimError> {
         let engine = DeltaEngine::new(1);
         ScenarioSweep::new(&engine, base, &base.sim.dataplane).plan(shut)
     }
@@ -398,7 +402,7 @@ mod tests {
 
     /// Plans `scenario`, which must be plannable, and checks the plan
     /// against a cold simulation; returns it with its dirty pair count.
-    fn planned_as_cold(base: &ConvergedSim, scenario: &FailureScenario) -> (ShutdownPlan, usize) {
+    fn planned_as_cold(base: &ConvergedSim, scenario: &FailureScenario) -> (Plan, usize) {
         let tag = scenario.to_string();
         let (failed, shut) = resolve(base, scenario);
         let engine = DeltaEngine::new(1);
@@ -679,7 +683,7 @@ mod tests {
         // r1's Ethernet0/0 is already down, so the base model lacks it and
         // shutting it again removes nothing.
         let plan = plan_for(&down_base, &shut("r1")).unwrap().unwrap();
-        assert_eq!(plan.new_net, *down_base.sim.net);
+        assert_eq!(plan.net, *down_base.sim.net);
         assert_eq!(plan.stats.fibs_merged, 0);
     }
 

@@ -5,21 +5,36 @@
 //! [`ScenarioSweep`] binds each pair of the sweep's baseline data plane to
 //! a cached base simulation ([`ConvergedSim`]) once, and indexes the pairs
 //! by what can change them. That index is the reuse rule: per failure
-//! scenario, the pairs it lists under what the [`delta::ShutdownPlan`]
+//! scenario, the pairs it lists under what the plan (`delta::Plan`)
 //! changed are *dirty* and re-traced, and every other pair keeps its base
-//! path set (`delta`'s module docs argue why). Digest index `i` is the
-//! baseline's i-th entry.
+//! path set.
+//! Digest index `i` is the baseline's i-th entry.
+//!
+//! **Why a clean pair keeps its set.** The trace DFS consults exactly one
+//! FIB entry per visited router: the longest-prefix match for the
+//! *destination host's* address. So a pair keeps its cached [`PathSet`]
+//! when its endpoints' attachments survived and, for its destination, no
+//! router it can reach resolves that address differently (modulo
+//! interface renumbering): the DFS then replays move for move, blackholes,
+//! loops and ECMP truncation included. An unattached source is a blackhole
+//! before any lookup, so its pairs always keep their sets. A clean,
+//! non-truncated walk visits exactly the routers on its recorded paths, so
+//! only a changed lookup at one of those routers can change it. Only a
+//! re-merged router can answer a lookup differently, at an entry the plan
+//! decided afresh; [`ScenarioSweep::new`] indexes, per router and FIB
+//! prefix, the hosts the base matches there, so the changed lookups come
+//! from one index probe per changed (router, prefix). A re-merged table
+//! whose key set changed (e.g. a lost route) can move a host's match to
+//! another prefix, so there every host is looked up.
 //!
 //! [`ScenarioSweep::new`] builds the index from the base simulation and the
-//! baseline, once per sweep: per (host, router) the FIB prefix the router
-//! matches for the host's address (the planner's lookup diff reads it), the
-//! router list of each distinct base path set a baseline pair uses, and
-//! three lists in compressed sparse rows:
+//! baseline, once per sweep: per router the hosts matched at each FIB
+//! prefix, the router list of each distinct base path set a baseline pair
+//! uses, and three lists in compressed sparse rows:
 //!
 //! * per (destination host, router): the clean pairs toward that host
-//!   whose base path set crosses that router. A clean, non-truncated walk
-//!   visits exactly the routers on its recorded paths, so a changed lookup
-//!   there dirties exactly these;
+//!   whose base path set crosses that router. A changed lookup there
+//!   dirties exactly these;
 //! * per destination host: the unclean pairs toward it (blackholed,
 //!   looping, empty or truncated), whose recorded paths do not determine
 //!   the walk, so any changed lookup toward the host dirties them all;
@@ -67,7 +82,7 @@
 //! ([`confmask_sim::fault::classify_failed`]).
 
 use crate::{delta, record_stats, ConvergedSim, DeltaEngine, DeltaStats};
-use confmask_net_types::{HostId, Ipv4Prefix, RouterId};
+use confmask_net_types::{HostId, Ipv4Prefix};
 use confmask_sim::dataplane::{
     DataPlane, DestTracer, HostPair, NameJoin, Reach, MAX_PATHS_PER_PAIR,
 };
@@ -75,7 +90,7 @@ use confmask_sim::fault::{
     classify_changed, classify_failed, classify_pair, physical_components, FailureScenario,
 };
 use confmask_sim::sweep::{ScenarioDigest, SweepMeter, SweepReducer, SweepStats};
-use confmask_sim::{PairBits, PathSet, SimError};
+use confmask_sim::{Fib, FibEntry, Fibs, IfaceRemap, PairBits, PathSet, SimError, SimNetwork};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -129,6 +144,39 @@ impl Csr {
     }
 }
 
+/// Per router, the hosts whose address its base FIB matches at each
+/// prefix: router `r`'s `(prefix, host)` entries, ascending, are
+/// `entries[offsets[r]..offsets[r + 1]]`.
+struct MatchIndex {
+    offsets: Vec<u32>,
+    entries: Vec<(Ipv4Prefix, u32)>,
+}
+
+impl MatchIndex {
+    fn new(net: &SimNetwork, fibs: &Fibs) -> MatchIndex {
+        let mut offsets = vec![0];
+        let mut entries = Vec::new();
+        for fib in &fibs.per_router {
+            let from = entries.len();
+            entries.extend(
+                net.hosts_iter()
+                    .filter_map(|(h, host)| Some((fib.lookup(host.addr)?.prefix, h.0))),
+            );
+            entries[from..].sort_unstable();
+            offsets.push(entries.len() as u32);
+        }
+        MatchIndex { offsets, entries }
+    }
+
+    /// The hosts router `r` matches at `prefix`, ascending.
+    fn hosts(&self, r: usize, prefix: Ipv4Prefix) -> impl Iterator<Item = u32> + '_ {
+        let at = &self.entries[self.offsets[r] as usize..self.offsets[r + 1] as usize];
+        let from = at.partition_point(|e| e.0 < prefix);
+        let to = from + at[from..].partition_point(|e| e.0 == prefix);
+        at[from..to].iter().map(|e| e.1)
+    }
+}
+
 /// Whether the recorded paths of a set leave its walk undetermined: a
 /// blackhole, a loop, no path, or truncation at the cap.
 fn unclean(ps: &PathSet) -> bool {
@@ -149,9 +197,8 @@ pub struct ScenarioSweep<'a> {
     baseline: &'a DataPlane,
     /// One binding per entry of `baseline`, in entry order.
     binding: Vec<PairBinding>,
-    /// Per `host × routers + router`: the prefix of the base FIB entry the
-    /// router matches for that host's address (`None` = no route).
-    matched: Vec<Option<Ipv4Prefix>>,
+    /// Per router and prefix: the hosts the base FIB matches there.
+    matched: MatchIndex,
     /// Per `destination host × routers + router`: the clean pairs toward
     /// that host, with an attached source, whose base path set crosses the
     /// router.
@@ -222,15 +269,7 @@ impl<'a> ScenarioSweep<'a> {
         let net = &base.sim.net;
         let n = net.router_count();
         let host_count = net.hosts.len();
-        let matched = net
-            .hosts_iter()
-            .flat_map(|(_, h)| {
-                (0..n).map(move |r| {
-                    let fib = base.sim.fibs.of(RouterId(r as u32));
-                    fib.lookup(h.addr).map(|e| e.prefix)
-                })
-            })
-            .collect();
+        let matched = MatchIndex::new(net, &base.sim.fibs);
 
         // Index the pairs by what can change them (module docs). A clean
         // set's router list is built once per distinct set (every source
@@ -320,20 +359,87 @@ impl<'a> ScenarioSweep<'a> {
         Ok(digest)
     }
 
-    /// Plans shutting the interfaces `shut` lists against this sweep's base.
-    pub(crate) fn plan(
-        &self,
-        shut: &[(String, usize)],
-    ) -> Result<Option<delta::ShutdownPlan>, SimError> {
-        delta::plan_shutdowns(self.base, &self.matched, shut)
+    /// Plans shutting the interfaces `shut` lists (as `(router, interface
+    /// index)` of the base configs) against this sweep's base. The model
+    /// finds interfaces by name, so a stanza whose name another stanza of
+    /// its router shares cannot be removed from it: such a scenario is
+    /// declined (`Ok(None)`, and the cold loop classifies it), as is one
+    /// naming a router the base lacks.
+    pub(crate) fn plan(&self, shut: &[(String, usize)]) -> Result<Option<delta::Plan>, SimError> {
+        let configs = &self.base.configs;
+        let unique_name = |(router, i): &(String, usize)| {
+            let rc = configs.routers.get(router)?;
+            let name = &rc.interfaces.get(*i)?.name;
+            let shared = rc.interfaces.iter().filter(|f| f.name == *name).count() != 1;
+            (!shared).then(|| (router.clone(), name.clone()))
+        };
+        let Some(shut) = shut.iter().map(unique_name).collect() else {
+            return Ok(None);
+        };
+        let edits = delta::Edits {
+            shut,
+            ..delta::Edits::default()
+        };
+        let sim = &self.base.sim;
+        delta::plan(&sim.net, &sim.fibs, &self.base.state, &edits)
+    }
+
+    /// Every `(destination host, router)` whose lookup of that host's
+    /// address the plan answers differently from the base (modulo
+    /// interface renumbering), sorted. A pair's walk asks each router on it
+    /// one FIB question, the longest-prefix match of the destination
+    /// host's address, and only a re-merged router can answer differently,
+    /// at an entry it decided afresh. With an unchanged key set a host's
+    /// match lands on the same prefix as in the base, so the hosts matched
+    /// at the changed entries are the changed lookups; a changed key set
+    /// (e.g. a lost route) falls back to looking every host up.
+    pub(crate) fn changed_lookups(&self, plan: &delta::Plan) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        for (r, decided) in &plan.remerged {
+            let r = *r;
+            let (base, new) = (&self.base.sim.fibs.per_router[r], &plan.fibs.per_router[r]);
+            let diff = match decided {
+                Some(keys) => changed_entries(base, new, keys.iter().copied(), &plan.remap, r),
+                None => (base.len() == new.len())
+                    .then(|| {
+                        let keys = base.entries().map(|e| e.prefix);
+                        changed_entries(base, new, keys, &plan.remap, r)
+                    })
+                    .flatten(),
+            };
+            let at = |h: u32| (h, r as u32);
+            match diff {
+                None => out.extend(
+                    plan.net
+                        .hosts_iter()
+                        .filter(|(_, host)| {
+                            let (b, n) = (base.lookup(host.addr), new.lookup(host.addr));
+                            !lookup_remap_equal(b, n, &plan.remap, r)
+                        })
+                        .map(|(h, _)| at(h.0)),
+                ),
+                Some(diff) => {
+                    for prefix in diff {
+                        out.extend(self.matched.hosts(r, prefix).map(at));
+                    }
+                }
+            }
+        }
+        out.sort_unstable();
+        out
     }
 
     /// The pairs a plan dirties: those listed under each changed lookup,
     /// under each destination with a changed lookup as unclean, and under
-    /// each moved host. Every other pair the base has keeps its base set.
-    pub(crate) fn dirty(&self, plan: &delta::ShutdownPlan) -> PairBits {
-        let n = self.base.sim.net.router_count();
-        let lookups = &plan.changed_lookups;
+    /// each host whose attachment moved. Every other pair the base has
+    /// keeps its base set.
+    pub(crate) fn dirty(&self, plan: &delta::Plan) -> PairBits {
+        let base_net = &self.base.sim.net;
+        let n = base_net.router_count();
+        let lookups = self.changed_lookups(plan);
+        let moved = base_net
+            .hosts_iter()
+            .filter(|&(h, _)| !attachment_unchanged(base_net, &plan.net, &plan.remap, h));
         let lists = lookups
             .iter()
             .map(|&(d, r)| self.by_lookup.get(d as usize * n + r as usize))
@@ -342,11 +448,7 @@ impl<'a> ScenarioSweep<'a> {
                     .chunk_by(|a, b| a.0 == b.0)
                     .map(|toward| self.unclean.get(toward[0].0 as usize)),
             )
-            .chain(
-                plan.moved_hosts
-                    .iter()
-                    .map(|&h| self.by_host.get(h as usize)),
-            );
+            .chain(moved.map(|(h, _)| self.by_host.get(h.0 as usize)));
         let mut dirty = PairBits::new(self.binding.len());
         for &i in lists.flatten() {
             dirty.set(i as usize);
@@ -362,7 +464,7 @@ impl<'a> ScenarioSweep<'a> {
     fn digest_plan(
         &self,
         shut: &[(String, usize)],
-        plan: &delta::ShutdownPlan,
+        plan: &delta::Plan,
     ) -> (ScenarioDigest, DeltaStats) {
         // Physical connectivity only arbitrates dropped traffic, so the
         // component flood fill runs lazily, at most once per scenario.
@@ -388,7 +490,7 @@ impl<'a> ScenarioSweep<'a> {
         // Re-traced pairs resolve through one lazy tracer per destination,
         // built on the first pair toward it that needs one.
         let mut tracers: Vec<Option<DestTracer>> = Vec::new();
-        tracers.resize_with(plan.new_net.hosts.len(), || None);
+        tracers.resize_with(plan.net.hosts.len(), || None);
         let mut digest = ScenarioDigest::new(self.binding.len());
         let (mut visited, mut recomputed, mut by_count) = (0usize, 0usize, 0usize);
         for i in visit.iter_ones() {
@@ -408,7 +510,7 @@ impl<'a> ScenarioSweep<'a> {
             } else {
                 recomputed += 1;
                 let tracer = tracers[b.di as usize].get_or_insert_with(|| {
-                    DestTracer::new(&plan.new_net, &plan.fibs, HostId(b.di))
+                    DestTracer::new(&plan.net, &plan.fibs, HostId(b.di))
                 });
                 let src = HostId(b.si);
                 match tracer.exact_shape(src) {
@@ -476,6 +578,71 @@ impl<'a> ScenarioSweep<'a> {
             },
         );
         meter.finish()
+    }
+}
+
+/// The prefixes among `keys` (ascending) at which router `r`'s `base` and
+/// `new` tables hold entries that differ modulo renumbering; `None` when
+/// one table has an entry at one of them and the other does not (the key
+/// sets differ, so a host's match may have moved).
+fn changed_entries(
+    base: &Fib,
+    new: &Fib,
+    keys: impl Iterator<Item = Ipv4Prefix>,
+    remap: &IfaceRemap,
+    r: usize,
+) -> Option<Vec<Ipv4Prefix>> {
+    let mut diff = Vec::new();
+    for p in keys {
+        match (base.entry(&p), new.entry(&p)) {
+            (Some(be), Some(ne)) if !entry_remap_equal(be, ne, remap, r) => diff.push(p),
+            (Some(_), Some(_)) | (None, None) => {}
+            _ => return None,
+        }
+    }
+    Some(diff)
+}
+
+/// Whether two FIB entries of router `r` are equal after interface
+/// renumbering.
+fn entry_remap_equal(be: FibEntry, ne: FibEntry, remap: &IfaceRemap, r: usize) -> bool {
+    be.prefix == ne.prefix
+        && be.source == ne.source
+        && be.next_hops.len() == ne.next_hops.len()
+        && be
+            .next_hops
+            .iter()
+            .zip(ne.next_hops)
+            .all(|(bh, nh)| bh.renumbered(|i| remap.get(r, i)) == Some(*nh))
+}
+
+/// Whether two longest-prefix-match results agree after renumbering: both
+/// miss, or both hit the same entry modulo interface indices.
+fn lookup_remap_equal(
+    base: Option<FibEntry>,
+    new: Option<FibEntry>,
+    remap: &IfaceRemap,
+    r: usize,
+) -> bool {
+    match (base, new) {
+        (None, None) => true,
+        (Some(be), Some(ne)) => entry_remap_equal(be, ne, remap, r),
+        _ => false,
+    }
+}
+
+/// Whether a host's attachment survived the shutdowns unchanged (modulo
+/// interface renumbering).
+fn attachment_unchanged(
+    base_net: &SimNetwork,
+    new_net: &SimNetwork,
+    remap: &IfaceRemap,
+    h: HostId,
+) -> bool {
+    match (base_net.host(h).attachment, new_net.host(h).attachment) {
+        (None, None) => true,
+        (Some((br, bi)), Some((nr, ni))) => br == nr && remap.get(br.0 as usize, bi) == Some(ni),
+        _ => false,
     }
 }
 
@@ -750,7 +917,7 @@ mod tests {
         let shut = sc.shutdowns(&cfgs).unwrap();
         let plan = sweep.plan(&shut).unwrap().unwrap();
         let h2 = base.sim.net.host_id("h2").unwrap().0;
-        assert!(plan.changed_lookups.iter().all(|&(d, _)| d != h2));
+        assert!(sweep.changed_lookups(&plan).iter().all(|&(d, _)| d != h2));
         let (warm, stats) = sweep.digest_plan(&shut, &plan);
         let cold = run_scenario(&cfgs, &base.sim.dataplane, &sc).unwrap();
         assert_eq!(warm.encode(), cold.encode());
@@ -851,7 +1018,7 @@ mod tests {
         ] {
             let shut = sc.shutdowns(&cfgs).unwrap();
             let plan = sweep.plan(&shut).unwrap().unwrap();
-            let changed = plan.changed_lookups.iter().any(|&(d, _)| d == hx);
+            let changed = sweep.changed_lookups(&plan).iter().any(|&(d, _)| d == hx);
             assert_eq!(changed, toward_hx, "{sc}");
             let dirty = sweep.dirty(&plan);
             assert_eq!(dirty.get(at("h2", hx)), toward_hx, "{sc}");

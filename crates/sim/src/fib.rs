@@ -374,10 +374,10 @@ pub fn merge_fibs(
 /// Merges one router's RIB contributions into its FIB: its static routes,
 /// then [`PrefixMerge::merge_prefix`] at every destination prefix that no
 /// static route claims. `ospf` is this router's OSPF rows; the RIP and BGP
-/// tables are every router's. Cold builds merge every router here, the
-/// warm control plane re-merges the routers a filter edit touched, and the
-/// incremental engine re-merges the routers a shutdown may have changed
-/// here or, prefix by prefix, through [`Fib::patched`].
+/// tables are every router's. Cold builds merge every router here, and the
+/// incremental planner re-merges the routers an edit (a filter edit or a
+/// shutdown) may have changed here or, prefix by prefix, through
+/// [`Fib::patched`].
 pub fn merge_router_fib(
     net: &SimNetwork,
     rid: RouterId,
@@ -436,9 +436,8 @@ pub fn merge_router_fib(
 
 /// One router's RIB contributions, and the per-prefix rule that merges
 /// them by administrative distance. This is the *only* merge rule: cold
-/// builds, the warm control plane and the incremental engine all reach
-/// it, so cold, delta and warm simulations go through byte-identical merge
-/// logic.
+/// builds and the incremental planner both reach it, so cold and
+/// incremental simulations go through byte-identical merge logic.
 pub struct PrefixMerge<'a, O> {
     router: &'a RouterNode,
     ospf: &'a O,

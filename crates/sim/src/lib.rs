@@ -22,10 +22,12 @@
 //!      and deterministic tie-breaking; iterated to a stable state (BGP
 //!      converges to a *local equilibrium*, which is why ConfMask must
 //!      re-simulate after adding filters, §4.3).
-//! 3. **Warm refresh** ([`WarmControlPlane`]): after inbound-filter edits
-//!    on a few routers of an OSPF-only network, only those routers' RIBs
-//!    and FIBs are recomputed, from the cached distance vectors.
-//! 4. **Data-plane extraction** ([`dataplane`]): per-router FIBs with
+//!
+//!    [`cold_control_plane`] is the one cold build; it also returns the
+//!    converged per-protocol state ([`ControlState`]) from which
+//!    `confmask-sim-delta` plans filter edits and interface shutdowns
+//!    incrementally.
+//! 3. **Data-plane extraction** ([`dataplane`]): per-router FIBs with
 //!    longest-prefix match and administrative distance, and exhaustive
 //!    host-to-host forwarding-path enumeration with ECMP branching, loop and
 //!    black-hole detection. Extraction resolves each destination once per
@@ -49,7 +51,6 @@ mod network;
 pub mod ospf;
 pub mod rip;
 pub mod sweep;
-mod warm;
 
 pub use bgp::BgpFibRoute;
 pub use dataplane::{
@@ -63,10 +64,11 @@ pub use fib::{
     merge_fibs, merge_router_fib, AdminDistance, Fib, FibBuilder, FibEntry, Fibs, NextHop,
     OspfRows, PrefixMerge, RouteSource,
 };
-pub use network::{BgpSession, HostNode, IfaceNode, IfaceRemap, Peer, RouterNode, SimNetwork};
+pub use network::{
+    build_router, BgpSession, HostNode, IfaceNode, IfaceRemap, Peer, RouterNode, SimNetwork,
+};
 pub use ospf::{IgpRoutes, OspfDist, RouterPaths};
 pub use rip::{RipDist, RipRoutes};
-pub use warm::WarmControlPlane;
 
 use confmask_config::NetworkConfigs;
 use confmask_net_types::Ipv4Prefix;
@@ -91,13 +93,36 @@ pub struct Simulation {
 
 /// Simulates a network: extracts the model, runs every configured protocol,
 /// merges RIBs into FIBs by administrative distance, and enumerates the
-/// data plane.
+/// data plane. The converged protocol state is freed before extraction.
 pub fn simulate(configs: &NetworkConfigs) -> Result<Simulation, SimError> {
-    let (net, fibs) = simulate_control_plane(configs)?;
+    let (net, fibs, _) = cold_control_plane(configs)?;
+    with_dataplane(net, fibs)
+}
+
+/// Like [`simulate`], but also returns the converged [`ControlState`].
+///
+/// The `Simulation` half is byte-identical to what [`simulate`] produces:
+/// both take the one cold control-plane path ([`cold_control_plane`]) and
+/// the same dataplane extraction.
+pub fn simulate_with_state(
+    configs: &NetworkConfigs,
+) -> Result<(Simulation, ControlState), SimError> {
+    let (net, fibs, state) = cold_control_plane(configs)?;
+    Ok((with_dataplane(net, fibs)?, state))
+}
+
+/// Extracts the data plane of a converged model and records the size
+/// metrics every full simulation reports.
+fn with_dataplane(net: SimNetwork, fibs: Fibs) -> Result<Simulation, SimError> {
     let sp = confmask_obs::span("sim.dataplane");
     let dataplane = dataplane::extract_dataplane(&net, &fibs)?;
     sp.finish();
-    emit_dataplane_metrics(&dataplane);
+    if confmask_obs::enabled() {
+        confmask_obs::counter_add("sim.dataplane.pairs", dataplane.len() as u64);
+        for pair in dataplane.pairs() {
+            confmask_obs::observe("sim.dataplane.paths_per_pair", pair.path_count() as u64);
+        }
+    }
     Ok(Simulation {
         net: Arc::new(net),
         fibs,
@@ -105,15 +130,49 @@ pub fn simulate(configs: &NetworkConfigs) -> Result<Simulation, SimError> {
     })
 }
 
-/// Records the data-plane size metrics every full simulation reports,
-/// regardless of which entry point produced it.
-fn emit_dataplane_metrics(dataplane: &DataPlane) {
+/// Builds the model and runs every protocol cold: the simulator's only
+/// cold control-plane path. [`simulate`] and [`simulate_with_state`] wrap
+/// it, and so do the warm handles of `confmask-sim-delta`, which keep the
+/// returned [`ControlState`] to refresh from.
+pub fn cold_control_plane(
+    configs: &NetworkConfigs,
+) -> Result<(SimNetwork, Fibs, ControlState), SimError> {
+    let sp = confmask_obs::span("sim.control_plane");
+    confmask_obs::counter_add("sim.simulations", 1);
+    // Register the protocol counters at zero so the metric set is stable
+    // across protocol mixes (an OSPF-only network still reports
+    // `sim.bgp.rounds` = 0 rather than omitting the key).
+    for name in ["sim.ospf.spf_runs", "sim.rip.rounds", "sim.bgp.rounds"] {
+        confmask_obs::counter_add(name, 0);
+    }
+    let net = SimNetwork::build(configs)?;
+    let (ospf_routes, ospf_dist) = ospf::compute_with_state(&net);
+    let (rip_routes, rip_dist) = rip::compute_with_state(&net, None);
+    // The router-to-router IGP matrix is only BGP input, so pure IGP
+    // networks skip its `n` Dijkstras entirely.
+    let (router_paths, bgp_routes) = if net.routers.iter().any(|r| r.asn.is_some()) {
+        let rp = ospf::router_paths(&net);
+        let routes = bgp::compute(&net, &rp)?;
+        (Some(rp), routes)
+    } else {
+        (None, vec![BTreeMap::new(); net.router_count()])
+    };
+    let fibs = merge_fibs(&net, &ospf_routes, &rip_routes, &bgp_routes);
+    sp.finish();
     if confmask_obs::enabled() {
-        confmask_obs::counter_add("sim.dataplane.pairs", dataplane.len() as u64);
-        for pair in dataplane.pairs() {
-            confmask_obs::observe("sim.dataplane.paths_per_pair", pair.path_count() as u64);
+        for fib in &fibs.per_router {
+            confmask_obs::observe("sim.fib.size", fib.len() as u64);
         }
     }
+    let state = ControlState {
+        ospf_routes,
+        ospf_dist,
+        rip_routes,
+        rip_dist,
+        router_paths,
+        bgp_routes,
+    };
+    Ok((net, fibs, state))
 }
 
 /// Registers every `sim.*` metric the simulator emits at zero, so scrapes
@@ -131,8 +190,6 @@ pub fn register_metrics() {
         "sim.dataplane.dfs_fallbacks",
         "sim.dataplane.path_sets",
         "sim.fault.scenarios",
-        "sim.warm.refreshes",
-        "sim.warm.full_fallbacks",
     ] {
         confmask_obs::counter_add(name, 0);
     }
@@ -147,9 +204,8 @@ pub fn register_metrics() {
 /// incremental engine (`confmask-sim-delta`) can cache what each protocol
 /// converged *to* — per-prefix OSPF/RIP distance vectors, the IGP
 /// router-to-router matrix, and the BGP RIB contributions — and later
-/// recompute only what a perturbation actually touched. A
-/// [`WarmControlPlane`] holds the same state to refresh single routers
-/// after filter edits.
+/// recompute only what an edit (a filter edit or an interface shutdown)
+/// actually touched.
 #[derive(Debug, Clone)]
 pub struct ControlState {
     /// OSPF candidate next-hops per (router, prefix).
@@ -165,35 +221,4 @@ pub struct ControlState {
     pub router_paths: Option<RouterPaths>,
     /// BGP RIB contributions per router.
     pub bgp_routes: BgpRoutes,
-}
-
-/// Like [`simulate`], but also returns the converged [`ControlState`].
-///
-/// The `Simulation` half is byte-identical to what [`simulate`] produces:
-/// both take the one cold control-plane path ([`WarmControlPlane::new`])
-/// and the same dataplane extraction.
-pub fn simulate_with_state(
-    configs: &NetworkConfigs,
-) -> Result<(Simulation, ControlState), SimError> {
-    let (net, fibs, state) = WarmControlPlane::new(configs)?.into_parts();
-    let sp = confmask_obs::span("sim.dataplane");
-    let dataplane = dataplane::extract_dataplane(&net, &fibs)?;
-    sp.finish();
-    emit_dataplane_metrics(&dataplane);
-    let sim = Simulation {
-        net: Arc::new(net),
-        fibs,
-        dataplane,
-    };
-    Ok((sim, state))
-}
-
-/// Control-plane-only simulation: model extraction and FIB computation
-/// without the (comparatively expensive) exhaustive data-plane enumeration.
-/// Verification uses [`simulate`]; the anonymization pipeline's fixpoint
-/// loops, which only inspect FIBs and edit a few routers' filters per
-/// round, hold a [`WarmControlPlane`] instead.
-pub fn simulate_control_plane(configs: &NetworkConfigs) -> Result<(SimNetwork, Fibs), SimError> {
-    let (net, fibs, _) = WarmControlPlane::new(configs)?.into_parts();
-    Ok((net, fibs))
 }

@@ -377,6 +377,9 @@ impl SimNetwork {
             gone.dedup();
         }
         let remap = IfaceRemap { removed };
+        if remap.removed().next().is_none() {
+            return Some((self.clone(), remap));
+        }
         let mut routers = self.routers.clone();
 
         // Interfaces and peers: only a router that lost an interface, or
@@ -492,6 +495,25 @@ impl SimNetwork {
         };
         Some((net, remap))
     }
+
+    /// Re-filters the model: gives each router in `fresh` the inbound IGP
+    /// filters of its re-resolved node (a [`build_router`] of its edited
+    /// configuration), interface by interface name, and reads nothing else
+    /// from it. The result is what [`SimNetwork::build`] returns for
+    /// configurations that differ from this model's only in those filters;
+    /// every other router, and every host and table, stays shared. Filters
+    /// bind to interface names, so this commutes with
+    /// [`SimNetwork::without_interfaces`].
+    pub fn set_igp_filters(&mut self, fresh: &[(RouterId, RouterNode)]) {
+        for (rid, node) in fresh {
+            let router = Arc::make_mut(&mut self.routers[rid.0 as usize]);
+            for iface in &mut router.ifaces {
+                if let Some(new) = node.ifaces.iter().find(|f| f.name == iface.name) {
+                    iface.igp_filters.clone_from(&new.igp_filters);
+                }
+            }
+        }
+    }
 }
 
 /// The interface owning each address; the last one in (router, interface)
@@ -535,7 +557,11 @@ fn attachment_of<R: Borrow<RouterNode>>(
     })
 }
 
-pub(crate) fn build_router(rc: &RouterConfig) -> Result<RouterNode, SimError> {
+/// Resolves one router's configuration on its own, as
+/// [`SimNetwork::build`]'s first pass does: interfaces with protocol
+/// activation and inbound IGP filters, but no peers or BGP sessions (those
+/// need the whole network).
+pub fn build_router(rc: &RouterConfig) -> Result<RouterNode, SimError> {
     let ospf_nets: Vec<Ipv4Prefix> = rc
         .ospf
         .iter()

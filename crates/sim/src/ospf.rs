@@ -31,7 +31,7 @@ pub type OspfDist = BTreeMap<Ipv4Prefix, Vec<u64>>;
 
 /// One directed OSPF adjacency out of a router: `(iface_idx, neighbor,
 /// neighbor_iface, cost_of_our_iface)`.
-pub(crate) type OspfEdge = (usize, RouterId, usize, u32);
+type OspfEdge = (usize, RouterId, usize, u32);
 
 /// Directed OSPF adjacency of every router.
 fn adjacency(net: &SimNetwork) -> Vec<Vec<OspfEdge>> {
@@ -42,7 +42,7 @@ fn adjacency(net: &SimNetwork) -> Vec<Vec<OspfEdge>> {
 
 /// Directed OSPF adjacency out of one router: both ends of a link must be
 /// OSPF-active.
-pub(crate) fn router_adjacency(net: &SimNetwork, rid: RouterId) -> Vec<OspfEdge> {
+fn router_adjacency(net: &SimNetwork, rid: RouterId) -> Vec<OspfEdge> {
     let mut edges = Vec::new();
     for (ii, iface) in net.router(rid).ifaces.iter().enumerate() {
         if !iface.ospf_active {
@@ -60,8 +60,8 @@ pub(crate) fn router_adjacency(net: &SimNetwork, rid: RouterId) -> Vec<OspfEdge>
 }
 
 /// Computes OSPF candidate next-hops plus the converged per-prefix distance
-/// vectors for every destination (the state the incremental engine and the
-/// warm control plane cache). Destination prefixes are independent, so the
+/// vectors for every destination (the state the incremental planner
+/// caches). Destination prefixes are independent, so the
 /// per-prefix multi-source Dijkstras fan out over the shared executor on
 /// larger networks.
 pub fn compute_with_state(net: &SimNetwork) -> (IgpRoutes, OspfDist) {
@@ -81,8 +81,11 @@ pub fn compute_subset(
     // One multi-source Dijkstra per destination prefix (counted here, not in
     // `compute_for`, so the tally is independent of the thread fan-out).
     confmask_obs::counter_add("sim.ospf.spf_runs", destinations.len() as u64);
-    let adj = adjacency(net);
     let n = net.router_count();
+    if destinations.is_empty() {
+        return (vec![BTreeMap::new(); n], OspfDist::new());
+    }
+    let adj = adjacency(net);
 
     // Reverse adjacency for the multi-source Dijkstra toward a prefix:
     // rev[v] = [(u, cost(u→v))] for each forward edge u→v.
@@ -181,7 +184,7 @@ fn compute_one(
 /// down, which removes every OSPF edge with a failed end. `None` when some
 /// distance can change, so the prefix needs a fresh SPF; otherwise the
 /// routers that lose a *tight* edge (`dist[u] == cost + dist[v]`), whose
-/// candidate rows must be recomputed ([`candidate_row`]). Every other
+/// candidate rows must be recomputed ([`candidate_rows`]). Every other
 /// router keeps its tight edges, hence its row.
 ///
 /// **Why it is exact.** Removing edges can only raise distances. A router
@@ -253,16 +256,20 @@ pub fn distances_survive_removal(
     Some(touched)
 }
 
-/// Router `r`'s candidate row toward `prefix` on `net`, given the prefix's
-/// distance vector: [`candidate_hops`] over `r`'s adjacency.
-pub fn candidate_row(
-    net: &SimNetwork,
+/// Router `r`'s candidate rows on `net` toward each `(prefix, distance
+/// vector)` of `dists`, in that order: the candidate-hop rule over `r`'s
+/// adjacency, which is built once. A prefix toward which `r` has no
+/// candidate is left out.
+pub fn candidate_rows<'a>(
+    net: &'a SimNetwork,
     r: RouterId,
-    dist: &[u64],
-    prefix: &Ipv4Prefix,
-) -> Vec<(usize, RouterId)> {
-    let adj = router_adjacency(net, r);
-    candidate_hops(net.router(r), &adj, dist, r.0 as usize, prefix)
+    dists: impl IntoIterator<Item = (&'a Ipv4Prefix, &'a [u64])> + 'a,
+) -> impl Iterator<Item = (Ipv4Prefix, Vec<(usize, RouterId)>)> + 'a {
+    let (router, adj) = (net.router(r), router_adjacency(net, r));
+    dists.into_iter().filter_map(move |(prefix, dist)| {
+        let hops = candidate_hops(router, &adj, dist, r.0 as usize, prefix);
+        (!hops.is_empty()).then_some((*prefix, hops))
+    })
 }
 
 /// The candidate-hop rule: router `u`'s OSPF next hops toward `prefix`,
@@ -273,11 +280,11 @@ pub fn candidate_row(
 /// advertises it (advertisers use their connected route).
 ///
 /// The filters enter here and nowhere else — the distance vector does not
-/// depend on them — which is what lets the warm control plane
-/// ([`crate::WarmControlPlane`]) re-apply one router's edited filters
-/// against cached distances. The cold SPF and the warm refresh both call
-/// this, so they cannot disagree on the rule.
-pub(crate) fn candidate_hops(
+/// depend on them — which is what lets the incremental planner of
+/// `confmask-sim-delta` re-apply one router's edited filters against
+/// cached distances ([`candidate_rows`]). The cold SPF and the planner
+/// both call this, so they cannot disagree on the rule.
+fn candidate_hops(
     r: &RouterNode,
     adj_u: &[OspfEdge],
     dist: &[u64],

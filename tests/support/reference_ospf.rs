@@ -6,23 +6,27 @@
 //! can catch a bug both sides of the simulator's own differentials share.
 //!
 //! Scope: single-area OSPF over point-to-point links, one `/24` LAN per
-//! host (what `random_spec(rng, 0)` generates). No filters, static routes,
+//! host (what `random_spec(rng, 0)` generates), and inbound
+//! distribute-list filters ([`RefNet::with_filters`]). No static routes,
 //! RIP or BGP.
 
 use confmask_config::DEFAULT_OSPF_COST;
+use confmask_net_types::Ipv4Prefix;
 use confmask_netgen::TopoSpec;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 const UNREACHABLE: u64 = u64::MAX;
 
 /// What the reference says about one ordered host pair: its router paths
-/// by name, `[src host, routers…, dst host]`, or a blackhole when the
-/// destination's router is unreachable.
+/// by name, `[src host, routers…, dst host]`, and whether some walk ends
+/// in a blackhole: the destination's router is unreachable, or a walk
+/// reaches a router whose filters left it no candidate. A pair can hold
+/// both paths and a blackhole.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RefPair {
-    /// Every equal-cost shortest path.
+    /// Every equal-cost shortest path that arrives.
     pub paths: BTreeSet<Vec<String>>,
-    /// No path exists.
+    /// Some walk drops the traffic.
     pub blackhole: bool,
 }
 
@@ -34,6 +38,12 @@ pub struct RefNet {
     /// `(a, b, cost)`, both directions at `cost`.
     links: Vec<(usize, usize, u64)>,
     hosts: Vec<(String, usize)>,
+    /// Each host's LAN prefix, in `hosts` order; empty without filters.
+    lans: Vec<Ipv4Prefix>,
+    /// Inbound denies `(router, neighbour, deny)`: `router` takes no
+    /// candidate hop toward `neighbour` for a destination LAN `deny`
+    /// contains.
+    denies: Vec<(usize, usize, Ipv4Prefix)>,
 }
 
 impl RefNet {
@@ -49,6 +59,35 @@ impl RefNet {
                 .map(|&(a, b, cost)| (a, b, u64::from(cost.unwrap_or(DEFAULT_OSPF_COST))))
                 .collect(),
             hosts: spec.hosts.clone(),
+            lans: Vec::new(),
+            denies: Vec::new(),
+        }
+    }
+
+    /// The network with inbound route filters. `lans` gives every host's
+    /// LAN prefix by host name; each `(router, neighbour, deny)` is a deny
+    /// entry bound to `router`'s interface toward `neighbour`, which drops
+    /// that candidate hop toward every destination LAN `deny` equals or
+    /// covers. Filters are RIB-local: distances stay those of the whole
+    /// graph, and a denied hop drops out of that router's candidates only.
+    pub fn with_filters(
+        &self,
+        lans: &BTreeMap<String, Ipv4Prefix>,
+        denies: &[(String, String, Ipv4Prefix)],
+    ) -> Self {
+        let index = |name: &str| {
+            self.routers
+                .iter()
+                .position(|r| r == name)
+                .expect("filters sit on the spec's routers")
+        };
+        RefNet {
+            lans: self.hosts.iter().map(|(h, _)| lans[h]).collect(),
+            denies: denies
+                .iter()
+                .map(|(r, v, deny)| (index(r), index(v), *deny))
+                .collect(),
+            ..self.clone()
         }
     }
 
@@ -96,21 +135,25 @@ impl RefNet {
         let d = self.distances();
         let mut out = Vec::new();
         for (s, rs) in &self.hosts {
-            for (t, rt) in &self.hosts {
+            for (ti, (t, rt)) in self.hosts.iter().enumerate() {
                 if s == t {
                     continue;
                 }
                 let mut paths = BTreeSet::new();
-                if d[*rs][*rt] != UNREACHABLE {
+                let mut blackhole = d[*rs][*rt] == UNREACHABLE;
+                if !blackhole {
+                    let lan = self.lans.get(ti);
                     let mut walk = vec![*rs];
-                    self.shortest_walks(&d, *rt, &mut walk, &mut |w| {
-                        let mut path = vec![s.clone()];
-                        path.extend(w.iter().map(|&r| self.routers[r].clone()));
-                        path.push(t.clone());
-                        paths.insert(path);
+                    self.shortest_walks(&d, (*rt, lan), &mut walk, &mut |w| match w {
+                        Some(w) => {
+                            let mut path = vec![s.clone()];
+                            path.extend(w.iter().map(|&r| self.routers[r].clone()));
+                            path.push(t.clone());
+                            paths.insert(path);
+                        }
+                        None => blackhole = true,
                     });
                 }
-                let blackhole = paths.is_empty();
                 out.push(((s.clone(), t.clone()), RefPair { paths, blackhole }));
             }
         }
@@ -118,28 +161,43 @@ impl RefNet {
     }
 
     /// Extends `walk` along every link that keeps it on a shortest path to
-    /// `dst` (`cost + d[v][dst] == d[u][dst]`), reporting each walk that
-    /// arrives.
+    /// the router `dst.0` (`cost + d[v][dst] == d[u][dst]`) and that no
+    /// deny at its router drops for the LAN `dst.1`, reporting each walk
+    /// that arrives (`Some`) and each that reaches a router with no such
+    /// link left (`None`).
     fn shortest_walks(
         &self,
         d: &[Vec<u64>],
-        dst: usize,
+        dst: (usize, Option<&Ipv4Prefix>),
         walk: &mut Vec<usize>,
-        found: &mut dyn FnMut(&[usize]),
+        found: &mut dyn FnMut(Option<&[usize]>),
     ) {
+        let (t, lan) = dst;
         let u = *walk.last().expect("walks start at the source router");
-        if u == dst {
-            found(walk);
+        if u == t {
+            found(Some(walk));
             return;
         }
+        let denied = |v: usize| {
+            lan.is_some_and(|lan| {
+                self.denies
+                    .iter()
+                    .any(|&(r, n, deny)| (r, n) == (u, v) && deny.contains(lan))
+            })
+        };
+        let mut stuck = true;
         for &(a, b, c) in &self.links {
             for (x, y) in [(a, b), (b, a)] {
-                if x == u && d[y][dst] != UNREACHABLE && c + d[y][dst] == d[u][dst] {
+                if x == u && d[y][t] != UNREACHABLE && c + d[y][t] == d[u][t] && !denied(y) {
+                    stuck = false;
                     walk.push(y);
                     self.shortest_walks(d, dst, walk, found);
                     walk.pop();
                 }
             }
+        }
+        if stuck {
+            found(None);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Differential harness for the warm control plane: after every
 //! [`WarmControlPlane::refresh`], every router's FIB and every interface's
-//! resolved `igp_filters` must equal a cold `simulate_control_plane` of the
+//! resolved `igp_filters` must equal a `cold_control_plane` build of the
 //! same configurations.
 //!
 //! Networks: random OSPF-only, RIP and two-AS BGP+OSPF networks, plus the
@@ -22,7 +22,8 @@ use confmask_config::patch::Patcher;
 use confmask_config::NetworkConfigs;
 use confmask_net_types::{Ipv4Prefix, PrefixAllocator, RouterId};
 use confmask_netgen::synthesize;
-use confmask_sim::{simulate_control_plane, WarmControlPlane};
+use confmask_sim::cold_control_plane;
+use confmask_sim_delta::WarmControlPlane;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
@@ -40,7 +41,7 @@ fn counter(name: &str) -> u64 {
 
 /// Asserts the warm handle equals a cold control-plane build of `configs`.
 fn assert_matches_cold(tag: &str, cp: &WarmControlPlane, configs: &NetworkConfigs) {
-    let (net, fibs) = simulate_control_plane(configs).expect("cold build");
+    let (net, fibs, _) = cold_control_plane(configs).expect("cold build");
     assert_eq!(
         cp.net().router_count(),
         net.router_count(),
@@ -165,7 +166,7 @@ fn run_edits(tag: &str, configs: NetworkConfigs, rng: &mut StdRng, steps: usize)
             Ok(()) => assert_matches_cold(&step_tag, &cp, patcher.network()),
             Err(e) => {
                 // A filter can make BGP diverge; the cold build must agree.
-                let cold = simulate_control_plane(patcher.network()).map(|_| ());
+                let cold = cold_control_plane(patcher.network()).map(|_| ());
                 assert_eq!(
                     cold.map_err(|e| e.to_string()),
                     Err(e.to_string()),
@@ -205,7 +206,7 @@ fn warm_refresh_matches_cold_build_on_random_networks() {
         let configs = synthesize(&random_spec(&mut rng, flavor));
         // An unsimulatable healthy network is a generator artifact (e.g. a
         // BGP split isolating hosts), not a warm-refresh case: skip it.
-        if simulate_control_plane(&configs).is_err() {
+        if cold_control_plane(&configs).is_err() {
             continue;
         }
         let tally = run_edits(&format!("seed {i} flavor {flavor}"), configs, &mut rng, 12);
