@@ -22,21 +22,26 @@
 //! deny, moves no distance at all: OSPF filters are RIB-local, so only
 //! the filtering router's own candidate hops can change. The model is
 //! derived from the base's ([`SimNetwork::without_interfaces`], then
-//! [`SimNetwork::set_igp_filters`]).
+//! [`SimNetwork::set_igp_filters`]); a base handed over by value (the
+//! warm handle's) with nothing shut is re-filtered in place.
 //!
 //! The contract is **byte identity** with a cold build of the edited
 //! configs: the plan's FIBs equal the cold FIBs entry by entry, and its
-//! OSPF rows at the prefixes it owns equal the cold rows. The sweep's pair
-//! index and the warm handle's row swap both rest on that.
+//! re-filtered routers' OSPF tables equal the cold tables. The sweep's
+//! pair index and the warm handle's table swap both rest on that. Rows and
+//! distances are the flat, destination-indexed tables of `confmask_sim`
+//! (DESIGN.md §5): a destination's index is its position in
+//! [`SimNetwork::destinations`], which base and plan share, so recomputed
+//! and cached rows are compared and read as slices.
 //! Per-protocol strategy (soundness arguments inline, DESIGN.md §10.2):
 //!
-//! * **OSPF** — per-prefix SPFs are independent, so only *affected*
-//!   prefixes re-run ([`ospf::compute_subset`]); the rest keep the
-//!   cached routes with interface indices remapped. A prefix is affected
-//!   iff a failed interface sits directly on it (advertiser seeds and the
-//!   connected-route skip change) or a removed OSPF edge lies on its
-//!   shortest-path DAG (`dist[u] == cost(u→v) + dist[v]`) at a router left
-//!   without another way to keep its distance
+//! * **OSPF** — per-destination SPFs are independent, so only *affected*
+//!   destinations re-run ([`ospf::compute_subset`]); the rest keep the
+//!   cached rows with interface indices remapped. A destination is
+//!   affected iff a failed interface sits directly on it (advertiser
+//!   seeds and the connected-route skip change) or a removed OSPF edge
+//!   lies on its shortest-path DAG (`dist[u] == cost(u→v) + dist[v]`) at
+//!   a router left without another way to keep its distance
 //!   ([`ospf::distances_survive_removal`]). Removing a non-DAG edge
 //!   changes neither distances (it was on no shortest path) nor candidate
 //!   sets (every candidate edge satisfies the DAG equation). Removing a
@@ -48,11 +53,11 @@
 //!   filters enter only the filtering router's own candidate rule, so a
 //!   re-filtered router recomputes every row against the cached
 //!   distances and no other router's row moves.
-//! * **RIP** — Bellman–Ford re-runs for every prefix but warm-starts from
-//!   the cached fixpoint ([`rip::compute_with_state`]), which is sound for
-//!   removal-only perturbations (see the proof on that function). A RIP
-//!   filter moves distances at other routers, so a filter edit on a model
-//!   with a RIP-active interface is declined.
+//! * **RIP** — Bellman–Ford re-runs for every destination but warm-starts
+//!   from the cached fixpoint ([`rip::compute_with_state`]), which is
+//!   sound for removal-only perturbations (see the proof on that
+//!   function). A RIP filter moves distances at other routers, so a filter
+//!   edit on a model with a RIP-active interface is declined.
 //! * **BGP** — warm-starting a path-vector protocol is *unsound* (BGP has
 //!   multiple equilibria; a warm start can land in a different one than a
 //!   cold run). Instead, the cached routes are reused wholesale when the
@@ -62,30 +67,34 @@
 //!   owner) — and fully recomputed otherwise. BGP reads IGP filters when
 //!   it selects and re-advertises iBGP routes, so a filter edit on a model
 //!   with a BGP speaker is declined.
-//! * **FIB merge** — a router whose merge inputs and interface numbering
-//!   are unchanged shares the cached FIB. One with silent RIP, absent or
+//! * **FIB merge** — at each router the plan owns only the destinations
+//!   whose recomputed row differs from the cached row after renumbering,
+//!   or on which the router lost an interface. A router whose interface
+//!   numbering is unchanged, with silent RIP, absent or reused BGP and
+//!   nothing owned, shares the cached FIB. One with silent RIP, absent or
 //!   reused BGP and no static routes is patched: the base table is copied
-//!   with its hops renumbered and only the prefixes the plan owns go
-//!   through the per-prefix merge rule
+//!   with its hops renumbered and only the owned destinations go through
+//!   the per-destination merge rule
 //!   ([`Fib::patched`](confmask_sim::Fib::patched),
 //!   [`PrefixMerge::merge_prefix`]); every other input of a non-owned
-//!   prefix is the base's modulo renumbering, so the rule would rebuild
-//!   the base entry. Every other router goes through the full merge a cold
-//!   run uses ([`merge_router_fib`]). The rule reads OSPF rows through a
-//!   row source ([`OspfRows`]): the plan's `PlanRows` yields the
-//!   recomputed row where the plan owns the prefix and the cached row,
-//!   renumbered as it is read, everywhere else. The plan lists each
-//!   re-merged router with the entries it decided afresh, from which the
-//!   sweep finds the lookups that changed.
+//!   destination is the base's modulo renumbering, so the rule would
+//!   rebuild the base entry. Every other router goes through the full
+//!   merge a cold run uses ([`merge_router_fib`]). The rule reads OSPF
+//!   rows through a row source ([`OspfRows`]): the plan's `PlanRows`
+//!   yields the recomputed row where the plan owns the destination and
+//!   the cached row, renumbered as it is read, everywhere else. The plan
+//!   lists each re-merged router with the entries it decided afresh, from
+//!   which the sweep finds the lookups that changed.
 
 use crate::DeltaStats;
-use confmask_net_types::{HostId, Ipv4Prefix, RouterId};
+use confmask_net_types::{Ipv4Prefix, RouterId};
 use confmask_sim::ospf::RouterPaths;
 use confmask_sim::{
-    bgp, merge_router_fib, ospf, rip, BgpRoutes, ControlState, Fibs, IfaceRemap, IgpRoutes,
-    NextHop, OspfRows, PrefixMerge, RouterNode, SimError, SimNetwork,
+    bgp, merge_router_fib, ospf, rip, BgpRoutes, ControlState, Fibs, Hop, IfaceRemap, NextHop,
+    OspfRows, PrefixMerge, RouterNode, Rows, SimError, SimNetwork,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The edits a plan applies to its base: a shut interface takes its
@@ -96,9 +105,9 @@ use std::sync::Arc;
 pub(crate) struct Edits {
     /// Interfaces administratively shut, as `(router, interface)` names.
     pub shut: Vec<(String, String)>,
-    /// Routers whose inbound IGP filters changed: each id of the base model
-    /// with its freshly resolved node, of which only the interfaces'
-    /// filters are read ([`SimNetwork::set_igp_filters`]).
+    /// Routers whose inbound IGP filters changed, each once: each id of the
+    /// base model with its freshly resolved node, of which only the
+    /// interfaces' filters are read ([`SimNetwork::set_igp_filters`]).
     pub refiltered: Vec<(RouterId, RouterNode)>,
 }
 
@@ -110,10 +119,10 @@ pub(crate) struct Plan {
     pub remap: IfaceRemap,
     /// The edited per-router FIBs.
     pub fibs: Fibs,
-    /// Per router, the OSPF rows of the prefixes the plan owns there (an
-    /// owned prefix without a row has none); every other row is the
-    /// base's, renumbered. A re-filtered router owns every prefix.
-    pub ospf_rows: IgpRoutes,
+    /// Each re-filtered router's OSPF table, every row recomputed, in
+    /// [`Edits::refiltered`] order. Every other router's rows are the
+    /// base's, renumbered.
+    pub ospf_rows: Vec<(RouterId, Rows)>,
     /// Every router whose FIB was re-merged, ascending, with the prefixes
     /// whose entries it decided afresh (ascending; `None` when it decided
     /// every entry, a full merge). Every other entry is the base's,
@@ -124,13 +133,15 @@ pub(crate) struct Plan {
     pub stats: DeltaStats,
 }
 
-/// Plans `edits` against the base model `base_net` with its FIBs
-/// `base_fibs` and converged protocol state `state`: the edited model and
-/// FIBs, both incremental where provable (module docs). The model is
-/// derived from the base's ([`SimNetwork::without_interfaces`], then
-/// [`SimNetwork::set_igp_filters`]), sharing every router the edits
-/// leave unchanged, and the removal's interface renumbering drives every
-/// reuse below.
+/// Plans `edits` against the base model `base` with its FIBs `base_fibs`
+/// and converged protocol state `state`: the edited model and FIBs, both
+/// incremental where provable (module docs). A borrowed base stays the
+/// caller's: the model is derived from it
+/// ([`SimNetwork::without_interfaces`], then
+/// [`SimNetwork::set_igp_filters`]), sharing every router the edits leave
+/// unchanged, and the removal's interface renumbering drives every reuse
+/// below. An owned base with nothing shut is re-filtered in place, so no
+/// router is copied.
 ///
 /// Returns `Ok(None)`, and the caller runs cold, when a shut router is
 /// unknown, when a filter edit meets a model with a BGP speaker or a
@@ -138,98 +149,92 @@ pub(crate) struct Plan {
 /// or when a defensive invariant check fails (a cached OSPF row through a
 /// removed interface, for one).
 pub(crate) fn plan(
-    base_net: &SimNetwork,
+    base: Cow<'_, SimNetwork>,
     base_fibs: &Fibs,
     state: &ControlState,
     edits: &Edits,
 ) -> Result<Option<Plan>, SimError> {
-    let any_bgp = base_net.routers.iter().any(|r| r.asn.is_some());
+    let n = base.router_count();
+    let any_bgp = base.routers.iter().any(|r| r.asn.is_some());
     if !edits.refiltered.is_empty()
         && (any_bgp
-            || base_net
+            || base
                 .routers
                 .iter()
                 .any(|r| r.ifaces.iter().any(|i| i.rip_active)))
     {
         return Ok(None);
     }
-    let Some((mut net, remap)) = base_net.without_interfaces(&edits.shut) else {
-        return Ok(None);
+    let kept;
+    let (kept_base, mut net, remap) = match base {
+        Cow::Owned(net) if edits.shut.is_empty() => (None, net, IfaceRemap::identity(n)),
+        base => {
+            kept = base;
+            let Some((net, remap)) = kept.without_interfaces(&edits.shut) else {
+                return Ok(None);
+            };
+            (Some(&*kept), net, remap)
+        }
     };
     net.set_igp_filters(&edits.refiltered);
-    let n = base_net.router_count();
+    // An owned base was edited in place and shuts nothing, so the base
+    // model is read below only where it equals the edited one.
+    let base_net = kept_base.unwrap_or(&net);
+    let dests = Arc::clone(&net.destinations);
     let failed: Vec<(usize, usize)> = remap.removed().collect();
+    // The destination a failed interface sits on, if any.
+    let dest_of = |(r, bi): (usize, usize)| {
+        base_net.destination_index(&base_net.routers[r].ifaces[bi].prefix)
+    };
 
-    // ---- OSPF: recompute only affected prefixes. ----
-    let mut affected: BTreeSet<Ipv4Prefix> = BTreeSet::new();
-    for &(r, bi) in &failed {
-        // Failed interface directly on a destination LAN: advertiser seeds
-        // and the connected-route skip change for that prefix.
-        let prefix = base_net.routers[r].ifaces[bi].prefix;
-        if base_net.destinations.iter().any(|(p, _)| *p == prefix) {
-            affected.insert(prefix);
-        }
+    // ---- OSPF: recompute only affected destinations. ----
+    // A failed interface directly on a destination LAN changes that
+    // destination's advertiser seeds and connected-route skip.
+    let mut affected = vec![false; dests.len()];
+    for d in failed.iter().filter_map(|&f| dest_of(f)) {
+        affected[d] = true;
     }
-    // A removed OSPF edge on a prefix's shortest-path DAG either keeps
-    // every distance, and then only the routers that lost a DAG edge get
-    // new rows, or forces a fresh SPF of the prefix. Per router, the
-    // unaffected prefixes whose row is recomputed against the unchanged
-    // distances, ascending.
-    let mut recomputed: Vec<Vec<Ipv4Prefix>> = vec![Vec::new(); n];
+    // A removed OSPF edge on a destination's shortest-path DAG either
+    // keeps every distance, and then only the routers that lost a DAG edge
+    // get new rows, or forces a fresh SPF of the destination. Per router,
+    // the unaffected destinations whose row is recomputed against the
+    // unchanged distances, ascending.
+    let mut recomputed: Vec<Vec<usize>> = vec![Vec::new(); n];
     if !failed.is_empty() {
-        for (prefix, dist) in &state.ospf_dist {
-            if affected.contains(prefix) {
+        for (d, (prefix, _)) in dests.iter().enumerate() {
+            let Some(dist) = state.ospf_dist.get(d).filter(|_| !affected[d]) else {
                 continue;
-            }
+            };
             match ospf::distances_survive_removal(base_net, prefix, dist, &failed) {
-                None => {
-                    affected.insert(*prefix);
-                }
+                None => affected[d] = true,
                 Some(routers) => {
                     for u in routers {
-                        recomputed[u].push(*prefix);
+                        recomputed[u].push(d);
                     }
                 }
             }
         }
     }
+    let affected: Vec<usize> = (0..dests.len()).filter(|&d| affected[d]).collect();
     // A filter is RIB-local: no distance moves, and a re-filtered router
-    // owns every prefix, its every row recomputed (against the cached
-    // distances where no shutdown affected the prefix).
-    let mut whole = vec![false; n];
+    // recomputes every row (against the cached distances where no shutdown
+    // affected the destination).
     for (rid, _) in &edits.refiltered {
-        whole[rid.0 as usize] = true;
+        recomputed[rid.0 as usize] = (0..dests.len())
+            .filter(|d| affected.binary_search(d).is_err())
+            .collect();
     }
-
-    let affected_dests: Vec<(Ipv4Prefix, Vec<HostId>)> = net
-        .destinations
+    let ospf_prefixes_total = dests.len();
+    let ospf_prefixes_recomputed = affected.len();
+    let (spf, _) = ospf::compute_subset(&net, &affected);
+    let mut local: Vec<Rows> = recomputed
         .iter()
-        .filter(|(p, _)| affected.contains(p))
-        .cloned()
+        .enumerate()
+        .map(|(u, ds)| match ds.is_empty() {
+            true => Rows::default(),
+            false => ospf::candidate_rows(&net, RouterId(u as u32), &state.ospf_dist, ds),
+        })
         .collect();
-    let ospf_prefixes_total = net.destinations.len();
-    let ospf_prefixes_recomputed = affected_dests.len();
-    let (mut ospf_rows, _) = ospf::compute_subset(&net, &affected_dests);
-    for (u, prefixes) in recomputed.iter().enumerate() {
-        let rid = RouterId(u as u32);
-        let rows = &mut ospf_rows[u];
-        if whole[u] {
-            let dists = state
-                .ospf_dist
-                .iter()
-                .filter(|(p, _)| !affected.contains(p));
-            let fresh = ospf::candidate_rows(&net, rid, dists.map(|(p, d)| (p, &d[..])));
-            // Rows come in prefix order, so an empty table is built in bulk.
-            if rows.is_empty() {
-                *rows = fresh.collect();
-            } else {
-                rows.extend(fresh);
-            }
-        } else if !prefixes.is_empty() {
-            let dists = prefixes.iter().map(|p| (p, &state.ospf_dist[p][..]));
-            rows.extend(ospf::candidate_rows(&net, rid, dists));
-        }
-    }
 
     // ---- RIP: warm-start the fixpoint (sound under removal-only). ----
     let (rip_routes, _rip_dist) = rip::compute_with_state(&net, Some(&state.rip_dist));
@@ -258,109 +263,145 @@ pub(crate) fn plan(
         }
     };
 
-    // ---- FIB merge, incremental where provable. A router's FIB can be
-    // shared with the base (an `Arc` clone) when every merge input is
-    // unchanged *and* its interface numbering is the identity: no removed
-    // interface (so connected routes and hop indices keep their bytes), no
-    // static route whose resolution can move (it peeks at neighbors'
-    // interface tables, which only a removal changes), RIP silent on both
-    // sides, BGP absent or reused (identity-remapped = identical), and the
-    // recomputed OSPF rows of the prefixes the plan owns (affected
-    // prefixes, and the router's own recomputed rows) equal to the cached
-    // ones. Filters enter a FIB only through the OSPF rows, so a
-    // re-filtered router whose rows did not move shares its table too. A
-    // router that meets every condition but the last two, and has no
-    // static routes, is patched: its base table is copied, renumbered,
-    // with only the owned prefixes re-merged (`Fib::patched`). Every
-    // non-owned prefix's merge inputs are the base's modulo renumbering —
-    // no removed interface sits on it (that would make it affected), its
-    // OSPF row is the cached one, BGP is the base's, RIP has nothing — so
-    // the per-prefix rule would rebuild the base entry, renumbered. The
-    // rest (static routes, RIP, recomputed BGP) take the full merge,
-    // reading their OSPF rows through `PlanRows`: the recomputed row where
-    // the plan owns the prefix, else the cached row renumbered as it is
-    // read (the remap is monotone, so sorted hop lists stay sorted). ----
-    let rip_silent = state.rip_dist.is_empty() && rip_routes.iter().all(|t| t.is_empty());
+    // ---- FIB merge, incremental where provable. At each router the plan
+    // owns a destination when the router's recomputed row there (for an
+    // affected destination, or one whose row this router recomputed)
+    // differs from its cached row after renumbering, or when the router
+    // lost an interface on it (its connected route goes). Every other
+    // destination's OSPF row is the cached one renumbered. A router's FIB
+    // can be shared with the base (an `Arc` clone) when every merge input
+    // is unchanged *and* its interface numbering is the identity: no
+    // removed interface (so connected routes and hop indices keep their
+    // bytes), no static route whose resolution can move (it peeks at
+    // neighbors' interface tables, which only a removal changes), RIP
+    // silent on both sides, BGP absent or reused (identity-remapped =
+    // identical), and no destination owned. Filters enter a FIB only
+    // through the OSPF rows, so a re-filtered router whose rows did not
+    // move shares its table too. A router that meets every condition but
+    // the first and last, and has no static routes, is patched: its base
+    // table is copied, renumbered, with only the owned destinations
+    // re-merged (`Fib::patched`). Every non-owned destination's merge
+    // inputs are the base's modulo renumbering — the router lost no
+    // interface on it, its OSPF row is the cached one, BGP is the base's,
+    // RIP has nothing — so the per-prefix rule would rebuild the base
+    // entry, renumbered. The rest (static routes, RIP, recomputed BGP)
+    // take the full merge, reading their OSPF rows through `PlanRows`: the
+    // recomputed row where the plan owns the destination, else the cached
+    // row renumbered as it is read (the remap is monotone, so sorted hop
+    // lists stay sorted). ----
+    let rip_silent =
+        state.rip_dist.is_empty() && rip_routes.per_router.iter().all(|t| t.hop_count() == 0);
     let bgp_stable = bgp_reused != Some(false);
-    let affected_keys: Vec<Ipv4Prefix> = affected_dests.iter().map(|(p, _)| *p).collect();
+    let patchable = rip_silent && bgp_stable;
     let (mut fibs_shared, mut fib_entries_merged, mut fib_entries_copied) = (0, 0, 0);
     let mut per_router = Vec::with_capacity(n);
     let mut remerged = Vec::new();
-    let mut owned: Vec<Ipv4Prefix> = Vec::new();
+    let mut owned: Vec<(usize, &[Hop])> = Vec::new();
     for r in 0..n {
+        let rid = RouterId(r as u32);
+        let cached = state.ospf_routes.of(rid);
+        let identity = remap.is_identity(r);
+        let lost_on = |d: usize| {
+            failed
+                .iter()
+                .any(|&(fr, bi)| fr == r && dest_of((fr, bi)) == Some(d))
+        };
         owned.clear();
-        owned.extend(affected_keys.iter().chain(&recomputed[r]));
-        owned.sort_unstable();
-        owned.dedup();
+        let fresh = affected
+            .iter()
+            .enumerate()
+            .map(|(k, &d)| (d, spf.of(rid).row(k)))
+            .chain(
+                recomputed[r]
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &d)| (d, local[r].row(k))),
+            );
+        for (d, row) in fresh {
+            if !same_row(cached.row(d), row, &remap, r) || (!identity && lost_on(d)) {
+                owned.push((d, row));
+            }
+        }
+        owned.sort_unstable_by_key(|&(d, _)| d);
         let rows = PlanRows {
-            fresh: &ospf_rows[r],
-            cached: &state.ospf_routes[r],
             owned: &owned,
+            cached,
             remap: &remap,
             r,
         };
-        let identity = remap.is_identity(r);
         let static_free = net.routers[r].static_routes.is_empty();
-        let patchable = rip_silent && bgp_stable && static_free;
-        let rows_unchanged = if whole[r] {
-            rows.fresh == rows.cached
-        } else {
-            owned
-                .iter()
-                .all(|p| rows.fresh.get(p) == rows.cached.get(p))
-        };
-        if identity
-            && rip_silent
-            && bgp_stable
-            && (static_free || failed.is_empty())
-            && rows_unchanged
-        {
+        if identity && patchable && (static_free || failed.is_empty()) && owned.is_empty() {
             fibs_shared += 1;
             per_router.push(Arc::clone(&base_fibs.per_router[r]));
             continue;
         }
         // A cached hop through a removed interface is a removed tight
-        // edge, so its prefix would have been affected or its row
+        // edge, so its destination would have been affected or its row
         // recomputed: reaching one means that invariant broke. Every row
         // the plan does not own is checked, not only those the merge goes
         // on to read (a connected or eBGP route shadows the rest).
-        if !identity && !whole[r] && !rows.cached_rows_survive() {
+        if !identity && !rows.cached_rows_survive(dests.len()) {
             return Ok(None);
         }
-        let rid = RouterId(r as u32);
-        let fib = if whole[r] {
-            fib_entries_merged += net.destinations.len();
-            remerged.push((r, None));
-            merge_router_fib(&net, rid, rows.fresh, &rip_routes, &bgp_routes)
-        } else if patchable {
+        let fib = if patchable && static_free {
             let merge = PrefixMerge::new(&net, rid, &rows, &rip_routes, &bgp_routes);
             // A copied entry through a removed interface breaks the same
             // invariant as a cached row through one.
             let renumber = |hop: NextHop| hop.renumbered(|i| remap.get(r, i));
+            let keys: Vec<Ipv4Prefix> = owned.iter().map(|&(d, _)| dests[d].0).collect();
             let base_fib = base_fibs.of(rid);
-            let Some(fib) = base_fib.patched(&owned, renumber, |b, p| merge.merge_prefix(b, p))
-            else {
+            let Some(fib) = base_fib.patched(&keys, renumber, |b, k| {
+                merge.merge_prefix(b, owned[k].0);
+            }) else {
                 return Ok(None);
             };
-            let merged = owned.iter().filter(|p| fib.entry(p).is_some()).count();
-            fib_entries_merged += owned.len();
+            let merged = keys.iter().filter(|p| fib.entry(p).is_some()).count();
+            fib_entries_merged += keys.len();
             fib_entries_copied += fib.len() - merged;
-            remerged.push((r, Some(std::mem::take(&mut owned))));
+            remerged.push((r, Some(keys)));
             fib
         } else {
-            fib_entries_merged += net.destinations.len();
+            fib_entries_merged += dests.len();
             remerged.push((r, None));
             merge_router_fib(&net, rid, &rows, &rip_routes, &bgp_routes)
         };
         per_router.push(Arc::new(fib));
     }
 
-    let routers_shared = net
-        .routers
-        .iter()
-        .zip(&base_net.routers)
-        .filter(|(new, old)| Arc::ptr_eq(new, old))
-        .count();
+    // A re-filtered router's new table: every row recomputed, each from
+    // the fresh SPF where a shutdown affected the destination.
+    let mut ospf_rows = Vec::with_capacity(edits.refiltered.len());
+    for (rid, _) in &edits.refiltered {
+        let r = rid.0 as usize;
+        let table = if affected.is_empty() {
+            std::mem::take(&mut local[r])
+        } else {
+            let hops = spf.of(*rid).hop_count() + local[r].hop_count();
+            let mut table = Rows::with_capacity(dests.len(), hops);
+            let (mut a, mut l) = (0, 0);
+            for d in 0..dests.len() {
+                if affected.get(a) == Some(&d) {
+                    table.push(spf.of(*rid).row(a).iter().copied());
+                    a += 1;
+                } else {
+                    table.push(local[r].row(l).iter().copied());
+                    l += 1;
+                }
+            }
+            table
+        };
+        ospf_rows.push((*rid, table));
+    }
+
+    let routers_shared = match kept_base {
+        Some(base_net) => net
+            .routers
+            .iter()
+            .zip(&base_net.routers)
+            .filter(|(new, old)| Arc::ptr_eq(new, old))
+            .count(),
+        None => n - edits.refiltered.len(),
+    };
     Ok(Some(Plan {
         net,
         remap,
@@ -382,45 +423,57 @@ pub(crate) fn plan(
     }))
 }
 
+/// Whether router `r`'s cached row, renumbered, is the fresh one.
+fn same_row(cached: &[Hop], fresh: &[Hop], remap: &IfaceRemap, r: usize) -> bool {
+    if remap.is_identity(r) {
+        return cached == fresh;
+    }
+    cached.len() == fresh.len()
+        && cached
+            .iter()
+            .zip(fresh)
+            .all(|(&(i, v), &(fi, fv))| v == fv && remap.get(r, i) == Some(fi))
+}
+
 /// One merged router's OSPF rows as the plan's FIB merge reads them: the
-/// recomputed row for a prefix the plan owns (an affected prefix, or one
-/// whose row this router recomputed), else the cached row, renumbered
-/// through the removal's remap as it is read.
+/// recomputed row where the plan owns the destination, else the cached
+/// row, renumbered through the removal's remap as it is read.
 struct PlanRows<'a> {
-    fresh: &'a BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>>,
-    cached: &'a BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>>,
-    /// The prefixes the plan owns at this router, ascending.
-    owned: &'a [Ipv4Prefix],
+    /// The destinations the plan owns at this router, ascending, with
+    /// their recomputed rows.
+    owned: &'a [(usize, &'a [Hop])],
+    cached: &'a Rows,
     remap: &'a IfaceRemap,
     r: usize,
 }
 
 impl PlanRows<'_> {
-    fn owns(&self, prefix: &Ipv4Prefix) -> bool {
-        self.owned.binary_search(prefix).is_ok()
+    fn owned_row(&self, d: usize) -> Option<&[Hop]> {
+        let k = self.owned.binary_search_by_key(&d, |&(d, _)| d).ok()?;
+        Some(self.owned[k].1)
     }
 
-    /// Whether every cached row the plan does not own renumbers, i.e. no
-    /// hop of one runs through a removed interface.
-    fn cached_rows_survive(&self) -> bool {
-        self.cached
-            .iter()
-            .filter(|(prefix, _)| !self.owns(prefix))
-            .all(|(_, hops)| {
-                hops.iter()
+    /// Whether every cached row toward the `count` destinations that the
+    /// plan does not own renumbers, i.e. no hop of one runs through a
+    /// removed interface.
+    fn cached_rows_survive(&self, count: usize) -> bool {
+        (0..count)
+            .filter(|&d| self.owned_row(d).is_none())
+            .all(|d| {
+                self.cached
+                    .row(d)
+                    .iter()
                     .all(|&(i, _)| self.remap.get(self.r, i).is_some())
             })
     }
 }
 
 impl OspfRows for PlanRows<'_> {
-    fn row(
-        &self,
-        prefix: &Ipv4Prefix,
-    ) -> Option<impl ExactSizeIterator<Item = (usize, RouterId)> + '_> {
-        let owned = self.owns(prefix);
-        let hops = if owned { self.fresh } else { self.cached }.get(prefix)?;
-        Some(hops.iter().map(move |&(i, v)| {
+    fn row(&self, d: usize) -> impl ExactSizeIterator<Item = (usize, RouterId)> + '_ {
+        let fresh = self.owned_row(d);
+        let owned = fresh.is_some();
+        let hops = fresh.unwrap_or_else(|| self.cached.row(d));
+        hops.iter().map(move |&(i, v)| {
             let i = if owned {
                 i
             } else {
@@ -429,7 +482,7 @@ impl OspfRows for PlanRows<'_> {
                     .expect("cached rows of a merged router renumber (checked before the merge)")
             };
             (i, v)
-        }))
+        })
     }
 }
 

@@ -280,7 +280,9 @@ mod tests {
     use confmask_netgen::synthesize;
     use confmask_sim::dataplane::trace;
     use confmask_sim::fault::{enumerate_single_link_failures, FailureScenario, Fault};
-    use confmask_sim::{merge_router_fib, simulate_with_state, FibBuilder, NextHop, RouteSource};
+    use confmask_sim::{
+        merge_router_fib, simulate_with_state, FibBuilder, NextHop, RouteSource, Rows,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -351,7 +353,7 @@ mod tests {
             let full = merge_router_fib(
                 &plan.net,
                 RouterId(r as u32),
-                &state.ospf_routes[r],
+                state.ospf_routes.of(RouterId(r as u32)),
                 &state.rip_routes,
                 &state.bgp_routes,
             );
@@ -614,11 +616,21 @@ mod tests {
         // r1's own LAN, a row its connected route shadows. Either breaks
         // the invariant the plan leans on, so either declines.
         let (_, shut) = resolve(&base, &scenario);
-        let r1 = base.sim.net.router_id("r1").unwrap().0 as usize;
-        let r3 = base.sim.net.router_id("r3").unwrap();
+        let net = &base.sim.net;
+        let r1 = net.router_id("r1").unwrap().0 as usize;
+        let r3 = net.router_id("r3").unwrap();
         for lan in ["10.1.2.0/24", "10.1.1.0/24"] {
+            let at = net.destination_index(&lan.parse().unwrap()).unwrap();
             let mut corrupt = ConvergedSim::clone(&base);
-            corrupt.state.ospf_routes[r1].insert(lan.parse().unwrap(), vec![(1, r3)]);
+            let table = &mut corrupt.state.ospf_routes.per_router[r1];
+            let mut rows = Rows::default();
+            for d in 0..net.destinations.len() {
+                match d == at {
+                    true => rows.push([(1, r3)]),
+                    false => rows.push(table.row(d).iter().copied()),
+                }
+            }
+            *table = Arc::new(rows);
             assert!(plan_for(&corrupt, &shut).unwrap().is_none(), "{lan}");
         }
         // The same break in r1's base FIB, whose entries r1's patched

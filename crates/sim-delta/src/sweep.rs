@@ -91,6 +91,7 @@ use confmask_sim::fault::{
 };
 use confmask_sim::sweep::{ScenarioDigest, SweepMeter, SweepReducer, SweepStats};
 use confmask_sim::{Fib, FibEntry, Fibs, IfaceRemap, PairBits, PathSet, SimError, SimNetwork};
+use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -381,7 +382,7 @@ impl<'a> ScenarioSweep<'a> {
             ..delta::Edits::default()
         };
         let sim = &self.base.sim;
-        delta::plan(&sim.net, &sim.fibs, &self.base.state, &edits)
+        delta::plan(Cow::Borrowed(&sim.net), &sim.fibs, &self.base.state, &edits)
     }
 
     /// Every `(destination host, router)` whose lookup of that host's

@@ -12,6 +12,8 @@ use crate::delta::{self, Edits};
 use confmask_config::NetworkConfigs;
 use confmask_net_types::RouterId;
 use confmask_sim::{build_router, ControlState, Fibs, IfaceNode, RouterNode, SimError, SimNetwork};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// A converged control plane that can be refreshed after filter edits.
 #[derive(Debug)]
@@ -44,11 +46,12 @@ impl WarmControlPlane {
     /// named by `touched` (ids of [`WarmControlPlane::net`]).
     ///
     /// When every touched router changed only in its inbound IGP filters,
-    /// this plans them as re-filter edits and swaps in the plan's model,
-    /// FIBs and OSPF rows. Otherwise, or when the planner declines (a BGP
-    /// speaker or a RIP-active interface), it re-runs the cold build and
-    /// counts `sim.warm.full_fallbacks`. Either way the result equals
-    /// [`WarmControlPlane::new`] of `configs`.
+    /// this hands the model to the planner as re-filter edits, which edits
+    /// the touched routers in place, and swaps in the plan's model, FIBs
+    /// and the touched routers' OSPF tables. Otherwise, or when the planner
+    /// declines (a BGP speaker or a RIP-active interface), it re-runs the
+    /// cold build and counts `sim.warm.full_fallbacks`. Either way the
+    /// result equals [`WarmControlPlane::new`] of `configs`.
     pub fn refresh(
         &mut self,
         configs: &NetworkConfigs,
@@ -63,16 +66,18 @@ impl WarmControlPlane {
             refiltered,
             ..Edits::default()
         };
-        let plan = delta::plan(&self.net, &self.fibs, &self.state, &edits)?;
+        let net = std::mem::take(&mut self.net);
+        let plan = delta::plan(Cow::Owned(net), &self.fibs, &self.state, &edits);
         sp.finish();
-        let Some(mut plan) = plan else {
+        // The planner consumed the model, so anything but a plan rebuilds
+        // (a cold build of `configs` meets any error the plan met).
+        let Ok(Some(plan)) = plan else {
             return self.rebuild(configs);
         };
         // Filter edits remove nothing, so a re-filtered router's fresh rows
         // are all of its rows, and every other row stands.
-        for (rid, _) in &edits.refiltered {
-            let r = rid.0 as usize;
-            self.state.ospf_routes[r] = std::mem::take(&mut plan.ospf_rows[r]);
+        for (rid, rows) in plan.ospf_rows {
+            self.state.ospf_routes.per_router[rid.0 as usize] = Arc::new(rows);
         }
         self.net = plan.net;
         self.fibs = plan.fibs;

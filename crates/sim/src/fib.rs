@@ -8,9 +8,8 @@
 
 use crate::bgp;
 use crate::network::{RouterNode, SimNetwork};
-use crate::ospf;
-use crate::rip;
-use confmask_net_types::{Ipv4Addr, Ipv4Prefix, RouterId};
+use crate::rows::{Footprint, IgpRoutes, Rows};
+use confmask_net_types::{HostId, Ipv4Addr, Ipv4Prefix, RouterId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -187,23 +186,24 @@ impl Fib {
     }
 
     /// A copy of this table with the entries at `owned` (ascending)
-    /// replaced: `merge` pushes each owned prefix's new entry, or none,
-    /// and every other entry is copied with its next hops passed through
-    /// `renumber`. `None` when `renumber` rejects a hop of a copied entry.
+    /// replaced: `merge` pushes the `k`-th owned prefix's new entry, or
+    /// none, when called with `k`, and every other entry is copied with its
+    /// next hops passed through `renumber`. `None` when `renumber` rejects
+    /// a hop of a copied entry.
     pub fn patched(
         &self,
         owned: &[Ipv4Prefix],
         renumber: impl Fn(NextHop) -> Option<NextHop>,
-        mut merge: impl FnMut(&mut FibBuilder, &Ipv4Prefix),
+        mut merge: impl FnMut(&mut FibBuilder, usize),
     ) -> Option<Fib> {
         debug_assert!(owned.windows(2).all(|w| w[0] < w[1]), "owned keys ascend");
         let mut out = FibBuilder::with_capacity(self.len() + owned.len(), self.hops.len());
-        let mut owned = owned.iter().peekable();
+        let mut owned = owned.iter().enumerate().peekable();
         let mut start = 0;
         for slot in &self.slots {
             let mut replaced = false;
-            while let Some(p) = owned.next_if(|p| **p <= slot.prefix) {
-                merge(&mut out, p);
+            while let Some((k, p)) = owned.next_if(|(_, p)| **p <= slot.prefix) {
+                merge(&mut out, k);
                 replaced = *p == slot.prefix;
             }
             let hops = &self.hops[start as usize..slot.end as usize];
@@ -216,8 +216,8 @@ impl Fib {
             }
             out.push_slot(slot.prefix, slot.source);
         }
-        for p in owned {
-            merge(&mut out, p);
+        for (k, _) in owned {
+            merge(&mut out, k);
         }
         Some(out.build())
     }
@@ -320,30 +320,39 @@ impl Fibs {
     pub fn of(&self, r: RouterId) -> &Fib {
         &self.per_router[r.0 as usize]
     }
+
+    /// The heap these tables own, each table's `Arc` block included.
+    pub fn footprint(&self) -> Footprint {
+        Footprint::of_vec(&self.per_router)
+            + self
+                .per_router
+                .iter()
+                .map(|fib| {
+                    Footprint::of_arc(&**fib)
+                        + Footprint::of_vec(&fib.slots)
+                        + Footprint::of_vec(&fib.hops)
+                })
+                .sum()
+    }
 }
 
-/// Where [`PrefixMerge`] reads one router's OSPF rows from: per prefix,
-/// the router's candidate hops `(interface, neighbour)` in the merged
-/// model's interface numbering, in row order.
+/// Where [`PrefixMerge`] reads one router's OSPF rows from: per
+/// destination index, the router's candidate hops `(interface,
+/// neighbour)` in the merged model's interface numbering, in row order
+/// (none when the router has no row).
 ///
 /// A router's own table is a source as it stands. The incremental engine
 /// passes a source that reads the rows it recomputed and renumbers the
 /// cached rows of everything else as they are read, so no merged table is
 /// ever assembled for the merge to read.
 pub trait OspfRows {
-    /// The row toward `prefix`, or `None` when the router has none.
-    fn row(
-        &self,
-        prefix: &Ipv4Prefix,
-    ) -> Option<impl ExactSizeIterator<Item = (usize, RouterId)> + '_>;
+    /// The row toward destination `d`.
+    fn row(&self, d: usize) -> impl ExactSizeIterator<Item = (usize, RouterId)> + '_;
 }
 
-impl OspfRows for BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>> {
-    fn row(
-        &self,
-        prefix: &Ipv4Prefix,
-    ) -> Option<impl ExactSizeIterator<Item = (usize, RouterId)> + '_> {
-        self.get(prefix).map(|hops| hops.iter().copied())
+impl OspfRows for Rows {
+    fn row(&self, d: usize) -> impl ExactSizeIterator<Item = (usize, RouterId)> + '_ {
+        Rows::row(self, d).iter().copied()
     }
 }
 
@@ -351,8 +360,8 @@ impl OspfRows for BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>> {
 /// distance, one [`merge_router_fib`] per router.
 pub fn merge_fibs(
     net: &SimNetwork,
-    ospf_routes: &ospf::IgpRoutes,
-    rip_routes: &rip::RipRoutes,
+    ospf_routes: &IgpRoutes,
+    rip_routes: &IgpRoutes,
     bgp_routes: &[BTreeMap<Ipv4Prefix, bgp::BgpFibRoute>],
 ) -> Fibs {
     Fibs {
@@ -362,7 +371,7 @@ pub fn merge_fibs(
                 Arc::new(merge_router_fib(
                     net,
                     rid,
-                    &ospf_routes[rid.0 as usize],
+                    ospf_routes.of(rid),
                     rip_routes,
                     bgp_routes,
                 ))
@@ -382,7 +391,7 @@ pub fn merge_router_fib(
     net: &SimNetwork,
     rid: RouterId,
     ospf: &impl OspfRows,
-    rip_routes: &rip::RipRoutes,
+    rip_routes: &IgpRoutes,
     bgp_routes: &[BTreeMap<Ipv4Prefix, bgp::BgpFibRoute>],
 ) -> Fib {
     let router = net.router(rid);
@@ -426,9 +435,9 @@ pub fn merge_router_fib(
         }
     }
     let merge = PrefixMerge::new(net, rid, ospf, rip_routes, bgp_routes);
-    for (prefix, _hosts) in net.destinations.iter() {
+    for (d, (prefix, _hosts)) in net.destinations.iter().enumerate() {
         if !statics.contains(prefix) {
-            merge.merge_prefix(&mut fib, prefix);
+            merge.merge_prefix(&mut fib, d);
         }
     }
     fib.build()
@@ -440,8 +449,9 @@ pub fn merge_router_fib(
 /// incremental simulations go through byte-identical merge logic.
 pub struct PrefixMerge<'a, O> {
     router: &'a RouterNode,
+    destinations: &'a [(Ipv4Prefix, Vec<HostId>)],
     ospf: &'a O,
-    rip: &'a BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>>,
+    rip: &'a Rows,
     bgp: &'a BTreeMap<Ipv4Prefix, bgp::BgpFibRoute>,
 }
 
@@ -452,22 +462,24 @@ impl<'a, O: OspfRows> PrefixMerge<'a, O> {
         net: &'a SimNetwork,
         rid: RouterId,
         ospf: &'a O,
-        rip_routes: &'a rip::RipRoutes,
+        rip_routes: &'a IgpRoutes,
         bgp_routes: &'a [BTreeMap<Ipv4Prefix, bgp::BgpFibRoute>],
     ) -> Self {
-        let r = rid.0 as usize;
         PrefixMerge {
             router: net.router(rid),
+            destinations: &net.destinations,
             ospf,
-            rip: &rip_routes[r],
-            bgp: &bgp_routes[r],
+            rip: rip_routes.of(rid),
+            bgp: &bgp_routes[rid.0 as usize],
         }
     }
 
-    /// Pushes the winning route toward the destination `prefix`, if any
-    /// protocol has one, onto `fib`: connected, then eBGP, OSPF, RIP and
-    /// iBGP (a static route at `prefix` is the caller's to honour).
-    pub fn merge_prefix(&self, fib: &mut FibBuilder, prefix: &Ipv4Prefix) {
+    /// Pushes the winning route toward destination `d` (an index into
+    /// [`SimNetwork::destinations`]), if any protocol has one, onto `fib`:
+    /// connected, then eBGP, OSPF, RIP and iBGP (a static route at the
+    /// destination's prefix is the caller's to honour).
+    pub fn merge_prefix(&self, fib: &mut FibBuilder, d: usize) {
+        let prefix = &self.destinations[d].0;
         let forward = |&(via_iface, router): &(usize, RouterId), session_peer| NextHop::Forward {
             via_iface,
             router,
@@ -490,12 +502,14 @@ impl<'a, O: OspfRows> PrefixMerge<'a, O> {
             return;
         }
         // 3. OSPF (AD 110).
-        if let Some(hops) = self.ospf.row(prefix).filter(|hops| hops.len() != 0) {
+        let hops = self.ospf.row(d);
+        if hops.len() != 0 {
             fib.push(*prefix, RouteSource::Ospf, hops.map(|h| forward(&h, None)));
             return;
         }
         // 4. RIP (AD 120).
-        if let Some(hops) = self.rip.get(prefix).filter(|hops| !hops.is_empty()) {
+        let hops = self.rip.row(d);
+        if !hops.is_empty() {
             fib.push(
                 *prefix,
                 RouteSource::Rip,

@@ -50,6 +50,7 @@ mod fib;
 mod network;
 pub mod ospf;
 pub mod rip;
+mod rows;
 pub mod sweep;
 
 pub use bgp::BgpFibRoute;
@@ -67,8 +68,9 @@ pub use fib::{
 pub use network::{
     build_router, BgpSession, HostNode, IfaceNode, IfaceRemap, Peer, RouterNode, SimNetwork,
 };
-pub use ospf::{IgpRoutes, OspfDist, RouterPaths};
-pub use rip::{RipDist, RipRoutes};
+pub use ospf::{OspfDist, RouterPaths};
+pub use rip::RipDist;
+pub use rows::{Dists, Footprint, Hop, IgpRoutes, Rows};
 
 use confmask_config::NetworkConfigs;
 use confmask_net_types::Ipv4Prefix;
@@ -159,11 +161,6 @@ pub fn cold_control_plane(
     };
     let fibs = merge_fibs(&net, &ospf_routes, &rip_routes, &bgp_routes);
     sp.finish();
-    if confmask_obs::enabled() {
-        for fib in &fibs.per_router {
-            confmask_obs::observe("sim.fib.size", fib.len() as u64);
-        }
-    }
     let state = ControlState {
         ospf_routes,
         ospf_dist,
@@ -172,6 +169,19 @@ pub fn cold_control_plane(
         router_paths,
         bgp_routes,
     };
+    if confmask_obs::enabled() {
+        for fib in &fibs.per_router {
+            confmask_obs::observe("sim.fib.size", fib.len() as u64);
+        }
+        let total: Footprint = state
+            .footprint()
+            .into_iter()
+            .map(|(_, f)| f)
+            .chain([fibs.footprint()])
+            .sum();
+        confmask_obs::gauge_set("sim.state.blocks", total.blocks as f64);
+        confmask_obs::gauge_set("sim.state.bytes", total.bytes as f64);
+    }
     Ok((net, fibs, state))
 }
 
@@ -193,6 +203,9 @@ pub fn register_metrics() {
     ] {
         confmask_obs::counter_add(name, 0);
     }
+    for name in ["sim.state.blocks", "sim.state.bytes"] {
+        confmask_obs::gauge_set(name, 0.0);
+    }
     confmask_obs::histogram_register("sim.dataplane.paths_per_pair");
     confmask_obs::histogram_register("sim.fib.size");
     sweep::register_metrics();
@@ -208,17 +221,60 @@ pub fn register_metrics() {
 /// actually touched.
 #[derive(Debug, Clone)]
 pub struct ControlState {
-    /// OSPF candidate next-hops per (router, prefix).
+    /// OSPF candidate next-hops per (router, destination).
     pub ospf_routes: IgpRoutes,
-    /// Converged OSPF distance vectors per prefix.
+    /// Converged OSPF distance vectors per destination.
     pub ospf_dist: OspfDist,
-    /// RIP candidate next-hops per (router, prefix).
-    pub rip_routes: RipRoutes,
-    /// Converged RIP distance vectors per prefix.
+    /// RIP candidate next-hops per (router, destination).
+    pub rip_routes: IgpRoutes,
+    /// Converged RIP distance vectors per destination.
     pub rip_dist: RipDist,
     /// Router-to-router IGP shortest paths (computed only when some router
     /// speaks BGP — it exists solely to resolve iBGP egresses).
     pub router_paths: Option<RouterPaths>,
     /// BGP RIB contributions per router.
     pub bgp_routes: BgpRoutes,
+}
+
+impl ControlState {
+    /// The heap each table owns, by table name: OSPF rows and distances,
+    /// RIP rows and distances, BGP routes and the router-path matrix. A
+    /// B-tree map counts its entries as packed into the fewest nodes that
+    /// hold them (11 entries each), a lower bound: the standard library
+    /// does not expose its nodes.
+    pub fn footprint(&self) -> [(&'static str, Footprint); 6] {
+        let entry = std::mem::size_of::<(Ipv4Prefix, BgpFibRoute)>();
+        let bgp = Footprint::of_vec(&self.bgp_routes)
+            + self
+                .bgp_routes
+                .iter()
+                .map(|table| Footprint {
+                    blocks: table.len().div_ceil(11) as u64,
+                    bytes: (table.len() * entry) as u64,
+                })
+                .sum()
+            + self
+                .bgp_routes
+                .iter()
+                .flat_map(|table| table.values())
+                .map(|route| Footprint::of_vec(&route.next_hops))
+                .sum();
+        let paths = self.router_paths.as_ref().map_or_else(Footprint::default, |rp| {
+            let dist = Footprint::of_vec(&rp.dist) + rp.dist.iter().map(Footprint::of_vec).sum();
+            let hops = Footprint::of_vec(&rp.next_hops)
+                + rp.next_hops
+                    .iter()
+                    .map(|row| Footprint::of_vec(row) + row.iter().map(Footprint::of_vec).sum())
+                    .sum();
+            dist + hops
+        });
+        [
+            ("ospf_rows", self.ospf_routes.footprint()),
+            ("ospf_dist", self.ospf_dist.footprint()),
+            ("rip_rows", self.rip_routes.footprint()),
+            ("rip_dist", self.rip_dist.footprint()),
+            ("bgp", bgp),
+            ("router_paths", paths),
+        ]
+    }
 }

@@ -132,7 +132,8 @@ pub struct HostNode {
 /// Every part is reference-counted, so a model derived from another by
 /// [`SimNetwork::without_interfaces`] shares each router, host and table
 /// the removal leaves unchanged, and a clone costs reference-count bumps.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The default is the empty model.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimNetwork {
     /// Routers, indexed by [`RouterId`].
     pub routers: Vec<Arc<RouterNode>>,
@@ -154,6 +155,13 @@ pub struct IfaceRemap {
 }
 
 impl IfaceRemap {
+    /// The numbering of `routers` routers that lost no interface.
+    pub fn identity(routers: usize) -> Self {
+        IfaceRemap {
+            removed: vec![Vec::new(); routers],
+        }
+    }
+
     /// The new index of router `r`'s interface `iface`; `None` when the
     /// interface was removed.
     pub fn get(&self, r: usize, iface: usize) -> Option<usize> {
@@ -191,6 +199,14 @@ impl SimNetwork {
     /// Host id by hostname.
     pub fn host_id(&self, name: &str) -> Option<HostId> {
         self.host_index.get(name).copied()
+    }
+
+    /// The index of the destination `prefix` in
+    /// [`SimNetwork::destinations`], when it is one.
+    pub fn destination_index(&self, prefix: &Ipv4Prefix) -> Option<usize> {
+        self.destinations
+            .binary_search_by(|(p, _)| p.cmp(prefix))
+            .ok()
     }
 
     /// The router node for an id.

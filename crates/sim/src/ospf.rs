@@ -12,22 +12,27 @@
 //!   an equal-cost candidate therefore leaves the other candidates intact —
 //!   this is exactly the "equal-cost fake edge is rejected" behaviour of the
 //!   link-state SFE conditions.
+//!
+//! Results are flat tables indexed by destination, a destination's index
+//! being its position in [`SimNetwork::destinations`] (DESIGN.md §5): each
+//! router's candidate rows are one [`Rows`] table ([`IgpRoutes`]), and the
+//! distances one destination-major array ([`OspfDist`]). An SPF run builds
+//! one destination's rows for every router at once; the tables are
+//! transposed from those, so a converged control plane costs a few
+//! allocations per router, not one per (router, destination).
 
 use crate::network::{Peer, RouterNode, SimNetwork};
+use crate::rows::{Dists, IgpRoutes, Rows};
 use confmask_net_types::{Ipv4Prefix, RouterId};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
-/// Per-router candidate next-hops per destination prefix:
-/// `routes[r][prefix] = [(out_iface, neighbor_router), ...]` (ECMP set,
-/// already filtered).
-pub type IgpRoutes = Vec<BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>>>;
-
-/// Converged per-prefix distance vectors: `dist[prefix][router]` is the
-/// cost from the router to the prefix (`u64::MAX` = unreachable). Prefixes
-/// with no advertiser are absent. The incremental engine keeps these to
-/// decide whether a failed edge lies on any shortest-path DAG.
-pub type OspfDist = BTreeMap<Ipv4Prefix, Vec<u64>>;
+/// Converged per-destination distance vectors: `dist.get(d)[router]` is the
+/// cost from the router to destination `d` (`u64::MAX` = unreachable). A
+/// destination with no advertiser has no vector. The incremental engine
+/// keeps these to decide whether a failed edge lies on any shortest-path
+/// DAG.
+pub type OspfDist = Dists<u64>;
 
 /// One directed OSPF adjacency out of a router: `(iface_idx, neighbor,
 /// neighbor_iface, cost_of_our_iface)`.
@@ -59,31 +64,30 @@ fn router_adjacency(net: &SimNetwork, rid: RouterId) -> Vec<OspfEdge> {
     edges
 }
 
-/// Computes OSPF candidate next-hops plus the converged per-prefix distance
-/// vectors for every destination (the state the incremental planner
-/// caches). Destination prefixes are independent, so the
-/// per-prefix multi-source Dijkstras fan out over the shared executor on
-/// larger networks.
+/// Computes OSPF candidate next-hops plus the converged distance vectors
+/// toward every destination (the state the incremental planner caches),
+/// both indexed by destination. Destinations are independent, so the
+/// per-destination multi-source Dijkstras fan out over the shared executor
+/// on larger networks.
 pub fn compute_with_state(net: &SimNetwork) -> (IgpRoutes, OspfDist) {
-    compute_subset(net, &net.destinations)
+    let all: Vec<usize> = (0..net.destinations.len()).collect();
+    compute_subset(net, &all)
 }
 
-/// Computes OSPF candidate next-hops and distances for a *subset* of
-/// destination prefixes. The incremental engine calls this with only the
-/// prefixes whose shortest-path DAGs a failure touched; per-prefix results
-/// are independent, so the output for a subset is byte-identical to the
-/// corresponding slice of a full [`compute_with_state`] run.
-#[allow(clippy::type_complexity)]
-pub fn compute_subset(
-    net: &SimNetwork,
-    destinations: &[(Ipv4Prefix, Vec<confmask_net_types::HostId>)],
-) -> (IgpRoutes, OspfDist) {
-    // One multi-source Dijkstra per destination prefix (counted here, not in
-    // `compute_for`, so the tally is independent of the thread fan-out).
-    confmask_obs::counter_add("sim.ospf.spf_runs", destinations.len() as u64);
+/// Computes OSPF candidate next-hops and distances toward a *subset* of
+/// the destinations, `dests` (indices into [`SimNetwork::destinations`]):
+/// row `k` of each router's table, and vector `k`, are toward `dests[k]`.
+/// The incremental engine calls this with only the destinations whose
+/// shortest-path DAGs a failure touched; per-destination results are
+/// independent, so each row and vector is byte-identical to the same
+/// destination's in a full [`compute_with_state`] run.
+pub fn compute_subset(net: &SimNetwork, dests: &[usize]) -> (IgpRoutes, OspfDist) {
+    // One multi-source Dijkstra per destination (counted here, not in
+    // `compute_one`, so the tally is independent of the thread fan-out).
+    confmask_obs::counter_add("sim.ospf.spf_runs", dests.len() as u64);
     let n = net.router_count();
-    if destinations.is_empty() {
-        return (vec![BTreeMap::new(); n], OspfDist::new());
+    if dests.is_empty() {
+        return (IgpRoutes::empty(n), OspfDist::default());
     }
     let adj = adjacency(net);
 
@@ -96,38 +100,33 @@ pub fn compute_subset(
         }
     }
 
-    // Per-prefix SPFs are independent: fan out over the shared executor
-    // (dynamic chunk claiming, no static split, no hard-coded worker cap)
-    // and merge by destination index, so the result is byte-identical to a
-    // sequential run at any worker count. Small subsets stay inline — the
-    // delta engine calls this with a handful of touched prefixes per
-    // scenario and the spawn cost would dominate.
-    let per_prefix: Vec<PrefixSpf> = if destinations.len() >= 32 {
-        confmask_exec::par_map(destinations, |(prefix, _)| compute_one(net, &adj, &rev, prefix))
+    // Per-destination SPFs are independent: fan out over the shared
+    // executor (dynamic chunk claiming, no static split, no hard-coded
+    // worker cap) and merge by position, so the result is byte-identical
+    // to a sequential run at any worker count. Small subsets stay inline —
+    // the delta engine calls this with a handful of touched destinations
+    // per scenario and the spawn cost would dominate.
+    let spf = |&d: &usize| compute_one(net, &adj, &rev, &net.destinations[d].0);
+    let per_dest: Vec<PrefixSpf> = if dests.len() >= 32 {
+        confmask_exec::par_map(dests, spf)
     } else {
-        destinations
-            .iter()
-            .map(|(prefix, _)| compute_one(net, &adj, &rev, prefix))
-            .collect()
+        dests.iter().map(spf).collect()
     };
 
-    let mut routes: IgpRoutes = vec![BTreeMap::new(); n];
-    let mut dists = OspfDist::new();
-    for ((prefix, _hosts), spf) in destinations.iter().zip(per_prefix) {
-        let Some((hops_by_router, dist)) = spf else {
-            continue;
-        };
-        for (u, hops) in hops_by_router {
-            routes[u].insert(*prefix, hops);
-        }
-        dists.insert(*prefix, dist);
+    let mut dists = OspfDist::with_capacity(n, dests.len());
+    let mut rows = Vec::with_capacity(dests.len());
+    for spf in per_dest {
+        let (row, dist) = spf.unzip();
+        dists.push(dist.as_deref());
+        rows.push(row);
     }
-    (routes, dists)
+    (IgpRoutes::from_destinations(n, &rows), dists)
 }
 
-/// One prefix's SPF result: per-router candidate hops plus the distance
-/// vector, or `None` when the prefix has no advertiser.
-type PrefixSpf = Option<(Vec<(usize, Vec<(usize, RouterId)>)>, Vec<u64>)>;
+/// One destination's SPF result: every router's candidate row (row `u` is
+/// router `u`'s) plus the distance vector, or `None` when the destination
+/// has no advertiser.
+type PrefixSpf = Option<(Rows, Vec<u64>)>;
 
 /// The multi-source Dijkstra for a single destination prefix.
 fn compute_one(
@@ -168,15 +167,12 @@ fn compute_one(
         }
     }
 
-    let mut hops_by_router = Vec::new();
+    let mut rows = Rows::with_capacity(n, n);
     for (rid, r) in net.routers_iter() {
         let u = rid.0 as usize;
-        let hops = candidate_hops(r, &adj[u], &dist, u, prefix);
-        if !hops.is_empty() {
-            hops_by_router.push((u, hops));
-        }
+        candidate_hops(r, &adj[u], &dist, u, prefix, &mut rows);
     }
-    Some((hops_by_router, dist))
+    Some((rows, dist))
 }
 
 /// Whether `prefix`'s converged distance vector `dist` over `net` survives
@@ -256,28 +252,32 @@ pub fn distances_survive_removal(
     Some(touched)
 }
 
-/// Router `r`'s candidate rows on `net` toward each `(prefix, distance
-/// vector)` of `dists`, in that order: the candidate-hop rule over `r`'s
-/// adjacency, which is built once. A prefix toward which `r` has no
-/// candidate is left out.
-pub fn candidate_rows<'a>(
-    net: &'a SimNetwork,
-    r: RouterId,
-    dists: impl IntoIterator<Item = (&'a Ipv4Prefix, &'a [u64])> + 'a,
-) -> impl Iterator<Item = (Ipv4Prefix, Vec<(usize, RouterId)>)> + 'a {
+/// Router `r`'s candidate rows on `net` toward the destinations `dests`
+/// (indices into [`SimNetwork::destinations`]), in that order, against
+/// their converged distances `dists`: the candidate-hop rule over `r`'s
+/// adjacency, which is built once. Row `k` is toward `dests[k]`, empty
+/// where `r` has no candidate or the destination no advertiser.
+pub fn candidate_rows(net: &SimNetwork, r: RouterId, dists: &OspfDist, dests: &[usize]) -> Rows {
     let (router, adj) = (net.router(r), router_adjacency(net, r));
-    dists.into_iter().filter_map(move |(prefix, dist)| {
-        let hops = candidate_hops(router, &adj, dist, r.0 as usize, prefix);
-        (!hops.is_empty()).then_some((*prefix, hops))
-    })
+    let mut rows = Rows::with_capacity(dests.len(), dests.len());
+    for &d in dests {
+        match dists.get(d) {
+            Some(dist) => {
+                let prefix = &net.destinations[d].0;
+                candidate_hops(router, &adj, dist, r.0 as usize, prefix, &mut rows);
+            }
+            None => rows.push([]),
+        }
+    }
+    rows
 }
 
-/// The candidate-hop rule: router `u`'s OSPF next hops toward `prefix`,
-/// given the prefix's converged distance vector and `u`'s out-edges. An
-/// edge `u → v` is a candidate when `cost + dist[v] == dist[u]` and no
-/// inbound IGP filter on its interface denies `prefix`; the result is
-/// sorted and deduplicated. Empty when `u` cannot reach the prefix or
-/// advertises it (advertisers use their connected route).
+/// The candidate-hop rule: pushes router `u`'s OSPF row toward `prefix`
+/// onto `rows`, given the prefix's converged distance vector and `u`'s
+/// out-edges. An edge `u → v` is a candidate when `cost + dist[v] ==
+/// dist[u]` and no inbound IGP filter on its interface denies `prefix`;
+/// the row is sorted and deduplicated. Empty when `u` cannot reach the
+/// prefix or advertises it (advertisers use their connected route).
 ///
 /// The filters enter here and nowhere else — the distance vector does not
 /// depend on them — which is what lets the incremental planner of
@@ -290,23 +290,23 @@ fn candidate_hops(
     dist: &[u64],
     u: usize,
     prefix: &Ipv4Prefix,
-) -> Vec<(usize, RouterId)> {
+    rows: &mut Rows,
+) {
     if dist[u] == u64::MAX || r.ifaces.iter().any(|i| i.prefix == *prefix) {
-        return Vec::new();
+        rows.push([]);
+        return;
     }
-    let mut hops = Vec::new();
-    for &(ii, v, _pi, cost) in adj_u {
-        let dv = dist[v.0 as usize];
-        if dv == u64::MAX {
-            continue;
-        }
-        if u64::from(cost).saturating_add(dv) == dist[u] && !r.ifaces[ii].igp_denies(prefix) {
-            hops.push((ii, v));
-        }
-    }
-    hops.sort();
-    hops.dedup();
-    hops
+    rows.push_set(
+        adj_u
+            .iter()
+            .filter(|&&(ii, v, _pi, cost)| {
+                let dv = dist[v.0 as usize];
+                dv != u64::MAX
+                    && u64::from(cost).saturating_add(dv) == dist[u]
+                    && !r.ifaces[ii].igp_denies(prefix)
+            })
+            .map(|&(ii, v, _, _)| (ii, v)),
+    );
 }
 
 /// Router-to-router IGP shortest paths (used for iBGP egress resolution).
@@ -399,6 +399,20 @@ pub fn router_paths(net: &SimNetwork) -> RouterPaths {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rows::Hop;
+    use confmask_net_types::Ipv4Prefix;
+
+    /// Router `r`'s row toward the destination `lan`.
+    fn row<'a>(
+        net: &SimNetwork,
+        routes: &'a IgpRoutes,
+        r: RouterId,
+        lan: &Ipv4Prefix,
+    ) -> &'a [Hop] {
+        routes
+            .of(r)
+            .row(net.destination_index(lan).expect("a destination"))
+    }
     use confmask_config::{parse_router, HostConfig, NetworkConfigs};
 
     /// Diamond: r1 —(1)— r2 —(1)— r4 and r1 —(10)— r3 —(10)— r4,
@@ -446,7 +460,7 @@ mod tests {
         let r1 = net.router_id("r1").unwrap();
         let r2 = net.router_id("r2").unwrap();
         let lan4: Ipv4Prefix = "10.1.4.0/24".parse().unwrap();
-        let hops = &routes[r1.0 as usize][&lan4];
+        let hops = row(&net, &routes, r1, &lan4);
         assert_eq!(hops.len(), 1);
         assert_eq!(hops[0].1, r2);
     }
@@ -466,7 +480,7 @@ mod tests {
         let routes = compute_with_state(&net).0;
         let r1 = net.router_id("r1").unwrap();
         let lan4: Ipv4Prefix = "10.1.4.0/24".parse().unwrap();
-        let hops = &routes[r1.0 as usize][&lan4];
+        let hops = row(&net, &routes, r1, &lan4);
         assert_eq!(hops.len(), 2, "both diamond arms are equal-cost: {hops:?}");
     }
 
@@ -503,7 +517,7 @@ mod tests {
         let r1 = net.router_id("r1").unwrap();
         let r3 = net.router_id("r3").unwrap();
         let lan4: Ipv4Prefix = "10.1.4.0/24".parse().unwrap();
-        let hops = &routes[r1.0 as usize][&lan4];
+        let hops = row(&net, &routes, r1, &lan4);
         assert_eq!(hops.len(), 1, "only the unfiltered ECMP member remains");
         assert_eq!(hops[0].1, r3);
     }
@@ -537,7 +551,7 @@ mod tests {
         let lan4: Ipv4Prefix = "10.1.4.0/24".parse().unwrap();
         // Link-state: cost structure unchanged; sole min-cost candidate
         // filtered ⇒ no OSPF route (no silent fallback to pricier paths).
-        assert!(!routes[r1.0 as usize].contains_key(&lan4));
+        assert!(row(&net, &routes, r1, &lan4).is_empty());
     }
 
     #[test]
@@ -564,6 +578,6 @@ mod tests {
         let routes = compute_with_state(&net).0;
         let r1 = net.router_id("r1").unwrap();
         let lan4: Ipv4Prefix = "10.1.4.0/24".parse().unwrap();
-        assert!(!routes[r1.0 as usize].contains_key(&lan4));
+        assert!(row(&net, &routes, r1, &lan4).is_empty());
     }
 }

@@ -9,23 +9,24 @@
 //!   behaviour the SFE conditions of §5.1 describe ("no additional routing
 //!   paths will be accepted", with graceful fallback);
 //! * equal-metric neighbors form an ECMP set.
+//!
+//! Rows and distances share OSPF's flat, destination-indexed layout
+//! ([`IgpRoutes`], and [`RipDist`] one destination-major array; DESIGN.md
+//! §5).
 
 use crate::network::{Peer, SimNetwork};
-use confmask_net_types::{Ipv4Prefix, RouterId};
-use std::collections::BTreeMap;
+use crate::rows::{Dists, IgpRoutes, Rows};
+use confmask_net_types::RouterId;
 
 /// RIP's infinity metric.
 pub const RIP_INFINITY: u32 = 16;
 
-/// Per-router candidate next-hops per destination prefix (same shape as
-/// [`crate::ospf::IgpRoutes`]).
-pub type RipRoutes = Vec<BTreeMap<Ipv4Prefix, Vec<(usize, RouterId)>>>;
-
-/// Converged per-prefix distance vectors: `dist[prefix][router]` is the hop
-/// count from the router to the prefix ([`RIP_INFINITY`] = unreachable).
-/// Prefixes with no advertiser are absent. The incremental engine caches
-/// these to warm-start the Bellman–Ford fixpoint after a failure.
-pub type RipDist = BTreeMap<Ipv4Prefix, Vec<u32>>;
+/// Converged per-destination distance vectors: `dist.get(d)[router]` is the
+/// hop count from the router to destination `d` ([`RIP_INFINITY`] =
+/// unreachable). A destination with no advertiser has no vector. The
+/// incremental engine caches these to warm-start the Bellman–Ford fixpoint
+/// after a failure.
+pub type RipDist = Dists<u32>;
 
 /// Computes RIP routes plus the converged distance vectors, optionally
 /// warm-starting the Bellman–Ford iteration from a previously converged
@@ -46,7 +47,7 @@ pub type RipDist = BTreeMap<Ipv4Prefix, Vec<u32>>;
 /// value. Hence the warm iteration lands exactly where the cold one does.
 /// The caller (the delta engine) is responsible for the removal-only
 /// precondition; a cold run (`warm = None`) needs no precondition.
-pub fn compute_with_state(net: &SimNetwork, warm: Option<&RipDist>) -> (RipRoutes, RipDist) {
+pub fn compute_with_state(net: &SimNetwork, warm: Option<&RipDist>) -> (IgpRoutes, RipDist) {
     let n = net.router_count();
     // Without a RIP-active interface no prefix has an advertiser, so the
     // fixpoint would run no round and find no route.
@@ -56,7 +57,7 @@ pub fn compute_with_state(net: &SimNetwork, warm: Option<&RipDist>) -> (RipRoute
         .any(|r| r.ifaces.iter().any(|i| i.rip_active))
     {
         confmask_obs::counter_add("sim.rip.rounds", 0);
-        return (vec![BTreeMap::new(); n], RipDist::new());
+        return (IgpRoutes::empty(n), RipDist::default());
     }
 
     // RIP adjacency: both interfaces rip-active.
@@ -76,12 +77,14 @@ pub fn compute_with_state(net: &SimNetwork, warm: Option<&RipDist>) -> (RipRoute
         }
     }
 
-    let mut routes: RipRoutes = vec![BTreeMap::new(); n];
-    let mut dists = RipDist::new();
+    let mut rows: Vec<Option<Rows>> = Vec::with_capacity(net.destinations.len());
+    let mut dists = RipDist::with_capacity(n, net.destinations.len());
     let mut total_rounds = 0u64;
-    for (prefix, _hosts) in net.destinations.iter() {
-        let mut dist = vec![RIP_INFINITY; n];
-        let mut advertiser = vec![false; n];
+    let (mut dist, mut prev) = (vec![RIP_INFINITY; n], vec![RIP_INFINITY; n]);
+    let mut advertiser = vec![false; n];
+    for (d, (prefix, _hosts)) in net.destinations.iter().enumerate() {
+        dist.fill(RIP_INFINITY);
+        advertiser.fill(false);
         // Advertisers: connected + rip-active on the prefix; metric 1.
         for (rid, r) in net.routers_iter() {
             if r.ifaces.iter().any(|i| i.rip_active && i.prefix == *prefix) {
@@ -90,13 +93,15 @@ pub fn compute_with_state(net: &SimNetwork, warm: Option<&RipDist>) -> (RipRoute
             }
         }
         if dist.iter().all(|&d| d == RIP_INFINITY) {
+            rows.push(None);
+            dists.push(None);
             continue;
         }
         // Warm start: seed non-advertisers from the previous fixpoint (a
         // lower bound on the new one under removal-only perturbations).
-        // A prefix absent from the warm state had no advertisers before,
+        // A destination without a warm vector had no advertisers before,
         // so its previous values were all infinity — the cold seed.
-        if let Some(w) = warm.and_then(|w| w.get(prefix)).filter(|w| w.len() == n) {
+        if let Some(w) = warm.and_then(|w| w.get(d)).filter(|w| w.len() == n) {
             for u in 0..n {
                 if !advertiser[u] {
                     dist[u] = w[u];
@@ -117,7 +122,7 @@ pub fn compute_with_state(net: &SimNetwork, warm: Option<&RipDist>) -> (RipRoute
         for _round in 0..max_rounds {
             total_rounds += 1;
             let mut changed = false;
-            let prev = dist.clone();
+            prev.copy_from_slice(&dist);
             for (rid, r) in net.routers_iter() {
                 let u = rid.0 as usize;
                 // Connected metric (1) never changes.
@@ -142,38 +147,44 @@ pub fn compute_with_state(net: &SimNetwork, warm: Option<&RipDist>) -> (RipRoute
             }
         }
 
+        // Row `u` of this destination's rows is router `u`'s ECMP set; a
+        // router out of reach, or with the prefix connected (its connected
+        // route wins anyway), has none.
+        let mut row = Rows::with_capacity(n, n);
         for (rid, r) in net.routers_iter() {
             let u = rid.0 as usize;
-            if dist[u] >= RIP_INFINITY {
+            if dist[u] >= RIP_INFINITY || r.ifaces.iter().any(|i| i.prefix == *prefix) {
+                row.push([]);
                 continue;
             }
-            if r.ifaces.iter().any(|i| i.prefix == *prefix) {
-                continue; // connected route wins anyway
-            }
-            let mut hops = Vec::new();
-            for &(ii, v) in &adj[u] {
-                if r.ifaces[ii].igp_denies(prefix) {
-                    continue;
-                }
-                if dist[v.0 as usize].saturating_add(1) == dist[u] {
-                    hops.push((ii, v));
-                }
-            }
-            if !hops.is_empty() {
-                hops.sort();
-                hops.dedup();
-                routes[u].insert(*prefix, hops);
-            }
+            row.push_set(adj[u].iter().copied().filter(|&(ii, v)| {
+                !r.ifaces[ii].igp_denies(prefix) && dist[v.0 as usize].saturating_add(1) == dist[u]
+            }));
         }
-        dists.insert(*prefix, dist);
+        rows.push(Some(row));
+        dists.push(Some(&dist));
     }
     confmask_obs::counter_add("sim.rip.rounds", total_rounds);
-    (routes, dists)
+    (IgpRoutes::from_destinations(n, &rows), dists)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rows::Hop;
+    use confmask_net_types::Ipv4Prefix;
+
+    /// Router `r`'s row toward the destination `lan`.
+    fn row<'a>(
+        net: &SimNetwork,
+        routes: &'a IgpRoutes,
+        r: RouterId,
+        lan: &Ipv4Prefix,
+    ) -> &'a [Hop] {
+        routes
+            .of(r)
+            .row(net.destination_index(lan).expect("a destination"))
+    }
     use confmask_config::{parse_router, HostConfig, NetworkConfigs, RouterConfig};
 
     fn rip_router(name: &str, links: &[(&str, u8)], lan: Option<&str>) -> RouterConfig {
@@ -229,7 +240,7 @@ mod tests {
         let r1 = net.router_id("r1").unwrap();
         let r2 = net.router_id("r2").unwrap();
         let lan3: Ipv4Prefix = "10.1.3.0/24".parse().unwrap();
-        assert_eq!(routes[r1.0 as usize][&lan3], vec![(0, r2)]);
+        assert_eq!(row(&net, &routes, r1, &lan3), &[(0, r2)]);
     }
 
     #[test]
@@ -280,7 +291,7 @@ mod tests {
         let r1 = net.router_id("r1").unwrap();
         let r3 = net.router_id("r3").unwrap();
         let lan4: Ipv4Prefix = "10.1.4.0/24".parse().unwrap();
-        let hops = &routes[r1.0 as usize][&lan4];
+        let hops = row(&net, &routes, r1, &lan4);
         assert_eq!(hops.len(), 1, "fallback to the unfiltered arm: {hops:?}");
         assert_eq!(hops[0].1, r3);
     }
@@ -316,9 +327,9 @@ mod tests {
         let r00 = net.router_id("r00").unwrap();
         let r10 = net.router_id("r10").unwrap();
         assert!(
-            !routes[r00.0 as usize].contains_key(&far),
+            row(&net, &routes, r00, &far).is_empty(),
             "17 hops > infinity"
         );
-        assert!(routes[r10.0 as usize].contains_key(&far), "7 hops is fine");
+        assert!(!row(&net, &routes, r10, &far).is_empty(), "7 hops is fine");
     }
 }

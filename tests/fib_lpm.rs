@@ -275,9 +275,10 @@ fn lookup_matches_linear_scan_on_random_fibs() {
             .collect();
         let renumber = |hop: NextHop| hop.renumbered(|i| Some(i + 1));
         let patched = fib
-            .patched(&owned, renumber, |b, p| {
-                if let Some(hops) = &replacement[p] {
-                    b.push(*p, RouteSource::Ospf, hops.iter().copied());
+            .patched(&owned, renumber, |b, k| {
+                let p = owned[k];
+                if let Some(hops) = &replacement[&p] {
+                    b.push(p, RouteSource::Ospf, hops.iter().copied());
                 }
             })
             .expect("every copied hop renumbers");

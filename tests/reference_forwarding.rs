@@ -1,10 +1,12 @@
-//! Reference forwarding oracle, OSPF slice: on random OSPF networks, cold
-//! `simulate` must forward every host pair exactly as a brute-force
-//! shortest-path model of the generator's own graph and costs says
-//! (`support/reference_ospf.rs`), on the healthy network, after every
+//! Reference forwarding oracle, OSPF and RIP slices: on random OSPF
+//! networks, cold `simulate` must forward every host pair exactly as a
+//! brute-force shortest-path model of the generator's own graph and costs
+//! says (`support/reference_ospf.rs`), on the healthy network, after every
 //! single link failure, and after every round of random inbound
 //! distribute-list edits, where the warm control plane's FIBs must agree
-//! too. Pairs are compared by router names: the path set (every
+//! too; on random RIP networks, as a hop-count model of the graph says
+//! (`support/reference_rip.rs`), healthy and after every single link
+//! failure. Pairs are compared by router names: the path set (every
 //! equal-cost shortest path) and the blackhole and loop flags.
 //!
 //! The reference shares no code with the simulator's SPF, FIBs or data
@@ -21,6 +23,8 @@
 mod random_net;
 #[path = "support/reference_ospf.rs"]
 mod reference_ospf;
+#[path = "support/reference_rip.rs"]
+mod reference_rip;
 
 use confmask_config::patch::Patcher;
 use confmask_config::NetworkConfigs;
@@ -34,6 +38,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use random_net::random_spec;
 use reference_ospf::{RefNet, RefPair};
+use reference_rip::RipRef;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What a simulation forwards for one pair: the paths by name, their
@@ -44,16 +49,18 @@ struct Forwarded {
     has_loop: bool,
 }
 
+/// What a reference forwards: every ordered host pair by name.
+type RefPairs = Vec<((String, String), RefPair)>;
+
 /// Asserts `forwarded` answers every pair the reference lists (`None` when
 /// it lacks the pair) as the reference does; returns how many pairs were
 /// compared.
 fn assert_forwards_as(
     tag: &str,
-    reference: &RefNet,
+    want: &RefPairs,
     forwarded: impl Fn(&str, &str) -> Option<Forwarded>,
 ) -> usize {
-    let want = reference.pairs();
-    for ((src, dst), expected) in &want {
+    for ((src, dst), expected) in want {
         let pair = forwarded(src, dst)
             .unwrap_or_else(|| panic!("{tag}: the simulation lacks {src} → {dst}"));
         let count = pair.paths.len();
@@ -74,13 +81,9 @@ fn assert_forwards_as(
 
 /// Asserts the simulation's data plane forwards every pair as the
 /// reference does; returns the number of pairs compared.
-fn assert_matches_reference(tag: &str, sim: &Simulation, reference: &RefNet) -> usize {
-    assert_eq!(
-        sim.dataplane.len(),
-        reference.pairs().len(),
-        "{tag}: pair count"
-    );
-    assert_forwards_as(tag, reference, |src, dst| {
+fn assert_matches_reference(tag: &str, sim: &Simulation, want: &RefPairs) -> usize {
+    assert_eq!(sim.dataplane.len(), want.len(), "{tag}: pair count");
+    assert_forwards_as(tag, want, |src, dst| {
         let pair = sim.dataplane.between(src, dst)?;
         Some(Forwarded {
             paths: pair
@@ -97,7 +100,7 @@ fn assert_matches_reference(tag: &str, sim: &Simulation, reference: &RefNet) -> 
 /// reference does.
 fn assert_warm_matches_reference(tag: &str, cp: &WarmControlPlane, reference: &RefNet) {
     let net = cp.net();
-    assert_forwards_as(tag, reference, |src, dst| {
+    assert_forwards_as(tag, &reference.pairs(), |src, dst| {
         let set = trace(net, cp.fibs(), net.host_id(src)?, net.host_id(dst)?);
         let paths = set.paths().map(|hops| {
             let mut path = vec![src.to_string()];
@@ -132,7 +135,8 @@ fn cold_simulation_forwards_as_the_reference_on_random_ospf_networks() {
             "seed {i}: every spec link is one k = 1 failure"
         );
         let healthy = simulate(&configs).unwrap();
-        pairs += assert_matches_reference(&format!("seed {i} healthy"), &healthy, &reference);
+        pairs +=
+            assert_matches_reference(&format!("seed {i} healthy"), &healthy, &reference.pairs());
         for (li, (a, b)) in links.iter().enumerate() {
             let tag = format!("seed {i} link {a}–{b} down");
             let scenario = FailureScenario::single(Fault::LinkDown {
@@ -141,9 +145,9 @@ fn cold_simulation_forwards_as_the_reference_on_random_ospf_networks() {
                 added: false,
             });
             let failed = simulate(&scenario.apply(&configs).unwrap()).unwrap();
-            let down = reference.without_link(li);
+            let down = reference.without_link(li).pairs();
             pairs += assert_matches_reference(&tag, &failed, &down);
-            blackholed += down.pairs().iter().filter(|(_, p)| p.blackhole).count();
+            blackholed += down.iter().filter(|(_, p)| p.blackhole).count();
             scenarios += 1;
         }
     }
@@ -152,6 +156,58 @@ fn cold_simulation_forwards_as_the_reference_on_random_ospf_networks() {
     eprintln!(
         "reference: {seeds} network(s), {scenarios} failure(s), {pairs} pair(s) \
          ({blackholed} blackholed), zero mismatches"
+    );
+}
+
+/// The RIP slice: on random RIP networks, cold `simulate` forwards every
+/// pair as the hop-count reference does, healthy and after every single
+/// link failure. `DELTA_DIFF_SEEDS` sets how many networks are generated
+/// (default 8; CI runs 24).
+#[test]
+fn cold_simulation_forwards_as_the_hop_count_reference_on_random_rip_networks() {
+    let seeds: u64 = std::env::var("DELTA_DIFF_SEEDS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(8);
+    let (mut scenarios, mut pairs, mut ecmp, mut blackholed) = (0usize, 0usize, 0usize, 0usize);
+    for i in 0..seeds {
+        let mut rng = StdRng::seed_from_u64(0x0A1B_E000 ^ i);
+        let spec = random_spec(&mut rng, 1);
+        let configs = synthesize(&spec);
+        let reference = RipRef::from_spec(&spec);
+        let links = reference.link_names();
+        assert_eq!(
+            enumerate_single_link_failures(&configs).len(),
+            links.len(),
+            "seed {i}: every spec link is one k = 1 failure"
+        );
+        let healthy = reference.pairs();
+        ecmp += healthy.iter().filter(|(_, p)| p.paths.len() > 1).count();
+        pairs += assert_matches_reference(
+            &format!("seed {i} healthy"),
+            &simulate(&configs).unwrap(),
+            &healthy,
+        );
+        for (li, (a, b)) in links.iter().enumerate() {
+            let scenario = FailureScenario::single(Fault::LinkDown {
+                a: a.clone(),
+                b: b.clone(),
+                added: false,
+            });
+            let failed = simulate(&scenario.apply(&configs).unwrap()).unwrap();
+            let down = reference.without_link(li).pairs();
+            let tag = format!("seed {i} link {a}–{b} down");
+            pairs += assert_matches_reference(&tag, &failed, &down);
+            blackholed += down.iter().filter(|(_, p)| p.blackhole).count();
+            scenarios += 1;
+        }
+    }
+    // Equal-hop branches and partitioning tree links both occur.
+    assert!(ecmp > 0, "no pair has equal-hop paths");
+    assert!(blackholed > 0, "no failure partitioned a network");
+    eprintln!(
+        "RIP reference: {seeds} network(s), {scenarios} failure(s), {pairs} pair(s) \
+         ({ecmp} healthy with ECMP, {blackholed} blackholed), zero mismatches"
     );
 }
 
@@ -268,7 +324,7 @@ fn cold_and_warm_forward_as_the_reference_under_random_filters() {
             let reference = healthy.with_filters(&lans, &denies);
             let tag = format!("seed {i} round {round}");
             let cold = simulate(patcher.network()).unwrap();
-            assert_matches_reference(&format!("{tag} cold"), &cold, &reference);
+            assert_matches_reference(&format!("{tag} cold"), &cold, &reference.pairs());
             cp.refresh(patcher.network(), &touched).unwrap();
             assert_warm_matches_reference(&format!("{tag} warm"), &cp, &reference);
             let pairs = reference.pairs();
